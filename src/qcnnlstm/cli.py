@@ -281,6 +281,8 @@ def _machine_config_from(kv: dict) -> fsm.MachineConfig:
 
 
 def _cmd_simulate(args, argv) -> int:
+    if args.limit < 0:
+        raise _UsageError("--limit must not be negative")
     params, cfg, mode = model.load_network(args.model)
     if mode == "full":
         raise ingest.DataFormatError(
@@ -296,18 +298,15 @@ def _cmd_simulate(args, argv) -> int:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     n = min(args.limit, len(test_seqs)) if args.limit else len(test_seqs)
-    correct = 0
-    report = None
-    for i in range(n):
-        seq = test_seqs[i]
-        raw = fxp.to_raw(seq.windows, mc.activation_format)
-        trace = (out / "trace.csv") if (out and args.trace and i == 0) else None
-        pred, report = fsm.run_inference(raw, banks, cfg, mc, trace_path=trace)
-        correct += int(pred == seq.label)
+    seqs = test_seqs[:n]
+    raw = fxp.to_raw(np.stack([seq.windows for seq in seqs]),
+                     mc.activation_format)
+    trace = (out / "trace.csv") if (out and args.trace) else None
+    preds, report = fsm.run_inference(raw, banks, cfg, mc, trace_path=trace)
+    correct = int((preds == np.array([seq.label for seq in seqs])).sum())
     print(f"simulated {n} inferences, accuracy {correct / n:.4f}")
     print(report.summary())
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "cycle_report.txt").write_text(report.summary() + "\n")
         (out / "cycle_report.csv").write_text(report.csv())
         _write_manifest(argv, out)

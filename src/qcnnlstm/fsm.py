@@ -3,15 +3,18 @@
 States per window: (1) conv + ReLU once per CNN layer, (2) FC + residual add,
 (3) the four gate matrix products, (4) sigmoid/tanh lookups, (5) cell-state
 update, (6) tanh of the cell, (7) output-gate product, (8) output layer on
-the final window (otherwise loop back). All arithmetic runs on raw activation
-codes through the fxp primitives, so the numeric result is bit-identical to
-the model module's fixed-point forward pass; on top of that the simulator
-books cycles, MACs, and memory traffic per state.
+the final window (otherwise loop back). Cycles, MACs and memory traffic
+depend only on the network and machine configurations, never on the data:
+the simulator replays the state sequence once per configuration pair to
+build that schedule, and takes the numeric result from the fixed-point
+engine, `model.network_forward_fixed`, at the machine's activation format
+and LUT size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import ceil
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import fxp
 from .fxp import QFormat
-from .model import NetworkConfig, _pad_window
+from .model import NetworkConfig, network_forward_fixed
 from .quant import QuantizedNetwork
 
 __all__ = [
@@ -47,7 +50,7 @@ class MachineConfig:
     bus_bits: int = 96
     wb_read_bits_per_cycle: int = 64
     im_bits_per_cycle: int = 48
-    lut_size: int = 64
+    lut_size: int = fxp.LUT_SIZE
     clock_hz: float = 1e8
     activation_format: QFormat = fxp.ACT_FORMAT
     wb_capacity_bits: int = 16_020_000  # block-RAM budget of the target part
@@ -68,14 +71,15 @@ class MachineConfig:
 
 @dataclass
 class MemoryBanks:
-    """Weight banks (2-bit codes + fixed-point FC/output) and 12-bit IMs.
+    """Weight banks (2-bit codes + fixed-point FC/output) and the IMs.
 
-    Reads and writes are issued in beats no wider than the per-cycle caps;
-    totals and the widest observed beat are recorded for the bandwidth
-    invariants.
+    Reads and writes are issued in beats no wider than the per-cycle caps,
+    and IM values are as wide as the activation format; totals and the
+    widest observed beat are recorded for the bandwidth invariants. The
+    totals are cumulative over every sequence run on these banks.
     """
 
-    qnet: QuantizedNetwork
+    qnet: QuantizedNetwork | None
     mc: MachineConfig
     im: dict = field(default_factory=dict)
     wb_bits_read: int = 0
@@ -84,20 +88,22 @@ class MemoryBanks:
     max_im_beat: int = 0
 
     def wb_read(self, n_values: int, bits_per_value: int) -> None:
-        self._beats("wb", n_values * bits_per_value, self.mc.wb_read_bits_per_cycle)
+        self._beats("wb", n_values * bits_per_value)
 
     def im_write(self, name: str, values: np.ndarray) -> None:
         self.im[name] = values
-        self._beats("im", values.size * 12, self.mc.im_bits_per_cycle)
+        self._beats("im", values.size * self.mc.activation_format.total_bits)
 
     def im_read(self, name: str) -> np.ndarray:
         values = self.im[name]
-        self._beats("im", values.size * 12, self.mc.im_bits_per_cycle)
+        self._beats("im", values.size * self.mc.activation_format.total_bits)
         return values
 
-    def _beats(self, port: str, total_bits: int, cap: int) -> None:
+    def _beats(self, port: str, total_bits: int) -> None:
         if total_bits <= 0:
             return
+        cap = self.mc.wb_read_bits_per_cycle if port == "wb" \
+            else self.mc.im_bits_per_cycle
         n_full, rem = divmod(total_bits, cap)
         widest = cap if n_full else rem
         if port == "wb":
@@ -106,6 +112,13 @@ class MemoryBanks:
         else:
             self.im_bits += total_bits
             self.max_im_beat = max(self.max_im_beat, widest)
+
+    def add_traffic(self, other: "MemoryBanks", times: int) -> None:
+        """Book `times` repeats of the traffic recorded on `other`."""
+        self.wb_bits_read += times * other.wb_bits_read
+        self.im_bits += times * other.im_bits
+        self.max_wb_beat = max(self.max_wb_beat, other.max_wb_beat)
+        self.max_im_beat = max(self.max_im_beat, other.max_im_beat)
 
 
 @dataclass
@@ -208,63 +221,30 @@ def load_banks(qnet: QuantizedNetwork, mc: MachineConfig) -> MemoryBanks:
     return MemoryBanks(qnet, mc)
 
 
-def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
-                  mc: MachineConfig, trace_path=None):
-    """Execute Algorithm-style state iteration over q windows.
-
-    `windows_raw` is (n_steps, input_len) raw activation codes (int). Returns
-    (predicted class, CycleReport); prediction is the argmax of the final
-    state-8 logits, ties resolved to the lowest index.
-    """
-    fmt = mc.activation_format
-    qnet = banks.qnet
-    windows_raw = np.asarray(windows_raw, dtype=np.int64)
-    if windows_raw.shape != (net.n_steps, net.input_len):
-        raise ValueError(f"expected {(net.n_steps, net.input_len)} raw windows, "
-                         f"got {windows_raw.shape}")
-
-    sigmoid_lut = fxp.build_lut("sigmoid", mc.lut_size)
-    tanh_lut = fxp.build_lut("tanh", mc.lut_size)
-    sig_entries = fxp.lut_entries_in(sigmoid_lut, fmt)
-    tanh_entries = fxp.lut_entries_in(tanh_lut, fmt)
-
+@lru_cache(maxsize=256)
+def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
+    """One sequence's (report, bank traffic, trace text): data-independent."""
+    banks = MemoryBanks(None, mc)  # IM values written are size-only zeros
     cycles = np.zeros(8, dtype=np.int64)
-    state_trace: list[int] = []
-    trace_rows: list[str] = []
-    macs = 0
-    worst_window = 0
-    cycle_now = 0
+    state_trace, rows = [], ["cycle,state,unit,op"]
+    macs = worst_window = cycle_now = 0
 
     def book(state, n_cycles, unit, op):
         nonlocal cycle_now
         cycles[state - 1] += n_cycles
         cycle_now += n_cycles
         state_trace.append(state)
-        if trace_path is not None:
-            trace_rows.append(f"{cycle_now},{state},{unit},{op}")
+        rows.append(f"{cycle_now},{state},{unit},{op}")
 
-    h = np.zeros(net.n_hidden, dtype=np.int64)
-    c = np.zeros(net.n_hidden, dtype=np.int64)
-    logits = np.zeros(net.n_classes, dtype=np.int64)
-
+    gate_size = (net.n_hidden + net.input_len) * net.n_hidden
     for step in range(net.n_steps):
         window_start = cycle_now
-        x = windows_raw[step]
-        banks.im_write("window", x)
-
+        banks.im_write("window", np.zeros(net.input_len))
         if net.use_cnn:
             # State 1, visited once per CNN layer
-            maps = x.reshape(net.n_channels, net.window_len)
             for li, (depth, filters, width) in enumerate(_conv_depths(net)):
-                codes = qnet.conv_codes[li]
-                banks.wb_read(codes.size, 2)
-                left, right = _pad_window(width)
-                xpad = np.pad(maps, ((0, 0), (left, right)))
-                acc = np.zeros((filters, net.window_len), dtype=np.int64)
-                for a in range(width):
-                    acc += codes[:, :, a] @ xpad[:, a:a + net.window_len]
-                maps = np.clip(np.maximum(acc, 0), 0, fmt.raw_max)
-                banks.im_write(f"maps{li}", maps)
+                banks.wb_read(filters * depth * width, 2)
+                banks.im_write(f"maps{li}", np.zeros(filters * net.window_len))
                 macs += filters * width * net.window_len * depth
                 n_cyc = conv_layer_cycles(net.window_len, width, filters,
                                           mc.mac_lanes, depth) \
@@ -273,60 +253,47 @@ def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
                 book(1, n_cyc, "MACs+NFs", f"conv{li}")
 
             # State 2: FC product and residual add
-            banks.wb_read(qnet.fc_raw.size, qnet.weight_format.total_bits)
-            flat = banks.im_read(f"maps{len(net.conv_layers) - 1}").ravel()
-            p = fxp.dot_fixed(flat, qnet.fc_raw.T, fmt=fmt)
-            v = fxp.sat_add(banks.im_read("window"), p, fmt) if net.residual else p
-            banks.im_write("residual", v)
-            macs += qnet.fc_raw.size
+            fc_size = net.input_len * net.fc_input_len
+            banks.wb_read(fc_size, weight_bits)
+            banks.im_read(f"maps{len(net.conv_layers) - 1}")
+            if net.residual:
+                banks.im_read("window")
+            banks.im_write("residual", np.zeros(net.input_len))
+            macs += fc_size
             book(2, state_cycle_cost(2, net, mc), "MACs", "fc+residual")
-        else:
-            v = x
 
         # State 3: the four gate products share the MAC array
-        xx = np.concatenate([h, v])
-        pre = {}
-        for name, codes in qnet.gate_codes.items():
-            banks.wb_read(codes.size, 2)
-            pre[name] = fxp.dot_ternary(xx, codes, fmt=fmt)
-            macs += codes.size
+        for _ in range(4):
+            banks.wb_read(gate_size, 2)
+        macs += 4 * gate_size
         book(3, state_cycle_cost(3, net, mc), "MACs", "gates")
 
         # State 4: LUT nonlinearities on the gate pre-activations
-        g_forget = sig_entries[fxp.lut_index_raw(pre["forget"], sigmoid_lut, fmt)]
-        g_input = sig_entries[fxp.lut_index_raw(pre["input"], sigmoid_lut, fmt)]
-        g_output = sig_entries[fxp.lut_index_raw(pre["output"], sigmoid_lut, fmt)]
-        g_cell = tanh_entries[fxp.lut_index_raw(pre["cell"], tanh_lut, fmt)]
-        for name, vals in (("g_forget", g_forget), ("g_input", g_input),
-                           ("g_output", g_output), ("g_cell", g_cell)):
-            banks.im_write(name, vals)
+        for name in ("g_forget", "g_input", "g_output", "g_cell"):
+            banks.im_write(name, np.zeros(net.n_hidden))
         book(4, state_cycle_cost(4, net, mc), "NFs", "sigmoid+tanh")
 
         # State 5: cell update with the two embedded multipliers
-        c = fxp.mul_add_fixed(banks.im_read("g_forget"), c,
-                              banks.im_read("g_cell"),
-                              banks.im_read("g_input"), fmt)
-        banks.im_write("cell", c)
+        for name in ("g_forget", "g_cell", "g_input"):
+            banks.im_read(name)
+        banks.im_write("cell", np.zeros(net.n_hidden))
         book(5, state_cycle_cost(5, net, mc), "MACs", "cell-update")
 
         # State 6: tanh of the new cell state
-        tanh_c = tanh_entries[fxp.lut_index_raw(c, tanh_lut, fmt)]
-        banks.im_write("tanh_cell", tanh_c)
+        banks.im_write("tanh_cell", np.zeros(net.n_hidden))
         book(6, state_cycle_cost(6, net, mc), "NFs", "tanh")
 
         # State 7: output-gate product forms the hidden state
-        h = fxp.mul_fixed(banks.im_read("g_output"),
-                          banks.im_read("tanh_cell"), fmt)
-        banks.im_write("hidden", h)
+        banks.im_read("g_output")
+        banks.im_read("tanh_cell")
+        banks.im_write("hidden", np.zeros(net.n_hidden))
         book(7, state_cycle_cost(7, net, mc), "MACs", "hidden")
 
         # State 8: classify on the final window, otherwise loop to state 1
-        final = step == net.n_steps - 1
-        if final:
-            banks.wb_read(qnet.logits_raw.size, qnet.weight_format.total_bits)
-            logits = fxp.dot_fixed(h, qnet.logits_raw, fmt=fmt)
-            banks.im_write("logits", logits)
-            macs += qnet.logits_raw.size
+        if step == net.n_steps - 1:
+            banks.wb_read(net.n_hidden * net.n_classes, weight_bits)
+            banks.im_write("logits", np.zeros(net.n_classes))
+            macs += net.n_hidden * net.n_classes
             book(8, state_cycle_cost(8, net, mc), "MACs", "classify")
         else:
             book(8, 0, "MC", "loop")
@@ -334,23 +301,38 @@ def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
 
     total = int(cycles.sum())
     report = CycleReport(
-        cycles_per_state=cycles,
-        total_cycles=total,
-        latency_seconds=total / mc.clock_hz,
-        worst_window_cycles=worst_window,
-        worst_window_latency_seconds=worst_window / mc.clock_hz,
-        executed_macs=macs,
-        paper_macs=(net.input_len + net.n_hidden) * net.n_hidden,
-        wb_bits_read=banks.wb_bits_read,
-        im_bits_transferred=banks.im_bits,
-        max_wb_beat_bits=banks.max_wb_beat,
-        max_im_beat_bits=banks.max_im_beat,
-        state_trace=state_trace,
-    )
+        cycles, total, total / mc.clock_hz, worst_window,
+        worst_window / mc.clock_hz, macs,
+        (net.input_len + net.n_hidden) * net.n_hidden, banks.wb_bits_read,
+        banks.im_bits, banks.max_wb_beat, banks.max_im_beat, state_trace)
+    return report, banks, "\n".join(rows) + "\n"
+
+
+def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
+                  mc: MachineConfig, trace_path=None):
+    """Run raw windows, (n_steps, input_len) or (B, n_steps, input_len).
+
+    Returns (prediction, CycleReport): the argmax of the final state-8 logits
+    (ties to the lowest index), an int or a (B,) array; the logits also land
+    in `banks.im["logits"]`. Cycles, MACs and the state trace (and trace
+    file) are per sequence; bank totals are the banks' cumulative counters.
+    """
+    logits = network_forward_fixed(windows_raw, banks.qnet, net,
+                                   mc.activation_format, mc.lut_size)[..., -1, :]
+    one, traffic, trace = _schedule(net, mc,
+                                    banks.qnet.weight_format.total_bits)
+    banks.add_traffic(traffic, 1 if logits.ndim == 1 else len(logits))
+    banks.im["logits"] = logits
+    report = replace(one, cycles_per_state=one.cycles_per_state.copy(),
+                     state_trace=list(one.state_trace),
+                     wb_bits_read=banks.wb_bits_read,
+                     im_bits_transferred=banks.im_bits,
+                     max_wb_beat_bits=banks.max_wb_beat,
+                     max_im_beat_bits=banks.max_im_beat)
     if trace_path is not None:
-        Path(trace_path).write_text("cycle,state,unit,op\n"
-                                    + "\n".join(trace_rows) + "\n")
-    return int(np.argmax(logits)), report
+        Path(trace_path).write_text(trace)
+    preds = np.argmax(logits, axis=-1)
+    return (int(preds) if logits.ndim == 1 else preds), report
 
 
 def latency_report(report: CycleReport, budget_seconds: float) -> LatencyVerdict:

@@ -6,7 +6,9 @@ quantization, saturating adds/multiply-accumulates with double-width
 accumulation, and midpoint-sampled sigmoid/tanh lookup tables.
 
 Everything here is a pure value computation: raw codes are plain Python ints
-or int64 numpy arrays, so results are exactly reproducible.
+or int64 numpy arrays, so results are exactly reproducible. Dot products
+multiply in float64 through BLAS, after checking from the formats and the
+fan-in that every partial sum stays below 2**53, where float64 is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "lut_index",
     "lut_index_raw",
     "lut_eval",
-    "lut_eval_raw",
     "lut_entries_in",
     "save_lut",
     "load_lut",
@@ -169,25 +170,38 @@ def mul_add_fixed(a, b, c, d, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     return requantize(acc, fmt.frac_bits, fmt)
 
 
+def _exact_product(x_raw, w, magnitude_bits: int) -> np.ndarray:
+    """x @ w for integer values whose products are at most 2**magnitude_bits.
+
+    Below 2**53 float64 holds every partial sum exactly, in any order.
+    """
+    fan_in = np.shape(w)[0]
+    if fan_in << magnitude_bits >= 1 << 53:
+        raise ValueError(f"a {fan_in}-term dot product of {magnitude_bits}-bit "
+                         "magnitudes is not exact in float64")
+    acc = np.asarray(x_raw, dtype=np.float64) @ np.asarray(w, dtype=np.float64)
+    return acc.astype(np.int64)
+
+
 def dot_ternary(x_raw, codes, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Dot product of activations with 2-bit weight codes in {-1, 0, +1}.
 
     The accumulator stays at the activation scale (codes are integers), so the
     only quantization effect is the final saturation.
     """
-    acc = np.asarray(x_raw, dtype=np.int64) @ np.asarray(codes, dtype=np.int64)
+    acc = _exact_product(x_raw, codes, fmt.total_bits - 1)
     if bias_raw is not None:
         acc = acc + np.asarray(bias_raw, dtype=np.int64)
     return np.clip(acc, fmt.raw_min, fmt.raw_max)
 
 
 def dot_fixed(x_raw, w_raw, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """Dot product of activations with fixed-point weights.
+    """Dot product of activations with fixed-point weights, both in `fmt`.
 
     Products sit at scale 2**-(2*frac); they are accumulated exactly and
     requantized once per output element.
     """
-    acc = np.asarray(x_raw, dtype=np.int64) @ np.asarray(w_raw, dtype=np.int64)
+    acc = _exact_product(x_raw, w_raw, 2 * (fmt.total_bits - 1))
     if bias_raw is not None:
         acc = acc + (np.asarray(bias_raw, dtype=np.int64) << fmt.frac_bits)
     return requantize(acc, fmt.frac_bits, fmt)
@@ -196,6 +210,9 @@ def dot_fixed(x_raw, w_raw, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.ndar
 # ---------------------------------------------------------------------------
 # Lookup-table nonlinearities
 # ---------------------------------------------------------------------------
+
+#: Table size of the reference machine; `fsm.MachineConfig.lut_size` may change it.
+LUT_SIZE = 64
 
 #: Entries carry sign + 10 fractional bits; |f| < 1 for both supported kinds,
 #: so the near-saturated sigmoid tail lands at 1023/1024 rather than 1.0.
@@ -240,7 +257,7 @@ class LutTable:
         return from_raw(self.entries_raw, self.entry_format)
 
 
-def build_lut(kind: str, n_entries: int = 64, u_min: float | None = None,
+def build_lut(kind: str, n_entries: int = LUT_SIZE, u_min: float | None = None,
               u_max: float | None = None,
               entry_format: QFormat = ENTRY_FORMAT) -> LutTable:
     """Build a table by sampling the exact function at each cell's midpoint."""
@@ -277,11 +294,6 @@ def lut_index_raw(u_raw, table: LutTable, fmt: QFormat = ACT_FORMAT) -> np.ndarr
 def lut_eval(u: Fixed, table: LutTable) -> Fixed:
     """Table lookup; returns the stored entry in the entry format."""
     return Fixed(int(table.entries_raw[lut_index(u, table)]), table.entry_format)
-
-
-def lut_eval_raw(u_raw, table: LutTable, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """Vectorized lookup over raw activation codes; returns entry raw codes."""
-    return table.entries_raw[lut_index_raw(u_raw, table, fmt)]
 
 
 def lut_entries_in(table: LutTable, fmt: QFormat) -> np.ndarray:

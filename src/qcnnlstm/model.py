@@ -1,12 +1,9 @@
 """CNN feature extractor + residual add + LSTM classifier forward passes.
 
-Two engines share one parameter set:
-
-* a float64 reference path (`network_forward`) used for training and as the
-  golden reference, and
-* a fixed-point path (`network_forward_fixed`) that quantizes every stored
-  intermediate to the activation Q-format, matching the hardware simulator
-  bit for bit.
+`network_forward` is the float64 reference pass over one sequence, used for
+training. `network_forward_fixed` is the one fixed-point engine: batched,
+BLAS-backed, every intermediate in the activation Q-format; the cycle
+simulator in `fsm` takes its numerics from it.
 
 Gate matrices are stored input-major, shape (n_hidden + input_len, n_hidden),
 so a step computes xx @ W + b.
@@ -15,6 +12,7 @@ so a step computes xx @ W + b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -223,80 +221,80 @@ def predict(logits_per_step) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point golden path
+# Fixed-point engine
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _lut(kind: str, size: int, fmt: QFormat):
+    """A table and its entries requantized to `fmt`, built once per key."""
+    table = fxp.build_lut(kind, size)
+    entries = fxp.lut_entries_in(table, fmt)
+    entries.flags.writeable = False
+    return table, entries
+
 
 def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
                           cfg: NetworkConfig,
                           fmt: QFormat = fxp.ACT_FORMAT,
-                          luts: dict | None = None) -> np.ndarray:
+                          lut_size: int = fxp.LUT_SIZE) -> np.ndarray:
     """Bit-accurate forward pass over raw activation codes.
 
-    Every stored intermediate (feature maps, residual sum, gate values, cell
-    and hidden states, logits) is saturated/requantized to `fmt`, exactly as
-    the cycle simulator does; returns (n_steps, n_classes) raw logit codes.
+    `windows_raw` is (n_steps, input_len) or a batch (B, n_steps, input_len);
+    returns raw logit codes, (n_steps, n_classes) or (B, n_steps, n_classes).
+    Every stored intermediate is saturated/requantized to `fmt`, and the
+    nonlinearities read `lut_size`-entry tables.
     """
-    if luts is None:
-        luts = {"sigmoid": fxp.build_lut("sigmoid", 64),
-                "tanh": fxp.build_lut("tanh", 64)}
-    sig_entries = fxp.lut_entries_in(luts["sigmoid"], fmt)
-    tanh_entries = fxp.lut_entries_in(luts["tanh"], fmt)
-
-    def sig(u_raw):
-        return sig_entries[fxp.lut_index_raw(u_raw, luts["sigmoid"], fmt)]
-
-    def tanh_f(u_raw):
-        return tanh_entries[fxp.lut_index_raw(u_raw, luts["tanh"], fmt)]
-
-    windows_raw = np.asarray(windows_raw, dtype=np.int64)
-    if windows_raw.shape != (cfg.n_steps, cfg.input_len):
-        raise ValueError("window shape mismatch")
-
-    h = np.zeros(cfg.n_hidden, dtype=np.int64)
-    c = np.zeros(cfg.n_hidden, dtype=np.int64)
-    logits_raw = np.zeros((cfg.n_steps, cfg.n_classes), dtype=np.int64)
+    x = np.asarray(windows_raw, dtype=np.int64)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_steps, cfg.input_len):
+        raise ValueError(f"expected windows {(cfg.n_steps, cfg.input_len)} "
+                         f"or a batch of them, got {x.shape}")
+    # states 1-2 do not depend on the recurrent state: all windows at once
+    v = x.reshape(-1, cfg.input_len)
+    if cfg.use_cnn:
+        maps = v.reshape(len(v), cfg.n_channels, cfg.window_len)
+        for codes in qnet.conv_codes:
+            maps = _conv_relu_fixed(maps, codes, fmt)
+        p = fxp.dot_fixed(maps.reshape(len(v), -1), qnet.fc_raw.T, fmt=fmt)
+        v = fxp.sat_add(v, p, fmt) if cfg.residual else p
+    v = v.reshape(-1, cfg.n_steps, cfg.input_len)
+    sig, sig_entries = _lut("sigmoid", lut_size, fmt)
+    tanh, tanh_entries = _lut("tanh", lut_size, fmt)
+    n_h = cfg.n_hidden
+    h = c = np.zeros((len(v), n_h), dtype=np.int64)
+    hs = []
     for t in range(cfg.n_steps):
-        x = windows_raw[t]
-        if cfg.use_cnn:
-            maps = x.reshape(cfg.n_channels, cfg.window_len)
-            for codes in qnet.conv_codes:
-                maps = _conv_relu_fixed(maps, codes, fmt)
-            p = fxp.dot_fixed(maps.ravel(), qnet.fc_raw.T, fmt=fmt)
-            v = fxp.sat_add(x, p, fmt) if cfg.residual else p
-        else:
-            v = x
-        xx = np.concatenate([h, v])
-        pre = {name: fxp.dot_ternary(xx, codes, fmt=fmt)
-               for name, codes in qnet.gate_codes.items()}
-        g_forget, g_input, g_output = sig(pre["forget"]), sig(pre["input"]), sig(pre["output"])
-        g_cell = tanh_f(pre["cell"])
+        pre = fxp.dot_ternary(np.concatenate([h, v[:, t]], axis=1), qnet.gates,
+                              fmt=fmt)
+        g = sig_entries[fxp.lut_index_raw(pre[:, :3 * n_h], sig, fmt)]
+        g_forget, g_input, g_output = np.split(g, 3, axis=1)
+        g_cell = tanh_entries[fxp.lut_index_raw(pre[:, 3 * n_h:], tanh, fmt)]
         c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt)
-        h = fxp.mul_fixed(g_output, tanh_f(c), fmt)
-        logits_raw[t] = fxp.dot_fixed(h, qnet.logits_raw, fmt=fmt)
-    return logits_raw
+        h = fxp.mul_fixed(g_output, tanh_entries[fxp.lut_index_raw(c, tanh, fmt)],
+                          fmt)
+        hs.append(h)
+    logits = fxp.dot_fixed(np.stack(hs, axis=1).reshape(-1, n_h),
+                           qnet.logits_raw, fmt=fmt)
+    return logits.reshape(x.shape[:-1] + (cfg.n_classes,))
 
 
 def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
-    """Fixed-point conv + ReLU: ternary taps keep the activation scale."""
+    """Fixed-point conv + ReLU over (N, depth, length) maps, one product."""
     f, depth, m = codes.shape
-    if maps_raw.shape[0] != depth:
-        raise ValueError("input depth mismatch in fixed conv")
-    n = maps_raw.shape[1]
-    left, right = _pad_window(m)
-    xpad = np.pad(maps_raw, ((0, 0), (left, right)))
-    acc = np.zeros((f, n), dtype=np.int64)
-    for a in range(m):
-        acc += codes[:, :, a] @ xpad[:, a:a + n]
-    return np.clip(np.maximum(acc, 0), 0, fmt.raw_max)
+    n, _, length = maps_raw.shape
+    xpad = np.pad(maps_raw, ((0, 0), (0, 0), _pad_window(m)))
+    # patches[n * length + position, d * m + a] = xpad[n, d, position + a]
+    patches = np.lib.stride_tricks.sliding_window_view(xpad, m, axis=2)
+    patches = patches.transpose(0, 2, 1, 3).reshape(n * length, -1)
+    # ternary taps keep the activation scale; saturating before the ReLU
+    # equals the ReLU followed by a clip at raw_max
+    acc = fxp.dot_ternary(patches, codes.reshape(f, depth * m).T, fmt=fmt)
+    return np.maximum(acc, 0).reshape(n, length, f).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
 # Serialization: directory of flat binary arrays plus a text manifest.
 # Manifest line: name<TAB>dtype<TAB>shape-csv<TAB>filename
 # ---------------------------------------------------------------------------
-
-_GATE_ORDER = ("forget", "input", "output", "cell")
-
 
 def _param_items(params: NetworkParams):
     for i, layer in enumerate(params.conv):
@@ -305,7 +303,7 @@ def _param_items(params: NetworkParams):
     if params.fc is not None:
         yield "fc.weights", params.fc.weights
     p = params.lstm
-    for name in _GATE_ORDER:
+    for name in quant.GATE_ORDER:
         yield f"lstm.w_{name}", p.gate_weights()[name]
         yield f"lstm.b_{name}", p.gate_biases()[name]
     yield "lstm.w_logits", p.w_logits

@@ -7,7 +7,7 @@ the fully connected layers keep 12-bit fixed-point values in hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 MODES = ("full", "binary", "ternary")
+GATE_ORDER = ("forget", "input", "output", "cell")
 
 
 def quantize_binary(r):
@@ -94,35 +95,41 @@ def unpack_codes(buf: bytes, shape) -> np.ndarray:
 class QuantizedNetwork:
     """Hardware-ready weights: 2-bit codes for gates/CNN, fixed-point for FC.
 
-    `conv_codes` holds one (filters, depth, width) int array per CNN layer;
-    `gate_codes` maps gate name -> (n_hidden + input_len, n_hidden) codes;
+    Integer values stored as float64, the dtype the engine multiplies in.
+    `conv_codes` holds one (filters, depth, width) array per CNN layer;
+    `gates` fuses the (n_hidden + input_len, n_hidden) gate matrices in
+    `GATE_ORDER` and `gate_codes` maps each gate name to its column view;
     `fc_raw` / `logits_raw` are raw fixed-point codes in `weight_format`.
     Biases are zero in quantized networks and are not stored.
     """
 
     conv_codes: list
     fc_raw: np.ndarray | None
-    gate_codes: dict
+    gates: np.ndarray
     logits_raw: np.ndarray
     weight_format: QFormat = fxp.ACT_FORMAT
+    gate_codes: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.gate_codes = dict(zip(GATE_ORDER, np.split(self.gates, 4, axis=1)))
 
     @classmethod
     def from_params(cls, params, mode: str, weight_format: QFormat = fxp.ACT_FORMAT):
         """Quantize a trained float network for the fixed-point engine."""
         if mode not in ("binary", "ternary"):
             raise ValueError("hardware networks are binary or ternary")
-        conv = [quantize_weights(layer.weights, mode).astype(np.int64)
-                for layer in params.conv]
-        fc = None if params.fc is None else fxp.to_raw(params.fc.weights, weight_format)
-        gates = {name: quantize_weights(w, mode).astype(np.int64)
-                 for name, w in params.lstm.gate_weights().items()}
-        logits = fxp.to_raw(params.lstm.w_logits, weight_format)
+        conv = [quantize_weights(layer.weights, mode) for layer in params.conv]
+        fc = None if params.fc is None else \
+            fxp.to_raw(params.fc.weights, weight_format).astype(np.float64)
+        weights = params.lstm.gate_weights()
+        gates = np.concatenate([quantize_weights(weights[name], mode)
+                                for name in GATE_ORDER], axis=1)
+        logits = fxp.to_raw(params.lstm.w_logits, weight_format).astype(np.float64)
         return cls(conv, fc, gates, logits, weight_format)
 
     def weight_bits(self) -> int:
         """Total stored weight bits (2 per code, format width per FC value)."""
-        bits = sum(2 * c.size for c in self.conv_codes)
-        bits += sum(2 * g.size for g in self.gate_codes.values())
+        bits = sum(2 * c.size for c in self.conv_codes) + 2 * self.gates.size
         w = self.weight_format.total_bits
         if self.fc_raw is not None:
             bits += w * self.fc_raw.size

@@ -27,6 +27,10 @@ class TestDispatch:
         assert run("embed", "--data", str(tmp_path / "nope"),
                    "--iters", "10", "--out", str(tmp_path / "o")) == 2
 
+    def test_negative_simulate_limit_is_usage_error(self, tmp_path):
+        assert run("simulate", "--model", str(tmp_path), "--data", str(ECG_DIR),
+                   "--limit", "-1") == 1
+
     def test_missing_config_key_is_data_error(self, tmp_path):
         cfg = tmp_path / "partial.cfg"
         cfg.write_text("n_hidden = 4\nepochs = 1\n")  # no window_len/n_steps

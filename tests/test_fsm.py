@@ -1,5 +1,6 @@
 import re
 
+import fixed_oracle
 import numpy as np
 import pytest
 
@@ -72,12 +73,49 @@ class TestGoldenEquivalence:
         rng = np.random.default_rng(42)
         for _ in range(60):
             cfg, qnet, raw = random_net(rng)
-            golden = network_forward_fixed(raw, qnet, cfg,
+            golden = fixed_oracle.forward(raw, qnet, cfg, MC.activation_format)
+            engine = network_forward_fixed(raw, qnet, cfg,
                                            MC.activation_format)
+            assert engine.tolist() == golden
             banks = load_banks(qnet, MC)
             pred, _ = run_inference(raw, banks, cfg, MC)
-            assert np.array_equal(banks.im["logits"], golden[-1])
-            assert pred == int(np.argmax(golden[-1]))
+            assert banks.im["logits"].tolist() == golden[-1]
+            assert pred == fixed_oracle.predict(golden)
+
+    @pytest.mark.parametrize("lut_size", [16, 128])
+    def test_lut_size_comes_from_the_machine(self, lut_size):
+        mc = MachineConfig(lut_size=lut_size)
+        rng = np.random.default_rng(lut_size)
+        for _ in range(20):
+            cfg, qnet, raw = random_net(rng)
+            golden = fixed_oracle.forward(raw, qnet, cfg,
+                                          mc.activation_format, lut_size)
+            engine = network_forward_fixed(raw, qnet, cfg,
+                                           mc.activation_format, lut_size)
+            assert engine.tolist() == golden
+            banks = load_banks(qnet, mc)
+            run_inference(raw, banks, cfg, mc)
+            assert banks.im["logits"].tolist() == golden[-1]
+
+    def test_batch_equals_single_runs(self):
+        rng = np.random.default_rng(43)
+        cfg, qnet, _ = random_net(rng, use_cnn=True)
+        raws = fxp.to_raw(rng.uniform(-2, 2, (5, cfg.n_steps, cfg.input_len)))
+        single = load_banks(qnet, MC)
+        preds, logits = [], []
+        for raw in raws:
+            pred, last = run_inference(raw, single, cfg, MC)
+            preds.append(pred)
+            logits.append(single.im["logits"])
+        batch = load_banks(qnet, MC)
+        batch_preds, rep = run_inference(raws, batch, cfg, MC)
+        assert batch_preds.tolist() == preds
+        assert np.array_equal(batch.im["logits"], np.stack(logits))
+        # the banks count all five sequences either way
+        assert rep.wb_bits_read == last.wb_bits_read
+        assert rep.im_bits_transferred == last.im_bits_transferred
+        assert np.array_equal(rep.cycles_per_state, last.cycles_per_state)
+        assert rep.state_trace == last.state_trace
 
     def test_all_zero_weights_tie_breaks_low(self):
         cfg = NetworkConfig(4, 2, 3, 4, use_cnn=False)
@@ -170,6 +208,15 @@ class TestBandwidth:
             _, rep = run_inference(raw, load_banks(qnet, MC), cfg, MC)
             assert rep.max_wb_beat_bits <= MC.wb_read_bits_per_cycle
             assert rep.max_im_beat_bits <= MC.im_bits_per_cycle
+
+    def test_im_traffic_follows_activation_width(self):
+        rng = np.random.default_rng(14)
+        cfg, qnet, raw = random_net(rng, use_cnn=True)
+        wide = MachineConfig(activation_format=fxp.QFormat(16, 8))
+        _, rep12 = run_inference(raw, load_banks(qnet, MC), cfg, MC)
+        _, rep16 = run_inference(raw, load_banks(qnet, wide), cfg, wide)
+        assert rep16.im_bits_transferred * 12 == rep12.im_bits_transferred * 16
+        assert rep16.wb_bits_read == rep12.wb_bits_read
 
     def test_capacity_guard(self):
         cfg = NetworkConfig(5, 2, 64, 2, use_cnn=False)

@@ -108,6 +108,16 @@ class TestDotProducts:
         w = fxp.to_raw([[0.5], [1.0]], Q48)
         assert fxp.dot_fixed(x, w, fmt=Q48)[0] == 128
 
+    def test_wide_format_breaks_float64_exactness_bound(self):
+        # 2**31 * 2**31 * 4 products reach past 2**53: no exact float64 sum
+        wide = QFormat(32, 16)
+        x = np.full(4, wide.raw_max)
+        w = np.full((4, 1), wide.raw_max)
+        with pytest.raises(ValueError, match="not exact"):
+            fxp.dot_fixed(x, w, fmt=wide)
+        # ternary codes keep the sum within 2**31 * 4: still exact
+        assert fxp.dot_ternary(x, np.ones((4, 1)), fmt=wide)[0] == wide.raw_max
+
     def test_mul_add_two_products_single_rounding(self):
         a = fxp.to_raw([0.3], Q48)
         b = fxp.to_raw([0.7], Q48)

@@ -223,6 +223,20 @@ class TestFixedForward:
         float_logits = network_forward(win, params, cfg)
         assert np.abs(fixed_logits - float_logits).max() < 0.2
 
+    @pytest.mark.parametrize("use_cnn", [False, True])
+    def test_batch_rows_equal_single_calls(self, use_cnn):
+        cfg = NetworkConfig(window_len=5, n_steps=3, n_hidden=6, n_classes=3,
+                            n_channels=2, conv_layers=((3, 3), (2, 2)),
+                            use_cnn=use_cnn)
+        params = init_params(cfg, seed=22, init_scale=1.2)
+        qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+        raws = fxp.to_raw(np.random.default_rng(5).uniform(
+            -2, 2, (7, cfg.n_steps, cfg.input_len)))
+        batch = network_forward_fixed(raws, qnet, cfg)
+        assert batch.shape == (7, cfg.n_steps, cfg.n_classes)
+        for raw, row in zip(raws, batch):
+            assert np.array_equal(network_forward_fixed(raw, qnet, cfg), row)
+
     def test_all_zero_weights_class_zero(self):
         cfg = tiny_cfg(use_cnn=False)
         params = init_params(cfg, seed=2, init_scale=0.0)
