@@ -173,7 +173,8 @@ def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
 
     With `predefined_test` the provided splits are used verbatim and only the
     normalization is applied (statistics still come from `ds`, the train
-    split).
+    split). Its labels are mapped through the train split's source tokens
+    (`label_names`); a token the train split lacks is a `DataFormatError`.
     """
     if predefined_test is None:
         if not 0.0 < train_fraction < 1.0:
@@ -193,7 +194,7 @@ def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
         test_records = [ds.records[i] for i in sorted(test_idx)]
     else:
         train_records = list(ds.records)
-        test_records = list(predefined_test.records)
+        test_records = _relabel(predefined_test, ds)
 
     train_labels = {label for label, _ in train_records}
     test_labels = {label for label, _ in test_records}
@@ -212,6 +213,20 @@ def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
     test = replace(ds, records=norm(test_records),
                    name=(predefined_test.name if predefined_test else ds.name))
     return train, test
+
+
+def _relabel(test: RawDataset, train: RawDataset) -> list:
+    """Test records relabelled by source token through train's label map."""
+    to_train = {train.label_names.get(label, label): label
+                for label, _ in train.records}
+    records = []
+    for label, sig in test.records:
+        token = test.label_names.get(label, label)
+        if token not in to_train:
+            raise DataFormatError(f"{test.name or 'test split'}: label {token!r} "
+                                  "does not occur in the train split")
+        records.append((to_train[token], sig))
+    return records
 
 
 def dataset_to_sequences(ds: RawDataset, window_len: int, n_steps: int,

@@ -1,12 +1,14 @@
-"""CNN feature extractor + residual add + LSTM classifier forward passes.
+"""Network parameters, the fixed-point engine and model directories.
 
-`network_forward` is the float64 reference pass over one sequence, used for
-training. `network_forward_fixed` is the one fixed-point engine: batched,
-BLAS-backed, every intermediate in the activation Q-format; the cycle
-simulator in `fsm` takes its numerics from it.
+`network_forward_fixed` is the one fixed-point engine: batched, BLAS-backed,
+every intermediate in the activation Q-format; the cycle simulator in `fsm`
+takes its numerics from it. The float engine lives in `train`, which trains
+and evaluates with it.
 
-Gate matrices are stored input-major, shape (n_hidden + input_len, n_hidden),
-so a step computes xx @ W + b.
+The four LSTM gate matrices are fused into one input-major matrix of shape
+(n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
+computes [h, window] @ gates + gate_bias. `named_tensors` names every tensor
+once; model directories keep one file per gate, split at the file boundary.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ __all__ = [
     "FcParams",
     "LstmParams",
     "NetworkConfig",
-    "LstmState",
     "NetworkParams",
-    "conv1d_relu",
-    "fc_residual",
-    "lstm_step",
-    "network_forward",
+    "named_tensors",
+    "is_quantized",
+    "is_bias",
+    "im2col",
     "network_forward_fixed",
     "softmax",
     "predict",
@@ -64,26 +65,19 @@ class FcParams:
 
 @dataclass
 class LstmParams:
-    """Gate matrices (n_hidden + input_len, n_hidden), biases, output layer."""
+    """Fused gates (n_hidden + input_len, 4 n_hidden) and their bias, output layer."""
 
-    w_forget: np.ndarray
-    w_input: np.ndarray
-    w_output: np.ndarray
-    w_cell: np.ndarray
-    b_forget: np.ndarray
-    b_input: np.ndarray
-    b_output: np.ndarray
-    b_cell: np.ndarray
+    gates: np.ndarray
+    gate_bias: np.ndarray  # (4 n_hidden,)
     w_logits: np.ndarray  # (n_hidden, n_classes)
     b_logits: np.ndarray
 
     def gate_weights(self) -> dict:
-        return {"forget": self.w_forget, "input": self.w_input,
-                "output": self.w_output, "cell": self.w_cell}
+        """Gate name -> (n_hidden + input_len, n_hidden) column view."""
+        return dict(zip(quant.GATE_ORDER, np.split(self.gates, 4, axis=1)))
 
     def gate_biases(self) -> dict:
-        return {"forget": self.b_forget, "input": self.b_input,
-                "output": self.b_output, "cell": self.b_cell}
+        return dict(zip(quant.GATE_ORDER, np.split(self.gate_bias, 4)))
 
 
 @dataclass(frozen=True)
@@ -114,58 +108,48 @@ class NetworkConfig:
 
 
 @dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_hidden: int):
-        return cls(np.zeros(n_hidden), np.zeros(n_hidden))
-
-
-@dataclass
 class NetworkParams:
     conv: list = field(default_factory=list)
     fc: FcParams | None = None
     lstm: LstmParams | None = None
 
 
-def _pad_window(m: int) -> tuple[int, int]:
-    # symmetric zero padding, one extra on the right when the width is even
-    left = (m - 1) // 2
-    return left, m - 1 - left
+def named_tensors(params: NetworkParams) -> dict:
+    """Every tensor under one name: the trainer's keys for grads and state."""
+    out = {}
+    for i, layer in enumerate(params.conv):
+        out[f"conv{i}.weights"] = layer.weights
+        out[f"conv{i}.bias"] = layer.bias
+    if params.fc is not None:
+        out["fc.weights"] = params.fc.weights
+    p = params.lstm
+    out.update({"lstm.gates": p.gates, "lstm.gate_bias": p.gate_bias,
+                "lstm.w_logits": p.w_logits, "lstm.b_logits": p.b_logits})
+    return out
 
 
-def conv1d_relu(x, layer: ConvLayerParams) -> np.ndarray:
-    """Zero-padded stride-1 1-D convolution followed by ReLU.
+def is_quantized(name: str) -> bool:
+    """Gates and CNN kernels take codes; FC and output layers stay full precision."""
+    return name == "lstm.gates" or \
+        name.startswith("conv") and name.endswith(".weights")
 
-    `x` is (depth, length) or (length,) for single-channel input; the output
-    is (filters, length): padding keeps the spatial length.
+
+def is_bias(name: str) -> bool:
+    return name.endswith("bias") or name == "lstm.b_logits"
+
+
+def im2col(maps, m: int) -> np.ndarray:
+    """(N, depth, length) maps -> (N * length, depth * m) conv patches.
+
+    Zero padding keeps the length: symmetric, one extra on the right when
+    the width is even. Row n * length + position, column d * m + a holds
+    padded map d of window n at position + a.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    w = layer.weights
-    f, depth, m = w.shape
-    if x.shape[0] != depth:
-        raise ValueError(f"input depth {x.shape[0]} != filter depth {depth}")
-    n = x.shape[1]
-    left, right = _pad_window(m)
-    xpad = np.pad(x, ((0, 0), (left, right)))
-    z = np.tile(layer.bias[:, None], (1, n)).astype(np.float64)
-    for a in range(m):
-        z += w[:, :, a] @ xpad[:, a:a + n]
-    return np.maximum(z, 0.0)
-
-
-def fc_residual(feature_maps, fc: FcParams, x_window) -> np.ndarray:
-    """P = W @ flatten(maps); returns x_window + P (or P with residual off)."""
-    flat = np.asarray(feature_maps, dtype=np.float64).ravel()
-    p = fc.weights @ flat
-    if x_window is None:
-        return p
-    x_window = np.asarray(x_window, dtype=np.float64)
-    if x_window.shape != p.shape:
-        raise ValueError("residual add needs FC output length == window length")
-    return x_window + p
+    n, _, length = maps.shape
+    left = (m - 1) // 2
+    xpad = np.pad(maps, ((0, 0), (0, 0), (left, m - 1 - left)))
+    patches = np.lib.stride_tricks.sliding_window_view(xpad, m, axis=2)
+    return patches.transpose(0, 2, 1, 3).reshape(n * length, -1)
 
 
 def softmax(logits) -> np.ndarray:
@@ -173,46 +157,6 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def lstm_step(xx, state: LstmState, p: LstmParams):
-    """One LSTM update from xx = [h, window]; returns (new state, logits)."""
-    g_forget = _sigmoid(xx @ p.w_forget + p.b_forget)
-    g_input = _sigmoid(xx @ p.w_input + p.b_input)
-    g_output = _sigmoid(xx @ p.w_output + p.b_output)
-    g_cell = np.tanh(xx @ p.w_cell + p.b_cell)
-    c = g_forget * state.c + g_cell * g_input
-    h = g_output * np.tanh(c)
-    logits = h @ p.w_logits + p.b_logits
-    return LstmState(h, c), logits
-
-
-def _extract_features(window, params: NetworkParams, cfg: NetworkConfig):
-    """CNN stack + FC + optional residual for one flattened window."""
-    maps = np.asarray(window, dtype=np.float64).reshape(cfg.n_channels, cfg.window_len)
-    for layer in params.conv:
-        maps = conv1d_relu(maps, layer)
-    skip = window if cfg.residual else None
-    return fc_residual(maps, params.fc, skip)
-
-
-def network_forward(windows, params: NetworkParams, cfg: NetworkConfig) -> np.ndarray:
-    """Run all steps over one sequence; returns (n_steps, n_classes) logits."""
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.shape != (cfg.n_steps, cfg.input_len):
-        raise ValueError(f"expected windows {(cfg.n_steps, cfg.input_len)}, "
-                         f"got {windows.shape}")
-    state = LstmState.zeros(cfg.n_hidden)
-    logits = np.zeros((cfg.n_steps, cfg.n_classes))
-    for t in range(cfg.n_steps):
-        v = _extract_features(windows[t], params, cfg) if cfg.use_cnn else windows[t]
-        xx = np.concatenate([state.h, v])
-        state, logits[t] = lstm_step(xx, state, params.lstm)
-    return logits
 
 
 def predict(logits_per_step) -> int:
@@ -281,13 +225,10 @@ def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
     """Fixed-point conv + ReLU over (N, depth, length) maps, one product."""
     f, depth, m = codes.shape
     n, _, length = maps_raw.shape
-    xpad = np.pad(maps_raw, ((0, 0), (0, 0), _pad_window(m)))
-    # patches[n * length + position, d * m + a] = xpad[n, d, position + a]
-    patches = np.lib.stride_tricks.sliding_window_view(xpad, m, axis=2)
-    patches = patches.transpose(0, 2, 1, 3).reshape(n * length, -1)
     # ternary taps keep the activation scale; saturating before the ReLU
     # equals the ReLU followed by a clip at raw_max
-    acc = fxp.dot_ternary(patches, codes.reshape(f, depth * m).T, fmt=fmt)
+    acc = fxp.dot_ternary(im2col(maps_raw, m), codes.reshape(f, depth * m).T,
+                          fmt=fmt)
     return np.maximum(acc, 0).reshape(n, length, f).transpose(0, 2, 1)
 
 
@@ -296,18 +237,16 @@ def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
 # Manifest line: name<TAB>dtype<TAB>shape-csv<TAB>filename
 # ---------------------------------------------------------------------------
 
-def _param_items(params: NetworkParams):
-    for i, layer in enumerate(params.conv):
-        yield f"conv{i}.weights", layer.weights
-        yield f"conv{i}.bias", layer.bias
-    if params.fc is not None:
-        yield "fc.weights", params.fc.weights
-    p = params.lstm
-    for name in quant.GATE_ORDER:
-        yield f"lstm.w_{name}", p.gate_weights()[name]
-        yield f"lstm.b_{name}", p.gate_biases()[name]
-    yield "lstm.w_logits", p.w_logits
-    yield "lstm.b_logits", p.b_logits
+def _file_tensors(params: NetworkParams):
+    """(name, array, quantized) per stored file: the fused gates split per gate."""
+    for name, arr in named_tensors(params).items():
+        if name == "lstm.gates":
+            weights, biases = params.lstm.gate_weights(), params.lstm.gate_biases()
+            for gate in quant.GATE_ORDER:
+                yield f"lstm.w_{gate}", weights[gate], True
+                yield f"lstm.b_{gate}", biases[gate], False
+        elif name != "lstm.gate_bias":
+            yield name, arr, is_quantized(name)
 
 
 def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
@@ -315,10 +254,10 @@ def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for name, arr in _param_items(params):
+    for name, arr, quantized in _file_tensors(params):
         fname = name.replace(".", "_") + ".bin"
         arr = np.asarray(arr, dtype=np.float64)
-        if mode != "full" and _is_quantized_tensor(name):
+        if mode != "full" and quantized:
             codes = quant.quantize_weights(arr, mode)
             (out / fname).write_bytes(quant.pack_codes(codes))
             dtype = "int2"
@@ -329,11 +268,6 @@ def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
         manifest.append(f"{name}\t{dtype}\t{shape}\t{fname}")
     (out / "params.manifest").write_text("\n".join(manifest) + "\n")
     (out / "config.txt").write_text(_config_text(cfg, mode))
-
-
-def _is_quantized_tensor(name: str) -> bool:
-    return name.startswith("conv") and name.endswith("weights") or \
-        name.startswith("lstm.w_") and name != "lstm.w_logits"
 
 
 def _config_text(cfg: NetworkConfig, mode: str) -> str:
@@ -374,25 +308,30 @@ def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
     """Read a saved network; quantized tensors come back as float codes."""
     mdir = Path(model_dir)
     cfg, mode = parse_config_text((mdir / "config.txt").read_text())
-    arrays = {}
+    stored = {}  # int64 codes or read-only float64 views of the file bytes
     for line in (mdir / "params.manifest").read_text().splitlines():
         name, dtype, shape_csv, fname = line.split("\t")
         shape = tuple(int(s) for s in shape_csv.split(","))
         buf = (mdir / fname).read_bytes()
-        if dtype == "int2":
-            arrays[name] = quant.unpack_codes(buf, shape).astype(np.float64)
-        else:
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        stored[name] = quant.unpack_codes(buf, shape) if dtype == "int2" else \
+            np.frombuffer(buf, dtype="<f8").reshape(shape)
+
+    def take(name):
+        return np.array(stored[name], dtype=np.float64)
+
     conv = []
     for i in range(len(cfg.conv_layers)):
-        if f"conv{i}.weights" not in arrays:
+        if f"conv{i}.weights" not in stored:
             break
-        conv.append(ConvLayerParams(arrays[f"conv{i}.weights"], arrays[f"conv{i}.bias"]))
-    fc = FcParams(arrays["fc.weights"]) if "fc.weights" in arrays else None
-    lstm = LstmParams(
-        w_forget=arrays["lstm.w_forget"], w_input=arrays["lstm.w_input"],
-        w_output=arrays["lstm.w_output"], w_cell=arrays["lstm.w_cell"],
-        b_forget=arrays["lstm.b_forget"], b_input=arrays["lstm.b_input"],
-        b_output=arrays["lstm.b_output"], b_cell=arrays["lstm.b_cell"],
-        w_logits=arrays["lstm.w_logits"], b_logits=arrays["lstm.b_logits"])
+        conv.append(ConvLayerParams(take(f"conv{i}.weights"), take(f"conv{i}.bias")))
+    fc = FcParams(take("fc.weights")) if "fc.weights" in stored else None
+    # the gate files are copied straight into their column blocks
+    w_first = stored[f"lstm.w_{quant.GATE_ORDER[0]}"]
+    lstm = LstmParams(np.empty((len(w_first), 4 * w_first.shape[1])),
+                      np.empty(4 * w_first.shape[1]),
+                      take("lstm.w_logits"), take("lstm.b_logits"))
+    weights, biases = lstm.gate_weights(), lstm.gate_biases()
+    for gate in quant.GATE_ORDER:
+        weights[gate][:] = stored[f"lstm.w_{gate}"]
+        biases[gate][:] = stored[f"lstm.b_{gate}"]
     return NetworkParams(conv, fc, lstm), cfg, mode

@@ -38,7 +38,10 @@ def quantize_binary(r):
 def quantize_ternary(r):
     """round(r) with halves away from zero: thresholds at +-0.5."""
     r = np.asarray(r, dtype=np.float64)
-    return np.floor(np.abs(r) + 0.5) * np.sign(r)
+    q = np.abs(r, out=np.empty_like(r))  # the steps below reuse this buffer
+    q += 0.5
+    np.floor(q, out=q)
+    return np.copysign(q, r, out=q)
 
 
 def quantize_weights(r, mode: str):
@@ -54,7 +57,8 @@ def quantize_weights(r, mode: str):
 def ste_backward(g_q, r):
     """Straight-through estimator: pass the gradient where |r| <= 1, else 0."""
     g_q = np.asarray(g_q, dtype=np.float64)
-    return np.where(np.abs(np.asarray(r)) <= 1.0, g_q, 0.0)
+    r = np.asarray(r)
+    return np.where((r >= -1.0) & (r <= 1.0), g_q, 0.0)
 
 
 def clamp_shadow(r):
@@ -121,9 +125,7 @@ class QuantizedNetwork:
         conv = [quantize_weights(layer.weights, mode) for layer in params.conv]
         fc = None if params.fc is None else \
             fxp.to_raw(params.fc.weights, weight_format).astype(np.float64)
-        weights = params.lstm.gate_weights()
-        gates = np.concatenate([quantize_weights(weights[name], mode)
-                                for name in GATE_ORDER], axis=1)
+        gates = quantize_weights(params.lstm.gates, mode)
         logits = fxp.to_raw(params.lstm.w_logits, weight_format).astype(np.float64)
         return cls(conv, fc, gates, logits, weight_format)
 

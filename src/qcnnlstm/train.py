@@ -15,7 +15,8 @@ import numpy as np
 
 from . import quant
 from .model import (ConvLayerParams, FcParams, LstmParams, NetworkConfig,
-                    NetworkParams, softmax, _pad_window)
+                    NetworkParams, im2col, is_bias, is_quantized, named_tensors,
+                    softmax)
 
 __all__ = [
     "TrainConfig",
@@ -23,6 +24,8 @@ __all__ = [
     "TrainResult",
     "cross_entropy",
     "loss_gradient",
+    "forward_logits",
+    "batch_loss_and_grads",
     "sequence_loss_and_grads",
     "adagrad_step",
     "init_params",
@@ -89,12 +92,13 @@ def loss_gradient(p, label: int) -> np.ndarray:
 # Parameter plumbing
 # ---------------------------------------------------------------------------
 
-_GATES = ("forget", "input", "output", "cell")
-
-
 def init_params(cfg: NetworkConfig, seed: int = 0,
                 init_scale: float = 0.01, mode: str = "full") -> NetworkParams:
-    """Weights uniform in [-init_scale, +init_scale]; biases start at zero."""
+    """Weights uniform in [-init_scale, +init_scale]; biases start at zero.
+
+    Draw order: conv kernels, FC, then each gate block in `quant.GATE_ORDER`
+    and the output layer.
+    """
     rng = np.random.default_rng(seed)
 
     def u(*shape):
@@ -107,201 +111,194 @@ def init_params(cfg: NetworkConfig, seed: int = 0,
             conv.append(ConvLayerParams(u(f, depth, m), np.zeros(f)))
             depth = f
         fc = FcParams(u(cfg.input_len, cfg.fc_input_len))
-    xx_len = cfg.n_hidden + cfg.input_len
-    lstm = LstmParams(
-        w_forget=u(xx_len, cfg.n_hidden), w_input=u(xx_len, cfg.n_hidden),
-        w_output=u(xx_len, cfg.n_hidden), w_cell=u(xx_len, cfg.n_hidden),
-        b_forget=np.zeros(cfg.n_hidden), b_input=np.zeros(cfg.n_hidden),
-        b_output=np.zeros(cfg.n_hidden), b_cell=np.zeros(cfg.n_hidden),
-        w_logits=u(cfg.n_hidden, cfg.n_classes), b_logits=np.zeros(cfg.n_classes))
+    nh = cfg.n_hidden
+    gates = np.empty((nh + cfg.input_len, 4 * nh))
+    for k in range(4):
+        gates[:, k * nh:(k + 1) * nh] = u(nh + cfg.input_len, nh)
+    lstm = LstmParams(gates, np.zeros(4 * nh), w_logits=u(nh, cfg.n_classes),
+                      b_logits=np.zeros(cfg.n_classes))
     return NetworkParams(conv, fc, lstm)
-
-
-def _named_tensors(params: NetworkParams) -> dict:
-    out = {}
-    for i, layer in enumerate(params.conv):
-        out[f"conv{i}.weights"] = layer.weights
-        out[f"conv{i}.bias"] = layer.bias
-    if params.fc is not None:
-        out["fc.weights"] = params.fc.weights
-    for g in _GATES:
-        out[f"lstm.w_{g}"] = getattr(params.lstm, f"w_{g}")
-        out[f"lstm.b_{g}"] = getattr(params.lstm, f"b_{g}")
-    out["lstm.w_logits"] = params.lstm.w_logits
-    out["lstm.b_logits"] = params.lstm.b_logits
-    return out
-
-
-def _is_quantized_name(name: str) -> bool:
-    # LSTM gate matrices and CNN kernels only; FC and output stay full precision
-    return (name.startswith("conv") and name.endswith("weights")) or \
-        (name.startswith("lstm.w_") and name != "lstm.w_logits")
-
-
-def _is_bias(name: str) -> bool:
-    return ".b" in name or name.endswith(".bias")
 
 
 def _effective(params: NetworkParams, mode: str) -> dict:
     """Tensors the forward pass actually reads (codes in quantized modes)."""
-    eff = {}
-    for name, w in _named_tensors(params).items():
-        if mode != "full" and _is_quantized_name(name):
-            eff[name] = quant.quantize_weights(w, mode)
-        else:
-            eff[name] = w
-    return eff
+    return {name: quant.quantize_weights(w, mode)
+            if mode != "full" and is_quantized(name) else w
+            for name, w in named_tensors(params).items()}
 
 
 # ---------------------------------------------------------------------------
-# Batched forward/backward
+# The float engine: a batch of sequences, time-major inside. States 1-2 and
+# the input half of the gate product run for all steps at once; only
+# h @ gates[:n_hidden] stays in the recurrence. Backward keeps one
+# dpre @ gates[:n_hidden].T per step and takes every weight gradient in one
+# product over all steps.
 # ---------------------------------------------------------------------------
 
-def _forward_batch(windows, eff: dict, cfg: NetworkConfig):
-    """windows (B, q, U) -> (logits (B, q, Ny), cache for backprop)."""
-    b, q, u_len = windows.shape
+def _sigmoid_in_place(z) -> None:
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+
+
+def _forward(windows, eff: dict, cfg: NetworkConfig):
+    """windows (B, q, U) -> (logits (q, B, Ny), cache for backprop)."""
+    b, q, _ = windows.shape
     nh = cfg.n_hidden
-    h = np.zeros((b, nh))
-    c = np.zeros((b, nh))
-    steps = []
-    logits = np.zeros((b, q, cfg.n_classes))
+    x = windows.transpose(1, 0, 2).reshape(q * b, cfg.input_len)
+    v, cnn = _cnn_forward(x, eff, cfg) if cfg.use_cnn else (x, None)
+    w = eff["lstm.gates"]
+    gates = (v @ w[nh:] + eff["lstm.gate_bias"]).reshape(q, b, 4 * nh)
+    sig, cell = gates[..., :3 * nh], gates[..., 3 * nh:]
+    hs = np.zeros((q + 1, b, nh))  # hs[t], cs[t]: the state step t reads
+    cs = np.zeros((q + 1, b, nh))
     for t in range(q):
-        x = windows[:, t, :]
-        cnn_cache = None
-        if cfg.use_cnn:
-            v, cnn_cache = _cnn_forward(x, eff, cfg)
-        else:
-            v = x
-        xx = np.concatenate([h, v], axis=1)
-        pre = {g: xx @ eff[f"lstm.w_{g}"] + eff[f"lstm.b_{g}"] for g in _GATES}
-        gf, gi, go = (_sigmoid(pre[g]) for g in ("forget", "input", "output"))
-        gc = np.tanh(pre["cell"])
-        c_prev = c
-        c = gf * c_prev + gc * gi
-        tc = np.tanh(c)
-        h = go * tc
-        logits[:, t, :] = h @ eff["lstm.w_logits"] + eff["lstm.b_logits"]
-        steps.append(dict(xx=xx, gf=gf, gi=gi, go=go, gc=gc,
-                          c_prev=c_prev, c=c, tc=tc, h=h, cnn=cnn_cache))
-    return logits, steps
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+        gates[t] += hs[t] @ w[:nh]
+        _sigmoid_in_place(sig[t])
+        np.tanh(cell[t], out=cell[t])
+        g_forget, g_input, g_output, g_cell = np.split(gates[t], 4, axis=1)
+        np.multiply(g_forget, cs[t], out=cs[t + 1])
+        cs[t + 1] += g_cell * g_input
+        np.multiply(g_output, np.tanh(cs[t + 1]), out=hs[t + 1])
+    logits = hs[1:].reshape(q * b, nh) @ eff["lstm.w_logits"] + eff["lstm.b_logits"]
+    return logits.reshape(q, b, -1), dict(v=v, gates=gates, hs=hs, cs=cs, cnn=cnn)
 
 
 def _cnn_forward(x, eff: dict, cfg: NetworkConfig):
-    b = x.shape[0]
-    maps = x.reshape(b, cfg.n_channels, cfg.window_len)
-    pads, zs = [], []
+    """States 1-2 for all (N, U) windows: conv + ReLU layers, FC, residual."""
+    n = len(x)
+    maps = x.reshape(n, cfg.n_channels, cfg.window_len)
+    cols, outs = [], []
     for i, (f, m) in enumerate(cfg.conv_layers):
-        w = eff[f"conv{i}.weights"]
-        bias = eff[f"conv{i}.bias"]
-        left, right = _pad_window(m)
-        xpad = np.pad(maps, ((0, 0), (0, 0), (left, right)))
-        n = maps.shape[2]
-        z = np.broadcast_to(bias[None, :, None], (b, f, n)).copy()
-        for a in range(m):
-            z += np.einsum("fd,bdi->bfi", w[:, :, a], xpad[:, :, a:a + n])
-        pads.append(xpad)
-        zs.append(z)
-        maps = np.maximum(z, 0.0)
-    flat = maps.reshape(b, -1)
+        cols.append(im2col(maps, m))
+        z = cols[-1] @ eff[f"conv{i}.weights"].reshape(f, -1).T + eff[f"conv{i}.bias"]
+        outs.append(np.maximum(z, 0.0, out=z))  # (N * window_len, f)
+        maps = z.reshape(n, cfg.window_len, f).transpose(0, 2, 1)
+    flat = maps.reshape(n, -1)
     p = flat @ eff["fc.weights"].T
-    v = x + p if cfg.residual else p
-    return v, dict(pads=pads, zs=zs, flat=flat)
+    return (x + p if cfg.residual else p), dict(cols=cols, outs=outs, flat=flat)
 
 
-def _backward_batch(windows, labels, eff: dict, cfg: NetworkConfig,
-                    steps: list, logits, replicate: bool):
+def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache,
+              replicate: bool):
     """Returns (mean loss over the batch, grads w.r.t. effective tensors)."""
-    b, q, _ = windows.shape
+    q, b, n_classes = logits.shape
     nh = cfg.n_hidden
-    grads = {name: np.zeros_like(w) for name, w in eff.items()}
     rows = np.arange(b)
-
-    probs = softmax(logits)  # (B, q, Ny)
-    step_losses = -np.log(probs[rows[:, None], np.arange(q)[None, :],
-                                labels[:, None]])
+    probs = softmax(logits)
+    step_losses = -np.log(probs[:, rows, labels])  # (q, B)
     if replicate:
-        loss = float(step_losses.mean(axis=1).mean())
+        loss = float(step_losses.mean(axis=0).mean())
         weight = np.full(q, 1.0 / (q * b))
     else:
-        loss = float(step_losses[:, -1].mean())
+        loss = float(step_losses[-1].mean())
         weight = np.zeros(q)
         weight[-1] = 1.0 / b
 
+    dlogits = probs
+    dlogits[:, rows, labels] -= 1.0
+    dlogits *= weight[:, None, None]
+    dlogits = dlogits.reshape(q * b, n_classes)
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+    grads = {"lstm.w_logits": hs[1:].reshape(q * b, nh).T @ dlogits,
+             "lstm.b_logits": dlogits.sum(axis=0)}
+    dh_out = (dlogits @ eff["lstm.w_logits"].T).reshape(q, b, nh)
+
+    g_forget, g_input, g_output, g_cell = np.split(gates, 4, axis=2)
+    tcs = np.tanh(cs[1:])
+    d_act = gates * (1.0 - gates)  # sigmoid' per gate; tanh' for the cell
+    np.subtract(1.0, g_cell * g_cell, out=d_act[..., 3 * nh:])
+    d_cell_state = g_output * (1.0 - tcs * tcs)  # dh/dc of h = o tanh(c)
+    dpre = np.empty_like(gates)
+    d_forget, d_input, d_output, d_cellgate = np.split(dpre, 4, axis=2)
+    w_h = eff["lstm.gates"][:nh]
     dh_carry = np.zeros((b, nh))
-    dc_carry = np.zeros((b, nh))
+    dc = np.zeros((b, nh))
     for t in reversed(range(q)):
-        s = steps[t]
-        dlogit = probs[:, t, :].copy()
-        dlogit[rows, labels] -= 1.0
-        dlogit *= weight[t]
-        grads["lstm.w_logits"] += s["h"].T @ dlogit
-        grads["lstm.b_logits"] += dlogit.sum(axis=0)
-        dh = dlogit @ eff["lstm.w_logits"].T + dh_carry
+        dh = dh_out[t] + dh_carry
+        np.multiply(dh, tcs[t], out=d_output[t])
+        dc += dh * d_cell_state[t]
+        np.multiply(dc, cs[t], out=d_forget[t])
+        np.multiply(dc, g_cell[t], out=d_input[t])
+        np.multiply(dc, g_input[t], out=d_cellgate[t])
+        dc *= g_forget[t]
+        dpre[t] *= d_act[t]
+        if t:
+            dh_carry = dpre[t] @ w_h.T
 
-        dgo = dh * s["tc"]
-        dtc = dh * s["go"]
-        dc = dc_carry + dtc * (1.0 - s["tc"] ** 2)
-        dgf = dc * s["c_prev"]
-        dgi = dc * s["gc"]
-        dgc = dc * s["gi"]
-        dc_carry = dc * s["gf"]
-
-        dpre = {"forget": dgf * s["gf"] * (1.0 - s["gf"]),
-                "input": dgi * s["gi"] * (1.0 - s["gi"]),
-                "output": dgo * s["go"] * (1.0 - s["go"]),
-                "cell": dgc * (1.0 - s["gc"] ** 2)}
-        dxx = np.zeros_like(s["xx"])
-        for g in _GATES:
-            grads[f"lstm.w_{g}"] += s["xx"].T @ dpre[g]
-            grads[f"lstm.b_{g}"] += dpre[g].sum(axis=0)
-            dxx += dpre[g] @ eff[f"lstm.w_{g}"].T
-        dh_carry = dxx[:, :nh]
-        dv = dxx[:, nh:]
-
-        if cfg.use_cnn:
-            _cnn_backward(dv, s["cnn"], eff, cfg, grads, b)
+    dpre = dpre.reshape(q * b, 4 * nh)
+    dw = np.empty_like(eff["lstm.gates"])
+    np.matmul(hs[:-1].reshape(q * b, nh).T, dpre, out=dw[:nh])
+    np.matmul(cache["v"].T, dpre, out=dw[nh:])
+    grads["lstm.gates"] = dw
+    grads["lstm.gate_bias"] = dpre.sum(axis=0)
+    if cfg.use_cnn:
+        dv = dpre @ eff["lstm.gates"][nh:].T
+        _cnn_backward(dv, cache["cnn"], eff, cfg, grads)
     return loss, grads
 
 
-def _cnn_backward(dv, cache, eff: dict, cfg: NetworkConfig, grads: dict, b: int):
-    dp = dv  # residual add passes the gradient straight through to P
-    grads["fc.weights"] += dp.T @ cache["flat"]
-    dflat = dp @ eff["fc.weights"]
-    f_last = cfg.conv_layers[-1][0]
-    dmaps = dflat.reshape(b, f_last, cfg.window_len)
+def _cnn_backward(dv, cache, eff: dict, cfg: NetworkConfig, grads: dict):
+    n, length = len(dv), cfg.window_len
+    # the residual add passes the gradient straight through to the FC output
+    grads["fc.weights"] = dv.T @ cache["flat"]
+    dmaps = (dv @ eff["fc.weights"]).reshape(n, -1, length)
     for i in reversed(range(len(cfg.conv_layers))):
-        w = eff[f"conv{i}.weights"]
-        m = w.shape[2]
-        n = cfg.window_len
-        left, _ = _pad_window(m)
-        dz = dmaps * (cache["zs"][i] > 0)
-        xpad = cache["pads"][i]
-        dw = np.stack([np.einsum("bfi,bdi->fd", dz, xpad[:, :, a:a + n])
-                       for a in range(m)], axis=2)
-        grads[f"conv{i}.weights"] += dw
-        grads[f"conv{i}.bias"] += dz.sum(axis=(0, 2))
-        dxpad = np.zeros_like(xpad)
-        for a in range(m):
-            dxpad[:, :, a:a + n] += np.einsum("fd,bfi->bdi", w[:, :, a], dz)
-        dmaps = dxpad[:, :, left:left + n]
+        f, m = cfg.conv_layers[i]
+        w = eff[f"conv{i}.weights"].reshape(f, -1)
+        dz = dmaps.transpose(0, 2, 1).reshape(n * length, f)
+        dz = dz * (cache["outs"][i] > 0)
+        grads[f"conv{i}.weights"] = (dz.T @ cache["cols"][i]).reshape(f, -1, m)
+        grads[f"conv{i}.bias"] = dz.sum(axis=0)
+        if i:
+            dmaps = _col2im(dz @ w, n, length, m)
+
+
+def _col2im(dcols, n: int, length: int, m: int) -> np.ndarray:
+    """Adjoint of `model.im2col`: (N * length, depth * m) -> (N, depth, length)."""
+    dcols = dcols.reshape(n, length, -1, m)
+    left = (m - 1) // 2
+    dpad = np.zeros((n, dcols.shape[2], length + m - 1))
+    for a in range(m):
+        dpad[:, :, a:a + length] += dcols[..., a].transpose(0, 2, 1)
+    return dpad[:, :, left:left + length]
+
+
+def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
+                   mode: str = "full") -> np.ndarray:
+    """Float logits (B, q, n_classes) of a batch of windows (B, q, U)."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1:] != (net_cfg.n_steps,
+                                                   net_cfg.input_len):
+        raise ValueError(f"expected windows (B, {net_cfg.n_steps}, "
+                         f"{net_cfg.input_len}), got {windows.shape}")
+    logits, _ = _forward(windows, _effective(params, mode), net_cfg)
+    return logits.transpose(1, 0, 2)
+
+
+def batch_loss_and_grads(windows, labels, params: NetworkParams,
+                         net_cfg: NetworkConfig, cfg: TrainConfig):
+    """Mean loss and shadow-weight gradients for windows (B, q, U)."""
+    loss, grads = _loss_and_grads(windows, np.asarray(labels),
+                                  _effective(params, cfg.mode), net_cfg,
+                                  cfg.replicate_targets)
+    return loss, _route_to_shadow(grads, params, cfg.mode, cfg.train_biases)
+
+
+def _loss_and_grads(windows, labels, eff: dict, cfg: NetworkConfig,
+                    replicate: bool):
+    # the codes and the cache are freed before the gradients are routed
+    logits, cache = _forward(windows, eff, cfg)
+    return _backward(labels, eff, cfg, logits, cache, replicate)
 
 
 def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
                             cfg: TrainConfig | None = None):
     """Loss and shadow-weight gradients for one windowed sequence."""
-    cfg = cfg or TrainConfig()
     windows = np.asarray(seq.windows, dtype=np.float64)[None, :, :]
-    labels = np.array([seq.label])
-    eff = _effective(params, cfg.mode)
-    logits, steps = _forward_batch(windows, eff, net_cfg)
-    loss, grads = _backward_batch(windows, labels, eff, net_cfg, steps, logits,
-                                  cfg.replicate_targets)
-    return loss, _route_to_shadow(grads, params, cfg.mode,
-                                  cfg.train_biases)
+    return batch_loss_and_grads(windows, [seq.label], params, net_cfg,
+                                cfg or TrainConfig())
 
 
 def _route_to_shadow(grads: dict, params: NetworkParams, mode: str,
@@ -309,29 +306,35 @@ def _route_to_shadow(grads: dict, params: NetworkParams, mode: str,
     """STE: gradients w.r.t. codes pass through where |shadow| <= 1."""
     if mode == "full" and train_biases:
         return grads
-    shadow = _named_tensors(params)
+    shadow = named_tensors(params)
     out = {}
     for name, g in grads.items():
-        if _is_bias(name) and (mode != "full" or not train_biases):
+        if is_bias(name) and (mode != "full" or not train_biases):
             continue  # biases pinned at zero
         out[name] = quant.ste_backward(g, shadow[name]) \
-            if mode != "full" and _is_quantized_name(name) else g
+            if mode != "full" and is_quantized(name) else g
     return out
 
 
 def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
                  cfg: TrainConfig) -> None:
-    """Clip, accumulate squared gradients, update in place, clamp shadows."""
-    tensors = _named_tensors(params)
+    """Clip, accumulate squared gradients, update in place, clamp shadows.
+
+    The gradient arrays are clipped and scaled in place.
+    """
+    tensors = named_tensors(params)
     lim = cfg.clip_limit
     for name, g in grads.items():
-        g = np.clip(g, -lim, lim)
+        np.clip(g, -lim, lim, out=g)
         if name not in state.acc:
             state.acc[name] = np.zeros_like(g)
-        state.acc[name] += g * g
-        tensors[name] -= cfg.learning_rate * g / (np.sqrt(state.acc[name])
-                                                  + state.epsilon)
-        if cfg.mode != "full" and _is_quantized_name(name):
+        step = np.square(g)
+        state.acc[name] += step
+        np.sqrt(state.acc[name], out=step)
+        step += state.epsilon
+        g *= cfg.learning_rate
+        tensors[name] -= np.divide(g, step, out=step)
+        if cfg.mode != "full" and is_quantized(name):
             np.clip(tensors[name], -1.0, 1.0, out=tensors[name])
 
 
@@ -362,13 +365,8 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
             if cfg.augment_noise > 0.0:
                 batch = batch + rng.uniform(-cfg.augment_noise,
                                             cfg.augment_noise, batch.shape)
-            eff = _effective(params, cfg.mode)
-            logits, steps = _forward_batch(batch, eff, net_cfg)
-            loss, grads = _backward_batch(batch, labels[idx], eff,
-                                          net_cfg, steps, logits,
-                                          cfg.replicate_targets)
-            grads = _route_to_shadow(grads, params, cfg.mode,
-                                     cfg.train_biases)
+            loss, grads = batch_loss_and_grads(batch, labels[idx], params,
+                                               net_cfg, cfg)
             adagrad_step(params, grads, state, cfg)
             epoch_loss += loss * len(idx)
         loss_trace[epoch] = epoch_loss / n
@@ -384,9 +382,7 @@ def predict_probs(params: NetworkParams, seqs, net_cfg: NetworkConfig,
                   mode: str = "full") -> np.ndarray:
     """Softmax probabilities of the final step for each sequence."""
     windows, _ = _stack_windows(seqs)
-    eff = _effective(params, mode)
-    logits, _ = _forward_batch(windows, eff, net_cfg)
-    return softmax(logits[:, -1, :])
+    return softmax(forward_logits(params, windows, net_cfg, mode)[:, -1, :])
 
 
 def evaluate_accuracy(params: NetworkParams, seqs, net_cfg: NetworkConfig,

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from qcnnlstm import analysis, datagen, estimate, fsm, fxp, ingest, quant
-from qcnnlstm.model import NetworkConfig, network_forward_fixed
+from qcnnlstm.model import NetworkConfig, named_tensors, network_forward_fixed
 from qcnnlstm.train import (AdagradState, TrainConfig, adagrad_step,
-                            init_params, sequence_loss_and_grads, train,
-                            _named_tensors)
+                            init_params, sequence_loss_and_grads, train)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "ECG200"
 MC = fsm.MachineConfig()
@@ -59,7 +58,7 @@ class TestCriterion1GradientOracle:
                 int(rng.integers(0, cfg.n_classes)))
             tc = TrainConfig()
             _, grads = sequence_loss_and_grads(seq, params, cfg, tc)
-            tensors = _named_tensors(params)
+            tensors = named_tensors(params)
             step = 1e-5
             for name, g in grads.items():
                 flat_t, flat_g = tensors[name].ravel(), g.ravel()
@@ -330,9 +329,9 @@ class TestCriterion11PropertySuites:
         cfg = NetworkConfig(3, 1, 4, 2, use_cnn=False)
         params = init_params(cfg, seed=0, init_scale=0.9)
         tc = TrainConfig(learning_rate=3.0, mode="ternary")
-        adagrad_step(params, {"lstm.w_cell": np.full((7, 4), -4.0)},
+        adagrad_step(params, {"lstm.gates": np.full((7, 16), -4.0)},
                      AdagradState(), tc)
-        assert np.abs(params.lstm.w_cell).max() <= 1.0
+        assert np.abs(params.lstm.gates).max() <= 1.0
 
         # state-trace grammar and bandwidth caps on a random CNN model
         net = NetworkConfig(5, 3, 6, 3, conv_layers=((2, 3), (3, 2)))

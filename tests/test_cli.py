@@ -31,6 +31,23 @@ class TestDispatch:
         assert run("simulate", "--model", str(tmp_path), "--data", str(ECG_DIR),
                    "--limit", "-1") == 1
 
+    def test_unknown_test_label_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "ucr"
+        data.mkdir()
+        rows = [line.split("\t", 1) for line in
+                (ECG_DIR / "ECG200_TEST.tsv").read_text().splitlines()]
+        (data / "X_TRAIN.tsv").write_text(
+            (ECG_DIR / "ECG200_TRAIN.tsv").read_text())
+        # ECG200 tokens are {-1, 1}; relabel the test file {1, 2}
+        (data / "X_TEST.tsv").write_text("".join(
+            f"{2 if float(tok) > 0 else 1}\t{rest}\n" for tok, rest in rows))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window_len = 20\nn_steps = 4\nn_hidden = 4\n"
+                       "epochs = 1\nuse_cnn = 0\n")
+        assert run("train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "does not occur in the train split" in capsys.readouterr().err
+
     def test_missing_config_key_is_data_error(self, tmp_path):
         cfg = tmp_path / "partial.cfg"
         cfg.write_text("n_hidden = 4\nepochs = 1\n")  # no window_len/n_steps

@@ -135,17 +135,14 @@ class TestGoldenEquivalence:
 
         params = init_params(cfg, seed=int(rng.integers(2**31)))
         # rebuild the exact same codes through the serialization path
-        for name, codes in qnet.gate_codes.items():
-            getattr(params.lstm, f"w_{name}")[:] = codes
+        params.lstm.gates[:] = qnet.gates
         for layer, codes in zip(params.conv, qnet.conv_codes):
             layer.weights[:] = codes
         params.fc.weights[:] = fxp.from_raw(qnet.fc_raw, qnet.weight_format)
         params.lstm.w_logits[:] = fxp.from_raw(qnet.logits_raw,
                                                qnet.weight_format)
-        for b in (params.lstm.b_forget, params.lstm.b_input,
-                  params.lstm.b_output, params.lstm.b_cell,
-                  params.lstm.b_logits):
-            b[:] = 0.0
+        params.lstm.gate_bias[:] = 0.0
+        params.lstm.b_logits[:] = 0.0
         for layer in params.conv:
             layer.bias[:] = 0.0
         save_network(tmp_path / "m", params, cfg, mode="ternary")

@@ -185,6 +185,24 @@ class TestNormalizeAndSplit:
         with pytest.raises(DataFormatError):
             normalize_and_split(train_ds, predefined_test=test_ds)
 
+    def test_test_labels_follow_train_tokens(self, tmp_path):
+        # tokens {2, 1} in the test file map through train's {1: 0, 2: 1}
+        (tmp_path / "a.tsv").write_text("1\t0.0\t1.0\n2\t2.0\t3.0\n")
+        (tmp_path / "b.tsv").write_text("2\t0.5\t0.5\n1\t1.0\t1.0\n2\t4.0\t4.0\n")
+        train_ds = load_ucr(tmp_path / "a.tsv")
+        _, test = normalize_and_split(train_ds,
+                                      predefined_test=load_ucr(tmp_path / "b.tsv"))
+        assert [label for label, _ in test.records] == [1, 0, 1]
+
+    def test_unknown_test_token_rejected(self, tmp_path):
+        # {-1, 1} vs {1, 2}: remapped per file both read {0, 1}, but the
+        # test file's 2 is no class of the train file
+        (tmp_path / "a.tsv").write_text("-1\t0.0\t1.0\n1\t2.0\t3.0\n")
+        (tmp_path / "b.tsv").write_text("1\t0.0\t1.0\n2\t2.0\t3.0\n")
+        with pytest.raises(DataFormatError, match="2.0"):
+            normalize_and_split(load_ucr(tmp_path / "a.tsv"),
+                                predefined_test=load_ucr(tmp_path / "b.tsv"))
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             normalize_and_split(self._balanced(), 1.5)

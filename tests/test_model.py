@@ -1,24 +1,32 @@
+"""Model tests. TestConv, TestFcResidual, TestLstmStep and TestNetworkForward
+check the per-sequence float oracle in `float_oracle.py`; TestFloatEngine
+checks the trainer's batched engine against that oracle."""
+
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from float_oracle import (LstmState, conv1d_relu, fc_residual, lstm_step,
+                          network_forward, sequence_loss)
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcnnlstm import fxp, quant
-from qcnnlstm.model import (ConvLayerParams, FcParams, LstmParams, LstmState,
-                            NetworkConfig, conv1d_relu,
-                            fc_residual, load_network, lstm_step,
-                            network_forward, network_forward_fixed, predict,
-                            save_network, softmax)
-from qcnnlstm.train import init_params
+from qcnnlstm import cli, fxp, quant
+from qcnnlstm.model import (ConvLayerParams, FcParams, LstmParams,
+                            NetworkConfig, NetworkParams, load_network,
+                            network_forward_fixed, predict, save_network,
+                            softmax)
+from qcnnlstm.train import (TrainConfig, batch_loss_and_grads, forward_logits,
+                            init_params, predict_probs)
+
+ROOT = Path(__file__).resolve().parent.parent
+STORED_MODEL = ROOT / "bench" / "models" / "ecg200-ternary350"
 
 
 def scalar_lstm_params(n_classes=1):
-    ones = np.ones((2, 1))
-    zeros1 = np.zeros(1)
-    return LstmParams(w_forget=ones.copy(), w_input=ones.copy(),
-                      w_output=ones.copy(), w_cell=ones.copy(),
-                      b_forget=zeros1.copy(), b_input=zeros1.copy(),
-                      b_output=zeros1.copy(), b_cell=zeros1.copy(),
+    return LstmParams(gates=np.ones((2, 4)), gate_bias=np.zeros(4),
                       w_logits=np.ones((1, n_classes)),
                       b_logits=np.zeros(n_classes))
 
@@ -85,8 +93,8 @@ class TestFcResidual:
 class TestLstmStep:
     def test_all_zero_weights(self):
         p = scalar_lstm_params(n_classes=2)
-        for w in (p.w_forget, p.w_input, p.w_output, p.w_cell, p.w_logits):
-            w[:] = 0.0
+        p.gates[:] = 0.0
+        p.w_logits[:] = 0.0
         p.b_logits[:] = [0.5, -0.5]
         state, logits = lstm_step(np.array([0.0, 1.0]),
                                   LstmState.zeros(1), p)
@@ -96,8 +104,7 @@ class TestLstmStep:
 
     def test_zero_weights_nonzero_cell(self):
         p = scalar_lstm_params()
-        for w in (p.w_forget, p.w_input, p.w_output, p.w_cell):
-            w[:] = 0.0
+        p.gates[:] = 0.0
         c0 = 0.8
         state, _ = lstm_step(np.array([0.0, 1.0]), LstmState(np.zeros(1),
                                                              np.array([c0])), p)
@@ -117,9 +124,11 @@ class TestLstmStep:
     def test_gates_stay_in_unit_interval(self):
         rng = np.random.default_rng(7)
         nh, u = 4, 3
-        p = LstmParams(*(rng.normal(size=(nh + u, nh)) for _ in range(4)),
-                       *(rng.normal(size=nh) for _ in range(4)),
-                       w_logits=rng.normal(size=(nh, 2)), b_logits=np.zeros(2))
+        gates = np.concatenate([rng.normal(size=(nh + u, nh)) for _ in range(4)],
+                               axis=1)
+        gate_bias = np.concatenate([rng.normal(size=nh) for _ in range(4)])
+        p = LstmParams(gates, gate_bias, w_logits=rng.normal(size=(nh, 2)),
+                       b_logits=np.zeros(2))
         state = LstmState.zeros(nh)
         for _ in range(20):
             xx = np.concatenate([state.h, rng.uniform(-1, 1, u)])
@@ -181,9 +190,7 @@ class TestNetworkForward:
     def test_zero_input_zero_state_constant_logits(self):
         cfg = tiny_cfg(use_cnn=False, n_steps=4)
         params = init_params(cfg, seed=11, init_scale=0.3)
-        for w in (params.lstm.w_forget, params.lstm.w_input,
-                  params.lstm.w_output, params.lstm.w_cell):
-            w[:3, :] = 0.0  # no recurrent coupling
+        params.lstm.gates[:3, :] = 0.0  # no recurrent coupling
         logits = network_forward(np.zeros((4, 4)), params, cfg)
         assert np.allclose(logits, logits[0])
 
@@ -213,9 +220,7 @@ class TestFixedForward:
         cfg = NetworkConfig(window_len=6, n_steps=2, n_hidden=4, n_classes=3,
                             use_cnn=False)
         params = init_params(cfg, seed=21, init_scale=1.0)
-        for name, w in (("f", params.lstm.w_forget), ("i", params.lstm.w_input),
-                        ("o", params.lstm.w_output), ("c", params.lstm.w_cell)):
-            w[:] = quant.quantize_ternary(w)
+        params.lstm.gates[:] = quant.quantize_ternary(params.lstm.gates)
         win = np.random.default_rng(3).uniform(-1, 1, (2, 6))
         qnet = quant.QuantizedNetwork.from_params(params, "ternary")
         raw = fxp.to_raw(win)
@@ -255,7 +260,7 @@ class TestSerialization:
         loaded, cfg2, mode = load_network(tmp_path / "m")
         assert mode == "full"
         assert cfg2 == cfg
-        assert np.array_equal(loaded.lstm.w_forget, params.lstm.w_forget)
+        assert np.array_equal(loaded.lstm.gates, params.lstm.gates)
         assert np.array_equal(loaded.conv[0].weights, params.conv[0].weights)
         assert np.array_equal(loaded.fc.weights, params.fc.weights)
 
@@ -265,7 +270,126 @@ class TestSerialization:
         save_network(tmp_path / "m", params, cfg, mode="ternary")
         loaded, _, mode = load_network(tmp_path / "m")
         assert mode == "ternary"
-        want = quant.quantize_ternary(params.lstm.w_cell)
-        assert np.array_equal(loaded.lstm.w_cell, want)
+        want = quant.quantize_ternary(params.lstm.gates)
+        assert np.array_equal(loaded.lstm.gates, want)
         # fc stays full precision even in ternary mode
         assert np.array_equal(loaded.fc.weights, params.fc.weights)
+
+
+def random_engine_case(rng, mode):
+    """A tiny random network, batch and labels over the engine's branches."""
+    use_cnn = bool(rng.integers(0, 2))
+    layers = tuple((int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+                   for _ in range(int(rng.integers(1, 3))))
+    cfg = NetworkConfig(window_len=int(rng.integers(3, 7)),
+                        n_steps=int(rng.integers(1, 5)),
+                        n_hidden=int(rng.integers(1, 7)),
+                        n_classes=int(rng.integers(2, 4)),
+                        n_channels=int(rng.integers(1, 4)),
+                        conv_layers=layers, use_cnn=use_cnn,
+                        residual=bool(rng.integers(0, 2)))
+    params = init_params(cfg, seed=int(rng.integers(2**31)), init_scale=1.0)
+    for layer in params.conv:
+        layer.bias += rng.uniform(-0.3, 0.3, layer.bias.shape)
+    params.lstm.gate_bias += rng.uniform(-0.3, 0.3, params.lstm.gate_bias.shape)
+    params.lstm.b_logits += rng.uniform(-0.3, 0.3, cfg.n_classes)
+    b = int(rng.integers(1, 6))
+    windows = rng.uniform(-1, 1, (b, cfg.n_steps, cfg.input_len))
+    labels = rng.integers(0, cfg.n_classes, b)
+    return cfg, params, windows, labels
+
+
+def coded(params, mode):
+    """The parameters the forward pass of `mode` reads, for the oracle."""
+    if mode == "full":
+        return params
+    conv = [ConvLayerParams(quant.quantize_weights(layer.weights, mode),
+                            layer.bias) for layer in params.conv]
+    lstm = LstmParams(quant.quantize_weights(params.lstm.gates, mode),
+                      params.lstm.gate_bias, params.lstm.w_logits,
+                      params.lstm.b_logits)
+    return NetworkParams(conv, params.fc, lstm)
+
+
+class TestFloatEngine:
+    @pytest.mark.parametrize("mode", ["full", "ternary", "binary"])
+    def test_logits_and_loss_match_oracle(self, mode):
+        rng = np.random.default_rng({"full": 31, "ternary": 32, "binary": 33}[mode])
+        seen = set()
+        for _ in range(80):
+            cfg, params, windows, labels = random_engine_case(rng, mode)
+            replicate = bool(rng.integers(0, 2))
+            ref = coded(params, mode)
+            want = np.stack([network_forward(w, ref, cfg) for w in windows])
+            got = forward_logits(params, windows, cfg, mode)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            want_loss = np.mean([sequence_loss(l, y, replicate)
+                                 for l, y in zip(want, labels)])
+            loss, _ = batch_loss_and_grads(
+                windows, labels, params, cfg,
+                TrainConfig(mode=mode, replicate_targets=replicate))
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            widths = {m % 2 for _, m in cfg.conv_layers}
+            seen.add((cfg.use_cnn, cfg.residual, len(windows) > 1,
+                      cfg.n_channels > 1, frozenset(widths)))
+        assert {(c, r) for c, r, *_ in seen} == {(False, False), (False, True),
+                                                 (True, False), (True, True)}
+        assert {w for *_, w in seen} >= {frozenset({0}), frozenset({1})}
+
+    def test_batch_rows_equal_single_sequences(self):
+        rng = np.random.default_rng(34)
+        cfg, params, windows, _ = random_engine_case(rng, "full")
+        batch = forward_logits(params, windows, cfg)
+        for w, row in zip(windows, batch):
+            np.testing.assert_allclose(forward_logits(params, w[None], cfg)[0],
+                                       row, rtol=1e-13, atol=1e-15)
+
+    def test_window_count_mismatch(self):
+        cfg = tiny_cfg()
+        with pytest.raises(ValueError):
+            forward_logits(init_params(cfg), np.zeros((1, 5, 4)), cfg)
+
+
+def _dir_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
+
+
+class TestModelDirectoryFormat:
+    def test_stored_model_round_trips_byte_for_byte(self, tmp_path):
+        params, cfg, mode = load_network(STORED_MODEL)
+        save_network(tmp_path / "m", params, cfg, mode)
+        assert _dir_bytes(tmp_path / "m") == _dir_bytes(STORED_MODEL)
+
+    def test_full_precision_round_trips_byte_for_byte(self, tmp_path):
+        cfg = NetworkConfig(window_len=4, n_steps=2, n_hidden=3, n_classes=2,
+                            conv_layers=((2, 3), (2, 2)))
+        params = init_params(cfg, seed=15, init_scale=0.7)
+        params.lstm.gate_bias[:] = np.arange(12) / 7.0
+        save_network(tmp_path / "a", params, cfg, mode="full")
+        save_network(tmp_path / "b", *load_network(tmp_path / "a"))
+        files = _dir_bytes(tmp_path / "a")
+        assert files == _dir_bytes(tmp_path / "b")
+        # one file per gate, columns k * n_hidden onwards in GATE_ORDER
+        for k, gate in enumerate(quant.GATE_ORDER):
+            cols = slice(3 * k, 3 * k + 3)
+            assert files[f"lstm_w_{gate}.bin"] == \
+                params.lstm.gates[:, cols].astype("<f8").tobytes()
+            assert files[f"lstm_b_{gate}.bin"] == \
+                params.lstm.gate_bias[cols].astype("<f8").tobytes()
+
+    def test_stored_model_reproduces_recorded_digests(self):
+        # the benchmark's record of this model: the gate blocks must load
+        # into the slots both engines read them from
+        expected = json.loads((ROOT / "bench" / "expected.json").read_text())
+        params, cfg, mode = load_network(STORED_MODEL)
+        _, test_seqs, _, _ = cli.load_split_sequences(
+            ROOT / "data" / "ECG200", {"window_len": 20, "n_steps": 4})
+        qnet = quant.QuantizedNetwork.from_params(params, mode)
+        raws = np.stack([fxp.to_raw(s.windows) for s in test_seqs])
+        logits = network_forward_fixed(raws, qnet, cfg)
+        digest = hashlib.sha256(logits.astype("<i8").tobytes()).hexdigest()
+        assert digest == expected["ecg200"]["fixed_logits_sha256"]
+        labels = np.array([s.label for s in test_seqs])
+        probs = predict_probs(params, test_seqs, cfg, mode)
+        accuracy = f"{(probs.argmax(axis=1) == labels).mean():.4f}"
+        assert accuracy == expected["ecg200"]["eval_accuracy"]

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from float_oracle import network_forward
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
-from qcnnlstm.model import NetworkConfig, network_forward
+from qcnnlstm.model import NetworkConfig, named_tensors
 from qcnnlstm.train import (AdagradState, TrainConfig, adagrad_step,
                             auc_macro, confusion_matrix, cross_entropy,
                             evaluate_accuracy, init_params, loss_gradient,
                             predict_probs, sequence_loss_and_grads, train,
-                            write_trace, _named_tensors)
+                            write_trace)
 
 
 class TestCrossEntropy:
@@ -57,7 +58,7 @@ def finite_difference_check(cfg, seed, step=1e-5, tol=1e-4):
     params, seq = random_instance(cfg, seed)
     tc = TrainConfig()
     _, grads = sequence_loss_and_grads(seq, params, cfg, tc)
-    tensors = _named_tensors(params)
+    tensors = named_tensors(params)
     worst = 0.0
     for name, g in grads.items():
         flat_t, flat_g = tensors[name].ravel(), g.ravel()
@@ -129,45 +130,45 @@ class TestAdagrad:
 
     def test_clipping_to_range(self):
         params, state, tc = self._setup()
-        before = params.lstm.w_forget.copy()
-        grads = {"lstm.w_forget": np.full_like(before, 7.0)}
+        before = params.lstm.gates.copy()
+        grads = {"lstm.gates": np.full_like(before, 7.0)}
         adagrad_step(params, grads, state, tc)
         # clipped to 5 before accumulation: acc = 25, step = lr*5/(5+eps)
-        assert np.allclose(state.acc["lstm.w_forget"], 25.0)
-        assert np.allclose(before - params.lstm.w_forget, 0.05, atol=1e-8)
+        assert np.allclose(state.acc["lstm.gates"], 25.0)
+        assert np.allclose(before - params.lstm.gates, 0.05, atol=1e-8)
 
     def test_first_step_size_is_learning_rate(self):
         params, state, tc = self._setup()
-        before = params.lstm.w_cell.copy()
-        grads = {"lstm.w_cell": np.ones_like(before)}
+        before = params.lstm.gates.copy()
+        grads = {"lstm.gates": np.ones_like(before)}
         adagrad_step(params, grads, state, tc)
-        assert np.allclose(before - params.lstm.w_cell, 0.05, atol=1e-7)
+        assert np.allclose(before - params.lstm.gates, 0.05, atol=1e-7)
 
     def test_zero_gradient_no_change(self):
         params, state, tc = self._setup()
-        before = params.lstm.w_input.copy()
-        grads = {"lstm.w_input": np.zeros_like(before)}
+        before = params.lstm.gates.copy()
+        grads = {"lstm.gates": np.zeros_like(before)}
         adagrad_step(params, grads, state, tc)
-        assert np.array_equal(params.lstm.w_input, before)
-        assert np.all(state.acc["lstm.w_input"] == 0.0)
+        assert np.array_equal(params.lstm.gates, before)
+        assert np.all(state.acc["lstm.gates"] == 0.0)
 
     def test_accumulator_non_decreasing(self):
         params, state, tc = self._setup()
         rng = np.random.default_rng(1)
-        prev = np.zeros_like(params.lstm.w_forget)
+        prev = np.zeros_like(params.lstm.gates)
         for _ in range(10):
-            grads = {"lstm.w_forget": rng.normal(size=prev.shape)}
+            grads = {"lstm.gates": rng.normal(size=prev.shape)}
             adagrad_step(params, grads, state, tc)
-            assert np.all(state.acc["lstm.w_forget"] >= prev)
-            prev = state.acc["lstm.w_forget"].copy()
+            assert np.all(state.acc["lstm.gates"] >= prev)
+            prev = state.acc["lstm.gates"].copy()
 
     def test_shadow_clamped_in_ternary_mode(self):
         cfg = NetworkConfig(2, 1, 2, 2, use_cnn=False)
         params = init_params(cfg, seed=0, init_scale=0.9)
         tc = TrainConfig(learning_rate=2.0, mode="ternary")
-        grads = {"lstm.w_forget": np.full_like(params.lstm.w_forget, -5.0)}
+        grads = {"lstm.gates": np.full_like(params.lstm.gates, -5.0)}
         adagrad_step(params, grads, AdagradState(), tc)
-        assert np.abs(params.lstm.w_forget).max() <= 1.0
+        assert np.abs(params.lstm.gates).max() <= 1.0
 
 
 class TestQuantizedTraining:
@@ -175,10 +176,7 @@ class TestQuantizedTraining:
         # all shadows inside (-0.5, 0.5) ternarize to zero: logits collapse
         cfg = NetworkConfig(3, 2, 4, 3, use_cnn=False)
         params, seq = random_instance(cfg, 6)
-        params.lstm.w_forget *= 0.4
-        params.lstm.w_input *= 0.4
-        params.lstm.w_output *= 0.4
-        params.lstm.w_cell *= 0.4
+        params.lstm.gates *= 0.4
         params.lstm.w_logits[:] = 0.0
         loss, _ = sequence_loss_and_grads(seq, params, cfg,
                                           TrainConfig(mode="ternary"))
@@ -187,21 +185,17 @@ class TestQuantizedTraining:
     def test_ste_cancels_outside_clamp(self):
         cfg = NetworkConfig(3, 2, 4, 2, use_cnn=False)
         params, seq = random_instance(cfg, 7)
-        params.lstm.w_cell[0, 0] = 1.5
+        params.lstm.gate_weights()["cell"][0, 0] = 1.5
         _, grads = sequence_loss_and_grads(seq, params, cfg,
                                            TrainConfig(mode="ternary"))
-        assert grads["lstm.w_cell"][0, 0] == 0.0
+        assert grads["lstm.gates"][0, 3 * cfg.n_hidden] == 0.0
 
     def test_biases_not_trained(self):
         cfg = NetworkConfig(3, 2, 4, 2, use_cnn=False)
         params, seq = random_instance(cfg, 8)
         _, grads = sequence_loss_and_grads(seq, params, cfg,
                                            TrainConfig(mode="binary"))
-        assert not any(_is_bias_name(k) for k in grads)
-
-
-def _is_bias_name(name):
-    return ".b" in name or name.endswith(".bias")
+        assert set(grads) == {"lstm.gates", "lstm.w_logits"}
 
 
 def tiny_sine_task(beta=0.2, per_class=12, n_classes=3, seed=0):
@@ -226,7 +220,7 @@ class TestTrainLoop:
         b = train(train_seqs, test_seqs, tc, cfg)
         assert np.array_equal(a.loss_trace, b.loss_trace)
         assert np.array_equal(a.accuracy_trace, b.accuracy_trace)
-        assert np.array_equal(a.params.lstm.w_cell, b.params.lstm.w_cell)
+        assert np.array_equal(a.params.lstm.gates, b.params.lstm.gates)
 
     def test_learns_separable_task(self):
         train_seqs, test_seqs = tiny_sine_task(beta=0.3)
