@@ -10,7 +10,7 @@ import argparse
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,57 +63,14 @@ def _write_manifest(args, out_dir, config_path="", seed=0) -> None:
                 str(out_dir)).write()
 
 
-def read_config(path) -> dict:
-    """Flat key = value file with # comments."""
-    path = Path(path)
-    if not path.exists():
-        raise ingest.DataFormatError(f"{path}: no such config file")
-    kv = {}
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ingest.DataFormatError(f"{path}: bad line {line!r}")
-        kv[key.strip()] = value.strip()
-    return kv
-
-
-def _net_config_from(kv: dict, n_classes: int, n_channels: int = 1) -> model.NetworkConfig:
-    conv = tuple(tuple(int(x) for x in part.split("x"))
-                 for part in kv.get("conv_layers", "10x5;30x3").split(";") if part)
-    return model.NetworkConfig(
-        window_len=int(kv["window_len"]),
-        n_steps=int(kv["n_steps"]),
-        n_hidden=int(kv["n_hidden"]),
-        n_classes=int(kv.get("n_classes", n_classes)),
-        n_channels=int(kv.get("n_channels", n_channels)),
-        conv_layers=conv,
-        use_cnn=bool(int(kv.get("use_cnn", 1))),
-        residual=bool(int(kv.get("residual", 1))))
-
-
 # ---------------------------------------------------------------------------
 # Data loading shared by train/eval/simulate
 # ---------------------------------------------------------------------------
 
-def _split_synthetic(ds: datagen.SyntheticDataset, train_fraction: float,
-                     seed: int):
-    rng = np.random.default_rng(seed)
-    by_class: dict[int, list] = {}
-    for i, seq in enumerate(ds.sequences):
-        by_class.setdefault(seq.label, []).append(i)
-    train_idx, test_idx = [], []
-    for label in sorted(by_class):
-        idx = np.array(by_class[label])
-        idx = idx[rng.permutation(len(idx))]
-        n_train = int(round(train_fraction * len(idx)))
-        train_idx.extend(idx[:n_train].tolist())
-        test_idx.extend(idx[n_train:].tolist())
-    train_seqs = [ds.sequences[i] for i in sorted(train_idx)]
-    test_seqs = [ds.sequences[i] for i in sorted(test_idx)]
-    return train_seqs, test_seqs
+def _split_settings(kv: dict) -> tuple:
+    """(seed, train_fraction, envelope): what fixes the held-out split."""
+    return (int(kv.get("seed", 0)), float(kv.get("train_fraction", 0.7)),
+            int(kv.get("envelope", 0)))
 
 
 def _find_ucr_pair(data_dir: Path):
@@ -124,23 +81,28 @@ def _find_ucr_pair(data_dir: Path):
     return None
 
 
-def load_split_sequences(data_dir, kv: dict, seed: int = 0):
-    """Returns (train_seqs, test_seqs, n_classes, n_channels)."""
+def load_split_sequences(data_dir, kv: dict):
+    """Returns (train_seqs, test_seqs, n_classes, n_channels).
+
+    Generated data is split by `seed` and `train_fraction`; a UCR pair keeps
+    its split, enveloped when `envelope` is 1, and is windowed per `kv`.
+    """
     data_dir = Path(data_dir)
-    if (data_dir / "manifest.txt").exists() and (
-            (data_dir / "data.tsv").exists()
-            or (data_dir / "data_ch0.tsv").exists()):
+    seed, train_fraction, envelope = _split_settings(kv)
+    if (data_dir / "manifest.txt").exists():  # a per-channel container
         ds = datagen.load_dataset(data_dir)
-        frac = float(kv.get("train_fraction", 0.7))
-        train_seqs, test_seqs = _split_synthetic(ds, frac, seed)
-        return train_seqs, test_seqs, ds.n_classes, ds.n_channels
+        train_idx, test_idx = datagen.stratified_split(
+            [seq.label for seq in ds.sequences], train_fraction, seed)
+        return ([ds.sequences[i] for i in train_idx],
+                [ds.sequences[i] for i in test_idx],
+                ds.n_classes, ds.n_channels)
     pair = _find_ucr_pair(data_dir)
     if pair is None:
         raise ingest.DataFormatError(
             f"{data_dir}: neither a generated dataset nor a UCR train/test pair")
     train_raw = ingest.load_ucr(pair[0])
     test_raw = ingest.load_ucr(pair[1])
-    if int(kv.get("envelope", 0)):
+    if envelope:
         train_raw = ingest.envelope_dataset(train_raw)
         test_raw = ingest.envelope_dataset(test_raw)
     train_raw, test_raw = ingest.normalize_and_split(
@@ -149,6 +111,14 @@ def load_split_sequences(data_dir, kv: dict, seed: int = 0):
     train_seqs = ingest.dataset_to_sequences(train_raw, window_len, n_steps)
     test_seqs = ingest.dataset_to_sequences(test_raw, window_len, n_steps)
     return train_seqs, test_seqs, train_raw.n_classes, train_raw.n_channels
+
+
+def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
+    """load_split_sequences with the split settings `train` recorded, if any."""
+    record = Path(model_dir) / "hyperparams.txt"
+    kv = datagen.read_kv(record) if record.exists() else {}
+    kv.update(window_len=cfg.window_len, n_steps=cfg.n_steps)
+    return load_split_sequences(data_dir, kv)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +167,12 @@ def _cmd_embed(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
-    kv = read_config(args.config)
-    seed = int(kv.get("seed", 0))
+    kv = datagen.read_kv(args.config)
+    seed, train_fraction, envelope = _split_settings(kv)
     train_seqs, test_seqs, n_classes, n_channels = \
-        load_split_sequences(args.data, kv, seed)
-    net_cfg = _net_config_from(kv, n_classes, n_channels)
+        load_split_sequences(args.data, kv)
+    net_cfg = model.config_from_kv(kv, n_classes=n_classes,
+                                   n_channels=n_channels)
     mode = {"full": "full", "ternary": "ternary", "binary": "binary"}[args.precision]
     cfg = train_mod.TrainConfig(
         learning_rate=float(kv.get("learning_rate", 0.05 if mode == "full" else 0.1)),
@@ -220,6 +191,7 @@ def _cmd_train(args, argv) -> int:
     (out / "hyperparams.txt").write_text(
         f"learning_rate = {cfg.learning_rate!r}\nepochs = {cfg.epochs}\n"
         f"batch_size = {cfg.batch_size}\nseed = {cfg.seed}\n"
+        f"train_fraction = {train_fraction!r}\nenvelope = {envelope}\n"
         f"mode = {cfg.mode}\ninit_scale = {cfg.init_scale!r}\n"
         f"clip_limit = {cfg.clip_limit!r}\n"
         f"adagrad_epsilon = {cfg.adagrad_epsilon!r}\n"
@@ -239,6 +211,9 @@ def _cmd_quantize(args, argv) -> int:
     if mode == "full":
         mode = "ternary"
     model.save_network(args.out, params, cfg, mode=mode)
+    record = Path(args.model) / "hyperparams.txt"
+    if record.exists():
+        (Path(args.out) / "hyperparams.txt").write_text(record.read_text())
     _write_manifest(argv, args.out)
     qnet = quant.QuantizedNetwork.from_params(params, mode)
     print(f"packed {mode} model: {qnet.weight_bits():,} weight bits -> {args.out}")
@@ -247,8 +222,7 @@ def _cmd_quantize(args, argv) -> int:
 
 def _cmd_eval(args, argv) -> int:
     params, cfg, mode = model.load_network(args.model)
-    kv = {"window_len": cfg.window_len, "n_steps": cfg.n_steps}
-    _, test_seqs, n_classes, _ = load_split_sequences(args.data, kv)
+    _, test_seqs, n_classes, _ = _held_out_split(args.model, args.data, cfg)
     if n_classes != cfg.n_classes:
         raise ingest.DataFormatError(
             f"model has {cfg.n_classes} classes, data has {n_classes}")
@@ -287,9 +261,8 @@ def _cmd_simulate(args, argv) -> int:
     if mode == "full":
         raise ingest.DataFormatError(
             "simulate needs a quantized model; run `quantize` first")
-    kv = {"window_len": cfg.window_len, "n_steps": cfg.n_steps}
-    _, test_seqs, _, _ = load_split_sequences(args.data, kv)
-    mc = _machine_config_from(read_config(args.machine)) if args.machine \
+    _, test_seqs, _, _ = _held_out_split(args.model, args.data, cfg)
+    mc = _machine_config_from(datagen.read_kv(args.machine)) if args.machine \
         else fsm.MachineConfig()
     qnet = quant.QuantizedNetwork.from_params(params, mode,
                                               mc.activation_format)
@@ -314,13 +287,9 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_estimate(args, argv) -> int:
-    kv = read_config(args.config)
-    n_classes = int(kv.get("n_classes", 2))
-    net = _net_config_from(kv, n_classes)
-    no_cnn = model.NetworkConfig(
-        window_len=net.window_len, n_steps=net.n_steps, n_hidden=net.n_hidden,
-        n_classes=net.n_classes, n_channels=net.n_channels,
-        conv_layers=net.conv_layers, use_cnn=False, residual=False)
+    kv = datagen.read_kv(args.config)
+    net = model.config_from_kv(kv, n_classes=2)
+    no_cnn = replace(net, use_cnn=False, residual=False)
     print(estimate.estimate_table(no_cnn, net if net.use_cnn else no_cnn))
     gops = float(kv.get("gops", 6.3))
     paper = estimate.mac_count(no_cnn, "window", "paper")

@@ -1,4 +1,4 @@
-"""Synthetic chaotic and sinusoidal class datasets, plus signal windowing.
+"""Synthetic class datasets, signal windowing, and the shared on-disk forms.
 
 Classes are discrete parameter regimes of the logistic map, the Lorenz
 system, or a sine bank with linearly spaced frequencies. Realizations of one
@@ -25,6 +25,13 @@ __all__ = [
     "make_logistic_dataset",
     "make_lorenz_dataset",
     "make_sine_dataset",
+    "DataFormatError",
+    "read_kv",
+    "parse_rows",
+    "write_rows",
+    "stratified_split",
+    "save_channels",
+    "load_channels",
     "save_dataset",
     "load_dataset",
 ]
@@ -227,22 +234,137 @@ def make_sine_dataset(n_classes: int = 5, beta: float = 0.1,
 
 
 # ---------------------------------------------------------------------------
-# On-disk form: UCR-style TSV (label, then the un-windowed series) plus a
-# key=value manifest carrying the windowing and generator settings.
+# On-disk forms for every dataset: key = value files, checked numeric rows
+# (label first), and the per-channel container (a row file per channel).
 # ---------------------------------------------------------------------------
 
-def save_dataset(ds: SyntheticDataset, out_dir) -> None:
+class DataFormatError(ValueError):
+    """Input data that does not parse or does not fit; reported path:line."""
+
+
+def _read_text(path) -> str:
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"{path}: no such file")
+    return path.read_text()
+
+
+def read_kv(path) -> dict:
+    """Flat `key = value` lines; `#` starts a comment, blank lines are skipped."""
+    kv = {}
+    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DataFormatError(f"{path}:{ln}: expected key = value, "
+                                  f"got {line!r}")
+        kv[key.strip()] = value.strip()
+    return kv
+
+
+def parse_rows(path) -> np.ndarray:
+    """Tab- or comma-separated numeric rows of one width, as a 2-D array.
+
+    Blank lines are skipped. A non-numeric token, a non-finite value, a row
+    of another width and an empty file are `DataFormatError`s at path:line.
+    """
+    rows = []
+    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        sep = "\t" if "\t" in line else ","
+        try:
+            row = np.array([t for t in line.split(sep) if t], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{ln}: non-numeric token") from exc
+        if not np.isfinite(row).all():
+            raise DataFormatError(f"{path}:{ln}: non-finite value")
+        if rows and len(row) != len(rows[0]):
+            raise DataFormatError(f"{path}:{ln}: expected {len(rows[0])} "
+                                  f"columns, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    return np.array(rows)
+
+
+def write_rows(path, labels, rows) -> None:
+    """One line per row: the label, then the values at full precision."""
+    rows = np.asarray(rows, dtype=np.float64).tolist()
+    lines = [f"{label}\t" + "\t".join(map(repr, row))
+             for label, row in zip(labels, rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def stratified_split(labels, train_fraction: float, seed: int):
+    """Sorted (train_idx, test_idx): round(fraction * n) of each class trains.
+
+    Classes are visited in sorted order, each shuffled by one permutation
+    drawn from `seed`. A class left out of either split is a
+    `DataFormatError`.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        idx = idx[rng.permutation(len(idx))]
+        n_train = int(round(train_fraction * len(idx)))
+        if not 0 < n_train < len(idx):
+            raise DataFormatError(f"class {label} is absent from one of the "
+                                  f"splits ({n_train} of {len(idx)} train)")
+        train_idx.extend(idx[:n_train].tolist())
+        test_idx.extend(idx[n_train:].tolist())
+    return sorted(train_idx), sorted(test_idx)
+
+
+def _channel_file(ch: int, n_channels: int) -> str:
+    return "data.tsv" if n_channels == 1 else f"data_ch{ch}.tsv"
+
+
+def save_channels(out_dir, labels, signals, manifest: dict) -> None:
+    """Write (N, channels, T) `signals` as one row file per channel.
+
+    `manifest` goes to manifest.txt in its order, with `n_channels` set.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for ch in range(ds.n_channels):
-        lines = []
-        for seq in ds.sequences:
-            series = seq.windows.reshape(ds.n_steps, ds.n_channels,
-                                         ds.window_len)[:, ch, :].ravel()
-            vals = "\t".join(repr(float(v)) for v in series)
-            lines.append(f"{seq.label}\t{vals}")
-        name = "data.tsv" if ds.n_channels == 1 else f"data_ch{ch}.tsv"
-        (out / name).write_text("\n".join(lines) + "\n")
+    signals = np.asarray(signals, dtype=np.float64)
+    n_channels = signals.shape[1]
+    for ch in range(n_channels):
+        write_rows(out / _channel_file(ch, n_channels), labels, signals[:, ch])
+    kv = {**manifest, "n_channels": n_channels}
+    (out / "manifest.txt").write_text(
+        "".join(f"{k} = {v}\n" for k, v in kv.items()))
+
+
+def load_channels(in_dir):
+    """(manifest, labels (N,), signals (N, channels, T)) from `save_channels`."""
+    src = Path(in_dir)
+    kv = read_kv(src / "manifest.txt")
+    n_channels = int(kv.get("n_channels", 1))
+    if n_channels < 1:
+        raise DataFormatError(f"{src / 'manifest.txt'}: n_channels < 1")
+    paths = [src / _channel_file(ch, n_channels) for ch in range(n_channels)]
+    rows = [parse_rows(path) for path in paths]
+    for path, other in zip(paths[1:], rows[1:]):
+        if other.shape != rows[0].shape or \
+                not np.array_equal(other[:, 0], rows[0][:, 0]):
+            raise DataFormatError(f"{path}: rows or labels differ from "
+                                  f"{paths[0]}")
+    return kv, rows[0][:, 0], np.stack([r[:, 1:] for r in rows], axis=1)
+
+
+def save_dataset(ds: SyntheticDataset, out_dir) -> None:
+    """The per-channel container, un-windowed, with the generator settings."""
+    signals = [seq.windows.reshape(ds.n_steps, ds.n_channels, ds.window_len)
+               .transpose(1, 0, 2).reshape(ds.n_channels, -1)
+               for seq in ds.sequences]
     kv = {"generator": ds.generator,
           "classes": ds.n_classes,
           "class_params": ",".join(repr(float(p)) for p in ds.class_params),
@@ -252,39 +374,22 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
           "n_channels": ds.n_channels,
           "seed": ds.seed}
     kv.update(ds.extra)
-    (out / "manifest.txt").write_text(
-        "".join(f"{k} = {v}\n" for k, v in kv.items()))
+    save_channels(out_dir, [seq.label for seq in ds.sequences], signals, kv)
 
 
 def load_dataset(in_dir) -> SyntheticDataset:
-    src = Path(in_dir)
-    kv = {}
-    for line in (src / "manifest.txt").read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-    n_channels = int(kv.get("n_channels", 1))
+    kv, labels, signals = load_channels(in_dir)
     window_len, n_steps = int(kv["window_len"]), int(kv["n_steps"])
-    per_channel = []
-    for ch in range(n_channels):
-        name = "data.tsv" if n_channels == 1 else f"data_ch{ch}.tsv"
-        rows = [line.split("\t")
-                for line in (src / name).read_text().splitlines()]
-        per_channel.append(rows)
-    sequences = []
-    for i, row in enumerate(per_channel[0]):
-        label = int(float(row[0]))
-        chans = np.array([[float(v) for v in per_channel[ch][i][1:]]
-                          for ch in range(n_channels)])
-        sig = chans.reshape(n_channels, n_steps, window_len)
-        windows = sig.transpose(1, 0, 2).reshape(n_steps, n_channels * window_len)
-        sequences.append(WindowedSequence(windows, label))
+    if signals.shape[2] != n_steps * window_len:
+        raise DataFormatError(f"{in_dir}: rows hold {signals.shape[2]} samples,"
+                              f" the manifest {n_steps} x {window_len}")
+    sequences = [make_windows(sig, int(label), window_len, n_steps)
+                 for label, sig in zip(labels, signals)]
     class_params = [float(p) for p in kv["class_params"].split(",")]
     known = {"generator", "classes", "class_params", "noise_amplitude",
              "window_len", "n_steps", "n_channels", "seed"}
     extra = {k: v for k, v in kv.items() if k not in known}
     return SyntheticDataset(sequences, class_params,
                             float(kv["noise_amplitude"]), kv["generator"],
-                            window_len, n_steps, n_channels, int(kv["seed"]),
-                            extra)
+                            window_len, n_steps, signals.shape[1],
+                            int(kv["seed"]), extra)

@@ -55,18 +55,6 @@ def lstm_weight_count(n_hidden: int, input_len: int) -> int:
     return 4 * (n_hidden + input_len) * n_hidden
 
 
-def _conv_shapes(net: NetworkConfig):
-    """(depth, width, filters, map_len) per layer; padding keeps map_len."""
-    if not net.use_cnn:
-        return []
-    shapes = []
-    depth = net.n_channels
-    for filters, width in net.conv_layers:
-        shapes.append((depth, width, filters, net.window_len))
-        depth = filters
-    return shapes
-
-
 def memory_bits(inp: CostModelInput) -> int:
     """Stored weight bits plus (optionally) 12-bit intermediate buffers."""
     net = inp.net
@@ -79,9 +67,10 @@ def memory_bits(inp: CostModelInput) -> int:
 
     total = lstm_weight_count(net.n_hidden, net.input_len) * gate_bits
     largest_map = 0
-    for depth, width, filters, map_len in _conv_shapes(net):
+    for depth, filters, width in net.conv_shapes():
         total += cnn_weight_count(depth, width, filters) * gate_bits
-        largest_map = max(largest_map, filters * map_len)
+        # padding keeps each map at the window length
+        largest_map = max(largest_map, filters * net.window_len)
     if net.use_cnn:
         total += net.fc_input_len * net.input_len * fc_bits
     total += net.n_hidden * net.n_classes * fc_bits
@@ -107,8 +96,8 @@ def mac_count(net: NetworkConfig, per: str = "window",
         return per_window if per == "window" else per_window * net.n_steps
 
     per_window = 4 * (net.input_len + net.n_hidden) * net.n_hidden
-    for depth, width, filters, map_len in _conv_shapes(net):
-        per_window += filters * width * map_len * depth
+    for depth, filters, width in net.conv_shapes():
+        per_window += filters * width * net.window_len * depth
     if net.use_cnn:
         per_window += net.fc_input_len * net.input_len
     if per == "window":

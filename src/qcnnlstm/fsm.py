@@ -180,20 +180,11 @@ def relu_overhead_cycles(length: int, width: int, filters: int,
     return (length - width + 1) * ceil(filters / lanes)
 
 
-def _conv_depths(net: NetworkConfig):
-    depth = net.n_channels
-    for filters, width in net.conv_layers:
-        yield depth, filters, width
-        depth = filters
-
-
 def state_cycle_cost(state: int, net: NetworkConfig, mc: MachineConfig) -> int:
     """Cycle cost of one visit to `state` (state 8: the final-window visit)."""
     if state == 1:
-        if not net.use_cnn:
-            return 0
         total = 0
-        for depth, filters, width in _conv_depths(net):
+        for depth, filters, width in net.conv_shapes():
             total += conv_layer_cycles(net.window_len, width, filters,
                                        mc.mac_lanes, depth)
             total += relu_overhead_cycles(net.window_len, width, filters,
@@ -242,7 +233,7 @@ def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
         banks.im_write("window", np.zeros(net.input_len))
         if net.use_cnn:
             # State 1, visited once per CNN layer
-            for li, (depth, filters, width) in enumerate(_conv_depths(net)):
+            for li, (depth, filters, width) in enumerate(net.conv_shapes()):
                 banks.wb_read(filters * depth * width, 2)
                 banks.im_write(f"maps{li}", np.zeros(filters * net.window_len))
                 macs += filters * width * net.window_len * depth

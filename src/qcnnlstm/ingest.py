@@ -1,8 +1,9 @@
 """Dataset loading, Hilbert-envelope preprocessing, normalization, splitting.
 
 Reads UCR-style rows (label first, tab or comma separated, one univariate
-series per row) and a one-file-per-channel container for multichannel data.
-Normalization statistics are always fitted on the training split alone.
+series per row) and the per-channel container for multichannel data, both
+through the checked readers in `datagen`. Normalization statistics are
+always fitted on the training split alone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import WindowedSequence, make_windows
+from .datagen import (DataFormatError, WindowedSequence, load_channels,
+                      make_windows, parse_rows, save_channels,
+                      stratified_split, write_rows)
 
 __all__ = [
     "DataFormatError",
@@ -25,10 +28,6 @@ __all__ = [
     "normalize_and_split",
     "dataset_to_sequences",
 ]
-
-
-class DataFormatError(ValueError):
-    pass
 
 
 @dataclass
@@ -49,95 +48,46 @@ class RawDataset:
         return self.records[0][1].shape[0]
 
 
-def _parse_rows(text: str, path) -> list:
-    rows = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        sep = "\t" if "\t" in line else ","
-        tokens = [t for t in line.strip().split(sep) if t != ""]
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{ln}: non-numeric token") from exc
-        if not all(np.isfinite(row)):
-            raise DataFormatError(f"{path}:{ln}: non-finite value")
-        rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    width = len(rows[0])
-    for ln, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataFormatError(f"{path}:{ln}: expected {width} columns, "
-                                  f"got {len(row)}")
-    return rows
-
-
 def _remap_labels(raw_labels) -> tuple[np.ndarray, dict]:
-    uniq = sorted(set(raw_labels))
-    mapping = {tok: i for i, tok in enumerate(uniq)}
-    remapped = np.array([mapping[t] for t in raw_labels], dtype=np.int64)
-    return remapped, {i: tok for tok, i in mapping.items()}
+    """Labels 0..K-1 in sorted token order, and label -> source token."""
+    tokens, remapped = np.unique(raw_labels, return_inverse=True)
+    return remapped, dict(enumerate(tokens.tolist()))
 
 
 def load_ucr(path, sample_rate_hz: float = 0.0) -> RawDataset:
     """One labeled univariate series per row; labels remapped to 0..K-1."""
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: no such file")
-    rows = _parse_rows(path.read_text(), path)
-    raw_labels = [row[0] for row in rows]
-    labels, label_names = _remap_labels(raw_labels)
-    records = [(int(lab), np.array(row[1:], dtype=np.float64)[None, :])
-               for lab, row in zip(labels, rows)]
+    rows = parse_rows(path)
+    labels, label_names = _remap_labels(rows[:, 0].tolist())
+    records = [(int(lab), row[None, 1:]) for lab, row in zip(labels, rows)]
     return RawDataset(records, sample_rate_hz, path.stem, label_names)
 
 
 def save_ucr(ds: RawDataset, path) -> None:
     if ds.n_channels != 1:
         raise DataFormatError("UCR rows are univariate; use save_multichannel")
-    lines = []
-    for label, signal in ds.records:
-        vals = "\t".join(repr(float(v)) for v in signal[0])
-        lines.append(f"{label}\t{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(path, [label for label, _ in ds.records],
+               [signal[0] for _, signal in ds.records])
 
 
 def save_multichannel(ds: RawDataset, out_dir) -> None:
-    """One UCR file per channel plus a key=value manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n_ch = ds.n_channels
-    for ch in range(n_ch):
-        lines = [f"{label}\t" + "\t".join(repr(float(v)) for v in signal[ch])
-                 for label, signal in ds.records]
-        (out / f"channel{ch}.tsv").write_text("\n".join(lines) + "\n")
+    """The per-channel container; the manifest keeps the source label tokens."""
     labels = ",".join(str(ds.label_names.get(i, i)) for i in range(ds.n_classes))
-    (out / "manifest.txt").write_text(
-        f"name = {ds.name}\nsample_rate_hz = {ds.sample_rate_hz!r}\n"
-        f"channels = {n_ch}\nlabels = {labels}\n")
+    save_channels(out_dir, [label for label, _ in ds.records],
+                  [signal for _, signal in ds.records],
+                  {"name": ds.name, "sample_rate_hz": repr(ds.sample_rate_hz),
+                   "labels": labels})
 
 
 def load_multichannel(in_dir) -> RawDataset:
-    src = Path(in_dir)
-    kv = {}
-    for line in (src / "manifest.txt").read_text().splitlines():
-        k, _, v = line.partition("=")
-        kv[k.strip()] = v.strip()
-    n_ch = int(kv["channels"])
-    per_channel = []
-    for ch in range(n_ch):
-        rows = _parse_rows((src / f"channel{ch}.tsv").read_text(),
-                           src / f"channel{ch}.tsv")
-        per_channel.append(rows)
-    raw_labels = [row[0] for row in per_channel[0]]
-    labels, label_names = _remap_labels(raw_labels)
-    records = []
-    for i, lab in enumerate(labels):
-        sig = np.array([per_channel[ch][i][1:] for ch in range(n_ch)])
-        records.append((int(lab), sig))
-    return RawDataset(records, float(kv.get("sample_rate_hz", 0.0)),
-                      kv.get("name", ""), label_names)
+    kv, tokens, signals = load_channels(in_dir)
+    labels, label_names = _remap_labels(tokens.tolist())
+    if "labels" in kv:  # the stored labels index the source tokens
+        names = [float(t) for t in kv["labels"].split(",")]
+        label_names = {i: names[int(t)] for i, t in label_names.items()}
+    return RawDataset(list(zip(labels.tolist(), signals)),
+                      float(kv.get("sample_rate_hz", 0.0)), kv.get("name", ""),
+                      label_names)
 
 
 def hilbert_envelope(signal) -> np.ndarray:
@@ -177,29 +127,16 @@ def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
     (`label_names`); a token the train split lacks is a `DataFormatError`.
     """
     if predefined_test is None:
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        rng = np.random.default_rng(seed)
-        by_class: dict[int, list] = {}
-        for i, (label, _) in enumerate(ds.records):
-            by_class.setdefault(label, []).append(i)
-        train_idx, test_idx = [], []
-        for label in sorted(by_class):
-            idx = np.array(by_class[label])
-            idx = idx[rng.permutation(len(idx))]
-            n_train = int(round(train_fraction * len(idx)))
-            train_idx.extend(idx[:n_train].tolist())
-            test_idx.extend(idx[n_train:].tolist())
-        train_records = [ds.records[i] for i in sorted(train_idx)]
-        test_records = [ds.records[i] for i in sorted(test_idx)]
+        train_idx, test_idx = stratified_split(
+            [label for label, _ in ds.records], train_fraction, seed)
+        train_records = [ds.records[i] for i in train_idx]
+        test_records = [ds.records[i] for i in test_idx]
     else:
         train_records = list(ds.records)
         test_records = _relabel(predefined_test, ds)
-
-    train_labels = {label for label, _ in train_records}
-    test_labels = {label for label, _ in test_records}
-    if train_labels != test_labels:
-        raise DataFormatError("a class is absent from one of the splits")
+        if {label for label, _ in train_records} != \
+                {label for label, _ in test_records}:
+            raise DataFormatError("a class is absent from the test split")
 
     stacked = np.concatenate([sig for _, sig in train_records], axis=1)
     mean = stacked.mean(axis=1, keepdims=True)
@@ -233,8 +170,6 @@ def dataset_to_sequences(ds: RawDataset, window_len: int, n_steps: int,
                          noise_amplitude: float = 0.0,
                          seed: int = 0) -> list[WindowedSequence]:
     """Cut each record into a windowed sequence for the classifier."""
-    out = []
-    for i, (label, signal) in enumerate(ds.records):
-        out.append(make_windows(signal, label, window_len, n_steps,
-                                noise_amplitude, seed + i))
-    return out
+    return [make_windows(signal, label, window_len, n_steps, noise_amplitude,
+                         seed + i)
+            for i, (label, signal) in enumerate(ds.records)]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fxp, quant
+from . import datagen, fxp, quant
 from .fxp import QFormat
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "LstmParams",
     "NetworkConfig",
     "NetworkParams",
+    "config_from_kv",
     "named_tensors",
     "is_quantized",
     "is_bias",
@@ -105,6 +106,13 @@ class NetworkConfig:
     def fc_input_len(self) -> int:
         f_last = self.conv_layers[-1][0]
         return f_last * self.window_len
+
+    def conv_shapes(self) -> list:
+        """(depth, filters, width) per conv layer; empty without a CNN."""
+        if not self.use_cnn:
+            return []
+        depths = [self.n_channels] + [f for f, _ in self.conv_layers[:-1]]
+        return [(d, f, m) for d, (f, m) in zip(depths, self.conv_layers)]
 
 
 @dataclass
@@ -284,30 +292,32 @@ def _config_text(cfg: NetworkConfig, mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str) -> tuple[NetworkConfig, str]:
-    kv = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-    conv = tuple(tuple(int(x) for x in part.split("x"))
-                 for part in kv["conv_layers"].split(";") if part)
-    cfg = NetworkConfig(window_len=int(kv["window_len"]),
-                        n_steps=int(kv["n_steps"]),
-                        n_hidden=int(kv["n_hidden"]),
-                        n_classes=int(kv["n_classes"]),
-                        n_channels=int(kv.get("n_channels", 1)),
-                        conv_layers=conv,
-                        use_cnn=bool(int(kv.get("use_cnn", 1))),
-                        residual=bool(int(kv.get("residual", 1))))
-    return cfg, kv.get("mode", "full")
+def config_from_kv(kv: dict, **defaults) -> NetworkConfig:
+    """A NetworkConfig from key = value strings (`_config_text`'s keys).
+
+    A key `kv` lacks takes the caller's `defaults`, then the dataclass
+    default; a dimension found in neither is a KeyError.
+    """
+    v = {**defaults, **kv}
+    optional = {}
+    if "n_channels" in v:
+        optional["n_channels"] = int(v["n_channels"])
+    if "conv_layers" in v:
+        optional["conv_layers"] = tuple(
+            tuple(int(x) for x in part.split("x"))
+            for part in v["conv_layers"].split(";") if part)
+    for key in ("use_cnn", "residual"):
+        if key in v:
+            optional[key] = bool(int(v[key]))
+    return NetworkConfig(int(v["window_len"]), int(v["n_steps"]),
+                         int(v["n_hidden"]), int(v["n_classes"]), **optional)
 
 
 def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
     """Read a saved network; quantized tensors come back as float codes."""
     mdir = Path(model_dir)
-    cfg, mode = parse_config_text((mdir / "config.txt").read_text())
+    kv = datagen.read_kv(mdir / "config.txt")
+    cfg, mode = config_from_kv(kv), kv.get("mode", "full")
     stored = {}  # int64 codes or read-only float64 views of the file bytes
     for line in (mdir / "params.manifest").read_text().splitlines():
         name, dtype, shape_csv, fname = line.split("\t")

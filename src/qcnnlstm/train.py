@@ -106,10 +106,8 @@ def init_params(cfg: NetworkConfig, seed: int = 0,
 
     conv, fc = [], None
     if cfg.use_cnn:
-        depth = cfg.n_channels
-        for f, m in cfg.conv_layers:
+        for depth, f, m in cfg.conv_shapes():
             conv.append(ConvLayerParams(u(f, depth, m), np.zeros(f)))
-            depth = f
         fc = FcParams(u(cfg.input_len, cfg.fc_input_len))
     nh = cfg.n_hidden
     gates = np.empty((nh + cfg.input_len, 4 * nh))

@@ -4,13 +4,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcnnlstm.cli import dispatch, read_config
+from qcnnlstm import fsm, fxp
+from qcnnlstm import train as train_mod
+from qcnnlstm.cli import dispatch
+from qcnnlstm.datagen import DataFormatError, read_kv
 
 ECG_DIR = Path(__file__).resolve().parent.parent / "data" / "ECG200"
 
 
 def run(*argv):
     return dispatch(list(argv))
+
+
+def _keys(seqs):
+    return [(s.label, s.windows.tobytes()) for s in seqs]
+
+
+def _last_trace_accuracy(model_dir) -> str:
+    last = (model_dir / "trace.csv").read_text().splitlines()[-1]
+    return f"accuracy {float(last.split(',')[2]):.4f}"
 
 
 class TestDispatch:
@@ -177,6 +189,88 @@ class TestTrainEvalQuantizeSimulate:
                 (model_dir / fname).read_bytes()
 
 
+class TestHeldOutSplit:
+    """eval and simulate score the sequences train held out (seed = 1 here)."""
+
+    def test_eval_and_simulate_score_the_held_out_split(
+            self, trained_model, tmp_path, monkeypatch, capsys):
+        _, ds, cfg, _ = trained_model
+        seen = {}
+        real_train, real_probs = train_mod.train, train_mod.predict_probs
+        real_inference = fsm.run_inference
+
+        def spy_train(train_seqs, test_seqs, *rest):
+            seen["held_out"] = test_seqs
+            return real_train(train_seqs, test_seqs, *rest)
+
+        def spy_probs(params, seqs, *rest):
+            seen["scored"] = seqs
+            return real_probs(params, seqs, *rest)
+
+        def spy_inference(raw, *rest, **kw):
+            seen["simulated"] = raw
+            return real_inference(raw, *rest, **kw)
+
+        monkeypatch.setattr(train_mod, "train", spy_train)
+        monkeypatch.setattr(train_mod, "predict_probs", spy_probs)
+        monkeypatch.setattr(fsm, "run_inference", spy_inference)
+        model_dir, qdir = tmp_path / "model", tmp_path / "quantized"
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(model_dir)) == 0
+        capsys.readouterr()
+        assert run("eval", "--model", str(model_dir), "--data", str(ds)) == 0
+        assert _keys(seen["scored"]) == _keys(seen["held_out"])
+        assert capsys.readouterr().out.strip() == \
+            _last_trace_accuracy(model_dir)
+
+        assert run("quantize", "--model", str(model_dir),
+                   "--out", str(qdir)) == 0
+        assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 0
+        windows = np.stack([s.windows for s in seen["held_out"]])
+        assert np.array_equal(seen["simulated"], fxp.to_raw(windows))
+
+
+class TestGeneratedDataBoundary:
+    """Bad values and degenerate splits in a generated dataset exit 2."""
+
+    @pytest.fixture
+    def sine(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert run("gen", "--system", "sine", "--classes", "2",
+                   "--per-class", "6", "--window", "10", "--steps", "2",
+                   "--out", str(ds)) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window_len = 10\nn_steps = 2\nn_hidden = 4\n"
+                       "use_cnn = 0\nepochs = 1\n")
+        return ds, cfg
+
+    @pytest.mark.parametrize("bad, message", [("nan", "non-finite"),
+                                              ("potato", "non-numeric"),
+                                              (None, "columns")])
+    def test_bad_row_is_data_error(self, sine, tmp_path, capsys, bad,
+                                   message):
+        ds, cfg = sine
+        lines = (ds / "data.tsv").read_text().splitlines()
+        row = lines[2].split("\t")[:-1]  # None: one value short
+        lines[2] = "\t".join(row if bad is None else row + [bad])
+        (ds / "data.tsv").write_text("\n".join(lines) + "\n")
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"{ds / 'data.tsv'}:3: " in err and message in err
+
+    def test_class_missing_from_a_split_is_data_error(self, sine, tmp_path,
+                                                      capsys):
+        ds, cfg = sine
+        # class 0 keeps 2 sequences: round(0.75 * 2) leaves none to test
+        lines = (ds / "data.tsv").read_text().splitlines()
+        (ds / "data.tsv").write_text("\n".join(lines[4:]) + "\n")
+        cfg.write_text(cfg.read_text() + "train_fraction = 0.75\n")
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "class 0 is absent" in capsys.readouterr().err
+
+
 class TestEstimateCommand:
     def test_dba_paper_macs_printed(self, tmp_path, capsys):
         cfg = tmp_path / "dba.cfg"
@@ -203,16 +297,27 @@ class TestUcrTrainingPath:
                    "--report", "auc") == 0
         assert "auc" in capsys.readouterr().out
 
+    def test_envelope_model_evaluates_as_trained(self, tmp_path, capsys):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("window_len = 20\nn_steps = 4\nn_hidden = 8\n"
+                       "use_cnn = 0\nepochs = 10\nenvelope = 1\n")
+        out = tmp_path / "model"
+        assert run("train", "--data", str(ECG_DIR), "--config", str(cfg),
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("eval", "--model", str(out), "--data", str(ECG_DIR)) == 0
+        assert capsys.readouterr().out.strip() == _last_trace_accuracy(out)
+
 
 class TestConfigParser:
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("# comment\nwindow_len = 7  # trailing\n\nn_steps=2\n")
-        kv = read_config(f)
+        kv = read_kv(f)
         assert kv == {"window_len": "7", "n_steps": "2"}
 
     def test_bad_line_rejected(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("just words\n")
-        with pytest.raises(Exception):
-            read_config(f)
+        with pytest.raises(DataFormatError, match="c.cfg:1: "):
+            read_kv(f)

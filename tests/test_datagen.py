@@ -151,6 +151,34 @@ class TestDatasets:
             assert sa.label == sb.label
             assert np.array_equal(sa.windows, sb.windows)
 
+    def test_multichannel_round_trip_and_bad_containers(self, tmp_path):
+        rng = np.random.default_rng(2)
+        seqs = [datagen.WindowedSequence(rng.uniform(-1, 1, (3, 8)), k % 2)
+                for k in range(4)]
+        ds = datagen.SyntheticDataset(seqs, [0.0, 1.0], 0.0, "hand", 4, 3, 2)
+        datagen.save_dataset(ds, tmp_path / "d")
+        assert (tmp_path / "d" / "data_ch1.tsv").exists()
+        loaded = datagen.load_dataset(tmp_path / "d")
+        assert loaded.n_channels == 2
+        for sa, sb in zip(ds.sequences, loaded.sequences):
+            assert sa.label == sb.label
+            assert np.array_equal(sa.windows, sb.windows)
+        # rows longer than the manifest's windows are not cut short
+        manifest = tmp_path / "d" / "manifest.txt"
+        text = manifest.read_text()
+        manifest.write_text(text.replace("n_steps = 3", "n_steps = 2"))
+        with pytest.raises(datagen.DataFormatError, match="12 samples"):
+            datagen.load_dataset(tmp_path / "d")
+        manifest.write_text(text.replace("n_channels = 2", "n_channels = 0"))
+        with pytest.raises(datagen.DataFormatError, match="n_channels"):
+            datagen.load_dataset(tmp_path / "d")
+        manifest.write_text(text)
+        # a channel file whose labels disagree with channel 0 is rejected
+        ch1 = tmp_path / "d" / "data_ch1.tsv"
+        ch1.write_text("1" + ch1.read_text()[1:])
+        with pytest.raises(datagen.DataFormatError, match="data_ch1.tsv"):
+            datagen.load_dataset(tmp_path / "d")
+
     def test_lorenz_dataset_bounded(self):
         ds = datagen.make_lorenz_dataset(per_class=1, window_len=10, n_steps=2,
                                          transient=200, noise_amplitude=0.0)

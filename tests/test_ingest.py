@@ -77,10 +77,12 @@ class TestMultichannel:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         records = [(i % 3, rng.normal(size=(4, 10))) for i in range(9)]
-        ds = RawDataset(records, sample_rate_hz=1000.0, name="semg")
+        ds = RawDataset(records, sample_rate_hz=1000.0, name="semg",
+                        label_names={0: -1.0, 1: 1.0, 2: 7.0})
         save_multichannel(ds, tmp_path / "mc")
         loaded = load_multichannel(tmp_path / "mc")
         assert loaded.sample_rate_hz == 1000.0
+        assert loaded.label_names == ds.label_names
         assert loaded.n_channels == 4
         for (la, sa), (lb, sb) in zip(ds.records, loaded.records):
             assert la == lb
