@@ -123,6 +123,10 @@ class MemoryBanks:
 
 @dataclass
 class CycleReport:
+    """Cycles, MACs, the state trace and `*_per_seq` traffic are per sequence;
+    `wb_bits_read`, `im_bits_transferred` and the beat maxima are the banks'
+    cumulative counters over every sequence run on them."""
+
     cycles_per_state: np.ndarray
     total_cycles: int
     latency_seconds: float
@@ -135,9 +139,11 @@ class CycleReport:
     max_wb_beat_bits: int
     max_im_beat_bits: int
     state_trace: list
+    wb_bits_per_seq: int
+    im_bits_per_seq: int
 
     def summary(self) -> str:
-        lines = ["state  cycles"]
+        lines = ["per sequence", "state  cycles"]
         lines += [f"  {s + 1}    {int(c):,}"
                   for s, c in enumerate(self.cycles_per_state)]
         lines += [
@@ -146,6 +152,9 @@ class CycleReport:
             f"worst window        {self.worst_window_latency_seconds * 1e6:.1f} us",
             f"executed MACs       {self.executed_macs:,}",
             f"paper-variant MACs  {self.paper_macs:,} per window",
+            f"WB bits read        {self.wb_bits_per_seq:,}",
+            f"IM bits transferred {self.im_bits_per_seq:,}",
+            "all sequences run on these banks",
             f"WB bits read        {self.wb_bits_read:,}",
             f"IM bits transferred {self.im_bits_transferred:,}",
         ]
@@ -295,7 +304,8 @@ def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
         cycles, total, total / mc.clock_hz, worst_window,
         worst_window / mc.clock_hz, macs,
         (net.input_len + net.n_hidden) * net.n_hidden, banks.wb_bits_read,
-        banks.im_bits, banks.max_wb_beat, banks.max_im_beat, state_trace)
+        banks.im_bits, banks.max_wb_beat, banks.max_im_beat, state_trace,
+        banks.wb_bits_read, banks.im_bits)
     return report, banks, "\n".join(rows) + "\n"
 
 
@@ -305,8 +315,9 @@ def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
 
     Returns (prediction, CycleReport): the argmax of the final state-8 logits
     (ties to the lowest index), an int or a (B,) array; the logits also land
-    in `banks.im["logits"]`. Cycles, MACs and the state trace (and trace
-    file) are per sequence; bank totals are the banks' cumulative counters.
+    in `banks.im["logits"]`. Cycles, MACs, the state trace (and trace file)
+    and `*_per_seq` traffic are per sequence; bank totals are the banks'
+    cumulative counters.
     """
     logits = network_forward_fixed(windows_raw, banks.qnet, net,
                                    mc.activation_format, mc.lut_size)[..., -1, :]

@@ -7,14 +7,16 @@ accumulation, and midpoint-sampled sigmoid/tanh lookup tables.
 
 Everything here is a pure value computation: raw codes are plain Python ints
 or int64 numpy arrays, so results are exactly reproducible. Dot products
-multiply in float64 through BLAS, after checking from the formats and the
-fan-in that every partial sum stays below 2**53, where float64 is exact.
+multiply through BLAS in the narrowest float type that is exact for them,
+chosen from the formats and the fan-in, which bound every partial sum:
+float32 up to 2**24, float64 below 2**53, and a `ValueError` beyond.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "sat_add",
     "mul_fixed",
     "mul_add_fixed",
+    "ternary_acc",
     "dot_ternary",
     "dot_fixed",
     "build_lut",
@@ -131,6 +134,11 @@ def from_raw(raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / fmt.scale
 
 
+def _saturate(x, fmt: QFormat) -> np.ndarray:
+    # np.minimum/np.maximum: np.clip looks the dtype limits up on every call
+    return np.minimum(np.maximum(x, fmt.raw_min), fmt.raw_max)
+
+
 def requantize(acc, extra_frac_bits: int, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Reduce a double-width accumulator to `fmt`.
 
@@ -140,17 +148,17 @@ def requantize(acc, extra_frac_bits: int, fmt: QFormat = ACT_FORMAT) -> np.ndarr
     """
     acc = np.asarray(acc, dtype=np.int64)
     if extra_frac_bits == 0:
-        return np.clip(acc, fmt.raw_min, fmt.raw_max)
+        return _saturate(acc, fmt)
+    # floor((acc + half) / 2**e) rounds half up; one less for a negative
+    # accumulator makes it -floor((|acc| + half) / 2**e): half away from zero
     half = 1 << (extra_frac_bits - 1)
-    mag = (np.abs(acc) + half) >> extra_frac_bits
-    raw = np.where(acc >= 0, mag, -mag)
-    return np.clip(raw, fmt.raw_min, fmt.raw_max)
+    return _saturate((acc + half - (acc < 0)) >> extra_frac_bits, fmt)
 
 
 def sat_add(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Saturating add of raw codes in the same format."""
-    s = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return np.clip(s, fmt.raw_min, fmt.raw_max)
+    return _saturate(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64),
+                     fmt)
 
 
 def mul_fixed(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -170,29 +178,53 @@ def mul_add_fixed(a, b, c, d, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     return requantize(acc, fmt.frac_bits, fmt)
 
 
+def _product_dtype(fan_in: int, magnitude_bits: int):
+    """The narrowest float type exact for a `fan_in`-term integer dot product.
+
+    Each product is at most 2**magnitude_bits, so no partial sum, in any
+    order, exceeds fan_in * 2**magnitude_bits. float32 holds every integer
+    up to 2**24 and float64 every integer below 2**53.
+    """
+    bound = fan_in << magnitude_bits
+    if bound <= 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise ValueError(f"a {fan_in}-term dot product of {magnitude_bits}-bit "
+                     "magnitudes is not exact in float64")
+
+
 def _exact_product(x_raw, w, magnitude_bits: int) -> np.ndarray:
     """x @ w for integer values whose products are at most 2**magnitude_bits.
 
-    Below 2**53 float64 holds every partial sum exactly, in any order.
+    The product runs in float32 when the fan-in keeps every partial sum at or
+    below 2**24, in float64 below 2**53, and raises `ValueError` beyond; `w`
+    is cast to that type on the fly (a no-op for float32 codes in the
+    float32 tier).
     """
-    fan_in = np.shape(w)[0]
-    if fan_in << magnitude_bits >= 1 << 53:
-        raise ValueError(f"a {fan_in}-term dot product of {magnitude_bits}-bit "
-                         "magnitudes is not exact in float64")
-    acc = np.asarray(x_raw, dtype=np.float64) @ np.asarray(w, dtype=np.float64)
+    dtype = _product_dtype(np.shape(w)[0], magnitude_bits)
+    acc = np.asarray(x_raw, dtype=dtype) @ np.asarray(w, dtype=dtype)
     return acc.astype(np.int64)
+
+
+def ternary_acc(x_raw, codes, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+    """x @ codes for 2-bit weight codes: the exact, unsaturated int64 sum."""
+    return _exact_product(x_raw, codes, fmt.total_bits - 1)
 
 
 def dot_ternary(x_raw, codes, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Dot product of activations with 2-bit weight codes in {-1, 0, +1}.
 
     The accumulator stays at the activation scale (codes are integers), so the
-    only quantization effect is the final saturation.
+    only quantization effect is the final saturation. It is applied once, to
+    the exact sum of the product and `bias_raw`; a bias outside the format,
+    such as a `ternary_acc` partial sum of a longer product, is not clipped
+    first.
     """
-    acc = _exact_product(x_raw, codes, fmt.total_bits - 1)
+    acc = ternary_acc(x_raw, codes, fmt)
     if bias_raw is not None:
         acc = acc + np.asarray(bias_raw, dtype=np.int64)
-    return np.clip(acc, fmt.raw_min, fmt.raw_max)
+    return _saturate(acc, fmt)
 
 
 def dot_fixed(x_raw, w_raw, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -276,19 +308,28 @@ def lut_index(u: Fixed, table: LutTable) -> int:
     return min(max(idx, 0), table.n_entries - 1)
 
 
+@lru_cache(maxsize=64)
+def _index_shift_base(u_min: float, u_max: float, n_entries: int,
+                      fmt: QFormat) -> tuple:
+    """(shift, raw(u_min)) of a table's index computation at `fmt`."""
+    width = (u_max - u_min) / n_entries * fmt.scale
+    shift = round(math.log2(width))
+    if shift < 0 or 2 ** shift != width:
+        raise ValueError("cell width must be a positive power of two "
+                         "in raw units at this format")
+    return shift, round(u_min * fmt.scale)
+
+
 def lut_index_raw(u_raw, table: LutTable, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Vectorized index computation as the hardware does it: one shift.
 
     cell_width * 2**frac_bits is a power of two for the supported tables, so
     the division reduces to an arithmetic right shift of (raw - raw(u_min)).
     """
-    shift = round(math.log2(table.cell_width * fmt.scale))
-    if shift < 0 or 2 ** shift != table.cell_width * fmt.scale:
-        raise ValueError("cell width must be a positive power of two "
-                         "in raw units at this format")
-    base = round(table.u_min * fmt.scale)
+    n = table.n_entries
+    shift, base = _index_shift_base(table.u_min, table.u_max, n, fmt)
     idx = (np.asarray(u_raw, dtype=np.int64) - base) >> shift
-    return np.clip(idx, 0, table.n_entries - 1)
+    return np.minimum(np.maximum(idx, 0), n - 1)
 
 
 def lut_eval(u: Fixed, table: LutTable) -> Fixed:

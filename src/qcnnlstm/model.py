@@ -2,8 +2,11 @@
 
 `network_forward_fixed` is the one fixed-point engine: batched, BLAS-backed,
 every intermediate in the activation Q-format; the cycle simulator in `fsm`
-takes its numerics from it. The float engine lives in `train`, which trains
-and evaluates with it.
+takes its numerics from it. Its products run in float32 where the fan-in
+keeps them exact there, else in float64, else raise `ValueError` (see
+`fxp._exact_product`); the input half of the gate product runs once over
+all windows before the recurrence. The float engine lives in `train`, which
+trains and evaluates with it.
 
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
@@ -208,17 +211,21 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
             maps = _conv_relu_fixed(maps, codes, fmt)
         p = fxp.dot_fixed(maps.reshape(len(v), -1), qnet.fc_raw.T, fmt=fmt)
         v = fxp.sat_add(v, p, fmt) if cfg.residual else p
-    v = v.reshape(-1, cfg.n_steps, cfg.input_len)
+    n_h = cfg.n_hidden
+    # the input half of every step's gate product, for all windows at once;
+    # each step adds its row, exact and unsaturated, to the recurrent half,
+    # and dot_ternary saturates the sum once
+    x_part = fxp.ternary_acc(v, qnet.gates[n_h:], fmt).reshape(
+        -1, cfg.n_steps, 4 * n_h)
+    w_h = qnet.gates[:n_h]
     sig, sig_entries = _lut("sigmoid", lut_size, fmt)
     tanh, tanh_entries = _lut("tanh", lut_size, fmt)
-    n_h = cfg.n_hidden
-    h = c = np.zeros((len(v), n_h), dtype=np.int64)
+    h = c = np.zeros((len(x_part), n_h), dtype=np.int64)
     hs = []
     for t in range(cfg.n_steps):
-        pre = fxp.dot_ternary(np.concatenate([h, v[:, t]], axis=1), qnet.gates,
-                              fmt=fmt)
+        pre = fxp.dot_ternary(h, w_h, x_part[:, t], fmt)
         g = sig_entries[fxp.lut_index_raw(pre[:, :3 * n_h], sig, fmt)]
-        g_forget, g_input, g_output = np.split(g, 3, axis=1)
+        g_forget, g_input, g_output = g[:, :n_h], g[:, n_h:2 * n_h], g[:, 2 * n_h:]
         g_cell = tanh_entries[fxp.lut_index_raw(pre[:, 3 * n_h:], tanh, fmt)]
         c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt)
         h = fxp.mul_fixed(g_output, tanh_entries[fxp.lut_index_raw(c, tanh, fmt)],

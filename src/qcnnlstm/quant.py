@@ -99,12 +99,16 @@ def unpack_codes(buf: bytes, shape) -> np.ndarray:
 class QuantizedNetwork:
     """Hardware-ready weights: 2-bit codes for gates/CNN, fixed-point for FC.
 
-    Integer values stored as float64, the dtype the engine multiplies in.
-    `conv_codes` holds one (filters, depth, width) array per CNN layer;
+    Integer values stored once, in the float type the engine multiplies them
+    in. The codes in {-1, 0, +1} are float32, which the fixed-point engine
+    multiplies in directly wherever the fan-in keeps the products exact
+    there (see `fxp._exact_product`); a wider product upcasts them on the
+    fly. `conv_codes` holds one (filters, depth, width) array per CNN layer;
     `gates` fuses the (n_hidden + input_len, n_hidden) gate matrices in
-    `GATE_ORDER` and `gate_codes` maps each gate name to its column view;
-    `fc_raw` / `logits_raw` are raw fixed-point codes in `weight_format`.
-    Biases are zero in quantized networks and are not stored.
+    `GATE_ORDER` and `gate_codes` maps each gate name to its column view.
+    `fc_raw` / `logits_raw` are raw fixed-point codes in `weight_format`,
+    float64: their 12x12-bit products need it. Biases are zero in quantized
+    networks and are not stored.
     """
 
     conv_codes: list
@@ -115,6 +119,11 @@ class QuantizedNetwork:
     gate_codes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.conv_codes = [np.asarray(c, dtype=np.float32) for c in self.conv_codes]
+        self.gates = np.asarray(self.gates, dtype=np.float32)
+        if self.fc_raw is not None:
+            self.fc_raw = np.asarray(self.fc_raw, dtype=np.float64)
+        self.logits_raw = np.asarray(self.logits_raw, dtype=np.float64)
         self.gate_codes = dict(zip(GATE_ORDER, np.split(self.gates, 4, axis=1)))
 
     @classmethod
@@ -124,9 +133,9 @@ class QuantizedNetwork:
             raise ValueError("hardware networks are binary or ternary")
         conv = [quantize_weights(layer.weights, mode) for layer in params.conv]
         fc = None if params.fc is None else \
-            fxp.to_raw(params.fc.weights, weight_format).astype(np.float64)
+            fxp.to_raw(params.fc.weights, weight_format)
         gates = quantize_weights(params.lstm.gates, mode)
-        logits = fxp.to_raw(params.lstm.w_logits, weight_format).astype(np.float64)
+        logits = fxp.to_raw(params.lstm.w_logits, weight_format)
         return cls(conv, fc, gates, logits, weight_format)
 
     def weight_bits(self) -> int:

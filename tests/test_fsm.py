@@ -295,3 +295,21 @@ class TestInterfaces:
         _, rep = run_inference(raw, load_banks(qnet, MC), cfg, MC)
         assert "total_cycles" in rep.csv()
         assert "executed MACs" in rep.summary()
+
+    def test_summary_scopes_bank_traffic(self):
+        rng = np.random.default_rng(14)
+        cfg, qnet, raw = random_net(rng)
+
+        def traffic(raws):
+            _, rep = run_inference(raws, load_banks(qnet, MC), cfg, MC)
+            per_seq, _, all_seqs = rep.summary().partition(
+                "all sequences run on these banks")
+            pattern = r"(?:WB bits read|IM bits transferred)\s+([\d,]+)"
+            return [[int(v.replace(",", "")) for v in re.findall(pattern, part)]
+                    for part in (per_seq, all_seqs)]
+
+        one_seq, one_all = traffic(raw)
+        two_seq, two_all = traffic(np.stack([raw, raw]))
+        assert len(one_seq) == 2 and one_all == one_seq
+        assert two_seq == one_seq
+        assert two_all == [2 * bits for bits in one_seq]

@@ -91,6 +91,14 @@ class TestRequantize:
         assert got == want
 
 
+def exact_dot(x, codes, bias, fmt=Q48):
+    """Saturated x @ codes + bias in Python ints: the scalar reference."""
+    return [[min(max(sum(int(a) * int(c) for a, c in zip(row, col)) + int(b),
+                     fmt.raw_min), fmt.raw_max)
+             for col, b in zip(codes.T, row_bias)]
+            for row, row_bias in zip(x, bias)]
+
+
 class TestDotProducts:
     def test_ternary_dot_is_exact_sum(self):
         x = np.array([100, -50, 7])
@@ -117,6 +125,44 @@ class TestDotProducts:
             fxp.dot_fixed(x, w, fmt=wide)
         # ternary codes keep the sum within 2**31 * 4: still exact
         assert fxp.dot_ternary(x, np.ones((4, 1)), fmt=wide)[0] == wide.raw_max
+
+    def test_float32_tier_ends_at_two_to_the_24(self):
+        # 12-bit activations times codes are at most 2**11 in magnitude, so
+        # fan-in 8192 bounds every partial sum by 2**24; 12x12-bit products
+        # are at most 2**22: four terms fit, five need float64
+        assert fxp._product_dtype(8192, 11) is np.float32
+        assert fxp._product_dtype(8193, 11) is np.float64
+        assert fxp._product_dtype(4, 22) is np.float32
+        assert fxp._product_dtype(5, 22) is np.float64
+        with pytest.raises(ValueError, match="not exact"):
+            fxp._product_dtype(1 << 31, 22)
+
+    def test_odd_sum_past_float32_range_falls_back_to_float64(self):
+        # 8192 products of 2**11 and one of 1 sum to 2**24 + 1: odd and above
+        # 2**24, so no float32 value equals it, whatever the summation
+        # order. The bias cancels it back into range, so the saturation
+        # cannot hide an error.
+        x = np.array([[Q48.raw_min] * 8192 + [-1],
+                      [Q48.raw_min] * 8191 + [-1, Q48.raw_min]])
+        codes = -np.ones((8193, 3), dtype=np.float32)
+        codes[:4096, 1] = 1  # cancels inside the product
+        codes[0, 2] = 0
+        bias = -(1 << 24) + np.array([[4, -3, 0], [-2, 5, 9]])
+        want = exact_dot(x, codes, bias)
+        assert want[0][0] == 5
+        plain_f32 = (x.astype(np.float32) @ codes).astype(np.int64) + bias
+        assert plain_f32[0, 0] != want[0][0]
+        assert fxp.dot_ternary(x, codes, bias, Q48).tolist() == want
+
+    def test_largest_float32_sums_are_exact(self):
+        # at the bound: 2**24 and the odd 2**24 - 1 are both float32 values
+        x = np.array([[Q48.raw_min] * 8192,
+                      [Q48.raw_min] * 8191 + [-Q48.raw_max]])
+        codes = -np.ones((8192, 1), dtype=np.float32)
+        bias = np.array([[7 - (1 << 24)], [11 - (1 << 24) + 1]])
+        want = exact_dot(x, codes, bias)
+        assert want == [[7], [11]]
+        assert fxp.dot_ternary(x, codes, bias, Q48).tolist() == want
 
     def test_mul_add_two_products_single_rounding(self):
         a = fxp.to_raw([0.3], Q48)

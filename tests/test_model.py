@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import fixed_oracle
 import numpy as np
 import pytest
 from float_oracle import (LstmState, conv1d_relu, fc_residual, lstm_step,
@@ -250,6 +251,67 @@ class TestFixedForward:
         logits_raw = network_forward_fixed(raw, qnet, cfg)
         assert np.all(logits_raw == 0)
         assert predict(logits_raw) == 0
+
+
+def recurrence_case(rec_code, windows):
+    """16 hidden units, 2 inputs: every gate column has input codes +1 and
+    recurrent codes `rec_code`, so each step's input partial sum is the
+    window's sum and the recurrent one is rec_code * 16 * h."""
+    n_h = 16
+    cfg = NetworkConfig(window_len=2, n_steps=len(windows), n_hidden=n_h,
+                        n_classes=2, use_cnn=False)
+    gates = np.vstack([np.full((n_h, 4 * n_h), rec_code),
+                       np.ones((2, 4 * n_h))])
+    w_logits = np.tile([[0.5, -0.25]], (n_h, 1))
+    qnet = quant.QuantizedNetwork([], None, gates, fxp.to_raw(w_logits))
+    return cfg, qnet, np.array(windows)
+
+
+class TestFixedEngineRanges:
+    """Product tiers and the hoisted input projection against the oracle."""
+
+    @pytest.mark.parametrize("input_len", [8192, 8193])
+    def test_float32_bound_on_the_input_projection(self, input_len):
+        # the input half's fan-in is input_len: float32 up to 8192 terms of
+        # 12-bit activations, float64 from 8193
+        cfg = NetworkConfig(window_len=input_len, n_steps=2, n_hidden=2,
+                            n_classes=2, use_cnn=False)
+        rng = np.random.default_rng(input_len)
+        params = init_params(cfg, seed=input_len, init_scale=0.6)
+        qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+        raws = fxp.to_raw(rng.uniform(-0.1, 0.1, (2, 2, input_len)))
+        got = network_forward_fixed(raws, qnet, cfg)
+        for raw, row in zip(raws, got):
+            assert row.tolist() == fixed_oracle.forward(raw, qnet, cfg)
+
+    @pytest.mark.parametrize("rec_code,windows", [
+        (-1, [[2000, 2000], [2000, 2000]]),    # input partial above raw_max
+        (1, [[2000, 2000], [-2000, -2000]]),   # input partial below raw_min
+        (1, [[2000, 2000], [-1000, -1000]]),   # recurrent partial above raw_max
+    ])
+    def test_hoisted_sum_saturates_once(self, rec_code, windows):
+        # step 1 drives every h to about 0.78 (raw 201); at step 2 one
+        # partial sum alone lies outside the format (4000, -4000, or
+        # 16 * 201) and the other brings the total back into range; the
+        # engine must saturate only that total, as the oracle does
+        cfg, qnet, raw = recurrence_case(rec_code, windows)
+        assert np.abs(raw[-1] @ qnet.gates[cfg.n_hidden:]).max() > 1900
+        got = network_forward_fixed(raw, qnet, cfg)
+        assert got.tolist() == fixed_oracle.forward(raw, qnet, cfg)
+
+    def test_wide_gesture_like_model(self):
+        # 128 channels x 5 samples: the gesture input width
+        cfg = NetworkConfig(window_len=5, n_steps=3, n_hidden=64, n_classes=8,
+                            n_channels=128, use_cnn=False)
+        rng = np.random.default_rng(640)
+        params = init_params(cfg, seed=640, init_scale=1.0)
+        qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+        levels = rng.uniform(-0.5, 0.5, (2, 1, cfg.n_channels, 1))
+        x = levels + rng.uniform(-0.5, 0.5, (2, 3, cfg.n_channels, 5))
+        raws = fxp.to_raw(x.reshape(2, 3, cfg.input_len))
+        got = network_forward_fixed(raws, qnet, cfg)
+        for raw, row in zip(raws, got):
+            assert row.tolist() == fixed_oracle.forward(raw, qnet, cfg)
 
 
 class TestSerialization:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcnnlstm import quant
+from qcnnlstm.model import NetworkConfig
+from qcnnlstm.train import init_params
 
 
 class TestBinary:
@@ -87,3 +89,17 @@ class TestShadowClamp:
         r = np.array([-3.0, -1.0, 0.2, 1.0, 7.5])
         assert np.array_equal(quant.clamp_shadow(r),
                               [-1.0, -1.0, 0.2, 1.0, 1.0])
+
+
+class TestQuantizedNetwork:
+    def test_codes_stored_once_as_float32(self):
+        cfg = NetworkConfig(6, 2, 5, 3, n_channels=2)
+        params = init_params(cfg, seed=3, init_scale=1.2)
+        qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+        assert qnet.gates.dtype == np.float32
+        assert [c.dtype for c in qnet.conv_codes] == [np.float32] * 2
+        assert qnet.fc_raw.dtype == qnet.logits_raw.dtype == np.float64
+        assert np.array_equal(qnet.gates,
+                              quant.quantize_ternary(params.lstm.gates))
+        for view in qnet.gate_codes.values():
+            assert np.shares_memory(view, qnet.gates)
