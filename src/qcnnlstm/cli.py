@@ -76,9 +76,26 @@ def _split_settings(kv: dict) -> tuple:
 def _find_ucr_pair(data_dir: Path):
     trains = sorted(data_dir.glob("*_TRAIN*"))
     tests = sorted(data_dir.glob("*_TEST*"))
-    if trains and tests:
-        return trains[0], tests[0]
-    return None
+    if not (trains and tests):
+        raise ingest.DataFormatError(
+            f"{data_dir}: neither a generated dataset nor a UCR train/test pair")
+    return trains[0], tests[0]
+
+
+def _is_container(data_dir: Path) -> bool:
+    return (data_dir / "manifest.txt").exists()
+
+
+def dataset_digest(data_dir) -> str:
+    """sha256 of what `load_split_sequences` reads from `data_dir`.
+
+    A per-channel container's row files (its `text_sha256`), or a UCR
+    pair's _TRAIN and _TEST files, through `datagen.rows_digest`.
+    """
+    data_dir = Path(data_dir)
+    if _is_container(data_dir):
+        return datagen.container_digest(data_dir)
+    return datagen.rows_digest(_find_ucr_pair(data_dir))
 
 
 def load_split_sequences(data_dir, kv: dict):
@@ -89,19 +106,16 @@ def load_split_sequences(data_dir, kv: dict):
     """
     data_dir = Path(data_dir)
     seed, train_fraction, envelope = _split_settings(kv)
-    if (data_dir / "manifest.txt").exists():  # a per-channel container
+    if _is_container(data_dir):
         ds = datagen.load_dataset(data_dir)
         train_idx, test_idx = datagen.stratified_split(
             [seq.label for seq in ds.sequences], train_fraction, seed)
         return ([ds.sequences[i] for i in train_idx],
                 [ds.sequences[i] for i in test_idx],
                 ds.n_classes, ds.n_channels)
-    pair = _find_ucr_pair(data_dir)
-    if pair is None:
-        raise ingest.DataFormatError(
-            f"{data_dir}: neither a generated dataset nor a UCR train/test pair")
-    train_raw = ingest.load_ucr(pair[0])
-    test_raw = ingest.load_ucr(pair[1])
+    train_path, test_path = _find_ucr_pair(data_dir)
+    train_raw = ingest.load_ucr(train_path)
+    test_raw = ingest.load_ucr(test_path)
     if envelope:
         train_raw = ingest.envelope_dataset(train_raw)
         test_raw = ingest.envelope_dataset(test_raw)
@@ -114,11 +128,22 @@ def load_split_sequences(data_dir, kv: dict):
 
 
 def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
-    """load_split_sequences with the split settings `train` recorded, if any."""
+    """load_split_sequences with the split settings `train` recorded, if any.
+
+    When `train` recorded the dataset digest, data with another digest is a
+    `DataFormatError`.
+    """
     record = Path(model_dir) / "hyperparams.txt"
     kv = datagen.read_kv(record) if record.exists() else {}
     kv.update(window_len=cfg.window_len, n_steps=cfg.n_steps)
-    return load_split_sequences(data_dir, kv)
+    split = load_split_sequences(data_dir, kv)
+    if "data_sha256" in kv:
+        digest = dataset_digest(data_dir)
+        if digest != kv["data_sha256"]:
+            raise ingest.DataFormatError(
+                f"{data_dir}: data sha256 {digest} differs from "
+                f"{kv['data_sha256']}, the data {record} was trained on")
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +222,7 @@ def _cmd_train(args, argv) -> int:
         f"adagrad_epsilon = {cfg.adagrad_epsilon!r}\n"
         f"augment_noise = {cfg.augment_noise!r}\n"
         f"train_biases = {int(cfg.train_biases)}\n"
+        f"data_sha256 = {dataset_digest(args.data)}\n"
         + model._config_text(net_cfg, mode))
     train_mod.write_trace(out / "trace.csv", result.loss_trace,
                           result.accuracy_trace)

@@ -8,6 +8,8 @@ noise; every generator is deterministic per seed.
 
 from __future__ import annotations
 
+import hashlib
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +34,8 @@ __all__ = [
     "stratified_split",
     "save_channels",
     "load_channels",
+    "rows_digest",
+    "container_digest",
     "save_dataset",
     "load_dataset",
 ]
@@ -327,37 +331,110 @@ def _channel_file(ch: int, n_channels: int) -> str:
     return "data.tsv" if n_channels == 1 else f"data_ch{ch}.tsv"
 
 
+ROWS_NPY = "rows.npy"
+_TEXT_DIGEST_KEY = "text_sha256"
+_NPY_DIGEST_KEY = "npy_sha256"
+
+
+def _row_paths(src: Path, kv: dict) -> list:
+    """The row files a container's manifest names, in channel order."""
+    n_channels = int(kv.get("n_channels", 1))
+    if n_channels < 1:
+        raise DataFormatError(f"{src / 'manifest.txt'}: n_channels < 1")
+    return [src / _channel_file(ch, n_channels) for ch in range(n_channels)]
+
+
+def rows_digest(paths) -> str:
+    """sha256 over the files' names, sizes and bytes, in the order given."""
+    h = hashlib.sha256()
+    for path in map(Path, paths):
+        data = path.read_bytes()
+        h.update(f"{path.name}\t{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def save_channels(out_dir, labels, signals, manifest: dict) -> None:
     """Write (N, channels, T) `signals` as one row file per channel.
 
-    `manifest` goes to manifest.txt in its order, with `n_channels` set.
+    The same rows also go to `rows.npy`, one (N, 1+T) block per channel,
+    label first: what `parse_rows` returns for each row file. `manifest`
+    goes to manifest.txt in its order, with `n_channels` set and the sha256
+    of the row files (`text_sha256`) and of `rows.npy` (`npy_sha256`).
+    Rows are written as `repr` values, so both forms hold the same float64
+    bits.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     signals = np.asarray(signals, dtype=np.float64)
-    n_channels = signals.shape[1]
-    for ch in range(n_channels):
-        write_rows(out / _channel_file(ch, n_channels), labels, signals[:, ch])
-    kv = {**manifest, "n_channels": n_channels}
+    n, n_channels = signals.shape[:2]
+    paths = [out / _channel_file(ch, n_channels) for ch in range(n_channels)]
+    rows = np.empty((n_channels, n, 1 + signals.shape[2]))
+    # the label column as parse_rows reads back what write_rows writes
+    rows[:, :, 0] = np.array([f"{label}" for label in labels],
+                             dtype=np.float64)
+    rows[:, :, 1:] = signals.transpose(1, 0, 2)
+    for path, block in zip(paths, rows):
+        write_rows(path, labels, block[:, 1:])
+    np.save(out / ROWS_NPY, rows, allow_pickle=False)
+    kv = {**manifest, "n_channels": n_channels,
+          _TEXT_DIGEST_KEY: rows_digest(paths),
+          _NPY_DIGEST_KEY: hashlib.sha256(
+              (out / ROWS_NPY).read_bytes()).hexdigest()}
     (out / "manifest.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in kv.items()))
 
 
+def _stored_rows(src: Path, kv: dict, paths):
+    """The (channels, N, 1+T) rows from `rows.npy`, or None to parse the text.
+
+    None unless the manifest's digests match the row files it names and the
+    `.npy` bytes, and the rows are non-empty and finite: `parse_rows` then
+    reports what is wrong at path:line.
+    """
+    npy = src / ROWS_NPY
+    if _TEXT_DIGEST_KEY not in kv or not npy.exists() or \
+            not all(path.exists() for path in paths) or \
+            rows_digest(paths) != kv[_TEXT_DIGEST_KEY]:
+        return None
+    data = npy.read_bytes()
+    if hashlib.sha256(data).hexdigest() != kv.get(_NPY_DIGEST_KEY):
+        return None
+    rows = np.load(io.BytesIO(data), allow_pickle=False)
+    if rows.shape[1] == 0 or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
 def load_channels(in_dir):
-    """(manifest, labels (N,), signals (N, channels, T)) from `save_channels`."""
+    """(manifest, labels (N,), signals (N, channels, T)) from `save_channels`.
+
+    The rows come from `rows.npy` when the manifest's `text_sha256` matches
+    the row files it names and its `npy_sha256` matches the `.npy`.
+    Otherwise, such as after a row file was edited or for a container
+    without digests, every row file is parsed and checked by `parse_rows`:
+    the text is the source of truth. The returned manifest omits the digests.
+    """
     src = Path(in_dir)
     kv = read_kv(src / "manifest.txt")
-    n_channels = int(kv.get("n_channels", 1))
-    if n_channels < 1:
-        raise DataFormatError(f"{src / 'manifest.txt'}: n_channels < 1")
-    paths = [src / _channel_file(ch, n_channels) for ch in range(n_channels)]
-    rows = [parse_rows(path) for path in paths]
+    paths = _row_paths(src, kv)
+    rows = _stored_rows(src, kv, paths)
+    if rows is None:
+        rows = [parse_rows(path) for path in paths]
     for path, other in zip(paths[1:], rows[1:]):
         if other.shape != rows[0].shape or \
                 not np.array_equal(other[:, 0], rows[0][:, 0]):
             raise DataFormatError(f"{path}: rows or labels differ from "
                                   f"{paths[0]}")
+    for key in (_TEXT_DIGEST_KEY, _NPY_DIGEST_KEY):
+        kv.pop(key, None)
     return kv, rows[0][:, 0], np.stack([r[:, 1:] for r in rows], axis=1)
+
+
+def container_digest(in_dir) -> str:
+    """A container's `text_sha256`: the digest of the row files it names."""
+    src = Path(in_dir)
+    return rows_digest(_row_paths(src, read_kv(src / "manifest.txt")))
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:

@@ -161,12 +161,16 @@ class CycleReport:
         return "\n".join(lines)
 
     def csv(self) -> str:
+        """One row: per-sequence cycles, MACs and bank traffic, then the
+        banks' traffic over all sequences (`*_all_seqs`)."""
         head = ",".join(f"state{s+1}_cycles" for s in range(8))
         vals = ",".join(str(int(c)) for c in self.cycles_per_state)
         return (f"{head},total_cycles,latency_seconds,executed_macs,"
-                f"wb_bits_read,im_bits_transferred\n"
+                f"wb_bits_per_seq,im_bits_per_seq,"
+                f"wb_bits_read_all_seqs,im_bits_transferred_all_seqs\n"
                 f"{vals},{self.total_cycles},{self.latency_seconds!r},"
-                f"{self.executed_macs},{self.wb_bits_read},"
+                f"{self.executed_macs},{self.wb_bits_per_seq},"
+                f"{self.im_bits_per_seq},{self.wb_bits_read},"
                 f"{self.im_bits_transferred}\n")
 
 

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcnnlstm import fsm, fxp
+from qcnnlstm import datagen, fsm, fxp
 from qcnnlstm import train as train_mod
-from qcnnlstm.cli import dispatch
+from qcnnlstm.cli import dataset_digest, dispatch
 from qcnnlstm.datagen import DataFormatError, read_kv
 
 ECG_DIR = Path(__file__).resolve().parent.parent / "data" / "ECG200"
@@ -95,6 +95,40 @@ class TestGen:
                    "--out", str(out)) == 0
         rows = (out / "data.tsv").read_text().splitlines()
         assert len(rows) == 2
+
+
+def _no_parse(path):
+    raise AssertionError(f"{path} was parsed")
+
+
+class TestGenBinaryRows:
+    """`gen` writes rows.npy; it must give the row files' windows exactly."""
+
+    @pytest.mark.parametrize("system", ["sine", "logistic", "lorenz"])
+    def test_binary_windows_equal_the_text_windows(self, system, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", system, "--classes", "3",
+                   "--per-class", "2", "--window", "10", "--steps", "3",
+                   "--out", str(out)) == 0
+        with monkeypatch.context() as m:
+            m.setattr(datagen, "parse_rows", _no_parse)
+            binary = _keys(datagen.load_dataset(out).sequences)
+        (out / datagen.ROWS_NPY).unlink()
+        assert binary == _keys(datagen.load_dataset(out).sequences)
+
+    def test_value_edited_after_gen_is_loaded(self, tmp_path):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", "sine", "--classes", "2",
+                   "--per-class", "2", "--window", "10", "--steps", "2",
+                   "--out", str(out)) == 0
+        tsv = out / "data.tsv"
+        lines = tsv.read_text().splitlines()
+        row = lines[0].split("\t")
+        assert float(row[1]) != -0.5
+        lines[0] = "\t".join(row[:1] + ["-0.5"] + row[2:])
+        tsv.write_text("\n".join(lines) + "\n")
+        assert datagen.load_dataset(out).sequences[0].windows[0, 0] == -0.5
 
 
 class TestEmbed:
@@ -228,6 +262,58 @@ class TestHeldOutSplit:
         assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 0
         windows = np.stack([s.windows for s in seen["held_out"]])
         assert np.array_equal(seen["simulated"], fxp.to_raw(windows))
+
+
+class TestDatasetProvenance:
+    """`train` records the data digest; eval/simulate refuse other data."""
+
+    def test_other_data_of_the_same_shape_is_data_error(
+            self, trained_model, tmp_path, capsys):
+        root, ds, _, model_dir = trained_model
+        other = tmp_path / "other"
+        assert run("gen", "--system", "sine", "--classes", "3",
+                   "--per-class", "6", "--window", "10", "--steps", "3",
+                   "--noise", "0.05", "--seed", "1", "--out", str(other)) == 0
+        recorded = read_kv(model_dir / "hyperparams.txt")["data_sha256"]
+        assert recorded == dataset_digest(ds) != dataset_digest(other)
+        qdir = tmp_path / "quantized"
+        assert run("quantize", "--model", str(model_dir),
+                   "--out", str(qdir)) == 0
+        capsys.readouterr()
+        assert run("eval", "--model", str(model_dir),
+                   "--data", str(other)) == 2
+        err = capsys.readouterr().err
+        assert recorded in err and dataset_digest(other) in err
+        assert run("simulate", "--model", str(qdir),
+                   "--data", str(other)) == 2
+        assert recorded in capsys.readouterr().err
+        # a model without the record evaluates any data of its shape
+        record = qdir / "hyperparams.txt"
+        record.write_text("".join(
+            line for line in record.read_text().splitlines(keepends=True)
+            if not line.startswith("data_sha256")))
+        assert run("simulate", "--model", str(qdir),
+                   "--data", str(other)) == 0
+
+    def test_edited_ucr_pair_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "ecg"
+        data.mkdir()
+        for path in ECG_DIR.glob("ECG200_T*"):
+            (data / path.name).write_bytes(path.read_bytes())
+        cfg = tmp_path / "ecg.cfg"
+        cfg.write_text("window_len = 20\nn_steps = 4\nn_hidden = 4\n"
+                       "use_cnn = 0\nepochs = 1\n")
+        out = tmp_path / "model"
+        assert run("train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(out)) == 0
+        assert read_kv(out / "hyperparams.txt")["data_sha256"] == \
+            dataset_digest(ECG_DIR)
+        test_file = next(data.glob("*_TEST*"))
+        test_file.write_text(
+            "\n".join(test_file.read_text().splitlines()[:-1]) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--model", str(out), "--data", str(data)) == 2
+        assert "sha256" in capsys.readouterr().err
 
 
 class TestGeneratedDataBoundary:

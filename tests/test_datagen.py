@@ -184,3 +184,150 @@ class TestDatasets:
                                          transient=200, noise_amplitude=0.0)
         for seq in ds.sequences:
             assert np.abs(seq.windows).max() <= 1.0
+
+
+def _windows(ds):
+    return [(seq.label, seq.windows.tobytes()) for seq in ds.sequences]
+
+
+def _dba_dataset(seed=0):
+    """128 channels x 5, 30 steps, values at four decimals, like a recording."""
+    rng = np.random.default_rng(seed)
+    seqs = [datagen.WindowedSequence(
+        np.round(rng.uniform(-1, 1, (30, 128 * 5)), 4), k % 2)
+        for k in range(4)]
+    return datagen.SyntheticDataset(seqs, [0.0, 1.0], 0.0, "dba", 5, 30, 128,
+                                    seed)
+
+
+def _three_channels(seed=0):
+    rng = np.random.default_rng(seed)
+    seqs = [datagen.WindowedSequence(rng.uniform(-1, 1, (2, 12)), k % 2)
+            for k in range(4)]
+    return datagen.SyntheticDataset(seqs, [0.0, 1.0], 0.0, "hand", 4, 2, 3)
+
+
+def _no_text(*args, **kwargs):
+    raise AssertionError("the row files were parsed")
+
+
+class TestBinaryRows:
+    """rows.npy stands in for the row files only while both digests match."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: datagen.make_sine_dataset(per_class=2, seed=3),
+        lambda: datagen.make_logistic_dataset(per_class=2, transient=10),
+        lambda: datagen.make_lorenz_dataset(per_class=1, transient=100),
+        _dba_dataset,
+    ], ids=["sine", "logistic", "lorenz", "dba"])
+    def test_binary_and_text_windows_are_identical(self, make, tmp_path,
+                                                   monkeypatch):
+        ds = make()
+        datagen.save_dataset(ds, tmp_path / "d")
+        assert (tmp_path / "d" / datagen.ROWS_NPY).exists()
+        with monkeypatch.context() as m:
+            m.setattr(datagen, "parse_rows", _no_text)
+            binary = _windows(datagen.load_dataset(tmp_path / "d"))
+        (tmp_path / "d" / datagen.ROWS_NPY).unlink()
+        text = _windows(datagen.load_dataset(tmp_path / "d"))
+        assert binary == text == _windows(ds)
+
+    def test_edited_row_file_wins(self, tmp_path):
+        ds = datagen.make_sine_dataset(per_class=2, seed=3)
+        datagen.save_dataset(ds, tmp_path / "d")
+        tsv = tmp_path / "d" / "data.tsv"
+        lines = tsv.read_text().splitlines()
+        row = lines[1].split("\t")
+        row[3] = "0.125"
+        lines[1] = "\t".join(row)
+        tsv.write_text("\n".join(lines) + "\n")
+        loaded = datagen.load_dataset(tmp_path / "d")
+        assert loaded.sequences[1].windows.ravel()[2] == 0.125
+        assert ds.sequences[1].windows.ravel()[2] != 0.125
+
+    def test_stored_non_finite_value_is_reported_at_its_line(self, tmp_path):
+        ds = datagen.make_sine_dataset(per_class=2, seed=3)
+        ds.sequences[2].windows[0, 0] = np.nan
+        datagen.save_dataset(ds, tmp_path / "d")
+        with pytest.raises(datagen.DataFormatError,
+                           match=r"data\.tsv:3: non-finite"):
+            datagen.load_dataset(tmp_path / "d")
+
+    def test_bad_npy_falls_back_to_the_text(self, tmp_path, monkeypatch):
+        ds = _three_channels()
+        d, other = tmp_path / "d", tmp_path / "other"
+        datagen.save_dataset(ds, d)
+        datagen.save_dataset(_three_channels(seed=1), other)
+        npy = d / datagen.ROWS_NPY
+        good = npy.read_bytes()
+        flipped = bytearray(good)
+        flipped[-8:] = bytes(b ^ 0xFF for b in flipped[-8:])
+        parsed = []
+        real_parse = datagen.parse_rows
+        monkeypatch.setattr(datagen, "parse_rows",
+                            lambda path: parsed.append(path) or real_parse(path))
+        for bad in (bytes(flipped), good[:-8], (other / datagen.ROWS_NPY)
+                    .read_bytes(), None):
+            if bad is None:
+                npy.unlink()
+            else:
+                npy.write_bytes(bad)
+            parsed.clear()
+            assert _windows(datagen.load_dataset(d)) == _windows(ds)
+            assert len(parsed) == 3
+
+    def test_added_or_removed_channel_file_is_read_from_the_text(self,
+                                                                 tmp_path):
+        ds = _three_channels()
+        d = tmp_path / "d"
+        datagen.save_dataset(ds, d)
+        manifest = d / "manifest.txt"
+        text = manifest.read_text()
+        # removed: the manifest names two channel files, the .npy holds three
+        (d / "data_ch2.tsv").rename(tmp_path / "ch2.tsv")
+        manifest.write_text(text.replace("n_channels = 3", "n_channels = 2"))
+        loaded = datagen.load_dataset(d)
+        assert loaded.n_channels == 2
+        for seq, got in zip(ds.sequences, loaded.sequences):
+            want = seq.windows.reshape(2, 3, 4)[:, :2].reshape(2, 8)
+            assert np.array_equal(got.windows, want)
+        # added: a fourth channel file next to the three the .npy holds
+        (tmp_path / "ch2.tsv").rename(d / "data_ch2.tsv")
+        ch3 = (d / "data_ch0.tsv").read_text()
+        (d / "data_ch3.tsv").write_text(ch3)
+        manifest.write_text(text.replace("n_channels = 3", "n_channels = 4"))
+        loaded = datagen.load_dataset(d)
+        assert loaded.n_channels == 4
+        for seq, got in zip(ds.sequences, loaded.sequences):
+            blocks = seq.windows.reshape(2, 3, 4)
+            want = np.concatenate([blocks, blocks[:, :1]], axis=1)
+            assert np.array_equal(got.windows, want.reshape(2, 16))
+
+    def test_round_trip_writes_fresh_digests_and_the_same_manifest(
+            self, tmp_path):
+        ds = datagen.make_sine_dataset(per_class=2, seed=3)
+        datagen.save_dataset(ds, tmp_path / "a")
+        loaded = datagen.load_dataset(tmp_path / "a")
+        assert not {"text_sha256", "npy_sha256"} & set(loaded.extra)
+        datagen.save_dataset(loaded, tmp_path / "b")
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        assert "text_sha256 = " in manifest and "npy_sha256 = " in manifest
+        assert (tmp_path / "b" / "manifest.txt").read_text() == manifest
+        assert datagen.container_digest(tmp_path / "b") in manifest
+        assert _windows(datagen.load_dataset(tmp_path / "b")) == _windows(ds)
+
+    def test_container_without_digests_loads_from_the_text(self, tmp_path):
+        ds = datagen.make_sine_dataset(per_class=2, seed=3)
+        datagen.save_dataset(ds, tmp_path / "d")
+        current = datagen.load_dataset(tmp_path / "d")
+        # the form written before rows.npy: no .npy, no digest keys
+        (tmp_path / "d" / datagen.ROWS_NPY).unlink()
+        manifest = tmp_path / "d" / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(keepends=True)
+            if "_sha256" not in line))
+        old = datagen.load_dataset(tmp_path / "d")
+        assert _windows(old) == _windows(current) == _windows(ds)
+        assert old.extra == current.extra
+        assert (old.generator, old.class_params, old.n_channels) == \
+            (current.generator, current.class_params, current.n_channels)

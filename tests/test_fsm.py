@@ -313,3 +313,21 @@ class TestInterfaces:
         assert len(one_seq) == 2 and one_all == one_seq
         assert two_seq == one_seq
         assert two_all == [2 * bits for bits in one_seq]
+
+    def test_csv_scopes_bank_traffic(self):
+        rng = np.random.default_rng(15)
+        cfg, qnet, raw = random_net(rng)
+
+        def traffic(raws):
+            _, rep = run_inference(raws, load_banks(qnet, MC), cfg, MC)
+            head, values = rep.csv().splitlines()
+            row = dict(zip(head.split(","), map(float, values.split(","))))
+            return ([row["wb_bits_per_seq"], row["im_bits_per_seq"]],
+                    [row["wb_bits_read_all_seqs"],
+                     row["im_bits_transferred_all_seqs"]])
+
+        one_seq, one_all = traffic(raw)
+        two_seq, two_all = traffic(np.stack([raw, raw]))
+        assert min(one_seq) > 0 and one_all == one_seq
+        assert two_seq == one_seq
+        assert two_all == [2 * bits for bits in one_seq]
