@@ -14,18 +14,18 @@ print(f"activation format {fmt}: range [{fmt.min_value}, {fmt.max_value:.5f}], "
       f"step {fmt.step}")
 
 print("\nquantization (round half away from zero, saturating):")
-for x in (0.5, 0.1, -1.75, 10.0, -8.0):
-    f = fxp.to_fixed(x, fmt)
-    print(f"  {x:8.4f} -> raw {f.raw:6d} -> {f.value:.6f}")
+xs = (0.5, 0.1, -1.75, 10.0, -8.0)
+raws = fxp.to_raw(xs, fmt)
+for x, raw, value in zip(xs, raws, fxp.from_raw(raws, fmt)):
+    print(f"  {x:8.4f} -> raw {raw:6d} -> {value:.6f}")
 
 print("\nsigmoid LUT (64 cells over [-8, 8), entries carry 10 fractional bits):")
 sig = fxp.build_lut("sigmoid", 64)
-for u in (-8.0, -2.0, 0.0, 2.0, 7.999):
-    fixed_u = fxp.to_fixed(u, fmt)
-    idx = fxp.lut_index(fixed_u, sig)
-    val = fxp.lut_eval(fixed_u, sig)
+points = (-8.0, -2.0, 0.0, 2.0, 7.999)
+cells = fxp.lut_index_raw(fxp.to_raw(points, fmt), sig, fmt)
+for u, idx, val in zip(points, cells, sig.entry_values()[cells]):
     exact = 1.0 / (1.0 + np.exp(-u))
-    print(f"  sigma({u:6.3f}) -> cell {idx:2d} -> {val.value:.6f} "
+    print(f"  sigma({u:6.3f}) -> cell {idx:2d} -> {val:.6f} "
           f"(exact {exact:.6f})")
 
 us = np.linspace(-8, 8, 100_001)[:-1]

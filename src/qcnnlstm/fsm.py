@@ -5,14 +5,17 @@ States per window: (1) conv + ReLU once per CNN layer, (2) FC + residual add,
 update, (6) tanh of the cell, (7) output-gate product, (8) output layer on
 the final window (otherwise loop back). Cycles, MACs and memory traffic
 depend only on the network and machine configurations, never on the data:
-the simulator replays the state sequence once per configuration pair to
-build that schedule, and takes the numeric result from the fixed-point
-engine, `model.network_forward_fixed`, at the machine's activation format
-and LUT size.
+the schedule is a per-window table with one row per state visit (cycles,
+MACs, WB reads, IM reads and writes in bits), built from closed forms once
+per configuration pair. The report, the trace file and the bank traffic are
+folds over its rows. The numeric result comes from the fixed-point engine,
+`model.network_forward_fixed`, at the machine's activation format and LUT
+size.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import ceil
@@ -73,10 +76,11 @@ class MachineConfig:
 class MemoryBanks:
     """Weight banks (2-bit codes + fixed-point FC/output) and the IMs.
 
-    Reads and writes are issued in beats no wider than the per-cycle caps,
-    and IM values are as wide as the activation format; totals and the
-    widest observed beat are recorded for the bandwidth invariants. The
-    totals are cumulative over every sequence run on these banks.
+    The schedule books each transfer by its size in bits; transfers are
+    issued in beats no wider than the per-cycle caps, and the totals and the
+    widest beat are kept for the bandwidth invariants. The totals are
+    cumulative over every sequence run on these banks. `im` holds the
+    logits of the last run.
     """
 
     qnet: QuantizedNetwork | None
@@ -87,31 +91,17 @@ class MemoryBanks:
     max_wb_beat: int = 0
     max_im_beat: int = 0
 
-    def wb_read(self, n_values: int, bits_per_value: int) -> None:
-        self._beats("wb", n_values * bits_per_value)
+    def wb_read(self, bits: int) -> None:
+        self.wb_bits_read += bits
+        self.max_wb_beat = max(self.max_wb_beat,
+                               min(bits, self.mc.wb_read_bits_per_cycle))
 
-    def im_write(self, name: str, values: np.ndarray) -> None:
-        self.im[name] = values
-        self._beats("im", values.size * self.mc.activation_format.total_bits)
+    def im_read(self, bits: int) -> None:
+        self.im_bits += bits
+        self.max_im_beat = max(self.max_im_beat,
+                               min(bits, self.mc.im_bits_per_cycle))
 
-    def im_read(self, name: str) -> np.ndarray:
-        values = self.im[name]
-        self._beats("im", values.size * self.mc.activation_format.total_bits)
-        return values
-
-    def _beats(self, port: str, total_bits: int) -> None:
-        if total_bits <= 0:
-            return
-        cap = self.mc.wb_read_bits_per_cycle if port == "wb" \
-            else self.mc.im_bits_per_cycle
-        n_full, rem = divmod(total_bits, cap)
-        widest = cap if n_full else rem
-        if port == "wb":
-            self.wb_bits_read += total_bits
-            self.max_wb_beat = max(self.max_wb_beat, widest)
-        else:
-            self.im_bits += total_bits
-            self.max_im_beat = max(self.max_im_beat, widest)
+    im_write = im_read  # one IM port: a write books like a read
 
     def add_traffic(self, other: "MemoryBanks", times: int) -> None:
         """Book `times` repeats of the traffic recorded on `other`."""
@@ -182,27 +172,39 @@ class LatencyVerdict:
     margin: float
 
 
+def _positions(length: int, width: int) -> int:
+    """L - m + 1 output positions of a width-m kernel over length L."""
+    if width > length:
+        raise ValueError(f"a width-{width} kernel does not fit a "
+                         f"length-{length} window")
+    return length - width + 1
+
+
 def conv_layer_cycles(length: int, width: int, filters: int,
                       lanes: int, depth: int = 1) -> int:
     """(L - m + 1) * f * ceil(m*d / lanes) cycles for one convolution layer."""
-    return (length - width + 1) * filters * ceil(width * depth / lanes)
+    return _positions(length, width) * filters * ceil(width * depth / lanes)
 
 
 def relu_overhead_cycles(length: int, width: int, filters: int,
                          lanes: int) -> int:
-    return (length - width + 1) * ceil(filters / lanes)
+    return _positions(length, width) * ceil(filters / lanes)
+
+
+def _conv_visit_cycles(net: NetworkConfig, mc: MachineConfig, depth: int,
+                       filters: int, width: int) -> int:
+    """One state-1 visit: a conv layer and its ReLU."""
+    return (conv_layer_cycles(net.window_len, width, filters, mc.mac_lanes,
+                              depth)
+            + relu_overhead_cycles(net.window_len, width, filters,
+                                   mc.mac_lanes))
 
 
 def state_cycle_cost(state: int, net: NetworkConfig, mc: MachineConfig) -> int:
-    """Cycle cost of one visit to `state` (state 8: the final-window visit)."""
+    """Cycle cost of `state` in one window (state 8: the final-window visit)."""
     if state == 1:
-        total = 0
-        for depth, filters, width in net.conv_shapes():
-            total += conv_layer_cycles(net.window_len, width, filters,
-                                       mc.mac_lanes, depth)
-            total += relu_overhead_cycles(net.window_len, width, filters,
-                                          mc.mac_lanes)
-        return total
+        return sum(_conv_visit_cycles(net, mc, *shape)
+                   for shape in net.conv_shapes())
     if state == 2:
         if not net.use_cnn:
             return 0
@@ -225,91 +227,73 @@ def load_banks(qnet: QuantizedNetwork, mc: MachineConfig) -> MemoryBanks:
     return MemoryBanks(qnet, mc)
 
 
+#: One state visit of the schedule; each WB/IM transfer is one size in bits.
+_Visit = namedtuple("_Visit", "state cycles macs wb_reads im_reads im_writes "
+                              "unit op")
+
+
+def _window_visits(net: NetworkConfig, mc: MachineConfig, weight_bits: int,
+                   final: bool) -> list:
+    """The state visits of one window, in order, from closed forms."""
+    act = mc.activation_format.total_bits
+    x, h = net.input_len * act, net.n_hidden * act
+    visits = [_Visit(1, _conv_visit_cycles(net, mc, depth, filters, width),
+                     filters * width * net.window_len * depth,
+                     (2 * filters * depth * width,), (),
+                     (filters * net.window_len * act,), "MACs+NFs", f"conv{li}")
+              for li, (depth, filters, width) in enumerate(net.conv_shapes())]
+    if net.use_cnn:  # FC over the last layer's maps, then the residual add
+        fc, maps = net.input_len * net.fc_input_len, net.fc_input_len * act
+        visits.append(_Visit(2, state_cycle_cost(2, net, mc), fc,
+                             (fc * weight_bits,),
+                             (maps, x) if net.residual else (maps,), (x,),
+                             "MACs", "fc+residual"))
+    gate = (net.n_hidden + net.input_len) * net.n_hidden
+    out = net.n_hidden * net.n_classes
+    cost = {state: state_cycle_cost(state, net, mc) for state in range(3, 9)}
+    visits += [_Visit(3, cost[3], 4 * gate, (2 * gate,) * 4, (), (), "MACs",
+                      "gates"),
+               _Visit(4, cost[4], 0, (), (), (h,) * 4, "NFs", "sigmoid+tanh"),
+               _Visit(5, cost[5], 0, (), (h,) * 3, (h,), "MACs", "cell-update"),
+               _Visit(6, cost[6], 0, (), (), (h,), "NFs", "tanh"),
+               _Visit(7, cost[7], 0, (), (h, h), (h,), "MACs", "hidden"),
+               _Visit(8, cost[8], out, (out * weight_bits,), (),
+                      (net.n_classes * act,), "MACs", "classify") if final
+               else _Visit(8, 0, 0, (), (), (), "MC", "loop")]
+    # the window itself is written to the IM as the window opens
+    visits[0] = visits[0]._replace(im_writes=(x,) + visits[0].im_writes)
+    return visits
+
+
 @lru_cache(maxsize=256)
 def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
-    """One sequence's (report, bank traffic, trace text): data-independent."""
-    banks = MemoryBanks(None, mc)  # IM values written are size-only zeros
+    """One sequence's (report, bank traffic, trace text), folded from the
+    per-window table: every window but the last loops back at state 8."""
+    last = _window_visits(net, mc, weight_bits, final=True)
+    visits = (_window_visits(net, mc, weight_bits, final=False)
+              * (net.n_steps - 1) + last)
+    banks = MemoryBanks(None, mc)
     cycles = np.zeros(8, dtype=np.int64)
-    state_trace, rows = [], ["cycle,state,unit,op"]
-    macs = worst_window = cycle_now = 0
-
-    def book(state, n_cycles, unit, op):
-        nonlocal cycle_now
-        cycles[state - 1] += n_cycles
-        cycle_now += n_cycles
-        state_trace.append(state)
-        rows.append(f"{cycle_now},{state},{unit},{op}")
-
-    gate_size = (net.n_hidden + net.input_len) * net.n_hidden
-    for step in range(net.n_steps):
-        window_start = cycle_now
-        banks.im_write("window", np.zeros(net.input_len))
-        if net.use_cnn:
-            # State 1, visited once per CNN layer
-            for li, (depth, filters, width) in enumerate(net.conv_shapes()):
-                banks.wb_read(filters * depth * width, 2)
-                banks.im_write(f"maps{li}", np.zeros(filters * net.window_len))
-                macs += filters * width * net.window_len * depth
-                n_cyc = conv_layer_cycles(net.window_len, width, filters,
-                                          mc.mac_lanes, depth) \
-                    + relu_overhead_cycles(net.window_len, width, filters,
-                                           mc.mac_lanes)
-                book(1, n_cyc, "MACs+NFs", f"conv{li}")
-
-            # State 2: FC product and residual add
-            fc_size = net.input_len * net.fc_input_len
-            banks.wb_read(fc_size, weight_bits)
-            banks.im_read(f"maps{len(net.conv_layers) - 1}")
-            if net.residual:
-                banks.im_read("window")
-            banks.im_write("residual", np.zeros(net.input_len))
-            macs += fc_size
-            book(2, state_cycle_cost(2, net, mc), "MACs", "fc+residual")
-
-        # State 3: the four gate products share the MAC array
-        for _ in range(4):
-            banks.wb_read(gate_size, 2)
-        macs += 4 * gate_size
-        book(3, state_cycle_cost(3, net, mc), "MACs", "gates")
-
-        # State 4: LUT nonlinearities on the gate pre-activations
-        for name in ("g_forget", "g_input", "g_output", "g_cell"):
-            banks.im_write(name, np.zeros(net.n_hidden))
-        book(4, state_cycle_cost(4, net, mc), "NFs", "sigmoid+tanh")
-
-        # State 5: cell update with the two embedded multipliers
-        for name in ("g_forget", "g_cell", "g_input"):
-            banks.im_read(name)
-        banks.im_write("cell", np.zeros(net.n_hidden))
-        book(5, state_cycle_cost(5, net, mc), "MACs", "cell-update")
-
-        # State 6: tanh of the new cell state
-        banks.im_write("tanh_cell", np.zeros(net.n_hidden))
-        book(6, state_cycle_cost(6, net, mc), "NFs", "tanh")
-
-        # State 7: output-gate product forms the hidden state
-        banks.im_read("g_output")
-        banks.im_read("tanh_cell")
-        banks.im_write("hidden", np.zeros(net.n_hidden))
-        book(7, state_cycle_cost(7, net, mc), "MACs", "hidden")
-
-        # State 8: classify on the final window, otherwise loop to state 1
-        if step == net.n_steps - 1:
-            banks.wb_read(net.n_hidden * net.n_classes, weight_bits)
-            banks.im_write("logits", np.zeros(net.n_classes))
-            macs += net.n_hidden * net.n_classes
-            book(8, state_cycle_cost(8, net, mc), "MACs", "classify")
-        else:
-            book(8, 0, "MC", "loop")
-        worst_window = max(worst_window, cycle_now - window_start)
-
+    rows, cycle_now = ["cycle,state,unit,op"], 0
+    for v in visits:
+        cycles[v.state - 1] += v.cycles
+        cycle_now += v.cycles
+        rows.append(f"{cycle_now},{v.state},{v.unit},{v.op}")
+        for bits in v.wb_reads:
+            banks.wb_read(bits)
+        for bits in v.im_reads:
+            banks.im_read(bits)
+        for bits in v.im_writes:
+            banks.im_write(bits)
     total = int(cycles.sum())
+    # the final window repeats the others and adds state 8's classify cost
+    worst_window = sum(v.cycles for v in last)
     report = CycleReport(
         cycles, total, total / mc.clock_hz, worst_window,
-        worst_window / mc.clock_hz, macs,
+        worst_window / mc.clock_hz, sum(v.macs for v in visits),
         (net.input_len + net.n_hidden) * net.n_hidden, banks.wb_bits_read,
-        banks.im_bits, banks.max_wb_beat, banks.max_im_beat, state_trace,
-        banks.wb_bits_read, banks.im_bits)
+        banks.im_bits, banks.max_wb_beat, banks.max_im_beat,
+        [v.state for v in visits], banks.wb_bits_read, banks.im_bits)
     return report, banks, "\n".join(rows) + "\n"
 
 

@@ -5,11 +5,12 @@ configurable Q-format (12-bit Q4.8 by default), round-half-away-from-zero
 quantization, saturating adds/multiply-accumulates with double-width
 accumulation, and midpoint-sampled sigmoid/tanh lookup tables.
 
-Everything here is a pure value computation: raw codes are plain Python ints
-or int64 numpy arrays, so results are exactly reproducible. Dot products
-multiply through BLAS in the narrowest float type that is exact for them,
-chosen from the formats and the fan-in, which bound every partial sum:
-float32 up to 2**24, float64 below 2**53, and a `ValueError` beyond.
+Everything here is a pure value computation on int64 numpy arrays of raw
+codes, so results are exactly reproducible; there are no Python-int scalars
+(the scalar reference lives with the tests). Dot products multiply through
+BLAS in the narrowest float type that is exact for them, chosen from the
+formats and the fan-in, which bound every partial sum: float32 up to 2**24,
+float64 below 2**53, and a `ValueError` beyond.
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "QFormat",
-    "Fixed",
     "LutTable",
-    "to_fixed",
     "to_raw",
     "from_raw",
     "requantize",
@@ -36,12 +34,8 @@ __all__ = [
     "dot_ternary",
     "dot_fixed",
     "build_lut",
-    "lut_index",
     "lut_index_raw",
-    "lut_eval",
     "lut_entries_in",
-    "save_lut",
-    "load_lut",
 ]
 
 
@@ -92,32 +86,6 @@ class QFormat:
 #: Default activation/state format: 12 bits with 8 fractional bits, so the
 #: integer range covers the sigmoid LUT input domain [-8, 8).
 ACT_FORMAT = QFormat(12, 8)
-
-
-@dataclass(frozen=True)
-class Fixed:
-    """One fixed-point scalar: raw two's-complement code plus its format."""
-
-    raw: int
-    fmt: QFormat = ACT_FORMAT
-
-    def __post_init__(self):
-        if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
-            raise ValueError(f"raw {self.raw} outside {self.fmt} range")
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
-
-
-def to_fixed(x: float, fmt: QFormat = ACT_FORMAT) -> Fixed:
-    """Quantize a real scalar: round-half-away-from-zero, saturate at the bounds."""
-    raw = _round_half_away(x * fmt.scale)
-    return Fixed(min(max(raw, fmt.raw_min), fmt.raw_max), fmt)
 
 
 def to_raw(x, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -302,12 +270,6 @@ def build_lut(kind: str, n_entries: int = LUT_SIZE, u_min: float | None = None,
     return LutTable(kind, u_min, u_max, entries, entry_format)
 
 
-def lut_index(u: Fixed, table: LutTable) -> int:
-    """floor((u - u_min) / cell_width), clamped to the table."""
-    idx = math.floor((u.value - table.u_min) / table.cell_width)
-    return min(max(idx, 0), table.n_entries - 1)
-
-
 @lru_cache(maxsize=64)
 def _index_shift_base(u_min: float, u_max: float, n_entries: int,
                       fmt: QFormat) -> tuple:
@@ -332,32 +294,7 @@ def lut_index_raw(u_raw, table: LutTable, fmt: QFormat = ACT_FORMAT) -> np.ndarr
     return np.minimum(np.maximum(idx, 0), n - 1)
 
 
-def lut_eval(u: Fixed, table: LutTable) -> Fixed:
-    """Table lookup; returns the stored entry in the entry format."""
-    return Fixed(int(table.entries_raw[lut_index(u, table)]), table.entry_format)
-
-
 def lut_entries_in(table: LutTable, fmt: QFormat) -> np.ndarray:
     """Table entries requantized to a datapath format (the IM write boundary)."""
     return to_raw(table.entry_values(), fmt)
 
-
-def save_lut(table: LutTable, path) -> None:
-    """Write `index<TAB>raw` lines under a `#kind u_min u_max N total frac` header."""
-    lines = [f"#{table.kind} {table.u_min:g} {table.u_max:g} {table.n_entries} "
-             f"{table.entry_format.total_bits} {table.entry_format.frac_bits}"]
-    lines += [f"{i}\t{int(r)}" for i, r in enumerate(table.entries_raw)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_lut(path) -> LutTable:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing LUT header line")
-    kind, u_min, u_max, n, total, frac = lines[0][1:].split()
-    entries = np.zeros(int(n), dtype=np.int64)
-    for line in lines[1:]:
-        i, raw = line.split("\t")
-        entries[int(i)] = int(raw)
-    return LutTable(kind, float(u_min), float(u_max), entries,
-                    QFormat(int(total), int(frac)))

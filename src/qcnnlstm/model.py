@@ -176,7 +176,7 @@ def predict(logits_per_step) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point engine
+# The fixed-point engine
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -237,7 +237,7 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
 
 
 def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
-    """Fixed-point conv + ReLU over (N, depth, length) maps, one product."""
+    """Conv + ReLU in fixed point over (N, depth, length) maps, one product."""
     f, depth, m = codes.shape
     n, _, length = maps_raw.shape
     # ternary taps keep the activation scale; saturating before the ReLU

@@ -19,7 +19,6 @@ __all__ = [
     "quantize_ternary",
     "quantize_weights",
     "ste_backward",
-    "clamp_shadow",
     "pack_codes",
     "unpack_codes",
     "QuantizedNetwork",
@@ -59,11 +58,6 @@ def ste_backward(g_q, r):
     g_q = np.asarray(g_q, dtype=np.float64)
     r = np.asarray(r)
     return np.where((r >= -1.0) & (r <= 1.0), g_q, 0.0)
-
-
-def clamp_shadow(r):
-    """Clamp shadow weights to [-1, 1] so round(r) stays in {-1, 0, +1}."""
-    return np.clip(r, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ __all__ = [
     "TrainConfig",
     "AdagradState",
     "TrainResult",
-    "cross_entropy",
-    "loss_gradient",
     "forward_logits",
     "batch_loss_and_grads",
     "sequence_loss_and_grads",
@@ -72,20 +70,6 @@ class TrainResult:
     params: NetworkParams
     loss_trace: np.ndarray
     accuracy_trace: np.ndarray
-
-
-def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label], computed in the stabilized form."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    return float(np.log(np.exp(z).sum()) - z[label])
-
-
-def loss_gradient(p, label: int) -> np.ndarray:
-    """d(cross entropy)/d(logits) = p - onehot(label)."""
-    g = np.asarray(p, dtype=np.float64).copy()
-    g[label] -= 1.0
-    return g
 
 
 # ---------------------------------------------------------------------------

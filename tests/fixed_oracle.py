@@ -1,35 +1,76 @@
 """Scalar reference for the fixed-point engine, for tests only.
 
-It runs the quantized network one value at a time in Python ints, quantizes
-through the scalar `fxp.to_fixed`/`Fixed`, addresses tables with the
-float-based `fxp.lut_index`, reads the per-gate code views, and samples its
-own tables with `math`. It shares no code with `model.network_forward_fixed`
-or the vectorized `fxp` primitives the engine uses, so a test that compares
-the two is not a self-comparison. Meant for tiny networks: it is slow.
+It runs the quantized network one value at a time in Python ints, with its
+own scalar path: the quantizer `to_fixed`/`Fixed` (round half away from
+zero, then saturate), the float-based table addressing `lut_index`, and its
+own tables sampled with `math`. From `qcnnlstm.fxp` it takes only the types
+and constants (`QFormat`, `LutTable`, `ACT_FORMAT`, `ENTRY_FORMAT`), so it
+shares no code with `model.network_forward_fixed` or the vectorized `fxp`
+primitives the engine uses, and a test that compares the two is not a
+self-comparison. Meant for tiny networks: it is slow.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from qcnnlstm import fxp
+from qcnnlstm.fxp import ACT_FORMAT, ENTRY_FORMAT, LutTable, QFormat
 from qcnnlstm.quant import GATE_ORDER
+
+
+@dataclass(frozen=True)
+class Fixed:
+    """One fixed-point scalar: raw two's-complement code plus its format."""
+
+    raw: int
+    fmt: QFormat = ACT_FORMAT
+
+    def __post_init__(self):
+        if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
+            raise ValueError(f"raw {self.raw} outside {self.fmt} range")
+
+    @property
+    def value(self) -> float:
+        return self.raw / self.fmt.scale
+
+
+def _round_half_away(x: float) -> int:
+    return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
+
+
+def to_fixed(x: float, fmt: QFormat = ACT_FORMAT) -> Fixed:
+    """Quantize a real scalar: round-half-away-from-zero, saturate at the bounds."""
+    raw = _round_half_away(x * fmt.scale)
+    return Fixed(min(max(raw, fmt.raw_min), fmt.raw_max), fmt)
+
+
+def lut_index(u: Fixed, table: LutTable) -> int:
+    """floor((u - u_min) / cell_width), clamped to the table."""
+    idx = math.floor((u.value - table.u_min) / table.cell_width)
+    return min(max(idx, 0), table.n_entries - 1)
+
+
+def lut_eval(u: Fixed, table: LutTable) -> Fixed:
+    """Table lookup; returns the stored entry in the entry format."""
+    return Fixed(int(table.entries_raw[lut_index(u, table)]), table.entry_format)
+
 
 _FUNCS = {"sigmoid": (lambda u: 1.0 / (1.0 + math.exp(-u)), -8.0, 8.0),
           "tanh": (math.tanh, -4.0, 4.0)}
 _TABLES: dict = {}
 
 
-def _table(kind: str, size: int, fmt: fxp.QFormat):
+def _table(kind: str, size: int, fmt: QFormat):
     """(LutTable, entries requantized to `fmt` as Python ints)."""
     key = (kind, size, fmt)
     if key not in _TABLES:
         f, lo, hi = _FUNCS[kind]
         width = (hi - lo) / size
-        entries = [fxp.to_fixed(f(lo + (i + 0.5) * width), fxp.ENTRY_FORMAT)
+        entries = [to_fixed(f(lo + (i + 0.5) * width), ENTRY_FORMAT)
                    for i in range(size)]
-        table = fxp.LutTable(kind, lo, hi, [e.raw for e in entries])
-        _TABLES[key] = table, [fxp.to_fixed(e.value, fmt).raw for e in entries]
+        table = LutTable(kind, lo, hi, [e.raw for e in entries])
+        _TABLES[key] = table, [to_fixed(e.value, fmt).raw for e in entries]
     return _TABLES[key]
 
 
@@ -38,21 +79,21 @@ def _ints(a):
     return [_ints(x) for x in a] if a.ndim > 1 else [int(v) for v in a]
 
 
-def forward(windows_raw, qnet, cfg, fmt: fxp.QFormat = fxp.ACT_FORMAT,
+def forward(windows_raw, qnet, cfg, fmt: QFormat = ACT_FORMAT,
             lut_size: int = 64) -> list:
     """Raw logits of every step, [n_steps][n_classes] Python ints."""
     frac = fmt.frac_bits
 
     def sat(n: int) -> int:
-        return fxp.to_fixed(n / fmt.scale, fmt).raw
+        return to_fixed(n / fmt.scale, fmt).raw
 
     def requant(n: int) -> int:
         # n sits at scale 2**-(2 * frac): round half away, then saturate
-        return fxp.to_fixed(n / (1 << (2 * frac)), fmt).raw
+        return to_fixed(n / (1 << (2 * frac)), fmt).raw
 
     def lookup(kind: str, u: int) -> int:
         table, entries = _table(kind, lut_size, fmt)
-        return entries[fxp.lut_index(fxp.Fixed(u, fmt), table)]
+        return entries[lut_index(Fixed(u, fmt), table)]
 
     def dot(x, w_rows):
         return [sum(a * b for a, b in zip(x, row)) for row in w_rows]

@@ -3,7 +3,8 @@
 One sequence at a time, one matrix product per gate and one product per conv
 tap: the straightforward reading of the model, sharing no code with the
 batched engine in `qcnnlstm.train`. The fused gate parameters are read
-through their per-gate views.
+through their per-gate views. `cross_entropy` and `loss_gradient` are the
+per-step loss reference the trainer's loss is checked against.
 """
 
 from __future__ import annotations
@@ -109,3 +110,17 @@ def sequence_loss(logits, label: int, replicate: bool = True) -> float:
     z = logits - logits.max(axis=1, keepdims=True)
     per_step = np.log(np.exp(z).sum(axis=1)) - z[:, label]
     return float(per_step.mean() if replicate else per_step[-1])
+
+
+def cross_entropy(logits, label: int) -> float:
+    """-log softmax(logits)[label], computed in the stabilized form."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max()
+    return float(np.log(np.exp(z).sum()) - z[label])
+
+
+def loss_gradient(p, label: int) -> np.ndarray:
+    """d(cross entropy)/d(logits) = p - onehot(label)."""
+    g = np.asarray(p, dtype=np.float64).copy()
+    g[label] -= 1.0
+    return g

@@ -223,6 +223,23 @@ class TestTrainEvalQuantizeSimulate:
                 (model_dir / fname).read_bytes()
 
 
+def test_kernel_wider_than_window_is_data_error(tmp_path, capsys):
+    # the float engine pads a width-5 kernel to a 2-sample window, but the
+    # cycle model has no position to charge it at
+    ds, model, qdir = tmp_path / "ds", tmp_path / "m", tmp_path / "q"
+    assert run("gen", "--system", "sine", "--classes", "2", "--per-class", "6",
+               "--window", "2", "--steps", "3", "--out", str(ds)) == 0
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("window_len = 2\nn_steps = 3\nn_hidden = 4\n"
+                   "conv_layers = 3x5\nresidual = 0\nepochs = 1\n")
+    assert run("train", "--data", str(ds), "--config", str(cfg),
+               "--precision", "ternary", "--out", str(model)) == 0
+    assert run("quantize", "--model", str(model), "--out", str(qdir)) == 0
+    capsys.readouterr()
+    assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 2
+    assert "width-5 kernel" in capsys.readouterr().err
+
+
 class TestHeldOutSplit:
     """eval and simulate score the sequences train held out (seed = 1 here)."""
 

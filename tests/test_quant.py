@@ -84,13 +84,6 @@ class TestPacking:
         assert buf == bytes([0b01001101])
 
 
-class TestShadowClamp:
-    def test_clamp(self):
-        r = np.array([-3.0, -1.0, 0.2, 1.0, 7.5])
-        assert np.array_equal(quant.clamp_shadow(r),
-                              [-1.0, -1.0, 0.2, 1.0, 1.0])
-
-
 class TestQuantizedNetwork:
     def test_codes_stored_once_as_float32(self):
         cfg = NetworkConfig(6, 2, 5, 3, n_channels=2)

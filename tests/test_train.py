@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from float_oracle import network_forward
+from float_oracle import cross_entropy, loss_gradient, network_forward
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
 from qcnnlstm.model import NetworkConfig, named_tensors
 from qcnnlstm.train import (AdagradState, TrainConfig, adagrad_step,
-                            auc_macro, confusion_matrix, cross_entropy,
-                            evaluate_accuracy, init_params, loss_gradient,
-                            predict_probs, sequence_loss_and_grads, train,
-                            write_trace)
+                            auc_macro, confusion_matrix, evaluate_accuracy,
+                            init_params, predict_probs,
+                            sequence_loss_and_grads, train, write_trace)
 
 
 class TestCrossEntropy:
