@@ -10,7 +10,7 @@ import argparse
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,24 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_path: str
-    seed: int
-    timestamp: str
-    git_describe: str
-    out_dir: str
-
-    def write(self) -> None:
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "run_manifest.txt").write_text(
-            f"command = {self.command}\nconfig = {self.config_path}\n"
-            f"seed = {self.seed}\ntimestamp = {self.timestamp}\n"
-            f"git = {self.git_describe}\nout_dir = {self.out_dir}\n")
-
-
 def _git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -58,20 +40,49 @@ def _git_describe() -> str:
 
 
 def _write_manifest(args, out_dir, config_path="", seed=0) -> None:
-    RunManifest(" ".join(args), str(config_path), int(seed),
-                time.strftime("%Y-%m-%dT%H:%M:%S"), _git_describe(),
-                str(out_dir)).write()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    datagen.write_kv(out / "run_manifest.txt", {
+        "command": " ".join(args), "config": config_path, "seed": seed,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "git": _git_describe(), "out_dir": out_dir})
+
+
+# ---------------------------------------------------------------------------
+# The key = value files the user writes: each key is a field of a record
+# below, and a key no record takes is a data error
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SplitSettings:
+    """What fixes the held-out split; `train` records it in hyperparams.txt."""
+
+    seed: int = 0  # also seeds the trainer
+    train_fraction: float = 0.7
+    envelope: bool = False  # UCR pairs only
+
+
+@dataclass(frozen=True)
+class _Throughput:
+    gops: float = 6.3  # the accelerator's rated giga-operations per second
+
+
+def _read_config(path, *records, fixed=()) -> dict:
+    """`read_kv` of a file the user writes, whose keys are the fields of
+    `records` except the `fixed` ones."""
+    kv = datagen.read_kv(path)
+    keys = {f.name for record in records for f in fields(record)} - set(fixed)
+    for key in kv:
+        if key not in keys:
+            raise ingest.DataFormatError(
+                f"{path}: unknown key {key!r}; the keys are "
+                f"{', '.join(sorted(keys))}")
+    return kv
 
 
 # ---------------------------------------------------------------------------
 # Data loading shared by train/eval/simulate
 # ---------------------------------------------------------------------------
-
-def _split_settings(kv: dict) -> tuple:
-    """(seed, train_fraction, envelope): what fixes the held-out split."""
-    return (int(kv.get("seed", 0)), float(kv.get("train_fraction", 0.7)),
-            int(kv.get("envelope", 0)))
-
 
 def _find_ucr_pair(data_dir: Path):
     trains = sorted(data_dir.glob("*_TRAIN*"))
@@ -99,24 +110,33 @@ def dataset_digest(data_dir) -> str:
 
 
 def load_split_sequences(data_dir, kv: dict):
-    """Returns (train_seqs, test_seqs, n_classes, n_channels).
+    """(train_seqs, test_seqs, n_classes, n_channels) by `_load_split`, with
+    the `_SplitSettings` in `kv`."""
+    split = datagen.read_record(_SplitSettings, kv, "split settings")
+    return _load_split(data_dir, kv, split)[:4]
+
+
+def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
+    """(train_seqs, test_seqs, n_classes, n_channels, digest).
 
     Generated data is split by `seed` and `train_fraction`; a UCR pair keeps
     its split, enveloped when `envelope` is 1, and is windowed per `kv`.
+    `digest` is a generated dataset's `dataset_digest`, taken as its rows
+    are read; a UCR pair's is None, for `dataset_digest` to take on demand.
     """
     data_dir = Path(data_dir)
-    seed, train_fraction, envelope = _split_settings(kv)
     if _is_container(data_dir):
-        ds = datagen.load_dataset(data_dir)
+        ds, digest = datagen.read_dataset(data_dir)
         train_idx, test_idx = datagen.stratified_split(
-            [seq.label for seq in ds.sequences], train_fraction, seed)
+            [seq.label for seq in ds.sequences], split.train_fraction,
+            split.seed)
         return ([ds.sequences[i] for i in train_idx],
                 [ds.sequences[i] for i in test_idx],
-                ds.n_classes, ds.n_channels)
+                ds.n_classes, ds.n_channels, digest)
     train_path, test_path = _find_ucr_pair(data_dir)
     train_raw = ingest.load_ucr(train_path)
     test_raw = ingest.load_ucr(test_path)
-    if envelope:
+    if split.envelope:
         train_raw = ingest.envelope_dataset(train_raw)
         test_raw = ingest.envelope_dataset(test_raw)
     train_raw, test_raw = ingest.normalize_and_split(
@@ -124,7 +144,8 @@ def load_split_sequences(data_dir, kv: dict):
     window_len, n_steps = int(kv["window_len"]), int(kv["n_steps"])
     train_seqs = ingest.dataset_to_sequences(train_raw, window_len, n_steps)
     test_seqs = ingest.dataset_to_sequences(test_raw, window_len, n_steps)
-    return train_seqs, test_seqs, train_raw.n_classes, train_raw.n_channels
+    return (train_seqs, test_seqs, train_raw.n_classes, train_raw.n_channels,
+            None)
 
 
 def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
@@ -135,10 +156,10 @@ def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
     """
     record = Path(model_dir) / "hyperparams.txt"
     kv = datagen.read_kv(record) if record.exists() else {}
-    kv.update(window_len=cfg.window_len, n_steps=cfg.n_steps)
-    split = load_split_sequences(data_dir, kv)
+    *split, digest = _load_split(data_dir, vars(cfg), datagen.read_record(
+        _SplitSettings, kv, record))
     if "data_sha256" in kv:
-        digest = dataset_digest(data_dir)
+        digest = digest or dataset_digest(data_dir)
         if digest != kv["data_sha256"]:
             raise ingest.DataFormatError(
                 f"{data_dir}: data sha256 {digest} differs from "
@@ -192,41 +213,40 @@ def _cmd_embed(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
-    kv = datagen.read_kv(args.config)
-    seed, train_fraction, envelope = _split_settings(kv)
-    train_seqs, test_seqs, n_classes, n_channels = \
-        load_split_sequences(args.data, kv)
-    net_cfg = model.config_from_kv(kv, n_classes=n_classes,
-                                   n_channels=n_channels)
-    mode = {"full": "full", "ternary": "ternary", "binary": "binary"}[args.precision]
-    cfg = train_mod.TrainConfig(
-        learning_rate=float(kv.get("learning_rate", 0.05 if mode == "full" else 0.1)),
-        epochs=int(kv.get("epochs", 50)),
-        batch_size=int(kv.get("batch_size", 32)),
-        seed=seed, mode=mode,
-        init_scale=float(kv.get("init_scale", 0.01)),
-        augment_noise=float(kv.get("augment_noise", 0.0)),
-        train_biases=bool(int(kv.get("train_biases", 1))))
+    path = args.config
+    # --precision sets the mode
+    kv = _read_config(path, model.NetworkConfig, train_mod.TrainConfig,
+                      _SplitSettings, fixed={"mode"})
+    split = datagen.read_record(_SplitSettings, kv, path)
+    # quantized training takes the larger step of the reference runs
+    rate = {} if args.precision == "full" else {"learning_rate": 0.1}
+    cfg = datagen.read_record(train_mod.TrainConfig, kv, path,
+                              mode=args.precision, **rate)
+    # n_classes and n_channels come from the data; 1 stands in until it is
+    # read, and a value the config states must agree with it
+    net_cfg = datagen.read_record(model.NetworkConfig, kv, path, n_classes=1)
+    train_seqs, test_seqs, n_classes, n_channels, digest = \
+        _load_split(args.data, kv, split)
+    data = {"n_classes": n_classes, "n_channels": n_channels}
+    for key, value in data.items():
+        if key in kv and getattr(net_cfg, key) != value:
+            raise ingest.DataFormatError(
+                f"{path}: {key} = {getattr(net_cfg, key)}, but the data in "
+                f"{args.data} has {value}")
+    net_cfg = replace(net_cfg, **data)
     result = train_mod.train(train_seqs, test_seqs, cfg, net_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save_network(out, result.params, net_cfg, mode="full")
     # record the training precision for downstream quantize/eval/simulate
-    (out / "config.txt").write_text(model._config_text(net_cfg, mode))
-    (out / "hyperparams.txt").write_text(
-        f"learning_rate = {cfg.learning_rate!r}\nepochs = {cfg.epochs}\n"
-        f"batch_size = {cfg.batch_size}\nseed = {cfg.seed}\n"
-        f"train_fraction = {train_fraction!r}\nenvelope = {envelope}\n"
-        f"mode = {cfg.mode}\ninit_scale = {cfg.init_scale!r}\n"
-        f"clip_limit = {cfg.clip_limit!r}\n"
-        f"adagrad_epsilon = {cfg.adagrad_epsilon!r}\n"
-        f"augment_noise = {cfg.augment_noise!r}\n"
-        f"train_biases = {int(cfg.train_biases)}\n"
-        f"data_sha256 = {dataset_digest(args.data)}\n"
-        + model._config_text(net_cfg, mode))
+    network = {"mode": cfg.mode, **vars(net_cfg)}
+    datagen.write_kv(out / "config.txt", network)
+    datagen.write_kv(out / "hyperparams.txt", {
+        **vars(cfg), **vars(split),
+        "data_sha256": digest or dataset_digest(args.data), **network})
     train_mod.write_trace(out / "trace.csv", result.loss_trace,
                           result.accuracy_trace)
-    _write_manifest(argv, out, config_path=args.config, seed=seed)
+    _write_manifest(argv, out, config_path=path, seed=split.seed)
     print(f"final loss {result.loss_trace[-1]:.4f}, "
           f"test accuracy {result.accuracy_trace[-1]:.4f}")
     return 0
@@ -268,18 +288,6 @@ def _cmd_eval(args, argv) -> int:
     return 0
 
 
-def _machine_config_from(kv: dict) -> fsm.MachineConfig:
-    fields = {}
-    for key in ("mac_lanes", "bus_bits", "wb_read_bits_per_cycle",
-                "im_bits_per_cycle", "lut_size", "wb_capacity_bits",
-                "im_capacity_bits"):
-        if key in kv:
-            fields[key] = int(kv[key])
-    if "clock_hz" in kv:
-        fields["clock_hz"] = float(kv["clock_hz"])
-    return fsm.MachineConfig(**fields)
-
-
 def _cmd_simulate(args, argv) -> int:
     if args.limit < 0:
         raise _UsageError("--limit must not be negative")
@@ -288,8 +296,10 @@ def _cmd_simulate(args, argv) -> int:
         raise ingest.DataFormatError(
             "simulate needs a quantized model; run `quantize` first")
     _, test_seqs, _, _ = _held_out_split(args.model, args.data, cfg)
-    mc = _machine_config_from(datagen.read_kv(args.machine)) if args.machine \
-        else fsm.MachineConfig()
+    # the activation format, a QFormat, is no key
+    mc = datagen.read_record(fsm.MachineConfig, _read_config(
+        args.machine, fsm.MachineConfig, fixed={"activation_format"}),
+        args.machine) if args.machine else fsm.MachineConfig()
     qnet = quant.QuantizedNetwork.from_params(params, mode,
                                               mc.activation_format)
     banks = fsm.load_banks(qnet, mc)
@@ -313,11 +323,12 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_estimate(args, argv) -> int:
-    kv = datagen.read_kv(args.config)
-    net = model.config_from_kv(kv, n_classes=2)
+    kv = _read_config(args.config, model.NetworkConfig, _Throughput)
+    net = datagen.read_record(model.NetworkConfig, kv, args.config,
+                              n_classes=2)
     no_cnn = replace(net, use_cnn=False, residual=False)
     print(estimate.estimate_table(no_cnn, net if net.use_cnn else no_cnn))
-    gops = float(kv.get("gops", 6.3))
+    gops = datagen.read_record(_Throughput, kv, args.config).gops
     paper = estimate.mac_count(no_cnn, "window", "paper")
     rt = estimate.response_time(paper, gops)
     print(f"response time at {gops} GOPs: {rt * 1e6:.1f} us per window")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,8 @@ __all__ = [
     "make_sine_dataset",
     "DataFormatError",
     "read_kv",
+    "read_record",
+    "write_kv",
     "parse_rows",
     "write_rows",
     "stratified_split",
@@ -38,6 +40,7 @@ __all__ = [
     "container_digest",
     "save_dataset",
     "load_dataset",
+    "read_dataset",
 ]
 
 LOGISTIC_CLASS_R = (3.6, 3.7, 3.8, 3.9, 4.0)
@@ -268,6 +271,56 @@ def read_kv(path) -> dict:
     return kv
 
 
+def write_kv(path, kv: dict) -> None:
+    """`key = value` lines in `kv`'s order, as `read_kv` and `read_record`
+    read them back: bools as 0/1, (filters, width) pairs as `FxM;FxM`."""
+    def text(value) -> str:
+        if isinstance(value, bool):
+            return str(int(value))
+        if isinstance(value, tuple):
+            return ";".join(f"{f}x{m}" for f, m in value)
+        return str(value)
+    Path(path).write_text("".join(f"{key} = {text(value)}\n"
+                                  for key, value in kv.items()))
+
+
+#: a field's declared type -> (its parser, which raises ValueError or
+#: KeyError on a value that does not parse; what a value must look like)
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": ({"0": False, "1": True}.__getitem__, "0 or 1"),
+    "tuple": (lambda text: tuple(tuple(int(x) for x in pair.split("x"))
+                                 for pair in text.split(";") if pair),
+              "FxM;FxM pairs"),
+}
+
+
+def read_record(cls, kv: dict, path, **defaults):
+    """The dataclass `cls` from `read_kv`'s strings, each value parsed by
+    its field's declared type; keys that name no field are ignored.
+
+    A field `kv` lacks takes `defaults`, then the dataclass default. A
+    required field found in neither, a value that does not parse and a
+    value the dataclass rejects are `DataFormatError`s naming `path`.
+    """
+    values = dict(defaults)
+    for f in fields(cls):
+        if f.name in kv:
+            parse, form = _PARSERS[getattr(f.type, "__name__", f.type)]
+            try:
+                values[f.name] = parse(kv[f.name])
+            except (ValueError, KeyError):
+                raise DataFormatError(f"{path}: {f.name} = {kv[f.name]} is "
+                                      f"not {form}") from None
+        elif f.name not in values and f.default is MISSING:
+            raise DataFormatError(f"{path}: missing key {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def parse_rows(path) -> np.ndarray:
     """Tab- or comma-separated numeric rows of one width, as a 2-D array.
 
@@ -381,21 +434,19 @@ def save_channels(out_dir, labels, signals, manifest: dict) -> None:
           _TEXT_DIGEST_KEY: rows_digest(paths),
           _NPY_DIGEST_KEY: hashlib.sha256(
               (out / ROWS_NPY).read_bytes()).hexdigest()}
-    (out / "manifest.txt").write_text(
-        "".join(f"{k} = {v}\n" for k, v in kv.items()))
+    write_kv(out / "manifest.txt", kv)
 
 
-def _stored_rows(src: Path, kv: dict, paths):
+def _stored_rows(src: Path, kv: dict, digest: str):
     """The (channels, N, 1+T) rows from `rows.npy`, or None to parse the text.
 
-    None unless the manifest's digests match the row files it names and the
-    `.npy` bytes, and the rows are non-empty and finite: `parse_rows` then
-    reports what is wrong at path:line.
+    None unless the manifest's digests match `digest`, that of the row files
+    it names, and the `.npy` bytes, and the rows are non-empty and finite:
+    `parse_rows` then reports what is wrong at path:line.
     """
     npy = src / ROWS_NPY
-    if _TEXT_DIGEST_KEY not in kv or not npy.exists() or \
-            not all(path.exists() for path in paths) or \
-            rows_digest(paths) != kv[_TEXT_DIGEST_KEY]:
+    if digest is None or kv.get(_TEXT_DIGEST_KEY) != digest or \
+            not npy.exists():
         return None
     data = npy.read_bytes()
     if hashlib.sha256(data).hexdigest() != kv.get(_NPY_DIGEST_KEY):
@@ -407,7 +458,8 @@ def _stored_rows(src: Path, kv: dict, paths):
 
 
 def load_channels(in_dir):
-    """(manifest, labels (N,), signals (N, channels, T)) from `save_channels`.
+    """(manifest, labels (N,), signals (N, channels, T), `container_digest`)
+    from `save_channels`.
 
     The rows come from `rows.npy` when the manifest's `text_sha256` matches
     the row files it names and its `npy_sha256` matches the `.npy`.
@@ -418,7 +470,9 @@ def load_channels(in_dir):
     src = Path(in_dir)
     kv = read_kv(src / "manifest.txt")
     paths = _row_paths(src, kv)
-    rows = _stored_rows(src, kv, paths)
+    # a missing row file is reported by parse_rows
+    digest = rows_digest(paths) if all(p.exists() for p in paths) else None
+    rows = _stored_rows(src, kv, digest)
     if rows is None:
         rows = [parse_rows(path) for path in paths]
     for path, other in zip(paths[1:], rows[1:]):
@@ -428,7 +482,8 @@ def load_channels(in_dir):
                                   f"{paths[0]}")
     for key in (_TEXT_DIGEST_KEY, _NPY_DIGEST_KEY):
         kv.pop(key, None)
-    return kv, rows[0][:, 0], np.stack([r[:, 1:] for r in rows], axis=1)
+    return (kv, rows[0][:, 0], np.stack([r[:, 1:] for r in rows], axis=1),
+            digest)
 
 
 def container_digest(in_dir) -> str:
@@ -454,8 +509,23 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     save_channels(out_dir, [seq.label for seq in ds.sequences], signals, kv)
 
 
+#: the manifest keys `read_dataset` reads beyond the container's own
+_DATASET_KEYS = ("generator", "class_params", "noise_amplitude", "window_len",
+                 "n_steps", "seed")
+
+
 def load_dataset(in_dir) -> SyntheticDataset:
-    kv, labels, signals = load_channels(in_dir)
+    return read_dataset(in_dir)[0]
+
+
+def read_dataset(in_dir) -> tuple[SyntheticDataset, str]:
+    """(the dataset `save_dataset` wrote, the sha256 of its row files); a
+    container without a generated dataset's keys is a `DataFormatError`."""
+    kv, labels, signals, digest = load_channels(in_dir)
+    for key in _DATASET_KEYS:
+        if key not in kv:
+            raise DataFormatError(f"{Path(in_dir) / 'manifest.txt'}: missing "
+                                  f"key {key!r}; not a generated dataset")
     window_len, n_steps = int(kv["window_len"]), int(kv["n_steps"])
     if signals.shape[2] != n_steps * window_len:
         raise DataFormatError(f"{in_dir}: rows hold {signals.shape[2]} samples,"
@@ -463,10 +533,9 @@ def load_dataset(in_dir) -> SyntheticDataset:
     sequences = [make_windows(sig, int(label), window_len, n_steps)
                  for label, sig in zip(labels, signals)]
     class_params = [float(p) for p in kv["class_params"].split(",")]
-    known = {"generator", "classes", "class_params", "noise_amplitude",
-             "window_len", "n_steps", "n_channels", "seed"}
-    extra = {k: v for k, v in kv.items() if k not in known}
+    extra = {k: v for k, v in kv.items()
+             if k not in _DATASET_KEYS + ("classes", "n_channels")}
     return SyntheticDataset(sequences, class_params,
                             float(kv["noise_amplitude"]), kv["generator"],
                             window_len, n_steps, signals.shape[1],
-                            int(kv["seed"]), extra)
+                            int(kv["seed"]), extra), digest

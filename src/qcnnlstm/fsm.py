@@ -50,17 +50,15 @@ class BankCapacityError(RuntimeError):
 @dataclass(frozen=True)
 class MachineConfig:
     mac_lanes: int = 32
-    bus_bits: int = 96
     wb_read_bits_per_cycle: int = 64
     im_bits_per_cycle: int = 48
     lut_size: int = fxp.LUT_SIZE
     clock_hz: float = 1e8
     activation_format: QFormat = fxp.ACT_FORMAT
     wb_capacity_bits: int = 16_020_000  # block-RAM budget of the target part
-    im_capacity_bits: int = 1_000_000
 
     def __post_init__(self):
-        if min(self.mac_lanes, self.bus_bits, self.wb_read_bits_per_cycle,
+        if min(self.mac_lanes, self.wb_read_bits_per_cycle,
                self.im_bits_per_cycle, self.lut_size) < 1 or self.clock_hz <= 0:
             raise ValueError("machine parameters must be positive")
         if self.lut_size & (self.lut_size - 1):

@@ -80,7 +80,7 @@ def save_multichannel(ds: RawDataset, out_dir) -> None:
 
 
 def load_multichannel(in_dir) -> RawDataset:
-    kv, tokens, signals = load_channels(in_dir)
+    kv, tokens, signals, _ = load_channels(in_dir)
     labels, label_names = _remap_labels(tokens.tolist())
     if "labels" in kv:  # the stored labels index the source tokens
         names = [float(t) for t in kv["labels"].split(",")]

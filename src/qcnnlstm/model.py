@@ -31,7 +31,6 @@ __all__ = [
     "LstmParams",
     "NetworkConfig",
     "NetworkParams",
-    "config_from_kv",
     "named_tensors",
     "is_quantized",
     "is_bias",
@@ -50,14 +49,6 @@ class ConvLayerParams:
 
     weights: np.ndarray
     bias: np.ndarray
-
-    @property
-    def n_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[2]
 
 
 @dataclass
@@ -99,6 +90,8 @@ class NetworkConfig:
         if min(self.window_len, self.n_steps, self.n_hidden,
                self.n_classes, self.n_channels) < 1:
             raise ValueError("all network dimensions must be positive")
+        if any(len(layer) != 2 or min(layer) < 1 for layer in self.conv_layers):
+            raise ValueError("conv_layers must be (filters, width) pairs >= 1")
 
     @property
     def input_len(self) -> int:
@@ -282,49 +275,15 @@ def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
         shape = ",".join(str(s) for s in arr.shape)
         manifest.append(f"{name}\t{dtype}\t{shape}\t{fname}")
     (out / "params.manifest").write_text("\n".join(manifest) + "\n")
-    (out / "config.txt").write_text(_config_text(cfg, mode))
-
-
-def _config_text(cfg: NetworkConfig, mode: str) -> str:
-    conv = ";".join(f"{f}x{m}" for f, m in cfg.conv_layers)
-    lines = [f"mode = {mode}",
-             f"window_len = {cfg.window_len}",
-             f"n_steps = {cfg.n_steps}",
-             f"n_hidden = {cfg.n_hidden}",
-             f"n_classes = {cfg.n_classes}",
-             f"n_channels = {cfg.n_channels}",
-             f"conv_layers = {conv}",
-             f"use_cnn = {int(cfg.use_cnn)}",
-             f"residual = {int(cfg.residual)}"]
-    return "\n".join(lines) + "\n"
-
-
-def config_from_kv(kv: dict, **defaults) -> NetworkConfig:
-    """A NetworkConfig from key = value strings (`_config_text`'s keys).
-
-    A key `kv` lacks takes the caller's `defaults`, then the dataclass
-    default; a dimension found in neither is a KeyError.
-    """
-    v = {**defaults, **kv}
-    optional = {}
-    if "n_channels" in v:
-        optional["n_channels"] = int(v["n_channels"])
-    if "conv_layers" in v:
-        optional["conv_layers"] = tuple(
-            tuple(int(x) for x in part.split("x"))
-            for part in v["conv_layers"].split(";") if part)
-    for key in ("use_cnn", "residual"):
-        if key in v:
-            optional[key] = bool(int(v[key]))
-    return NetworkConfig(int(v["window_len"]), int(v["n_steps"]),
-                         int(v["n_hidden"]), int(v["n_classes"]), **optional)
+    datagen.write_kv(out / "config.txt", {"mode": mode, **vars(cfg)})
 
 
 def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
     """Read a saved network; quantized tensors come back as float codes."""
     mdir = Path(model_dir)
     kv = datagen.read_kv(mdir / "config.txt")
-    cfg, mode = config_from_kv(kv), kv.get("mode", "full")
+    cfg = datagen.read_record(NetworkConfig, kv, mdir / "config.txt")
+    mode = kv.get("mode", "full")
     stored = {}  # int64 codes or read-only float64 views of the file bytes
     for line in (mdir / "params.manifest").read_text().splitlines():
         name, dtype, shape_csv, fname = line.split("\t")

@@ -36,25 +36,26 @@ __all__ = [
 ]
 
 
+CLIP_LIMIT = 5.0  # gradients are clipped to [-CLIP_LIMIT, CLIP_LIMIT]
+ADAGRAD_EPSILON = 1e-8
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
-    clip_limit: float = 5.0
     epochs: int = 50
     batch_size: int = 32
     init_scale: float = 0.01
     seed: int = 0
     mode: str = "full"  # full | ternary | binary
-    replicate_targets: bool = True
-    adagrad_epsilon: float = 1e-8
     augment_noise: float = 0.0  # uniform input noise redrawn per batch
     train_biases: bool = True   # quantized modes pin biases at zero regardless
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.clip_limit <= 0:
-            raise ValueError("clip range must be symmetric around 0")
+        if min(self.epochs, self.batch_size) < 1:
+            raise ValueError("epochs and batch_size must be positive")
         if self.mode not in quant.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -62,7 +63,6 @@ class TrainConfig:
 @dataclass
 class AdagradState:
     acc: dict = field(default_factory=dict)
-    epsilon: float = 1e-8
 
 
 @dataclass
@@ -77,7 +77,7 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 def init_params(cfg: NetworkConfig, seed: int = 0,
-                init_scale: float = 0.01, mode: str = "full") -> NetworkParams:
+                init_scale: float = 0.01) -> NetworkParams:
     """Weights uniform in [-init_scale, +init_scale]; biases start at zero.
 
     Draw order: conv kernels, FC, then each gate block in `quant.GATE_ORDER`
@@ -162,21 +162,15 @@ def _cnn_forward(x, eff: dict, cfg: NetworkConfig):
     return (x + p if cfg.residual else p), dict(cols=cols, outs=outs, flat=flat)
 
 
-def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache,
-              replicate: bool):
+def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache):
     """Returns (mean loss over the batch, grads w.r.t. effective tensors)."""
     q, b, n_classes = logits.shape
     nh = cfg.n_hidden
     rows = np.arange(b)
     probs = softmax(logits)
     step_losses = -np.log(probs[:, rows, labels])  # (q, B)
-    if replicate:
-        loss = float(step_losses.mean(axis=0).mean())
-        weight = np.full(q, 1.0 / (q * b))
-    else:
-        loss = float(step_losses[-1].mean())
-        weight = np.zeros(q)
-        weight[-1] = 1.0 / b
+    loss = float(step_losses.mean(axis=0).mean())
+    weight = np.full(q, 1.0 / (q * b))  # the label is every step's target
 
     dlogits = probs
     dlogits[:, rows, labels] -= 1.0
@@ -263,16 +257,14 @@ def batch_loss_and_grads(windows, labels, params: NetworkParams,
                          net_cfg: NetworkConfig, cfg: TrainConfig):
     """Mean loss and shadow-weight gradients for windows (B, q, U)."""
     loss, grads = _loss_and_grads(windows, np.asarray(labels),
-                                  _effective(params, cfg.mode), net_cfg,
-                                  cfg.replicate_targets)
+                                  _effective(params, cfg.mode), net_cfg)
     return loss, _route_to_shadow(grads, params, cfg.mode, cfg.train_biases)
 
 
-def _loss_and_grads(windows, labels, eff: dict, cfg: NetworkConfig,
-                    replicate: bool):
+def _loss_and_grads(windows, labels, eff: dict, cfg: NetworkConfig):
     # the codes and the cache are freed before the gradients are routed
     logits, cache = _forward(windows, eff, cfg)
-    return _backward(labels, eff, cfg, logits, cache, replicate)
+    return _backward(labels, eff, cfg, logits, cache)
 
 
 def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
@@ -305,15 +297,14 @@ def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
     The gradient arrays are clipped and scaled in place.
     """
     tensors = named_tensors(params)
-    lim = cfg.clip_limit
     for name, g in grads.items():
-        np.clip(g, -lim, lim, out=g)
+        np.clip(g, -CLIP_LIMIT, CLIP_LIMIT, out=g)
         if name not in state.acc:
             state.acc[name] = np.zeros_like(g)
         step = np.square(g)
         state.acc[name] += step
         np.sqrt(state.acc[name], out=step)
-        step += state.epsilon
+        step += ADAGRAD_EPSILON
         g *= cfg.learning_rate
         tensors[name] -= np.divide(g, step, out=step)
         if cfg.mode != "full" and is_quantized(name):
@@ -331,8 +322,8 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
     """Epoch loop over shuffled minibatches; deterministic per seed."""
     if not train_seqs or not test_seqs:
         raise ValueError("both splits must be non-empty")
-    params = init_params(net_cfg, cfg.seed, cfg.init_scale, cfg.mode)
-    state = AdagradState(epsilon=cfg.adagrad_epsilon)
+    params = init_params(net_cfg, cfg.seed, cfg.init_scale)
+    state = AdagradState()
     rng = np.random.default_rng(cfg.seed)
     windows, labels = _stack_windows(train_seqs)
     n = len(train_seqs)

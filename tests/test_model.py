@@ -380,16 +380,14 @@ class TestFloatEngine:
         seen = set()
         for _ in range(80):
             cfg, params, windows, labels = random_engine_case(rng, mode)
-            replicate = bool(rng.integers(0, 2))
             ref = coded(params, mode)
             want = np.stack([network_forward(w, ref, cfg) for w in windows])
             got = forward_logits(params, windows, cfg, mode)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-            want_loss = np.mean([sequence_loss(l, y, replicate)
+            want_loss = np.mean([sequence_loss(l, y)
                                  for l, y in zip(want, labels)])
-            loss, _ = batch_loss_and_grads(
-                windows, labels, params, cfg,
-                TrainConfig(mode=mode, replicate_targets=replicate))
+            loss, _ = batch_loss_and_grads(windows, labels, params, cfg,
+                                           TrainConfig(mode=mode))
             assert loss == pytest.approx(want_loss, rel=1e-12)
             widths = {m % 2 for _, m in cfg.conv_layers}
             seen.add((cfg.use_cnn, cfg.residual, len(windows) > 1,
