@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from qcnnlstm import ingest
+from qcnnlstm import datagen, ingest
 from qcnnlstm.model import NetworkConfig
 from qcnnlstm.train import TrainConfig, train
 
@@ -31,14 +31,16 @@ for label in range(N_CLASSES):
             gain = 1.0 + 4.0 * burst if ch in active else 1.0
             sig[ch] = gain * carrier * 0.2
         records.append((label, sig))
-dataset = ingest.RawDataset(records, sample_rate_hz=1000.0, name="semg-demo")
 
 print(f"fabricated {len(records)} recordings, {N_CHANNELS} channels "
       f"x {LENGTH} samples, {N_CLASSES} gesture classes")
 
 with tempfile.TemporaryDirectory() as tmp:
-    ingest.save_multichannel(dataset, tmp)
-    dataset = ingest.load_multichannel(tmp)
+    datagen.save_channels(tmp, [label for label, _ in records],
+                          [sig for _, sig in records], {"name": "semg-demo"})
+    _, labels, signals, _ = datagen.load_channels(tmp)
+dataset = ingest.RawDataset(list(zip(labels.astype(int).tolist(), signals)),
+                            name="semg-demo")
 print("container round trip: one TSV per channel plus a key=value manifest")
 
 enveloped = ingest.envelope_dataset(dataset)

@@ -93,22 +93,6 @@ def _find_ucr_pair(data_dir: Path):
     return trains[0], tests[0]
 
 
-def _is_container(data_dir: Path) -> bool:
-    return (data_dir / "manifest.txt").exists()
-
-
-def dataset_digest(data_dir) -> str:
-    """sha256 of what `load_split_sequences` reads from `data_dir`.
-
-    A per-channel container's row files (its `text_sha256`), or a UCR
-    pair's _TRAIN and _TEST files, through `datagen.rows_digest`.
-    """
-    data_dir = Path(data_dir)
-    if _is_container(data_dir):
-        return datagen.container_digest(data_dir)
-    return datagen.rows_digest(_find_ucr_pair(data_dir))
-
-
 def load_split_sequences(data_dir, kv: dict):
     """(train_seqs, test_seqs, n_classes, n_channels) by `_load_split`, with
     the `_SplitSettings` in `kv`."""
@@ -121,11 +105,11 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
 
     Generated data is split by `seed` and `train_fraction`; a UCR pair keeps
     its split, enveloped when `envelope` is 1, and is windowed per `kv`.
-    `digest` is a generated dataset's `dataset_digest`, taken as its rows
-    are read; a UCR pair's is None, for `dataset_digest` to take on demand.
+    `digest` is `datagen.rows_digest` of the row files read: a generated
+    dataset's (its `text_sha256`) or a UCR pair's _TRAIN and _TEST files.
     """
     data_dir = Path(data_dir)
-    if _is_container(data_dir):
+    if (data_dir / "manifest.txt").exists():  # a generated dataset
         ds, digest = datagen.read_dataset(data_dir)
         train_idx, test_idx = datagen.stratified_split(
             [seq.label for seq in ds.sequences], split.train_fraction,
@@ -145,7 +129,7 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     train_seqs = ingest.dataset_to_sequences(train_raw, window_len, n_steps)
     test_seqs = ingest.dataset_to_sequences(test_raw, window_len, n_steps)
     return (train_seqs, test_seqs, train_raw.n_classes, train_raw.n_channels,
-            None)
+            datagen.rows_digest((train_path, test_path)))
 
 
 def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
@@ -158,12 +142,10 @@ def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
     kv = datagen.read_kv(record) if record.exists() else {}
     *split, digest = _load_split(data_dir, vars(cfg), datagen.read_record(
         _SplitSettings, kv, record))
-    if "data_sha256" in kv:
-        digest = digest or dataset_digest(data_dir)
-        if digest != kv["data_sha256"]:
-            raise ingest.DataFormatError(
-                f"{data_dir}: data sha256 {digest} differs from "
-                f"{kv['data_sha256']}, the data {record} was trained on")
+    if "data_sha256" in kv and digest != kv["data_sha256"]:
+        raise ingest.DataFormatError(
+            f"{data_dir}: data sha256 {digest} differs from "
+            f"{kv['data_sha256']}, the data {record} was trained on")
     return split
 
 
@@ -227,7 +209,10 @@ def _cmd_train(args, argv) -> int:
     net_cfg = datagen.read_record(model.NetworkConfig, kv, path, n_classes=1)
     train_seqs, test_seqs, n_classes, n_channels, digest = \
         _load_split(args.data, kv, split)
-    data = {"n_classes": n_classes, "n_channels": n_channels}
+    # a generated dataset fixes its windows; a UCR pair is cut per the config
+    n_steps, width = train_seqs[0].windows.shape
+    data = {"n_classes": n_classes, "n_channels": n_channels,
+            "window_len": width // n_channels, "n_steps": n_steps}
     for key, value in data.items():
         if key in kv and getattr(net_cfg, key) != value:
             raise ingest.DataFormatError(
@@ -243,7 +228,7 @@ def _cmd_train(args, argv) -> int:
     datagen.write_kv(out / "config.txt", network)
     datagen.write_kv(out / "hyperparams.txt", {
         **vars(cfg), **vars(split),
-        "data_sha256": digest or dataset_digest(args.data), **network})
+        "data_sha256": digest, **network})
     train_mod.write_trace(out / "trace.csv", result.loss_trace,
                           result.accuracy_trace)
     _write_manifest(argv, out, config_path=path, seed=split.seed)
@@ -323,7 +308,9 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_estimate(args, argv) -> int:
-    kv = _read_config(args.config, model.NetworkConfig, _Throughput)
+    # a residual add costs no MACs and no weight bits
+    kv = _read_config(args.config, model.NetworkConfig, _Throughput,
+                      fixed={"residual"})
     net = datagen.read_record(model.NetworkConfig, kv, args.config,
                               n_classes=2)
     no_cnn = replace(net, use_cnn=False, residual=False)

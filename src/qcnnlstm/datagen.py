@@ -37,7 +37,6 @@ __all__ = [
     "save_channels",
     "load_channels",
     "rows_digest",
-    "container_digest",
     "save_dataset",
     "load_dataset",
     "read_dataset",
@@ -179,6 +178,10 @@ def make_windows(signal, label: int, window_len: int, n_steps: int,
 
 def _dataset(generator, class_params, make_signal, per_class, window_len,
              n_steps, noise_amplitude, seed, n_channels=1, extra=None):
+    for name, size in (("classes", len(class_params)), ("per_class", per_class),
+                       ("window_len", window_len), ("n_steps", n_steps)):
+        if size < 1:
+            raise ValueError(f"{name} = {size}; a dataset needs at least 1")
     root = np.random.default_rng(seed)
     sequences = []
     for label, param in enumerate(class_params):
@@ -284,11 +287,19 @@ def write_kv(path, kv: dict) -> None:
                                   for key, value in kv.items()))
 
 
+def _finite(text: str) -> float:
+    """float(text); nan and inf, which no setting takes, raise ValueError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 #: a field's declared type -> (its parser, which raises ValueError or
 #: KeyError on a value that does not parse; what a value must look like)
 _PARSERS = {
     "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "float": (_finite, "a number"),
     "bool": ({"0": False, "1": True}.__getitem__, "0 or 1"),
     "tuple": (lambda text: tuple(tuple(int(x) for x in pair.split("x"))
                                  for pair in text.split(";") if pair),
@@ -458,8 +469,8 @@ def _stored_rows(src: Path, kv: dict, digest: str):
 
 
 def load_channels(in_dir):
-    """(manifest, labels (N,), signals (N, channels, T), `container_digest`)
-    from `save_channels`.
+    """(manifest, labels (N,), signals (N, channels, T), the `rows_digest`
+    of its row files) from `save_channels`.
 
     The rows come from `rows.npy` when the manifest's `text_sha256` matches
     the row files it names and its `npy_sha256` matches the `.npy`.
@@ -484,12 +495,6 @@ def load_channels(in_dir):
         kv.pop(key, None)
     return (kv, rows[0][:, 0], np.stack([r[:, 1:] for r in rows], axis=1),
             digest)
-
-
-def container_digest(in_dir) -> str:
-    """A container's `text_sha256`: the digest of the row files it names."""
-    src = Path(in_dir)
-    return rows_digest(_row_paths(src, read_kv(src / "manifest.txt")))
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:

@@ -22,7 +22,7 @@ __all__ = [
     "response_time",
 ]
 
-PRECISIONS = ("full32", "ternary2", "fixed12")
+PRECISIONS = ("full32", "ternary2")
 
 FULL_WEIGHT_BITS = 32
 TERNARY_WEIGHT_BITS = 2
@@ -34,7 +34,6 @@ INTERMEDIATE_BITS = 12
 class CostModelInput:
     net: NetworkConfig
     precision: str = "full32"
-    include_intermediates: bool = True
 
     def __post_init__(self):
         if self.precision not in PRECISIONS:
@@ -56,14 +55,12 @@ def lstm_weight_count(n_hidden: int, input_len: int) -> int:
 
 
 def memory_bits(inp: CostModelInput) -> int:
-    """Stored weight bits plus (optionally) 12-bit intermediate buffers."""
+    """Stored weight bits plus the 12-bit intermediate buffers."""
     net = inp.net
     if inp.precision == "full32":
         gate_bits = fc_bits = FULL_WEIGHT_BITS
-    elif inp.precision == "ternary2":
-        gate_bits, fc_bits = TERNARY_WEIGHT_BITS, FIXED_WEIGHT_BITS
     else:
-        gate_bits = fc_bits = FIXED_WEIGHT_BITS
+        gate_bits, fc_bits = TERNARY_WEIGHT_BITS, FIXED_WEIGHT_BITS
 
     total = lstm_weight_count(net.n_hidden, net.input_len) * gate_bits
     largest_map = 0
@@ -74,8 +71,7 @@ def memory_bits(inp: CostModelInput) -> int:
     if net.use_cnn:
         total += net.fc_input_len * net.input_len * fc_bits
     total += net.n_hidden * net.n_classes * fc_bits
-    if inp.include_intermediates:
-        total += net.n_steps * (largest_map + 2 * net.n_hidden) * INTERMEDIATE_BITS
+    total += net.n_steps * (largest_map + 2 * net.n_hidden) * INTERMEDIATE_BITS
     return total
 
 

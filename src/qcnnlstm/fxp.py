@@ -257,17 +257,13 @@ class LutTable:
         return from_raw(self.entries_raw, self.entry_format)
 
 
-def build_lut(kind: str, n_entries: int = LUT_SIZE, u_min: float | None = None,
-              u_max: float | None = None,
-              entry_format: QFormat = ENTRY_FORMAT) -> LutTable:
+def build_lut(kind: str, n_entries: int = LUT_SIZE) -> LutTable:
     """Build a table by sampling the exact function at each cell's midpoint."""
-    lo, hi = _LUT_RANGES[kind]
-    u_min = lo if u_min is None else u_min
-    u_max = hi if u_max is None else u_max
+    u_min, u_max = _LUT_RANGES[kind]
     du = (u_max - u_min) / n_entries
     mids = u_min + (np.arange(n_entries) + 0.5) * du
-    entries = to_raw(_LUT_FUNCS[kind](mids), entry_format)
-    return LutTable(kind, u_min, u_max, entries, entry_format)
+    entries = to_raw(_LUT_FUNCS[kind](mids), ENTRY_FORMAT)
+    return LutTable(kind, u_min, u_max, entries)
 
 
 @lru_cache(maxsize=64)

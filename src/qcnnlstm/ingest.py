@@ -1,9 +1,8 @@
 """Dataset loading, Hilbert-envelope preprocessing, normalization, splitting.
 
 Reads UCR-style rows (label first, tab or comma separated, one univariate
-series per row) and the per-channel container for multichannel data, both
-through the checked readers in `datagen`. Normalization statistics are
-always fitted on the training split alone.
+series per row) through the checked reader in `datagen`. Normalization
+statistics are always fitted on the training split alone.
 """
 
 from __future__ import annotations
@@ -13,17 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (DataFormatError, WindowedSequence, load_channels,
-                      make_windows, parse_rows, save_channels,
-                      stratified_split, write_rows)
+from .datagen import (DataFormatError, WindowedSequence, make_windows,
+                      parse_rows, stratified_split)
 
 __all__ = [
     "DataFormatError",
     "RawDataset",
     "load_ucr",
-    "save_ucr",
-    "load_multichannel",
-    "save_multichannel",
     "hilbert_envelope",
     "normalize_and_split",
     "dataset_to_sequences",
@@ -35,7 +30,6 @@ class RawDataset:
     """Labeled (channels, length) signals with contiguous labels 0..K-1."""
 
     records: list  # of (label, signal (M, T))
-    sample_rate_hz: float = 0.0
     name: str = ""
     label_names: dict = field(default_factory=dict)  # new label -> source token
 
@@ -48,46 +42,14 @@ class RawDataset:
         return self.records[0][1].shape[0]
 
 
-def _remap_labels(raw_labels) -> tuple[np.ndarray, dict]:
-    """Labels 0..K-1 in sorted token order, and label -> source token."""
-    tokens, remapped = np.unique(raw_labels, return_inverse=True)
-    return remapped, dict(enumerate(tokens.tolist()))
-
-
-def load_ucr(path, sample_rate_hz: float = 0.0) -> RawDataset:
-    """One labeled univariate series per row; labels remapped to 0..K-1."""
+def load_ucr(path) -> RawDataset:
+    """One labeled univariate series per row; labels remapped to 0..K-1 in
+    sorted token order, with `label_names` mapping each to its token."""
     path = Path(path)
     rows = parse_rows(path)
-    labels, label_names = _remap_labels(rows[:, 0].tolist())
+    tokens, labels = np.unique(rows[:, 0].tolist(), return_inverse=True)
     records = [(int(lab), row[None, 1:]) for lab, row in zip(labels, rows)]
-    return RawDataset(records, sample_rate_hz, path.stem, label_names)
-
-
-def save_ucr(ds: RawDataset, path) -> None:
-    if ds.n_channels != 1:
-        raise DataFormatError("UCR rows are univariate; use save_multichannel")
-    write_rows(path, [label for label, _ in ds.records],
-               [signal[0] for _, signal in ds.records])
-
-
-def save_multichannel(ds: RawDataset, out_dir) -> None:
-    """The per-channel container; the manifest keeps the source label tokens."""
-    labels = ",".join(str(ds.label_names.get(i, i)) for i in range(ds.n_classes))
-    save_channels(out_dir, [label for label, _ in ds.records],
-                  [signal for _, signal in ds.records],
-                  {"name": ds.name, "sample_rate_hz": repr(ds.sample_rate_hz),
-                   "labels": labels})
-
-
-def load_multichannel(in_dir) -> RawDataset:
-    kv, tokens, signals, _ = load_channels(in_dir)
-    labels, label_names = _remap_labels(tokens.tolist())
-    if "labels" in kv:  # the stored labels index the source tokens
-        names = [float(t) for t in kv["labels"].split(",")]
-        label_names = {i: names[int(t)] for i, t in label_names.items()}
-    return RawDataset(list(zip(labels.tolist(), signals)),
-                      float(kv.get("sample_rate_hz", 0.0)), kv.get("name", ""),
-                      label_names)
+    return RawDataset(records, path.stem, dict(enumerate(tokens.tolist())))
 
 
 def hilbert_envelope(signal) -> np.ndarray:

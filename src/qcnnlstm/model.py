@@ -27,7 +27,6 @@ from .fxp import QFormat
 
 __all__ = [
     "ConvLayerParams",
-    "FcParams",
     "LstmParams",
     "NetworkConfig",
     "NetworkParams",
@@ -37,7 +36,6 @@ __all__ = [
     "im2col",
     "network_forward_fixed",
     "softmax",
-    "predict",
     "save_network",
     "load_network",
 ]
@@ -49,13 +47,6 @@ class ConvLayerParams:
 
     weights: np.ndarray
     bias: np.ndarray
-
-
-@dataclass
-class FcParams:
-    """Fully connected map from flattened feature maps to the window length."""
-
-    weights: np.ndarray  # (window_total, n_filters * map_len)
 
 
 @dataclass
@@ -114,7 +105,9 @@ class NetworkConfig:
 @dataclass
 class NetworkParams:
     conv: list = field(default_factory=list)
-    fc: FcParams | None = None
+    # fully connected map from the flattened feature maps to the window,
+    # (input_len, n_filters * window_len); None without a CNN
+    fc: np.ndarray | None = None
     lstm: LstmParams | None = None
 
 
@@ -125,7 +118,7 @@ def named_tensors(params: NetworkParams) -> dict:
         out[f"conv{i}.weights"] = layer.weights
         out[f"conv{i}.bias"] = layer.bias
     if params.fc is not None:
-        out["fc.weights"] = params.fc.weights
+        out["fc.weights"] = params.fc
     p = params.lstm
     out.update({"lstm.gates": p.gates, "lstm.gate_bias": p.gate_bias,
                 "lstm.w_logits": p.w_logits, "lstm.b_logits": p.b_logits})
@@ -161,11 +154,6 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def predict(logits_per_step) -> int:
-    """Classification rule: argmax of the final step's logits (ties -> lowest)."""
-    return int(np.argmax(logits_per_step[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +288,7 @@ def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
         if f"conv{i}.weights" not in stored:
             break
         conv.append(ConvLayerParams(take(f"conv{i}.weights"), take(f"conv{i}.bias")))
-    fc = FcParams(take("fc.weights")) if "fc.weights" in stored else None
+    fc = take("fc.weights") if "fc.weights" in stored else None
     # the gate files are copied straight into their column blocks
     w_first = stored[f"lstm.w_{quant.GATE_ORDER[0]}"]
     lstm = LstmParams(np.empty((len(w_first), 4 * w_first.shape[1])),

@@ -127,7 +127,7 @@ class QuantizedNetwork:
             raise ValueError("hardware networks are binary or ternary")
         conv = [quantize_weights(layer.weights, mode) for layer in params.conv]
         fc = None if params.fc is None else \
-            fxp.to_raw(params.fc.weights, weight_format)
+            fxp.to_raw(params.fc, weight_format)
         gates = quantize_weights(params.lstm.gates, mode)
         logits = fxp.to_raw(params.lstm.w_logits, weight_format)
         return cls(conv, fc, gates, logits, weight_format)

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import quant
-from .model import (ConvLayerParams, FcParams, LstmParams, NetworkConfig,
-                    NetworkParams, im2col, is_bias, is_quantized, named_tensors,
-                    softmax)
+from .model import (ConvLayerParams, LstmParams, NetworkConfig, NetworkParams,
+                    im2col, is_bias, is_quantized, named_tensors, softmax)
 
 __all__ = [
     "TrainConfig",
@@ -92,7 +91,7 @@ def init_params(cfg: NetworkConfig, seed: int = 0,
     if cfg.use_cnn:
         for depth, f, m in cfg.conv_shapes():
             conv.append(ConvLayerParams(u(f, depth, m), np.zeros(f)))
-        fc = FcParams(u(cfg.input_len, cfg.fc_input_len))
+        fc = u(cfg.input_len, cfg.fc_input_len)
     nh = cfg.n_hidden
     gates = np.empty((nh + cfg.input_len, 4 * nh))
     for k in range(4):

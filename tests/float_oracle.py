@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcnnlstm.model import ConvLayerParams, FcParams, LstmParams, NetworkConfig
+from qcnnlstm.model import ConvLayerParams, LstmParams, NetworkConfig
 
 
 @dataclass
@@ -52,10 +52,10 @@ def conv1d_relu(x, layer: ConvLayerParams) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def fc_residual(feature_maps, fc: FcParams, x_window) -> np.ndarray:
-    """P = W @ flatten(maps); returns x_window + P (or P with residual off)."""
+def fc_residual(feature_maps, fc, x_window) -> np.ndarray:
+    """P = fc @ flatten(maps); returns x_window + P (or P with residual off)."""
     flat = np.asarray(feature_maps, dtype=np.float64).ravel()
-    p = fc.weights @ flat
+    p = fc @ flat
     if x_window is None:
         return p
     x_window = np.asarray(x_window, dtype=np.float64)

@@ -6,7 +6,7 @@ import pytest
 
 from qcnnlstm import datagen, fsm, fxp
 from qcnnlstm import train as train_mod
-from qcnnlstm.cli import dataset_digest, dispatch
+from qcnnlstm.cli import dispatch
 from qcnnlstm.datagen import DataFormatError, read_kv
 
 ECG_DIR = Path(__file__).resolve().parent.parent / "data" / "ECG200"
@@ -95,6 +95,18 @@ class TestGen:
                    "--out", str(out)) == 0
         rows = (out / "data.tsv").read_text().splitlines()
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("system", ["sine", "logistic", "lorenz"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--window", "window_len = 0"), ("--steps", "n_steps = 0"),
+        ("--classes", "classes = 0"), ("--per-class", "per_class = 0")])
+    def test_empty_dataset_is_data_error(self, system, flag, message,
+                                         tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", system, flag, "0",
+                   "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _no_parse(path):
@@ -292,7 +304,8 @@ class TestDatasetProvenance:
                    "--per-class", "6", "--window", "10", "--steps", "3",
                    "--noise", "0.05", "--seed", "1", "--out", str(other)) == 0
         recorded = read_kv(model_dir / "hyperparams.txt")["data_sha256"]
-        assert recorded == dataset_digest(ds) != dataset_digest(other)
+        assert recorded == datagen.read_dataset(ds)[1] != \
+            datagen.read_dataset(other)[1]
         qdir = tmp_path / "quantized"
         assert run("quantize", "--model", str(model_dir),
                    "--out", str(qdir)) == 0
@@ -300,7 +313,7 @@ class TestDatasetProvenance:
         assert run("eval", "--model", str(model_dir),
                    "--data", str(other)) == 2
         err = capsys.readouterr().err
-        assert recorded in err and dataset_digest(other) in err
+        assert recorded in err and datagen.read_dataset(other)[1] in err
         assert run("simulate", "--model", str(qdir),
                    "--data", str(other)) == 2
         assert recorded in capsys.readouterr().err
@@ -324,7 +337,8 @@ class TestDatasetProvenance:
         assert run("train", "--data", str(data), "--config", str(cfg),
                    "--out", str(out)) == 0
         assert read_kv(out / "hyperparams.txt")["data_sha256"] == \
-            dataset_digest(ECG_DIR)
+            datagen.rows_digest([ECG_DIR / "ECG200_TRAIN.tsv",
+                                 ECG_DIR / "ECG200_TEST.tsv"])
         test_file = next(data.glob("*_TEST*"))
         test_file.write_text(
             "\n".join(test_file.read_text().splitlines()[:-1]) + "\n")

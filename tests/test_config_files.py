@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcnnlstm import cli, datagen, estimate, fsm, fxp, ingest, quant
+from qcnnlstm import cli, datagen, estimate, fsm, fxp, quant
 from qcnnlstm.datagen import read_kv, write_kv
 from qcnnlstm.model import NetworkConfig
 from qcnnlstm.train import init_params
@@ -32,7 +32,7 @@ MACHINE_VALUES = {
 ESTIMATE_VALUES = {
     "window_len": 5, "n_steps": 30, "n_hidden": 250, "n_classes": 8,
     "n_channels": 128, "conv_layers": ((2, 3),), "use_cnn": False,
-    "residual": False, "gops": 3.5,
+    "gops": 3.5,
 }
 
 
@@ -110,6 +110,7 @@ def test_estimate_key_reaches_the_estimate(tmp_path, monkeypatch, key):
     ("train", "replicate_targets"), ("machine", "bus_bits"),
     ("machine", "im_capacity_bits"), ("machine", "mac_lane"),
     ("machine", "activation_format"), ("estimate", "n_hiden"),
+    ("estimate", "residual"),
 ])
 def test_unknown_key_exits_2_naming_file_and_key(tiny, tmp_path, capsys,
                                                  command, key):
@@ -138,6 +139,8 @@ def test_unknown_key_exits_2_naming_file_and_key(tiny, tmp_path, capsys,
     ("learning_rate = fast", "learning_rate = fast is not a number"),
     ("conv_layers = 10x5x3", "conv_layers must be (filters, width) pairs"),
     ("batch_size = 0", "epochs and batch_size must be positive"),
+    ("learning_rate = nan", "learning_rate = nan is not a number"),
+    ("init_scale = inf", "init_scale = inf is not a number"),
 ])
 def test_value_that_does_not_parse_exits_2(tiny, tmp_path, capsys, line,
                                            message):
@@ -147,6 +150,7 @@ def test_value_that_does_not_parse_exits_2(tiny, tmp_path, capsys, line,
     assert run("train", "--data", ds, "--config", cfg,
                "--out", tmp_path / "m") == 2
     assert f"{cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_missing_required_key_names_file_and_key(tmp_path, capsys):
@@ -157,7 +161,9 @@ def test_missing_required_key_names_file_and_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, have", [("n_classes", 3, 2),
-                                              ("n_channels", 4, 1)])
+                                              ("n_channels", 4, 1),
+                                              ("window_len", 2, 4),
+                                              ("n_steps", 1, 2)])
 def test_dimension_the_data_contradicts_exits_2(tiny, tmp_path, capsys, key,
                                                 value, have):
     _, ds, base = tiny
@@ -172,8 +178,8 @@ def test_recordings_container_is_data_error(tiny, tmp_path, capsys):
     root, _, _ = tiny
     rng = np.random.default_rng(0)
     records = [(k % 2, rng.uniform(-1, 1, (2, 8))) for k in range(8)]
-    ingest.save_multichannel(ingest.RawDataset(records, 100.0, "rec"),
-                             tmp_path / "rec")
+    datagen.save_channels(tmp_path / "rec", [label for label, _ in records],
+                          [signal for _, signal in records], {"name": "rec"})
     assert run("train", "--data", tmp_path / "rec", "--config",
                root / "base.cfg", "--out", tmp_path / "m") == 2
     err = capsys.readouterr().err
@@ -217,6 +223,12 @@ class TestMachineFile:
         machine = _write(tmp_path / "m.txt", {"wb_capacity_bits": 100})
         rc, _, err = self._cycles(capsys, "--machine", machine)
         assert rc == 2 and "WB capacity is 100" in err
+
+    def test_infinite_clock_exits_2(self, tmp_path, capsys):
+        machine = _write(tmp_path / "m.txt", {"clock_hz": float("inf")})
+        rc, out, err = self._cycles(capsys, "--machine", machine)
+        assert rc == 2 and f"{machine}: clock_hz = inf is not a number" in err
+        assert "latency" not in out
 
     def test_bus_bits_is_an_unknown_key(self, tmp_path, capsys):
         machine = _write(tmp_path / "m.txt", {"bus_bits": 96})

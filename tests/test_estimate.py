@@ -124,11 +124,6 @@ class TestMemoryBits:
         intermediates = 4 * (2 * 250) * 12
         assert with_int == gates_w_y + intermediates
 
-    def test_intermediates_flag(self):
-        a = memory_bits(CostModelInput(ECG200_LSTM, "full32", True))
-        b = memory_bits(CostModelInput(ECG200_LSTM, "full32", False))
-        assert a - b == 4 * (2 * 250) * 12
-
     def test_rejects_unknown_precision(self):
         with pytest.raises(ValueError):
             CostModelInput(ECG200_LSTM, "int8")

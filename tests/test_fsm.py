@@ -158,7 +158,7 @@ class TestGoldenEquivalence:
         params.lstm.gates[:] = qnet.gates
         for layer, codes in zip(params.conv, qnet.conv_codes):
             layer.weights[:] = codes
-        params.fc.weights[:] = fxp.from_raw(qnet.fc_raw, qnet.weight_format)
+        params.fc[:] = fxp.from_raw(qnet.fc_raw, qnet.weight_format)
         params.lstm.w_logits[:] = fxp.from_raw(qnet.logits_raw,
                                                qnet.weight_format)
         params.lstm.gate_bias[:] = 0.0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from qcnnlstm.datagen import write_rows
 from qcnnlstm.ingest import (DataFormatError, RawDataset, dataset_to_sequences,
-                             envelope_dataset, hilbert_envelope,
-                             load_multichannel, load_ucr, normalize_and_split,
-                             save_multichannel, save_ucr)
+                             envelope_dataset, hilbert_envelope, load_ucr,
+                             normalize_and_split)
 
 ECG_DIR = Path(__file__).resolve().parent.parent / "data" / "ECG200"
 
@@ -65,26 +65,10 @@ class TestLoadUcr:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         records = [(i % 2, rng.normal(size=(1, 16))) for i in range(6)]
-        ds = RawDataset(records, name="rt")
-        save_ucr(ds, tmp_path / "rt.tsv")
+        write_rows(tmp_path / "rt.tsv", [label for label, _ in records],
+                   [signal[0] for _, signal in records])
         loaded = load_ucr(tmp_path / "rt.tsv")
-        for (la, sa), (lb, sb) in zip(ds.records, loaded.records):
-            assert la == lb
-            assert np.array_equal(sa, sb)
-
-
-class TestMultichannel:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        records = [(i % 3, rng.normal(size=(4, 10))) for i in range(9)]
-        ds = RawDataset(records, sample_rate_hz=1000.0, name="semg",
-                        label_names={0: -1.0, 1: 1.0, 2: 7.0})
-        save_multichannel(ds, tmp_path / "mc")
-        loaded = load_multichannel(tmp_path / "mc")
-        assert loaded.sample_rate_hz == 1000.0
-        assert loaded.label_names == ds.label_names
-        assert loaded.n_channels == 4
-        for (la, sa), (lb, sb) in zip(ds.records, loaded.records):
+        for (la, sa), (lb, sb) in zip(records, loaded.records):
             assert la == lb
             assert np.array_equal(sa, sb)
 

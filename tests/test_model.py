@@ -15,10 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcnnlstm import cli, fxp, quant
-from qcnnlstm.model import (ConvLayerParams, FcParams, LstmParams,
-                            NetworkConfig, NetworkParams, load_network,
-                            network_forward_fixed, predict, save_network,
-                            softmax)
+from qcnnlstm.model import (ConvLayerParams, LstmParams, NetworkConfig,
+                            NetworkParams, load_network, network_forward_fixed,
+                            save_network, softmax)
 from qcnnlstm.train import (TrainConfig, batch_loss_and_grads, forward_logits,
                             init_params, predict_probs)
 
@@ -70,23 +69,23 @@ class TestConv:
 
 class TestFcResidual:
     def test_zero_features_pure_skip(self):
-        fc = FcParams(np.zeros((3, 4)))
+        fc = np.zeros((3, 4))
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(fc_residual(np.zeros((2, 2)), fc, x), x)
 
     def test_residual_off_returns_projection(self):
-        fc = FcParams(np.eye(4))
+        fc = np.eye(4)
         maps = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(fc_residual(maps, fc, None), [1, 2, 3, 4])
 
     def test_hand_evaluation(self):
         # one filter, two positions, fc rows average the maps: 1 + 1.5 = 2.5
-        fc = FcParams(np.full((2, 2), 0.5))
+        fc = np.full((2, 2), 0.5)
         out = fc_residual(np.array([[1.0, 2.0]]), fc, np.array([1.0, 1.0]))
         assert np.allclose(out, [2.5, 2.5])
 
     def test_shape_mismatch_rejected(self):
-        fc = FcParams(np.zeros((3, 4)))
+        fc = np.zeros((3, 4))
         with pytest.raises(ValueError):
             fc_residual(np.zeros((2, 2)), fc, np.zeros(5))
 
@@ -211,9 +210,6 @@ class TestNetworkForward:
         with pytest.raises(ValueError):
             network_forward(np.zeros((5, 4)), params, cfg)
 
-    def test_predict_breaks_ties_low(self):
-        assert predict(np.zeros((2, 3))) == 0
-
 
 class TestFixedForward:
     def test_matches_float_coarsely(self):
@@ -250,7 +246,6 @@ class TestFixedForward:
         raw = fxp.to_raw(np.random.default_rng(4).uniform(-1, 1, (2, 4)))
         logits_raw = network_forward_fixed(raw, qnet, cfg)
         assert np.all(logits_raw == 0)
-        assert predict(logits_raw) == 0
 
 
 def recurrence_case(rec_code, windows):
@@ -324,7 +319,7 @@ class TestSerialization:
         assert cfg2 == cfg
         assert np.array_equal(loaded.lstm.gates, params.lstm.gates)
         assert np.array_equal(loaded.conv[0].weights, params.conv[0].weights)
-        assert np.array_equal(loaded.fc.weights, params.fc.weights)
+        assert np.array_equal(loaded.fc, params.fc)
 
     def test_packed_round_trip(self, tmp_path):
         cfg = tiny_cfg()
@@ -335,7 +330,7 @@ class TestSerialization:
         want = quant.quantize_ternary(params.lstm.gates)
         assert np.array_equal(loaded.lstm.gates, want)
         # fc stays full precision even in ternary mode
-        assert np.array_equal(loaded.fc.weights, params.fc.weights)
+        assert np.array_equal(loaded.fc, params.fc)
 
 
 def random_engine_case(rng, mode):
