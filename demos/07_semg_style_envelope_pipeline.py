@@ -4,8 +4,9 @@
 Muscle-activity patterns are recognizable from signal amplitude, so the
 preprocessing for sEMG runs each electrode through an envelope detector.
 This demo fabricates an 8-channel stand-in (gesture classes differ by which
-channels burst), round-trips it through the one-file-per-channel container,
-extracts envelopes, and trains a small LSTM on the windowed result.
+channels burst), round-trips it through the dataset container (one row file,
+each row a label and every channel's samples in turn), extracts envelopes,
+and trains a small LSTM on the windowed result.
 """
 
 import tempfile
@@ -19,33 +20,30 @@ from qcnnlstm.train import TrainConfig, train
 N_CHANNELS, LENGTH, N_CLASSES, PER_CLASS = 8, 300, 4, 12
 
 rng = np.random.default_rng(3)
-records = []
-for label in range(N_CLASSES):
+labels = np.repeat(np.arange(N_CLASSES), PER_CLASS)
+signals = np.empty((len(labels), N_CHANNELS, LENGTH))
+for sig, label in zip(signals, labels):
     active = {label * 2, label * 2 + 1}  # two bursting electrodes per gesture
-    for _ in range(PER_CLASS):
-        t = np.arange(LENGTH)
-        burst = np.exp(-0.5 * ((t - 150 - rng.uniform(-20, 20)) / 60.0) ** 2)
-        sig = np.empty((N_CHANNELS, LENGTH))
-        for ch in range(N_CHANNELS):
-            carrier = rng.normal(size=LENGTH)
-            gain = 1.0 + 4.0 * burst if ch in active else 1.0
-            sig[ch] = gain * carrier * 0.2
-        records.append((label, sig))
+    t = np.arange(LENGTH)
+    burst = np.exp(-0.5 * ((t - 150 - rng.uniform(-20, 20)) / 60.0) ** 2)
+    for ch in range(N_CHANNELS):
+        carrier = rng.normal(size=LENGTH)
+        gain = 1.0 + 4.0 * burst if ch in active else 1.0
+        sig[ch] = gain * carrier * 0.2
 
-print(f"fabricated {len(records)} recordings, {N_CHANNELS} channels "
+print(f"fabricated {len(labels)} recordings, {N_CHANNELS} channels "
       f"x {LENGTH} samples, {N_CLASSES} gesture classes")
 
 with tempfile.TemporaryDirectory() as tmp:
-    datagen.save_channels(tmp, [label for label, _ in records],
-                          [sig for _, sig in records], {"name": "semg-demo"})
+    datagen.save_channels(tmp, labels, signals, {"name": "semg-demo"})
     _, labels, signals, _ = datagen.load_channels(tmp)
-dataset = ingest.RawDataset(list(zip(labels.astype(int).tolist(), signals)),
-                            name="semg-demo")
-print("container round trip: one TSV per channel plus a key=value manifest")
+dataset = ingest.RawDataset(labels.astype(int), signals, name="semg-demo")
+print("container round trip: one TSV row per recording, every channel in "
+      "turn, plus a key=value manifest")
 
 enveloped = ingest.envelope_dataset(dataset)
-raw_std = np.std([sig for _, sig in dataset.records])
-env_mean = np.mean([sig.mean() for _, sig in enveloped.records])
+raw_std = np.std(dataset.signals)
+env_mean = enveloped.signals.mean()
 print(f"envelope extraction: zero-mean carriers (std {raw_std:.2f}) become "
       f"non-negative amplitude traces (mean {env_mean:.2f})")
 

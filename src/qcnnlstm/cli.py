@@ -128,7 +128,8 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     window_len, n_steps = int(kv["window_len"]), int(kv["n_steps"])
     train_seqs = ingest.dataset_to_sequences(train_raw, window_len, n_steps)
     test_seqs = ingest.dataset_to_sequences(test_raw, window_len, n_steps)
-    return (train_seqs, test_seqs, train_raw.n_classes, train_raw.n_channels,
+    return (train_seqs, test_seqs, train_raw.n_classes,
+            train_raw.signals.shape[1],
             datagen.rows_digest((train_path, test_path)))
 
 

@@ -182,6 +182,11 @@ def _dataset(generator, class_params, make_signal, per_class, window_len,
                        ("window_len", window_len), ("n_steps", n_steps)):
         if size < 1:
             raise ValueError(f"{name} = {size}; a dataset needs at least 1")
+    for name, value in {"noise_amplitude": noise_amplitude,
+                        **(extra or {})}.items():
+        if not np.isfinite(value) or (name == "noise_amplitude" and value < 0):
+            raise ValueError(f"{name} = {value}; a dataset needs finite "
+                             "settings and a noise amplitude of at least 0")
     root = np.random.default_rng(seed)
     sequences = []
     for label, param in enumerate(class_params):
@@ -245,7 +250,7 @@ def make_sine_dataset(n_classes: int = 5, beta: float = 0.1,
 
 # ---------------------------------------------------------------------------
 # On-disk forms for every dataset: key = value files, checked numeric rows
-# (label first), and the per-channel container (a row file per channel).
+# (label first), and the container (one row file, all channels per row).
 # ---------------------------------------------------------------------------
 
 class DataFormatError(ValueError):
@@ -391,21 +396,9 @@ def stratified_split(labels, train_fraction: float, seed: int):
     return sorted(train_idx), sorted(test_idx)
 
 
-def _channel_file(ch: int, n_channels: int) -> str:
-    return "data.tsv" if n_channels == 1 else f"data_ch{ch}.tsv"
-
-
 ROWS_NPY = "rows.npy"
 _TEXT_DIGEST_KEY = "text_sha256"
 _NPY_DIGEST_KEY = "npy_sha256"
-
-
-def _row_paths(src: Path, kv: dict) -> list:
-    """The row files a container's manifest names, in channel order."""
-    n_channels = int(kv.get("n_channels", 1))
-    if n_channels < 1:
-        raise DataFormatError(f"{src / 'manifest.txt'}: n_channels < 1")
-    return [src / _channel_file(ch, n_channels) for ch in range(n_channels)]
 
 
 def rows_digest(paths) -> str:
@@ -419,40 +412,37 @@ def rows_digest(paths) -> str:
 
 
 def save_channels(out_dir, labels, signals, manifest: dict) -> None:
-    """Write (N, channels, T) `signals` as one row file per channel.
+    """Write (N, channels, T) `signals` as one row file, `data.tsv`.
 
-    The same rows also go to `rows.npy`, one (N, 1+T) block per channel,
-    label first: what `parse_rows` returns for each row file. `manifest`
-    goes to manifest.txt in its order, with `n_channels` set and the sha256
-    of the row files (`text_sha256`) and of `rows.npy` (`npy_sha256`).
-    Rows are written as `repr` values, so both forms hold the same float64
-    bits.
+    Each row is the label, then channel 0's samples, channel 1's and so on.
+    The same rows also go to `rows.npy` as one (N, 1 + channels*T) array:
+    what `parse_rows` returns for `data.tsv`. `manifest` goes to
+    manifest.txt in its order, with `n_channels` set and the sha256 of
+    `data.tsv` (`text_sha256`) and of `rows.npy` (`npy_sha256`). Rows are
+    written as `repr` values, so both forms hold the same float64 bits.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     signals = np.asarray(signals, dtype=np.float64)
     n, n_channels = signals.shape[:2]
-    paths = [out / _channel_file(ch, n_channels) for ch in range(n_channels)]
-    rows = np.empty((n_channels, n, 1 + signals.shape[2]))
     # the label column as parse_rows reads back what write_rows writes
-    rows[:, :, 0] = np.array([f"{label}" for label in labels],
-                             dtype=np.float64)
-    rows[:, :, 1:] = signals.transpose(1, 0, 2)
-    for path, block in zip(paths, rows):
-        write_rows(path, labels, block[:, 1:])
+    rows = np.column_stack([
+        np.array([f"{label}" for label in labels], dtype=np.float64),
+        signals.reshape(n, -1)])
+    write_rows(out / "data.tsv", labels, rows[:, 1:])
     np.save(out / ROWS_NPY, rows, allow_pickle=False)
     kv = {**manifest, "n_channels": n_channels,
-          _TEXT_DIGEST_KEY: rows_digest(paths),
+          _TEXT_DIGEST_KEY: rows_digest([out / "data.tsv"]),
           _NPY_DIGEST_KEY: hashlib.sha256(
               (out / ROWS_NPY).read_bytes()).hexdigest()}
     write_kv(out / "manifest.txt", kv)
 
 
 def _stored_rows(src: Path, kv: dict, digest: str):
-    """The (channels, N, 1+T) rows from `rows.npy`, or None to parse the text.
+    """The (N, 1 + channels*T) rows from `rows.npy`, or None to parse the text.
 
-    None unless the manifest's digests match `digest`, that of the row files
-    it names, and the `.npy` bytes, and the rows are non-empty and finite:
+    None unless the manifest's digests match `digest`, that of `data.tsv`,
+    and the `.npy` bytes, and the rows are a non-empty, finite 2-D array:
     `parse_rows` then reports what is wrong at path:line.
     """
     npy = src / ROWS_NPY
@@ -463,42 +453,44 @@ def _stored_rows(src: Path, kv: dict, digest: str):
     if hashlib.sha256(data).hexdigest() != kv.get(_NPY_DIGEST_KEY):
         return None
     rows = np.load(io.BytesIO(data), allow_pickle=False)
-    if rows.shape[1] == 0 or not np.isfinite(rows).all():
+    if rows.ndim != 2 or rows.size == 0 or not np.isfinite(rows).all():
         return None
     return rows
 
 
 def load_channels(in_dir):
     """(manifest, labels (N,), signals (N, channels, T), the `rows_digest`
-    of its row files) from `save_channels`.
+    of `data.tsv`) from `save_channels`.
 
     The rows come from `rows.npy` when the manifest's `text_sha256` matches
-    the row files it names and its `npy_sha256` matches the `.npy`.
-    Otherwise, such as after a row file was edited or for a container
-    without digests, every row file is parsed and checked by `parse_rows`:
-    the text is the source of truth. The returned manifest omits the digests.
+    `data.tsv` and its `npy_sha256` matches the `.npy`. Otherwise, such as
+    after `data.tsv` was edited or for a container without digests, the
+    text is parsed and checked by `parse_rows`: it is the source of truth.
+    Each row splits into the manifest's `n_channels` equal blocks; a count
+    below 1 or one that does not divide a row is a `DataFormatError`. The
+    returned manifest omits the digests.
     """
     src = Path(in_dir)
     kv = read_kv(src / "manifest.txt")
-    paths = _row_paths(src, kv)
-    # a missing row file is reported by parse_rows
-    digest = rows_digest(paths) if all(p.exists() for p in paths) else None
+    path = src / "data.tsv"
+    # a missing data.tsv is reported by parse_rows
+    digest = rows_digest([path]) if path.exists() else None
     rows = _stored_rows(src, kv, digest)
     if rows is None:
-        rows = [parse_rows(path) for path in paths]
-    for path, other in zip(paths[1:], rows[1:]):
-        if other.shape != rows[0].shape or \
-                not np.array_equal(other[:, 0], rows[0][:, 0]):
-            raise DataFormatError(f"{path}: rows or labels differ from "
-                                  f"{paths[0]}")
+        rows = parse_rows(path)
+    n_channels, samples = int(kv.get("n_channels", 1)), rows.shape[1] - 1
+    if n_channels < 1 or samples % n_channels:
+        raise DataFormatError(f"{src / 'manifest.txt'}: n_channels = "
+                              f"{n_channels} does not split rows of "
+                              f"{samples} samples")
     for key in (_TEXT_DIGEST_KEY, _NPY_DIGEST_KEY):
         kv.pop(key, None)
-    return (kv, rows[0][:, 0], np.stack([r[:, 1:] for r in rows], axis=1),
-            digest)
+    return (kv, rows[:, 0], rows[:, 1:].reshape(
+        len(rows), n_channels, samples // n_channels), digest)
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:
-    """The per-channel container, un-windowed, with the generator settings."""
+    """The container, un-windowed, with the generator settings."""
     signals = [seq.windows.reshape(ds.n_steps, ds.n_channels, ds.window_len)
                .transpose(1, 0, 2).reshape(ds.n_channels, -1)
                for seq in ds.sequences]

@@ -195,15 +195,13 @@ def dot_ternary(x_raw, codes, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.nd
     return _saturate(acc, fmt)
 
 
-def dot_fixed(x_raw, w_raw, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+def dot_fixed(x_raw, w_raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Dot product of activations with fixed-point weights, both in `fmt`.
 
     Products sit at scale 2**-(2*frac); they are accumulated exactly and
     requantized once per output element.
     """
     acc = _exact_product(x_raw, w_raw, 2 * (fmt.total_bits - 1))
-    if bias_raw is not None:
-        acc = acc + (np.asarray(bias_raw, dtype=np.int64) << fmt.frac_bits)
     return requantize(acc, fmt.frac_bits, fmt)
 
 

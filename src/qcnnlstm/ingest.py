@@ -29,17 +29,14 @@ __all__ = [
 class RawDataset:
     """Labeled (channels, length) signals with contiguous labels 0..K-1."""
 
-    records: list  # of (label, signal (M, T))
+    labels: np.ndarray  # (N,) ints
+    signals: np.ndarray  # (N, channels, length)
     name: str = ""
     label_names: dict = field(default_factory=dict)  # new label -> source token
 
     @property
     def n_classes(self) -> int:
-        return len({label for label, _ in self.records})
-
-    @property
-    def n_channels(self) -> int:
-        return self.records[0][1].shape[0]
+        return len(np.unique(self.labels))
 
 
 def load_ucr(path) -> RawDataset:
@@ -48,8 +45,8 @@ def load_ucr(path) -> RawDataset:
     path = Path(path)
     rows = parse_rows(path)
     tokens, labels = np.unique(rows[:, 0].tolist(), return_inverse=True)
-    records = [(int(lab), row[None, 1:]) for lab, row in zip(labels, rows)]
-    return RawDataset(records, path.stem, dict(enumerate(tokens.tolist())))
+    return RawDataset(labels, rows[:, None, 1:], path.stem,
+                      dict(enumerate(tokens.tolist())))
 
 
 def hilbert_envelope(signal) -> np.ndarray:
@@ -75,8 +72,7 @@ def hilbert_envelope(signal) -> np.ndarray:
 
 
 def envelope_dataset(ds: RawDataset) -> RawDataset:
-    records = [(label, hilbert_envelope(signal)) for label, signal in ds.records]
-    return replace(ds, records=records)
+    return replace(ds, signals=hilbert_envelope(ds.signals))
 
 
 def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
@@ -89,49 +85,44 @@ def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
     (`label_names`); a token the train split lacks is a `DataFormatError`.
     """
     if predefined_test is None:
-        train_idx, test_idx = stratified_split(
-            [label for label, _ in ds.records], train_fraction, seed)
-        train_records = [ds.records[i] for i in train_idx]
-        test_records = [ds.records[i] for i in test_idx]
+        train, test = (replace(ds, labels=ds.labels[idx],
+                               signals=ds.signals[idx])
+                       for idx in stratified_split(ds.labels, train_fraction,
+                                                   seed))
     else:
-        train_records = list(ds.records)
-        test_records = _relabel(predefined_test, ds)
-        if {label for label, _ in train_records} != \
-                {label for label, _ in test_records}:
+        train = ds
+        test = replace(ds, labels=_relabel(predefined_test, ds),
+                       signals=predefined_test.signals,
+                       name=predefined_test.name)
+        if set(train.labels.tolist()) != set(test.labels.tolist()):
             raise DataFormatError("a class is absent from the test split")
 
-    stacked = np.concatenate([sig for _, sig in train_records], axis=1)
+    # (channels, N*T), each channel's samples in recording order: the
+    # statistics are summed in this layout, so they keep their last bits
+    stacked = np.concatenate(train.signals, axis=1)
     mean = stacked.mean(axis=1, keepdims=True)
     std = stacked.std(axis=1, keepdims=True)
     std[std == 0.0] = 1.0
-
-    def norm(records):
-        return [(label, (sig - mean) / std) for label, sig in records]
-
-    train = replace(ds, records=norm(train_records))
-    test = replace(ds, records=norm(test_records),
-                   name=(predefined_test.name if predefined_test else ds.name))
-    return train, test
+    return (replace(train, signals=(train.signals - mean) / std),
+            replace(test, signals=(test.signals - mean) / std))
 
 
-def _relabel(test: RawDataset, train: RawDataset) -> list:
-    """Test records relabelled by source token through train's label map."""
+def _relabel(test: RawDataset, train: RawDataset) -> np.ndarray:
+    """Test labels relabelled by source token through train's label map."""
     to_train = {train.label_names.get(label, label): label
-                for label, _ in train.records}
-    records = []
-    for label, sig in test.records:
+                for label in train.labels.tolist()}
+    labels = []
+    for label in test.labels.tolist():
         token = test.label_names.get(label, label)
         if token not in to_train:
             raise DataFormatError(f"{test.name or 'test split'}: label {token!r} "
                                   "does not occur in the train split")
-        records.append((to_train[token], sig))
-    return records
+        labels.append(to_train[token])
+    return np.array(labels, dtype=np.int64)
 
 
-def dataset_to_sequences(ds: RawDataset, window_len: int, n_steps: int,
-                         noise_amplitude: float = 0.0,
-                         seed: int = 0) -> list[WindowedSequence]:
-    """Cut each record into a windowed sequence for the classifier."""
-    return [make_windows(signal, label, window_len, n_steps, noise_amplitude,
-                         seed + i)
-            for i, (label, signal) in enumerate(ds.records)]
+def dataset_to_sequences(ds: RawDataset, window_len: int,
+                         n_steps: int) -> list[WindowedSequence]:
+    """Cut each recording into a windowed sequence for the classifier."""
+    return [make_windows(signal, label, window_len, n_steps)
+            for label, signal in zip(ds.labels.tolist(), ds.signals)]

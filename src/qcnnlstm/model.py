@@ -247,6 +247,12 @@ def _file_tensors(params: NetworkParams):
 
 def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
                  mode: str = "full") -> None:
+    """Write the network to `out_dir`; a non-finite tensor is a
+    `ValueError`, raised before anything is written."""
+    for name, arr in named_tensors(params).items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a non-finite value; the network "
+                             "is not saved")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []

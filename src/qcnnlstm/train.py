@@ -342,6 +342,10 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
             adagrad_step(params, grads, state, cfg)
             epoch_loss += loss * len(idx)
         loss_trace[epoch] = epoch_loss / n
+        if not np.isfinite(loss_trace[epoch]):
+            raise ValueError(f"epoch {epoch}: mean loss {loss_trace[epoch]} "
+                             "is not finite; lower learning_rate or "
+                             "init_scale")
         acc_trace[epoch] = evaluate_accuracy(params, test_seqs, net_cfg, cfg.mode)
     return TrainResult(params, loss_trace, acc_trace)
 
@@ -375,16 +379,12 @@ def auc_macro(labels, scores) -> float:
         n_pos, n_neg = int(pos.sum()), int((~pos).sum())
         if n_pos == 0 or n_neg == 0:
             continue
-        order = scores[:, k].argsort(kind="mergesort")
-        ranks = np.empty(len(labels))
-        sorted_scores = scores[order, k]
-        i = 0
-        while i < len(labels):
-            j = i
-            while j + 1 < len(labels) and sorted_scores[j + 1] == sorted_scores[i]:
-                j += 1
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-            i = j + 1
+        # a tie block of c scores from sorted position i holds ranks
+        # i+1..i+c; each gets their mean
+        _, block, counts = np.unique(scores[:, k], return_inverse=True,
+                                     return_counts=True)
+        first = np.cumsum(counts) - counts
+        ranks = (0.5 * (2 * first + counts - 1) + 1.0)[block]
         auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         aucs.append(auc)
     return float(np.mean(aucs))

@@ -5,16 +5,20 @@ the package breaks the benchmark only when it runs. These tests read
 `bench/*.py` without running it: every `from qcnnlstm... import`, every
 `<module>.<name>` chain on an imported `qcnnlstm` module and every
 `trace_targets()` entry must resolve through `inspect.getattr_static`, the
-lookup `bench/tracer.py` installs its wrappers with.
+lookup `bench/tracer.py` installs its wrappers with. Fields `bench/` reads
+from instances, which no static lookup sees, are pinned by name.
 """
 
 import ast
 import importlib
 import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from qcnnlstm import datagen, fsm, quant, train
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -86,3 +90,25 @@ def test_a_deleted_name_is_reported(tmp_path):
         "uses.py:2: qcnnlstm.cli.dataset_digest",
         "uses.py:3: qcnnlstm.model.FcParams",
         "uses.py:3: qcnnlstm.fsm.nope.x"]
+
+
+def test_instance_fields_bench_reads_exist():
+    # workloads.py: `qnet.gate_codes`, `result.loss_trace`; run.py: the
+    # simulator's report
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert "gate_codes" in names(quant.QuantizedNetwork)
+    assert {"total_cycles", "worst_window_cycles", "cycles_per_state",
+            "executed_macs", "wb_bits_read",
+            "im_bits_transferred"} <= names(fsm.CycleReport)
+    assert "loss_trace" in names(train.TrainResult)
+
+
+def test_positional_fields_bench_constructs_exist():
+    # workloads.py::gesture_dataset builds both dataclasses positionally
+    assert [f.name for f in fields(datagen.WindowedSequence)][:2] == \
+        ["windows", "label"]
+    assert [f.name for f in fields(datagen.SyntheticDataset)][:8] == \
+        ["sequences", "class_params", "noise_amplitude", "generator",
+         "window_len", "n_steps", "n_channels", "seed"]

@@ -108,6 +108,21 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("system, flag, value, message", [
+        ("sine", "--noise", "-1", "noise_amplitude = -1.0"),
+        ("logistic", "--noise", "inf", "noise_amplitude = inf"),
+        ("sine", "--alpha", "nan", "alpha = nan"),
+        ("sine", "--beta", "inf", "beta = inf"),
+        ("lorenz", "--scale", "inf", "scale = inf"),
+        ("lorenz", "--scale", "nan", "scale = nan")])
+    def test_bad_float_flag_is_data_error(self, system, flag, value, message,
+                                          tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", system, flag, value,
+                   "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _no_parse(path):
     raise AssertionError(f"{path} was parsed")
@@ -386,6 +401,35 @@ class TestGeneratedDataBoundary:
         assert run("train", "--data", str(ds), "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "class 0 is absent" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_training_is_data_error(self, sine, tmp_path, capsys):
+        ds, cfg = sine
+        cfg.write_text(cfg.read_text().replace("epochs = 1", "epochs = 3") +
+                       "learning_rate = 1e300\n")
+        out = tmp_path / "o"
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(out)) == 2
+        assert "epoch 1: mean loss inf is not finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_earlier_per_channel_container_is_data_error(self, sine,
+                                                         tmp_path, capsys):
+        # the earlier layout of a 2-channel dataset: data_ch0.tsv and
+        # data_ch1.tsv, and no data.tsv
+        ds, cfg = sine
+        text = (ds / "data.tsv").read_text()
+        (ds / "data.tsv").unlink()
+        for ch in range(2):
+            (ds / f"data_ch{ch}.tsv").write_text(text)
+        manifest = ds / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            "n_channels = 1", "n_channels = 2"))
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert f"{ds / 'data.tsv'}: no such file" in capsys.readouterr().err
 
 
 class TestEstimateCommand:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,6 @@ class TestDatasets:
                 for k in range(4)]
         ds = datagen.SyntheticDataset(seqs, [0.0, 1.0], 0.0, "hand", 4, 3, 2)
         datagen.save_dataset(ds, tmp_path / "d")
-        assert (tmp_path / "d" / "data_ch1.tsv").exists()
         loaded = datagen.load_dataset(tmp_path / "d")
         assert loaded.n_channels == 2
         for sa, sb in zip(ds.sequences, loaded.sequences):
@@ -169,15 +170,17 @@ class TestDatasets:
         manifest.write_text(text.replace("n_steps = 3", "n_steps = 2"))
         with pytest.raises(datagen.DataFormatError, match="12 samples"):
             datagen.load_dataset(tmp_path / "d")
-        manifest.write_text(text.replace("n_channels = 2", "n_channels = 0"))
-        with pytest.raises(datagen.DataFormatError, match="n_channels"):
-            datagen.load_dataset(tmp_path / "d")
-        manifest.write_text(text)
-        # a channel file whose labels disagree with channel 0 is rejected
-        ch1 = tmp_path / "d" / "data_ch1.tsv"
-        ch1.write_text("1" + ch1.read_text()[1:])
-        with pytest.raises(datagen.DataFormatError, match="data_ch1.tsv"):
-            datagen.load_dataset(tmp_path / "d")
+        # a channel count below 1 or one that does not divide the 24
+        # samples of a row
+        for _ in range(2):  # from rows.npy, then from the text
+            for n_channels in (0, -1, 5):
+                manifest.write_text(text.replace(
+                    "n_channels = 2", f"n_channels = {n_channels}"))
+                with pytest.raises(datagen.DataFormatError,
+                                   match=r"manifest\.txt: n_channels = "
+                                         f"{n_channels} .* 24 samples"):
+                    datagen.load_dataset(tmp_path / "d")
+            (tmp_path / "d" / datagen.ROWS_NPY).unlink(missing_ok=True)
 
     def test_lorenz_dataset_bounded(self):
         ds = datagen.make_lorenz_dataset(per_class=1, window_len=10, n_steps=2,
@@ -211,6 +214,16 @@ def _no_text(*args, **kwargs):
     raise AssertionError("the row files were parsed")
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """The paths `parse_rows` is called on, in order."""
+    paths = []
+    real_parse = datagen.parse_rows
+    monkeypatch.setattr(datagen, "parse_rows",
+                        lambda path: paths.append(path) or real_parse(path))
+    return paths
+
+
 class TestBinaryRows:
     """rows.npy stands in for the row files only while both digests match."""
 
@@ -224,7 +237,8 @@ class TestBinaryRows:
                                                    monkeypatch):
         ds = make()
         datagen.save_dataset(ds, tmp_path / "d")
-        assert (tmp_path / "d" / datagen.ROWS_NPY).exists()
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == \
+            ["data.tsv", "manifest.txt", datagen.ROWS_NPY]
         with monkeypatch.context() as m:
             m.setattr(datagen, "parse_rows", _no_text)
             binary = _windows(datagen.load_dataset(tmp_path / "d"))
@@ -253,7 +267,7 @@ class TestBinaryRows:
                            match=r"data\.tsv:3: non-finite"):
             datagen.load_dataset(tmp_path / "d")
 
-    def test_bad_npy_falls_back_to_the_text(self, tmp_path, monkeypatch):
+    def test_bad_npy_falls_back_to_the_text(self, tmp_path, parsed):
         ds = _three_channels()
         d, other = tmp_path / "d", tmp_path / "other"
         datagen.save_dataset(ds, d)
@@ -262,10 +276,6 @@ class TestBinaryRows:
         good = npy.read_bytes()
         flipped = bytearray(good)
         flipped[-8:] = bytes(b ^ 0xFF for b in flipped[-8:])
-        parsed = []
-        real_parse = datagen.parse_rows
-        monkeypatch.setattr(datagen, "parse_rows",
-                            lambda path: parsed.append(path) or real_parse(path))
         for bad in (bytes(flipped), good[:-8], (other / datagen.ROWS_NPY)
                     .read_bytes(), None):
             if bad is None:
@@ -274,34 +284,23 @@ class TestBinaryRows:
                 npy.write_bytes(bad)
             parsed.clear()
             assert _windows(datagen.load_dataset(d)) == _windows(ds)
-            assert len(parsed) == 3
+            assert parsed == [d / "data.tsv"]
 
-    def test_added_or_removed_channel_file_is_read_from_the_text(self,
-                                                                 tmp_path):
-        ds = _three_channels()
+    def test_earlier_single_channel_container_is_read_from_the_text(
+            self, tmp_path, parsed):
+        # the earlier layout stored (channels, N, 1+T) rows under the same
+        # data.tsv and digests: a 3-D rows.npy that matches them
+        ds = datagen.make_sine_dataset(per_class=2, seed=3)
         d = tmp_path / "d"
         datagen.save_dataset(ds, d)
+        npy = d / datagen.ROWS_NPY
+        np.save(npy, np.load(npy)[None], allow_pickle=False)
         manifest = d / "manifest.txt"
-        text = manifest.read_text()
-        # removed: the manifest names two channel files, the .npy holds three
-        (d / "data_ch2.tsv").rename(tmp_path / "ch2.tsv")
-        manifest.write_text(text.replace("n_channels = 3", "n_channels = 2"))
-        loaded = datagen.load_dataset(d)
-        assert loaded.n_channels == 2
-        for seq, got in zip(ds.sequences, loaded.sequences):
-            want = seq.windows.reshape(2, 3, 4)[:, :2].reshape(2, 8)
-            assert np.array_equal(got.windows, want)
-        # added: a fourth channel file next to the three the .npy holds
-        (tmp_path / "ch2.tsv").rename(d / "data_ch2.tsv")
-        ch3 = (d / "data_ch0.tsv").read_text()
-        (d / "data_ch3.tsv").write_text(ch3)
-        manifest.write_text(text.replace("n_channels = 3", "n_channels = 4"))
-        loaded = datagen.load_dataset(d)
-        assert loaded.n_channels == 4
-        for seq, got in zip(ds.sequences, loaded.sequences):
-            blocks = seq.windows.reshape(2, 3, 4)
-            want = np.concatenate([blocks, blocks[:, :1]], axis=1)
-            assert np.array_equal(got.windows, want.reshape(2, 16))
+        kv = datagen.read_kv(manifest)
+        manifest.write_text(manifest.read_text().replace(
+            kv["npy_sha256"], hashlib.sha256(npy.read_bytes()).hexdigest()))
+        assert _windows(datagen.load_dataset(d)) == _windows(ds)
+        assert parsed == [d / "data.tsv"]
 
     def test_round_trip_writes_fresh_digests_and_the_same_manifest(
             self, tmp_path):

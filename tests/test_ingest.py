@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from qcnnlstm.datagen import write_rows
+from qcnnlstm.datagen import stratified_split, write_rows
 from qcnnlstm.ingest import (DataFormatError, RawDataset, dataset_to_sequences,
                              envelope_dataset, hilbert_envelope, load_ucr,
                              normalize_and_split)
@@ -17,20 +17,20 @@ class TestLoadUcr:
         f = tmp_path / "two.tsv"
         f.write_text("1\t0.0\t1.0\n2\t2.0\t3.0\n")
         ds = load_ucr(f)
-        assert [r[0] for r in ds.records] == [0, 1]
+        assert ds.labels.tolist() == [0, 1]
         assert ds.label_names == {0: 1.0, 1: 2.0}
 
     def test_comma_separator(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("-1,0.5,0.25\n1,0.1,0.2\n")
         ds = load_ucr(f)
-        assert ds.records[0][1].shape == (1, 2)
-        assert [r[0] for r in ds.records] == [0, 1]
+        assert ds.signals.shape == (2, 1, 2)
+        assert ds.labels.tolist() == [0, 1]
 
     def test_ecg200_train_file_shape(self):
         ds = load_ucr(ECG_DIR / "ECG200_TRAIN.tsv")
-        assert len(ds.records) == 100
-        assert all(sig.shape == (1, 96) for _, sig in ds.records)
+        assert ds.signals.shape == (100, 1, 96)
+        assert len(ds.labels) == 100
         assert ds.n_classes == 2
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -64,13 +64,12 @@ class TestLoadUcr:
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [(i % 2, rng.normal(size=(1, 16))) for i in range(6)]
-        write_rows(tmp_path / "rt.tsv", [label for label, _ in records],
-                   [signal[0] for _, signal in records])
+        labels = np.arange(6) % 2
+        signals = rng.normal(size=(6, 1, 16))
+        write_rows(tmp_path / "rt.tsv", labels, signals[:, 0])
         loaded = load_ucr(tmp_path / "rt.tsv")
-        for (la, sa), (lb, sb) in zip(records, loaded.records):
-            assert la == lb
-            assert np.array_equal(sa, sb)
+        assert np.array_equal(loaded.labels, labels)
+        assert np.array_equal(loaded.signals, signals)
 
 
 class TestHilbertEnvelope:
@@ -109,65 +108,79 @@ class TestHilbertEnvelope:
 
     def test_envelope_dataset_applies_per_record(self):
         rng = np.random.default_rng(4)
-        ds = RawDataset([(0, rng.normal(size=(2, 64)))])
+        ds = RawDataset(np.array([0, 1]), rng.normal(size=(2, 2, 64)))
         env = envelope_dataset(ds)
-        assert env.records[0][1].shape == (2, 64)
-        assert env.records[0][1].min() >= 0.0
+        assert env.signals.shape == (2, 2, 64)
+        assert env.signals.min() >= 0.0
+        for sig, got in zip(ds.signals, env.signals):
+            assert np.array_equal(hilbert_envelope(sig), got)
 
 
 class TestNormalizeAndSplit:
     def _balanced(self, n=100, length=20):
         rng = np.random.default_rng(5)
-        return RawDataset([(i % 2, rng.normal(loc=3.0, scale=2.0,
-                                              size=(1, length)))
-                           for i in range(n)])
+        return RawDataset(np.arange(n) % 2,
+                          rng.normal(loc=3.0, scale=2.0, size=(n, 1, length)))
 
     def test_stratified_70_30(self):
         train, test = normalize_and_split(self._balanced(), 0.7, seed=1)
-        assert len(train.records) == 70 and len(test.records) == 30
+        assert len(train.signals) == 70 and len(test.signals) == 30
         for split, count in ((train, 35), (test, 15)):
-            labels = [r[0] for r in split.records]
-            assert labels.count(0) == count and labels.count(1) == count
+            assert np.bincount(split.labels).tolist() == [count, count]
 
     def test_train_stats_are_zero_mean_unit_var(self):
         train, _ = normalize_and_split(self._balanced(), 0.7, seed=2)
-        stacked = np.concatenate([sig for _, sig in train.records], axis=1)
+        stacked = train.signals
         assert abs(stacked.mean()) < 1e-10
         assert abs(stacked.var() - 1.0) < 1e-10
+
+    def test_per_channel_stats_equal_the_concatenated_oracle(self):
+        # three channels at their own level and scale; the oracle fits each
+        # channel's statistics on the train recordings side by side
+        rng = np.random.default_rng(8)
+        signals = rng.normal(size=(20, 3, 12)) * [[2.0], [0.5], [1.0]] + \
+            [[3.0], [-1.0], [0.0]]
+        ds = RawDataset(np.arange(20) % 2, signals)
+        train, test = normalize_and_split(ds, 0.5, seed=1)
+        train_idx, test_idx = stratified_split(ds.labels, 0.5, 1)
+        stacked = np.concatenate([signals[i] for i in train_idx], axis=1)
+        mean = stacked.mean(axis=1, keepdims=True)
+        std = stacked.std(axis=1, keepdims=True)
+        for split, idx in ((train, train_idx), (test, test_idx)):
+            assert np.array_equal(split.labels, ds.labels[idx])
+            for got, i in zip(split.signals, idx):
+                assert np.array_equal(got, (signals[i] - mean) / std)
 
     def test_deterministic_per_seed(self):
         a_train, _ = normalize_and_split(self._balanced(), 0.7, seed=3)
         b_train, _ = normalize_and_split(self._balanced(), 0.7, seed=3)
-        for (la, sa), (lb, sb) in zip(a_train.records, b_train.records):
-            assert la == lb and np.array_equal(sa, sb)
+        assert np.array_equal(a_train.labels, b_train.labels)
+        assert np.array_equal(a_train.signals, b_train.signals)
 
     def test_test_set_never_influences_stats(self):
-        # oracle: fit mean/std on the train records alone, apply to test
+        # oracle: fit mean/std on the train recordings alone, apply to test
         ds = self._balanced()
         train, test = normalize_and_split(ds, 0.7, seed=4)
         # recover the raw train rows by index bookkeeping: renormalizing the
         # normalized train split must be the identity transform
-        stacked = np.concatenate([sig for _, sig in train.records], axis=1)
-        mean, std = stacked.mean(), stacked.std()
-        renorm = [(sig - mean) / std for _, sig in train.records]
-        for (la, sa), sb in zip(train.records, renorm):
-            assert np.allclose(sa, sb, atol=1e-9)
+        mean, std = train.signals.mean(), train.signals.std()
+        assert np.allclose(train.signals, (train.signals - mean) / std,
+                           atol=1e-9)
         # and the test split is NOT unit variance under its own stats
-        tstack = np.concatenate([sig for _, sig in test.records], axis=1)
+        tstack = test.signals
         assert abs(tstack.mean()) > 1e-13 or abs(tstack.var() - 1) > 1e-13
 
     def test_predefined_split_used_verbatim(self):
         train_ds = load_ucr(ECG_DIR / "ECG200_TRAIN.tsv")
         test_ds = load_ucr(ECG_DIR / "ECG200_TEST.tsv")
         train, test = normalize_and_split(train_ds, predefined_test=test_ds)
-        assert len(train.records) == 100 and len(test.records) == 100
-        stacked = np.concatenate([sig for _, sig in train.records], axis=1)
-        assert abs(stacked.mean()) < 1e-10
+        assert len(train.signals) == 100 and len(test.signals) == 100
+        assert abs(train.signals.mean()) < 1e-10
 
     def test_class_absent_rejected(self):
         rng = np.random.default_rng(6)
-        train_ds = RawDataset([(0, rng.normal(size=(1, 8)))])
-        test_ds = RawDataset([(1, rng.normal(size=(1, 8)))])
+        train_ds = RawDataset(np.array([0]), rng.normal(size=(1, 1, 8)))
+        test_ds = RawDataset(np.array([1]), rng.normal(size=(1, 1, 8)))
         with pytest.raises(DataFormatError):
             normalize_and_split(train_ds, predefined_test=test_ds)
 
@@ -178,7 +191,7 @@ class TestNormalizeAndSplit:
         train_ds = load_ucr(tmp_path / "a.tsv")
         _, test = normalize_and_split(train_ds,
                                       predefined_test=load_ucr(tmp_path / "b.tsv"))
-        assert [label for label, _ in test.records] == [1, 0, 1]
+        assert test.labels.tolist() == [1, 0, 1]
 
     def test_unknown_test_token_rejected(self, tmp_path):
         # {-1, 1} vs {1, 2}: remapped per file both read {0, 1}, but the
@@ -197,7 +210,7 @@ class TestNormalizeAndSplit:
 class TestDatasetToSequences:
     def test_shapes_and_labels(self):
         rng = np.random.default_rng(7)
-        ds = RawDataset([(1, rng.normal(size=(2, 30)))])
+        ds = RawDataset(np.array([1]), rng.normal(size=(1, 2, 30)))
         seqs = dataset_to_sequences(ds, window_len=10, n_steps=3)
         assert seqs[0].windows.shape == (3, 20)
         assert seqs[0].label == 1

@@ -321,6 +321,15 @@ class TestSerialization:
         assert np.array_equal(loaded.conv[0].weights, params.conv[0].weights)
         assert np.array_equal(loaded.fc, params.fc)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_is_not_saved(self, tmp_path, value):
+        cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
+        params = init_params(cfg, seed=0)
+        params.lstm.gates[1, 2] = value
+        with pytest.raises(ValueError, match="lstm.gates"):
+            save_network(tmp_path / "m", params, cfg)
+        assert not (tmp_path / "m").exists()
+
     def test_packed_round_trip(self, tmp_path):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=10, init_scale=1.5)

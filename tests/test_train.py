@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from float_oracle import cross_entropy, loss_gradient, network_forward
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
@@ -287,6 +288,21 @@ class TestEvaluation:
         labels = np.array([0, 1])
         scores = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert auc_macro(labels, scores) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_auc_equals_the_rankdata_statistic(self, seed):
+        # scores on a coarse grid, so every class column has ties
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, 40)
+        scores = rng.integers(0, 6, (40, 3)) / 5.0
+        aucs = []
+        for k in range(3):
+            pos = labels == k
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            ranks = scipy.stats.rankdata(scores[:, k])
+            aucs.append((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) /
+                        (n_pos * n_neg))
+        assert auc_macro(labels, scores) == float(np.mean(aucs))
 
     def test_confusion_matrix_counts(self):
         cm = confusion_matrix([0, 0, 1, 2], [0, 1, 1, 2], 3)
