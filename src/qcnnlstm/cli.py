@@ -118,8 +118,10 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
                 [ds.sequences[i] for i in test_idx],
                 ds.n_classes, ds.n_channels, digest)
     train_path, test_path = _find_ucr_pair(data_dir)
-    train_raw = ingest.load_ucr(train_path)
-    test_raw = ingest.load_ucr(test_path)
+    # one read per file: the bytes parsed are the bytes hashed
+    blobs = [train_path.read_bytes(), test_path.read_bytes()]
+    train_raw = ingest.load_ucr(train_path, blobs[0])
+    test_raw = ingest.load_ucr(test_path, blobs[1])
     if split.envelope:
         train_raw = ingest.envelope_dataset(train_raw)
         test_raw = ingest.envelope_dataset(test_raw)
@@ -130,7 +132,7 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     test_seqs = ingest.dataset_to_sequences(test_raw, window_len, n_steps)
     return (train_seqs, test_seqs, train_raw.n_classes,
             train_raw.signals.shape[1],
-            datagen.rows_digest((train_path, test_path)))
+            datagen.rows_digest((train_path, test_path), blobs))
 
 
 def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):

@@ -337,14 +337,17 @@ def read_record(cls, kv: dict, path, **defaults):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def parse_rows(path) -> np.ndarray:
+def parse_rows(path, data: bytes | None = None) -> np.ndarray:
     """Tab- or comma-separated numeric rows of one width, as a 2-D array.
 
-    Blank lines are skipped. A non-numeric token, a non-finite value, a row
-    of another width and an empty file are `DataFormatError`s at path:line.
+    `data` is the file's bytes when the caller has already read them (to
+    hash them, say); otherwise the file is read here. Blank lines are
+    skipped. A non-numeric token, a non-finite value, a row of another
+    width and an empty file are `DataFormatError`s at path:line.
     """
+    text = _read_text(path) if data is None else data.decode()
     rows = []
-    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -401,11 +404,15 @@ _TEXT_DIGEST_KEY = "text_sha256"
 _NPY_DIGEST_KEY = "npy_sha256"
 
 
-def rows_digest(paths) -> str:
-    """sha256 over the files' names, sizes and bytes, in the order given."""
+def rows_digest(paths, blobs=None) -> str:
+    """sha256 over the files' names, sizes and bytes, in the order given.
+
+    `blobs` holds the files' bytes, in the same order, when the caller has
+    already read them to parse; otherwise the files are read here.
+    """
     h = hashlib.sha256()
-    for path in map(Path, paths):
-        data = path.read_bytes()
+    for i, path in enumerate(map(Path, paths)):
+        data = path.read_bytes() if blobs is None else blobs[i]
         h.update(f"{path.name}\t{len(data)}\n".encode())
         h.update(data)
     return h.hexdigest()
@@ -438,16 +445,15 @@ def save_channels(out_dir, labels, signals, manifest: dict) -> None:
     write_kv(out / "manifest.txt", kv)
 
 
-def _stored_rows(src: Path, kv: dict, digest: str):
+def _stored_rows(src: Path, kv: dict):
     """The (N, 1 + channels*T) rows from `rows.npy`, or None to parse the text.
 
-    None unless the manifest's digests match `digest`, that of `data.tsv`,
-    and the `.npy` bytes, and the rows are a non-empty, finite 2-D array:
-    `parse_rows` then reports what is wrong at path:line.
+    None unless the manifest's `npy_sha256` matches the `.npy` bytes and
+    the rows are a non-empty, finite 2-D array: `parse_rows` then reports
+    what is wrong at path:line. The caller checks `text_sha256`.
     """
     npy = src / ROWS_NPY
-    if digest is None or kv.get(_TEXT_DIGEST_KEY) != digest or \
-            not npy.exists():
+    if not npy.exists():
         return None
     data = npy.read_bytes()
     if hashlib.sha256(data).hexdigest() != kv.get(_NPY_DIGEST_KEY):
@@ -472,12 +478,16 @@ def load_channels(in_dir):
     """
     src = Path(in_dir)
     kv = read_kv(src / "manifest.txt")
+    # rows.npy first: holding the text's bytes while the larger array loads
+    # costs fresh pages (~7 ms a call at the gesture-dba size)
+    rows = _stored_rows(src, kv)
     path = src / "data.tsv"
-    # a missing data.tsv is reported by parse_rows
-    digest = rows_digest([path]) if path.exists() else None
-    rows = _stored_rows(src, kv, digest)
-    if rows is None:
-        rows = parse_rows(path)
+    # a missing data.tsv is reported by parse_rows; otherwise it is read
+    # once, and the text fallback parses the bytes that were hashed
+    data = path.read_bytes() if path.exists() else None
+    digest = None if data is None else rows_digest([path], [data])
+    if rows is None or digest is None or digest != kv.get(_TEXT_DIGEST_KEY):
+        rows = parse_rows(path, data)
     n_channels, samples = int(kv.get("n_channels", 1)), rows.shape[1] - 1
     if n_channels < 1 or samples % n_channels:
         raise DataFormatError(f"{src / 'manifest.txt'}: n_channels = "

@@ -63,6 +63,10 @@ class MachineConfig:
             raise ValueError("machine parameters must be positive")
         if self.lut_size & (self.lut_size - 1):
             raise ValueError("lut_size must be a power of two")
+        if self.activation_format.total_bits > fxp.DIRECT_LUT_MAX_BITS:
+            raise ValueError(f"activation_format {self.activation_format} is "
+                             f"wider than {fxp.DIRECT_LUT_MAX_BITS} bits, the "
+                             "widest with direct-address tables")
 
     @property
     def lanes_per_gate(self) -> int:

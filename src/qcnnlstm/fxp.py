@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,8 +102,16 @@ def from_raw(raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
 
 
 def _saturate(x, fmt: QFormat) -> np.ndarray:
+    """`x`, an int64 result the caller made, saturated to the format range.
+
+    An array is clipped in place; a NumPy scalar (from 0-d operands) cannot
+    be written into, so it comes back as a new scalar.
+    """
     # np.minimum/np.maximum: np.clip looks the dtype limits up on every call
-    return np.minimum(np.maximum(x, fmt.raw_min), fmt.raw_max)
+    if not isinstance(x, np.ndarray):
+        return np.minimum(np.maximum(x, fmt.raw_min), fmt.raw_max)
+    np.maximum(x, fmt.raw_min, out=x)
+    return np.minimum(x, fmt.raw_max, out=x)
 
 
 def requantize(acc, extra_frac_bits: int, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -116,11 +123,14 @@ def requantize(acc, extra_frac_bits: int, fmt: QFormat = ACT_FORMAT) -> np.ndarr
     """
     acc = np.asarray(acc, dtype=np.int64)
     if extra_frac_bits == 0:
-        return _saturate(acc, fmt)
+        return _saturate(acc.copy(), fmt)
     # floor((acc + half) / 2**e) rounds half up; one less for a negative
-    # accumulator makes it -floor((|acc| + half) / 2**e): half away from zero
-    half = 1 << (extra_frac_bits - 1)
-    return _saturate((acc + half - (acc < 0)) >> extra_frac_bits, fmt)
+    # accumulator makes it -floor((|acc| + half) / 2**e): half away from
+    # zero. `acc + half` is the one new array; the rest writes into it.
+    out = acc + (1 << (extra_frac_bits - 1))
+    out -= acc < 0
+    out >>= extra_frac_bits
+    return _saturate(out, fmt)
 
 
 def sat_add(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -207,10 +217,22 @@ def dot_fixed(x_raw, w_raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Lookup-table nonlinearities
+#
+# `lut_index_raw` addresses a table as the hardware does: one shift of
+# (raw - raw(u_min)), clamped. Every LUT input of the engine is saturated
+# to the activation format first, so the engine reads a direct-address
+# table built from it once per (size, format) instead: entry k holds the
+# value for the code whose low total_bits bits are k (negative codes wrap
+# to the top half), and one gather at raw & (2**total_bits - 1) replaces
+# shift, clamp and lookup. Such a table has 2**total_bits entries, hence
+# the DIRECT_LUT_MAX_BITS cap on activation formats.
 # ---------------------------------------------------------------------------
 
 #: Table size of the reference machine; `fsm.MachineConfig.lut_size` may change it.
 LUT_SIZE = 64
+
+#: Widest activation format with a direct-address table (64 Ki entries).
+DIRECT_LUT_MAX_BITS = 16
 
 #: Entries carry sign + 10 fractional bits; |f| < 1 for both supported kinds,
 #: so the near-saturated sigmoid tail lands at 1023/1024 rather than 1.0.
@@ -264,28 +286,20 @@ def build_lut(kind: str, n_entries: int = LUT_SIZE) -> LutTable:
     return LutTable(kind, u_min, u_max, entries)
 
 
-@lru_cache(maxsize=64)
-def _index_shift_base(u_min: float, u_max: float, n_entries: int,
-                      fmt: QFormat) -> tuple:
-    """(shift, raw(u_min)) of a table's index computation at `fmt`."""
-    width = (u_max - u_min) / n_entries * fmt.scale
-    shift = round(math.log2(width))
-    if shift < 0 or 2 ** shift != width:
-        raise ValueError("cell width must be a positive power of two "
-                         "in raw units at this format")
-    return shift, round(u_min * fmt.scale)
-
-
 def lut_index_raw(u_raw, table: LutTable, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Vectorized index computation as the hardware does it: one shift.
 
     cell_width * 2**frac_bits is a power of two for the supported tables, so
     the division reduces to an arithmetic right shift of (raw - raw(u_min)).
     """
-    n = table.n_entries
-    shift, base = _index_shift_base(table.u_min, table.u_max, n, fmt)
+    width = table.cell_width * fmt.scale
+    shift = round(math.log2(width))
+    if shift < 0 or 2 ** shift != width:
+        raise ValueError("cell width must be a positive power of two "
+                         "in raw units at this format")
+    base = round(table.u_min * fmt.scale)
     idx = (np.asarray(u_raw, dtype=np.int64) - base) >> shift
-    return np.minimum(np.maximum(idx, 0), n - 1)
+    return np.minimum(np.maximum(idx, 0), table.n_entries - 1)
 
 
 def lut_entries_in(table: LutTable, fmt: QFormat) -> np.ndarray:

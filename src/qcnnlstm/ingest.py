@@ -39,11 +39,12 @@ class RawDataset:
         return len(np.unique(self.labels))
 
 
-def load_ucr(path) -> RawDataset:
+def load_ucr(path, data: bytes | None = None) -> RawDataset:
     """One labeled univariate series per row; labels remapped to 0..K-1 in
-    sorted token order, with `label_names` mapping each to its token."""
+    sorted token order, with `label_names` mapping each to its token.
+    `data` is the file's bytes when the caller has already read them."""
     path = Path(path)
-    rows = parse_rows(path)
+    rows = parse_rows(path, data)
     tokens, labels = np.unique(rows[:, 0].tolist(), return_inverse=True)
     return RawDataset(labels, rows[:, None, 1:], path.stem,
                       dict(enumerate(tokens.tolist())))

@@ -5,8 +5,11 @@ every intermediate in the activation Q-format; the cycle simulator in `fsm`
 takes its numerics from it. Its products run in float32 where the fan-in
 keeps them exact there, else in float64, else raise `ValueError` (see
 `fxp._exact_product`); the input half of the gate product runs once over
-all windows before the recurrence. The float engine lives in `train`, which
-trains and evaluates with it.
+all windows before the recurrence. The nonlinearities read direct-address
+tables (`_lut`, one entry per raw code), so a step reads all four gates
+with one gather and tanh(c) with one more, and activation formats wider
+than `fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`. The float
+engine lives in `train`, which trains and evaluates with it.
 
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
@@ -142,11 +145,14 @@ def im2col(maps, m: int) -> np.ndarray:
     the width is even. Row n * length + position, column d * m + a holds
     padded map d of window n at position + a.
     """
-    n, _, length = maps.shape
+    n, depth, length = maps.shape
     left = (m - 1) // 2
-    xpad = np.pad(maps, ((0, 0), (0, 0), (left, m - 1 - left)))
-    patches = np.lib.stride_tricks.sliding_window_view(xpad, m, axis=2)
-    return patches.transpose(0, 2, 1, 3).reshape(n * length, -1)
+    padded = np.zeros((n, depth, length + m - 1), dtype=maps.dtype)
+    padded[:, :, left:left + length] = maps
+    out = np.empty((n, length, depth, m), dtype=maps.dtype)
+    for a in range(m):
+        out[..., a] = padded[:, :, a:a + length].transpose(0, 2, 1)
+    return out.reshape(n * length, depth * m)
 
 
 def softmax(logits) -> np.ndarray:
@@ -161,12 +167,29 @@ def softmax(logits) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _lut(kind: str, size: int, fmt: QFormat):
-    """A table and its entries requantized to `fmt`, built once per key."""
-    table = fxp.build_lut(kind, size)
-    entries = fxp.lut_entries_in(table, fmt)
-    entries.flags.writeable = False
-    return table, entries
+def _lut(size: int, fmt: QFormat) -> np.ndarray:
+    """The direct-address sigmoid and tanh tables at `fmt`, concatenated.
+
+    Entry k of each half holds the `size`-entry table's value, requantized
+    to `fmt`, for the raw code whose low total_bits bits are k, so an input
+    saturated to `fmt` reads its sigmoid at raw & mask and its tanh at
+    2**total_bits + (raw & mask). Built once per key.
+    """
+    if fmt.total_bits > fxp.DIRECT_LUT_MAX_BITS:
+        raise ValueError(f"activation format {fmt} is {fmt.total_bits} bits "
+                         "wide; the direct-address tables take at most "
+                         f"{fxp.DIRECT_LUT_MAX_BITS}")
+    n = 1 << fmt.total_bits
+    codes = np.arange(n)
+    codes[n // 2:] -= n  # position k holds the two's-complement code k
+    halves = []
+    for kind in ("sigmoid", "tanh"):
+        table = fxp.build_lut(kind, size)
+        halves.append(fxp.lut_entries_in(table, fmt)[
+            fxp.lut_index_raw(codes, table, fmt)])
+    out = np.concatenate(halves)
+    out.flags.writeable = False
+    return out
 
 
 def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
@@ -178,12 +201,14 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     `windows_raw` is (n_steps, input_len) or a batch (B, n_steps, input_len);
     returns raw logit codes, (n_steps, n_classes) or (B, n_steps, n_classes).
     Every stored intermediate is saturated/requantized to `fmt`, and the
-    nonlinearities read `lut_size`-entry tables.
+    nonlinearities read `lut_size`-entry tables through their direct-address
+    form (`_lut`), so `fmt` may be at most `fxp.DIRECT_LUT_MAX_BITS` wide.
     """
     x = np.asarray(windows_raw, dtype=np.int64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_steps, cfg.input_len):
         raise ValueError(f"expected windows {(cfg.n_steps, cfg.input_len)} "
                          f"or a batch of them, got {x.shape}")
+    lut = _lut(lut_size, fmt)
     # states 1-2 do not depend on the recurrent state: all windows at once
     v = x.reshape(-1, cfg.input_len)
     if cfg.use_cnn:
@@ -199,21 +224,31 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     x_part = fxp.ternary_acc(v, qnet.gates[n_h:], fmt).reshape(
         -1, cfg.n_steps, 4 * n_h)
     w_h = qnet.gates[:n_h]
-    sig, sig_entries = _lut("sigmoid", lut_size, fmt)
-    tanh, tanh_entries = _lut("tanh", lut_size, fmt)
+    mask = (1 << fmt.total_bits) - 1
+    tanh_lut = lut[mask + 1:]
+    # forget, input and output read the sigmoid half, the cell gate the tanh
+    offsets = np.repeat([0, mask + 1], [3 * n_h, n_h])
     h = c = np.zeros((len(x_part), n_h), dtype=np.int64)
-    hs = []
+    hs = np.empty((len(x_part), cfg.n_steps, n_h), dtype=np.int64)
+    acc, term = np.empty_like(c), np.empty_like(c)
     for t in range(cfg.n_steps):
-        pre = fxp.dot_ternary(h, w_h, x_part[:, t], fmt)
-        g = sig_entries[fxp.lut_index_raw(pre[:, :3 * n_h], sig, fmt)]
-        g_forget, g_input, g_output = g[:, :n_h], g[:, n_h:2 * n_h], g[:, 2 * n_h:]
-        g_cell = tanh_entries[fxp.lut_index_raw(pre[:, 3 * n_h:], tanh, fmt)]
-        c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt)
-        h = fxp.mul_fixed(g_output, tanh_entries[fxp.lut_index_raw(c, tanh, fmt)],
-                          fmt)
-        hs.append(h)
-    logits = fxp.dot_fixed(np.stack(hs, axis=1).reshape(-1, n_h),
-                           qnet.logits_raw, fmt=fmt)
+        # the saturated gate sums, turned into table positions in place
+        idx = fxp.dot_ternary(h, w_h, x_part[:, t], fmt)
+        idx &= mask
+        idx += offsets
+        g = lut.take(idx)  # all four gates, in quant.GATE_ORDER
+        g_forget, g_input = g[:, :n_h], g[:, n_h:2 * n_h]
+        g_output, g_cell = g[:, 2 * n_h:3 * n_h], g[:, 3 * n_h:]
+        # c = g_forget * c + g_cell * g_input, rounded once
+        np.multiply(g_forget, c, out=acc)
+        np.multiply(g_cell, g_input, out=term)
+        acc += term
+        c = fxp.requantize(acc, fmt.frac_bits, fmt)
+        # h = g_output * tanh(c), rounded once
+        np.bitwise_and(c, mask, out=term)
+        np.multiply(g_output, tanh_lut.take(term), out=acc)
+        h = hs[:, t] = fxp.requantize(acc, fmt.frac_bits, fmt)
+    logits = fxp.dot_fixed(hs.reshape(-1, n_h), qnet.logits_raw, fmt=fmt)
     return logits.reshape(x.shape[:-1] + (cfg.n_classes,))
 
 
@@ -225,7 +260,8 @@ def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
     # equals the ReLU followed by a clip at raw_max
     acc = fxp.dot_ternary(im2col(maps_raw, m), codes.reshape(f, depth * m).T,
                           fmt=fmt)
-    return np.maximum(acc, 0).reshape(n, length, f).transpose(0, 2, 1)
+    np.maximum(acc, 0, out=acc)
+    return acc.reshape(n, length, f).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import filecmp
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcnnlstm import datagen, fsm, fxp
+from qcnnlstm import cli, datagen, fsm, fxp
 from qcnnlstm import train as train_mod
 from qcnnlstm.cli import dispatch
 from qcnnlstm.datagen import DataFormatError, read_kv
@@ -126,6 +127,35 @@ class TestGen:
 
 def _no_parse(path):
     raise AssertionError(f"{path} was parsed")
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """File name -> number of `Path.read_bytes`/`read_text` calls on it."""
+    counts = Counter()
+    for name in ("read_bytes", "read_text"):
+        def counted(self, *args, _real=getattr(Path, name), **kwargs):
+            counts[self.name] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(Path, name, counted)
+    return counts
+
+
+class TestRowFilesReadOnce:
+    """The bytes a row file is parsed from are the bytes its digest hashes."""
+
+    def test_ucr_pair(self, reads):
+        cli.load_split_sequences(ECG_DIR, {"window_len": 20, "n_steps": 4})
+        assert reads["ECG200_TRAIN.tsv"] == reads["ECG200_TEST.tsv"] == 1
+
+    def test_container_parsed_from_the_text(self, tmp_path, reads):
+        ds = datagen.make_sine_dataset(per_class=2, seed=3)
+        datagen.save_dataset(ds, tmp_path / "d")
+        (tmp_path / "d" / datagen.ROWS_NPY).unlink()
+        reads.clear()
+        _, digest = datagen.read_dataset(tmp_path / "d")
+        assert reads["data.tsv"] == 1
+        assert digest == datagen.rows_digest([tmp_path / "d" / "data.tsv"])
 
 
 class TestGenBinaryRows:

@@ -192,7 +192,8 @@ def test_train_and_eval_hash_the_rows_once(tiny, tmp_path, monkeypatch):
     calls = []
     real = datagen.rows_digest
     monkeypatch.setattr(datagen, "rows_digest",
-                        lambda paths: calls.append(paths) or real(paths))
+                        lambda paths, blobs=None:
+                        calls.append(paths) or real(paths, blobs))
     model = tmp_path / "m"
     assert run("train", "--data", ds, "--config", root / "base.cfg",
                "--out", model) == 0

@@ -220,7 +220,8 @@ def parsed(monkeypatch):
     paths = []
     real_parse = datagen.parse_rows
     monkeypatch.setattr(datagen, "parse_rows",
-                        lambda path: paths.append(path) or real_parse(path))
+                        lambda path, data=None:
+                        paths.append(path) or real_parse(path, data))
     return paths
 
 

@@ -14,10 +14,10 @@ from float_oracle import (LstmState, conv1d_relu, fc_residual, lstm_step,
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcnnlstm import cli, fxp, quant
+from qcnnlstm import cli, fsm, fxp, model, quant
 from qcnnlstm.model import (ConvLayerParams, LstmParams, NetworkConfig,
-                            NetworkParams, load_network, network_forward_fixed,
-                            save_network, softmax)
+                            NetworkParams, im2col, load_network,
+                            network_forward_fixed, save_network, softmax)
 from qcnnlstm.train import (TrainConfig, batch_loss_and_grads, forward_logits,
                             init_params, predict_probs)
 
@@ -307,6 +307,93 @@ class TestFixedEngineRanges:
         got = network_forward_fixed(raws, qnet, cfg)
         for raw, row in zip(raws, got):
             assert row.tolist() == fixed_oracle.forward(raw, qnet, cfg)
+
+
+class TestDirectTables:
+    """The engine's direct-address tables, their format cap, and the engine
+    against the oracle at formats other than Q4.8."""
+
+    @pytest.mark.parametrize("size", [16, 32, 64, 128])
+    @pytest.mark.parametrize("fmt", [fxp.QFormat(12, 8), fxp.QFormat(16, 8),
+                                     fxp.QFormat(10, 6)], ids=str)
+    def test_every_code_reads_its_lut_index_raw_entry(self, fmt, size):
+        lut = model._lut(size, fmt)
+        codes = np.arange(fmt.raw_min, fmt.raw_max + 1)
+        mask = (1 << fmt.total_bits) - 1
+        assert len(lut) == 2 * (mask + 1)
+        for half, kind in enumerate(("sigmoid", "tanh")):
+            table = fxp.build_lut(kind, size)
+            want = fxp.lut_entries_in(table, fmt)[
+                fxp.lut_index_raw(codes, table, fmt)]
+            assert np.array_equal(lut[(codes & mask) + half * (mask + 1)], want)
+
+    @pytest.mark.parametrize("fmt", [fxp.QFormat(16, 8), fxp.QFormat(10, 6)],
+                             ids=str)
+    def test_engine_matches_the_oracle(self, fmt):
+        # inputs uniform in +-8: the first step's gate sums alone take
+        # negative codes and reach both ends of both tables
+        rng = np.random.default_rng(fmt.total_bits)
+        first_sums = []
+        for k in range(24):
+            use_cnn = k % 2 == 1
+            cfg = NetworkConfig(window_len=int(rng.integers(3, 8)), n_steps=3,
+                                n_hidden=int(rng.integers(2, 10)), n_classes=3,
+                                conv_layers=((2, 3), (2, 2)), use_cnn=use_cnn)
+            params = init_params(cfg, seed=k, init_scale=1.2)
+            qnet = quant.QuantizedNetwork.from_params(params, "ternary", fmt)
+            raw = fxp.to_raw(rng.uniform(-8, 8, (cfg.n_steps, cfg.input_len)),
+                             fmt)
+            got = network_forward_fixed(raw, qnet, cfg, fmt)
+            assert got.tolist() == fixed_oracle.forward(raw, qnet, cfg, fmt)
+            if not use_cnn:
+                first_sums.append(fxp.dot_ternary(
+                    raw[0], qnet.gates[cfg.n_hidden:], fmt=fmt))
+        sums = np.concatenate(first_sums)
+        assert sums.min() < 0
+        for kind in ("sigmoid", "tanh"):
+            table = fxp.build_lut(kind, fxp.LUT_SIZE)
+            cells = set(fxp.lut_index_raw(sums, table, fmt).tolist())
+            assert {0, fxp.LUT_SIZE - 1} <= cells
+
+    def test_format_wider_than_16_bits_is_rejected(self):
+        wide = fxp.QFormat(17, 8)
+        with pytest.raises(ValueError, match="16"):
+            fsm.MachineConfig(activation_format=wide)
+        cfg = NetworkConfig(window_len=2, n_steps=1, n_hidden=2, n_classes=2,
+                            use_cnn=False)
+        qnet = quant.QuantizedNetwork.from_params(init_params(cfg, seed=0),
+                                                  "ternary", wide)
+        with pytest.raises(ValueError, match="16"):
+            network_forward_fixed(np.zeros((1, 2), np.int64), qnet, cfg, wide)
+
+
+def im2col_reference(maps, m):
+    """Row n * length + pos, column d * m + a: map d of window n at
+    pos + a - (m - 1) // 2, or 0 outside the window; one tap at a time."""
+    n, depth, length = maps.shape
+    left = (m - 1) // 2
+    out = np.zeros((n * length, depth * m), dtype=maps.dtype)
+    for i in range(n):
+        for pos in range(length):
+            for d in range(depth):
+                for a in range(m):
+                    src = pos + a - left
+                    if 0 <= src < length:
+                        out[i * length + pos, d * m + a] = maps[i, d, src]
+    return out
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("batch", [1, 400])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_the_per_tap_reference(self, m, depth, dtype, batch):
+        rng = np.random.default_rng(m * depth * batch)
+        maps = rng.uniform(-9, 9, (batch, depth, 6)).astype(dtype)
+        got = im2col(maps, m)
+        assert got.dtype == dtype
+        assert np.array_equal(got, im2col_reference(maps, m))
 
 
 class TestSerialization:
