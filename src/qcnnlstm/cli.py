@@ -224,14 +224,10 @@ def _cmd_train(args, argv) -> int:
     net_cfg = replace(net_cfg, **data)
     result = train_mod.train(train_seqs, test_seqs, cfg, net_cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model.save_network(out, result.params, net_cfg, mode="full")
-    # record the training precision for downstream quantize/eval/simulate
-    network = {"mode": cfg.mode, **vars(net_cfg)}
-    datagen.write_kv(out / "config.txt", network)
+    # a binary/ternary run writes its codes, as `quantize` would
+    model.save_network(out, result.params, net_cfg, mode=cfg.mode)
     datagen.write_kv(out / "hyperparams.txt", {
-        **vars(cfg), **vars(split),
-        "data_sha256": digest, **network})
+        **vars(cfg), **vars(split), "data_sha256": digest, **vars(net_cfg)})
     train_mod.write_trace(out / "trace.csv", result.loss_trace,
                           result.accuracy_trace)
     _write_manifest(argv, out, config_path=path, seed=split.seed)
@@ -279,6 +275,8 @@ def _cmd_eval(args, argv) -> int:
 def _cmd_simulate(args, argv) -> int:
     if args.limit < 0:
         raise _UsageError("--limit must not be negative")
+    if args.trace and not args.out:
+        raise _UsageError("--trace writes trace.csv under --out; give both")
     params, cfg, mode = model.load_network(args.model)
     if mode == "full":
         raise ingest.DataFormatError(
@@ -298,7 +296,7 @@ def _cmd_simulate(args, argv) -> int:
     seqs = test_seqs[:n]
     raw = fxp.to_raw(np.stack([seq.windows for seq in seqs]),
                      mc.activation_format)
-    trace = (out / "trace.csv") if (out and args.trace) else None
+    trace = (out / "trace.csv") if args.trace else None
     preds, report = fsm.run_inference(raw, banks, cfg, mc, trace_path=trace)
     correct = int((preds == np.array([seq.label for seq in seqs])).sum())
     print(f"simulated {n} inferences, accuracy {correct / n:.4f}")
@@ -357,7 +355,7 @@ def build_parser() -> _Parser:
                    default="full")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("quantize", help="pack shadow weights to 2-bit codes")
+    p = sub.add_parser("quantize", help="write a model as 2-bit codes")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
 

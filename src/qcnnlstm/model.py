@@ -14,7 +14,9 @@ engine lives in `train`, which trains and evaluates with it.
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
 computes [h, window] @ gates + gate_bias. `named_tensors` names every tensor
-once; model directories keep one file per gate, split at the file boundary.
+once and `network_tensors` what a `mode` network computes with, the tensors
+the float engine reads and `save_network` writes; model directories keep one
+file per gate, split at the file boundary.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "NetworkConfig",
     "NetworkParams",
     "named_tensors",
+    "network_tensors",
     "is_quantized",
     "is_bias",
     "im2col",
@@ -136,6 +139,18 @@ def is_quantized(name: str) -> bool:
 
 def is_bias(name: str) -> bool:
     return name.endswith("bias") or name == "lstm.b_logits"
+
+
+def network_tensors(params: NetworkParams, mode: str) -> dict:
+    """The tensors a `mode` network computes with, keyed as `named_tensors`:
+    the gates and CNN kernels as codes and, in binary/ternary modes, every
+    bias zero (the accelerator has no bias stage)."""
+    tensors = named_tensors(params)
+    if mode == "full":
+        return tensors
+    return {name: quant.quantize_weights(w, mode) if is_quantized(name) else
+            np.zeros_like(w) if is_bias(name) else w
+            for name, w in tensors.items()}
 
 
 def im2col(maps, m: int) -> np.ndarray:
@@ -269,22 +284,23 @@ def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
 # Manifest line: name<TAB>dtype<TAB>shape-csv<TAB>filename
 # ---------------------------------------------------------------------------
 
-def _file_tensors(params: NetworkParams):
-    """(name, array, quantized) per stored file: the fused gates split per gate."""
-    for name, arr in named_tensors(params).items():
+def _file_tensors(tensors: dict):
+    """(name, array, quantized) per stored file: gates and biases per gate."""
+    for name, arr in tensors.items():
         if name == "lstm.gates":
-            weights, biases = params.lstm.gate_weights(), params.lstm.gate_biases()
-            for gate in quant.GATE_ORDER:
-                yield f"lstm.w_{gate}", weights[gate], True
-                yield f"lstm.b_{gate}", biases[gate], False
+            weights = np.split(arr, 4, axis=1)
+            biases = np.split(tensors["lstm.gate_bias"], 4)
+            for gate, w, b in zip(quant.GATE_ORDER, weights, biases):
+                yield f"lstm.w_{gate}", w, True
+                yield f"lstm.b_{gate}", b, False
         elif name != "lstm.gate_bias":
             yield name, arr, is_quantized(name)
 
 
 def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
                  mode: str = "full") -> None:
-    """Write the network to `out_dir`; a non-finite tensor is a
-    `ValueError`, raised before anything is written."""
+    """Write `network_tensors(params, mode)` to `out_dir`; a non-finite
+    tensor is a `ValueError`, raised before anything is written."""
     for name, arr in named_tensors(params).items():
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} holds a non-finite value; the network "
@@ -292,12 +308,10 @@ def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for name, arr, quantized in _file_tensors(params):
+    for name, arr, quantized in _file_tensors(network_tensors(params, mode)):
         fname = name.replace(".", "_") + ".bin"
-        arr = np.asarray(arr, dtype=np.float64)
         if mode != "full" and quantized:
-            codes = quant.quantize_weights(arr, mode)
-            (out / fname).write_bytes(quant.pack_codes(codes))
+            (out / fname).write_bytes(quant.pack_codes(arr))
             dtype = "int2"
         else:
             (out / fname).write_bytes(arr.astype("<f8").tobytes())

@@ -1,9 +1,10 @@
 """Backprop-through-time trainer: replicated targets, Adagrad, clipping.
 
 The same class label is applied at every step and the per-step cross-entropy
-losses are averaged; test-time prediction uses only the final step. Quantized
-modes run the forward pass on weight codes and route gradients to the
-full-precision shadow weights through the straight-through estimator.
+losses are averaged; test-time prediction uses only the final step. The
+forward pass reads `model.network_tensors`; binary/ternary runs route the
+code gradients to the full-precision shadow weights through the
+straight-through estimator and leave the biases at zero.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import quant
 from .model import (ConvLayerParams, LstmParams, NetworkConfig, NetworkParams,
-                    im2col, is_bias, is_quantized, named_tensors, softmax)
+                    im2col, is_bias, is_quantized, named_tensors,
+                    network_tensors, softmax)
 
 __all__ = [
     "TrainConfig",
@@ -47,14 +49,14 @@ class TrainConfig:
     init_scale: float = 0.01
     seed: int = 0
     mode: str = "full"  # full | ternary | binary
-    augment_noise: float = 0.0  # uniform input noise redrawn per batch
-    train_biases: bool = True   # quantized modes pin biases at zero regardless
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if min(self.epochs, self.batch_size) < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.init_scale < 0:
+            raise ValueError("init_scale must not be negative")
         if self.mode not in quant.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -99,13 +101,6 @@ def init_params(cfg: NetworkConfig, seed: int = 0,
     lstm = LstmParams(gates, np.zeros(4 * nh), w_logits=u(nh, cfg.n_classes),
                       b_logits=np.zeros(cfg.n_classes))
     return NetworkParams(conv, fc, lstm)
-
-
-def _effective(params: NetworkParams, mode: str) -> dict:
-    """Tensors the forward pass actually reads (codes in quantized modes)."""
-    return {name: quant.quantize_weights(w, mode)
-            if mode != "full" and is_quantized(name) else w
-            for name, w in named_tensors(params).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,7 @@ def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
                                                    net_cfg.input_len):
         raise ValueError(f"expected windows (B, {net_cfg.n_steps}, "
                          f"{net_cfg.input_len}), got {windows.shape}")
-    logits, _ = _forward(windows, _effective(params, mode), net_cfg)
+    logits, _ = _forward(windows, network_tensors(params, mode), net_cfg)
     return logits.transpose(1, 0, 2)
 
 
@@ -256,8 +251,8 @@ def batch_loss_and_grads(windows, labels, params: NetworkParams,
                          net_cfg: NetworkConfig, cfg: TrainConfig):
     """Mean loss and shadow-weight gradients for windows (B, q, U)."""
     loss, grads = _loss_and_grads(windows, np.asarray(labels),
-                                  _effective(params, cfg.mode), net_cfg)
-    return loss, _route_to_shadow(grads, params, cfg.mode, cfg.train_biases)
+                                  network_tensors(params, cfg.mode), net_cfg)
+    return loss, _route_to_shadow(grads, params, cfg.mode)
 
 
 def _loss_and_grads(windows, labels, eff: dict, cfg: NetworkConfig):
@@ -274,19 +269,14 @@ def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
                                 cfg or TrainConfig())
 
 
-def _route_to_shadow(grads: dict, params: NetworkParams, mode: str,
-                     train_biases: bool = True) -> dict:
-    """STE: gradients w.r.t. codes pass through where |shadow| <= 1."""
-    if mode == "full" and train_biases:
+def _route_to_shadow(grads: dict, params: NetworkParams, mode: str) -> dict:
+    """Full mode trains every tensor; binary/ternary modes drop the bias
+    gradients and pass the code gradients through the STE (|shadow| <= 1)."""
+    if mode == "full":
         return grads
     shadow = named_tensors(params)
-    out = {}
-    for name, g in grads.items():
-        if is_bias(name) and (mode != "full" or not train_biases):
-            continue  # biases pinned at zero
-        out[name] = quant.ste_backward(g, shadow[name]) \
-            if mode != "full" and is_quantized(name) else g
-    return out
+    return {name: quant.ste_backward(g, shadow[name]) if is_quantized(name)
+            else g for name, g in grads.items() if not is_bias(name)}
 
 
 def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
@@ -333,12 +323,8 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = windows[idx]
-            if cfg.augment_noise > 0.0:
-                batch = batch + rng.uniform(-cfg.augment_noise,
-                                            cfg.augment_noise, batch.shape)
-            loss, grads = batch_loss_and_grads(batch, labels[idx], params,
-                                               net_cfg, cfg)
+            loss, grads = batch_loss_and_grads(windows[idx], labels[idx],
+                                               params, net_cfg, cfg)
             adagrad_step(params, grads, state, cfg)
             epoch_loss += loss * len(idx)
         loss_trace[epoch] = epoch_loss / n

@@ -5,11 +5,14 @@ the package breaks the benchmark only when it runs. These tests read
 `bench/*.py` without running it: every `from qcnnlstm... import`, every
 `<module>.<name>` chain on an imported `qcnnlstm` module and every
 `trace_targets()` entry must resolve through `inspect.getattr_static`, the
-lookup `bench/tracer.py` installs its wrappers with. Fields `bench/` reads
-from instances, which no static lookup sees, are pinned by name.
+lookup `bench/tracer.py` installs its wrappers with, and every keyword a
+call passes to a package callable must be one of its parameters. Fields
+`bench/` reads from instances, which no static lookup sees, are pinned by
+name.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import sys
@@ -32,10 +35,10 @@ def _resolves(owner, attrs) -> bool:
     return True
 
 
-def _unresolved(path: Path) -> list:
-    """`file:line: name` for each package name `path` uses that is missing."""
-    tree = ast.parse(path.read_text(), str(path))
-    modules, missing = {}, []  # local name -> imported qcnnlstm module
+def _imports(tree, path: Path) -> tuple[dict, list]:
+    """(local name -> what a `from qcnnlstm... import` binds it to, the
+    `file:line: name` of each imported name that is missing)."""
+    bound, missing = {}, []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ImportFrom) and node.level == 0 and
                 (node.module or "").split(".")[0] == "qcnnlstm"):
@@ -43,32 +46,76 @@ def _unresolved(path: Path) -> list:
         package = importlib.import_module(node.module)
         for alias in node.names:
             name = f"{node.module}.{alias.name}"
+            local = alias.asname or alias.name
             if node.module == "qcnnlstm" and \
                     importlib.util.find_spec(name) is not None:
-                modules[alias.asname or alias.name] = importlib.import_module(
-                    name)
-            elif not _resolves(package, [alias.name]):
+                bound[local] = importlib.import_module(name)
+            elif _resolves(package, [alias.name]):
+                bound[local] = getattr(package, alias.name)
+            else:
                 missing.append(f"{path.name}:{node.lineno}: {name}")
+    return bound, missing
+
+
+def _chain(node) -> tuple:
+    """(base name or None, [attr, ...]) of `base.attr.attr` expressions."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    return (node.id if isinstance(node, ast.Name) else None), attrs
+
+
+def _unresolved(path: Path) -> list:
+    """`file:line: name` for each package name `path` uses that is missing."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound, missing = _imports(tree, path)
+    modules = {k: v for k, v in bound.items() if inspect.ismodule(v)}
     inner = {id(node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Attribute) or id(node) in inner:
             continue
-        attrs, base = [], node
-        while isinstance(base, ast.Attribute):
-            attrs.insert(0, base.attr)
-            base = base.value
-        if isinstance(base, ast.Name) and base.id in modules and \
-                not _resolves(modules[base.id], attrs):
+        base, attrs = _chain(node)
+        if base in modules and not _resolves(modules[base], attrs):
             missing.append(f"{path.name}:{node.lineno}: "
-                           f"{modules[base.id].__name__}.{'.'.join(attrs)}")
+                           f"{modules[base].__name__}.{'.'.join(attrs)}")
     return missing
+
+
+def _unknown_keywords(path: Path) -> list:
+    """`file:line: callee(keyword=)` for each keyword `path` passes to a
+    package callable that has no parameter of that name."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound, _ = _imports(tree, path)
+    unknown = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        base, attrs = _chain(node.func)
+        if base not in bound or not _resolves(bound[base], attrs):
+            continue  # not the package's, or missing: `_unresolved` says so
+        params = inspect.signature(
+            functools.reduce(getattr, attrs, bound[base])).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        callee = ".".join([base] + attrs)
+        unknown += [f"{path.name}:{node.lineno}: {callee}({kw.arg}=)"
+                    for kw in node.keywords
+                    if kw.arg is not None and kw.arg not in params]
+    return sorted(unknown)
 
 
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")),
                          ids=lambda path: path.name)
 def test_every_package_name_in_bench_resolves(path):
     assert _unresolved(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_keyword_bench_passes_is_a_parameter(path):
+    assert _unknown_keywords(path) == []
 
 
 def test_every_trace_target_resolves(monkeypatch):
@@ -90,6 +137,19 @@ def test_a_deleted_name_is_reported(tmp_path):
         "uses.py:2: qcnnlstm.cli.dataset_digest",
         "uses.py:3: qcnnlstm.model.FcParams",
         "uses.py:3: qcnnlstm.fsm.nope.x"]
+
+
+def test_an_unknown_keyword_is_reported(tmp_path):
+    source = tmp_path / "uses.py"
+    source.write_text("from qcnnlstm import model, train\n"
+                      "from qcnnlstm.train import TrainConfig\n"
+                      "TrainConfig(batch_size=8, augment_noise=0.1)\n"
+                      "train.init_params(net, init_scale=1.0, scale=2)\n"
+                      "model.save_network(d, p, c, mode='ternary', **kw)\n"
+                      "len(x, y=1), model.NetworkConfig(4, 2, 3, 2)\n")
+    assert _unknown_keywords(source) == [
+        "uses.py:3: TrainConfig(augment_noise=)",
+        "uses.py:4: train.init_params(scale=)"]
 
 
 def test_instance_fields_bench_reads_exist():

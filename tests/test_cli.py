@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcnnlstm import cli, datagen, fsm, fxp
+from qcnnlstm import cli, datagen, fsm, fxp, model
 from qcnnlstm import train as train_mod
 from qcnnlstm.cli import dispatch
 from qcnnlstm.datagen import DataFormatError, read_kv
 
-ECG_DIR = Path(__file__).resolve().parent.parent / "data" / "ECG200"
+ROOT = Path(__file__).resolve().parent.parent
+ECG_DIR = ROOT / "data" / "ECG200"
+ECG_MODEL = ROOT / "bench" / "models" / "ecg200-ternary350"
 
 
 def run(*argv):
@@ -43,6 +45,12 @@ class TestDispatch:
     def test_negative_simulate_limit_is_usage_error(self, tmp_path):
         assert run("simulate", "--model", str(tmp_path), "--data", str(ECG_DIR),
                    "--limit", "-1") == 1
+
+    def test_simulate_trace_without_out_is_usage_error(self, capsys):
+        assert run("simulate", "--model", str(ECG_MODEL), "--data",
+                   str(ECG_DIR), "--limit", "1", "--trace") == 1
+        err = capsys.readouterr().err
+        assert "--trace" in err and "--out" in err
 
     def test_unknown_test_label_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ucr"
@@ -295,6 +303,69 @@ def test_kernel_wider_than_window_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 2
     assert "width-5 kernel" in capsys.readouterr().err
+
+
+def _network_files(model_dir):
+    """The bytes of `config.txt`, the manifest and every file it names."""
+    manifest = (model_dir / "params.manifest").read_text()
+    names = ["config.txt", "params.manifest"] + \
+        [line.split("\t")[3] for line in manifest.splitlines()]
+    return {name: (model_dir / name).read_bytes() for name in names}
+
+
+class TestOneNetworkDefinition:
+    """`eval` and `simulate` read the tensors `model.network_tensors` gives:
+    codes and, in binary/ternary modes, zero biases."""
+
+    @pytest.fixture(scope="class")
+    def cnn_data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one_network")
+        assert run("gen", "--system", "sine", "--classes", "2", "--per-class",
+                   "6", "--window", "6", "--steps", "2",
+                   "--out", str(root / "ds")) == 0
+        cfg = root / "train.cfg"
+        cfg.write_text("window_len = 6\nn_steps = 2\nn_hidden = 4\n"
+                       "conv_layers = 2x3;3x2\nepochs = 3\ninit_scale = 0.6\n")
+        return root, root / "ds", cfg
+
+    def test_quantized_full_model_has_zero_biases(self, cnn_data, tmp_path):
+        _, ds, cfg = cnn_data
+        full, qdir = tmp_path / "full", tmp_path / "q"
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(full)) == 0
+        assert run("quantize", "--model", str(full), "--out", str(qdir)) == 0
+        params, net, mode = model.load_network(full)
+        biases = [name for name in model.named_tensors(params)
+                  if model.is_bias(name)]
+        assert {"conv0.bias", "conv1.bias", "lstm.gate_bias",
+                "lstm.b_logits"} <= set(biases)
+        assert any(model.named_tensors(params)[name].any() for name in biases)
+        qparams, _, qmode = model.load_network(qdir)
+        assert qmode == "ternary"
+        for line in (qdir / "params.manifest").read_text().splitlines():
+            name, dtype, _, fname = line.split("\t")
+            if "bias" in name or name.startswith("lstm.b_"):
+                assert dtype == "float64"
+                assert not np.frombuffer((qdir / fname).read_bytes()).any()
+        # the ternary pass of the full model is the full-precision pass of
+        # the quantized directory: codes, zero biases
+        _, test_seqs, _, _ = cli.load_split_sequences(ds, {})
+        windows = np.stack([s.windows for s in test_seqs])
+        np.testing.assert_array_equal(
+            train_mod.forward_logits(params, windows, net, "ternary"),
+            train_mod.forward_logits(qparams, windows, net, "full"))
+
+    @pytest.mark.parametrize("precision", ["ternary", "binary"])
+    def test_quantized_training_writes_what_quantize_writes(
+            self, cnn_data, tmp_path, precision):
+        _, ds, cfg = cnn_data
+        trained, qdir = tmp_path / "trained", tmp_path / "q"
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--precision", precision, "--out", str(trained)) == 0
+        manifest = (trained / "params.manifest").read_text()
+        assert "\tint2\t" in manifest
+        assert run("quantize", "--model", str(trained), "--out", str(qdir)) == 0
+        assert _network_files(qdir) == _network_files(trained)
 
 
 class TestHeldOutSplit:

@@ -16,14 +16,13 @@ ROOT = Path(__file__).resolve().parent.parent
 ECG_DIR = ROOT / "data" / "ECG200"
 ECG_MODEL = ROOT / "bench" / "models" / "ecg200-ternary350"
 
-# the 17 keys a train config takes, each with a value other than its
+# the 15 keys a train config takes, each with a value other than its
 # default that the tiny dataset below accepts
 TRAIN_VALUES = {
     "window_len": 4, "n_steps": 2, "n_hidden": 3, "n_classes": 2,
     "n_channels": 1, "conv_layers": ((2, 3), (4, 2)), "use_cnn": True,
     "residual": False, "learning_rate": 0.2, "epochs": 2, "batch_size": 4,
-    "init_scale": 0.02, "seed": 3, "augment_noise": 0.01,
-    "train_biases": False, "train_fraction": 0.5, "envelope": True,
+    "init_scale": 0.02, "seed": 3, "train_fraction": 0.5, "envelope": True,
 }
 MACHINE_VALUES = {
     "mac_lanes": 16, "wb_read_bits_per_cycle": 16, "im_bits_per_cycle": 16,
@@ -107,7 +106,8 @@ def test_estimate_key_reaches_the_estimate(tmp_path, monkeypatch, key):
 
 @pytest.mark.parametrize("command, key", [
     ("train", "epoch"), ("train", "mode"), ("train", "clip_limit"),
-    ("train", "replicate_targets"), ("machine", "bus_bits"),
+    ("train", "replicate_targets"), ("train", "augment_noise"),
+    ("train", "train_biases"), ("machine", "bus_bits"),
     ("machine", "im_capacity_bits"), ("machine", "mac_lane"),
     ("machine", "activation_format"), ("estimate", "n_hiden"),
     ("estimate", "residual"),
@@ -141,6 +141,7 @@ def test_unknown_key_exits_2_naming_file_and_key(tiny, tmp_path, capsys,
     ("batch_size = 0", "epochs and batch_size must be positive"),
     ("learning_rate = nan", "learning_rate = nan is not a number"),
     ("init_scale = inf", "init_scale = inf is not a number"),
+    ("init_scale = -0.5", "init_scale must not be negative"),
 ])
 def test_value_that_does_not_parse_exits_2(tiny, tmp_path, capsys, line,
                                            message):

@@ -453,14 +453,15 @@ def random_engine_case(rng, mode):
 
 
 def coded(params, mode):
-    """The parameters the forward pass of `mode` reads, for the oracle."""
+    """The parameters the forward pass of `mode` reads, for the oracle:
+    binary/ternary networks compute with codes and zero biases."""
     if mode == "full":
         return params
     conv = [ConvLayerParams(quant.quantize_weights(layer.weights, mode),
-                            layer.bias) for layer in params.conv]
+                            np.zeros_like(layer.bias)) for layer in params.conv]
     lstm = LstmParams(quant.quantize_weights(params.lstm.gates, mode),
-                      params.lstm.gate_bias, params.lstm.w_logits,
-                      params.lstm.b_logits)
+                      np.zeros_like(params.lstm.gate_bias),
+                      params.lstm.w_logits, np.zeros_like(params.lstm.b_logits))
     return NetworkParams(conv, params.fc, lstm)
 
 
