@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 LOG_POWER_EPS = 1e-12
+RESCALED_MEAN = 1.0 / 3.0  # the mean off-diagonal D of `rescale_distances`
+EMBED_STEP = 1e-3  # the standard deviation of `embed_2d`'s moves
 
 #: D-hat forms: "as_printed" keeps the minus sign between the squared
 #: coordinate differences (the form the objective is usually written in);
@@ -48,11 +50,10 @@ class Embedding2D:
     metric: str = "as_printed"
 
 
-def fourier_distance(signals, bin_width: float | None = None,
-                     labels=None) -> DistanceMatrix:
+def fourier_distance(signals, labels=None) -> DistanceMatrix:
     """Distance matrix of log power spectra: D(i,j) = sum_k (P_i - P_j)^2 * df.
 
-    P is the log of the one-sided power spectrum; `bin_width` defaults to 1/T
+    P is the log of the one-sided power spectrum; the bin width df is 1/T
     (frequency in cycles per sample).
     """
     sig = np.asarray(signals, dtype=np.float64)
@@ -61,13 +62,11 @@ def fourier_distance(signals, bin_width: float | None = None,
     n, t_len = sig.shape
     if t_len < 8:
         raise ValueError("signals shorter than 8 samples")
-    if bin_width is None:
-        bin_width = 1.0 / t_len
     power = np.abs(np.fft.rfft(sig, axis=1)) ** 2
     log_p = np.log(power + LOG_POWER_EPS)
     sq_norms = (log_p ** 2).sum(axis=1)
     gram = log_p @ log_p.T
-    d = (sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram) * bin_width
+    d = (sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram) * (1.0 / t_len)
     d = np.maximum(d, 0.0)
     np.fill_diagonal(d, 0.0)
     d = 0.5 * (d + d.T)
@@ -76,9 +75,8 @@ def fourier_distance(signals, bin_width: float | None = None,
     return DistanceMatrix(d, np.asarray(labels, dtype=np.int64))
 
 
-def rescale_distances(dm: DistanceMatrix,
-                      target_mean: float = 1.0 / 3.0) -> DistanceMatrix:
-    """Scale D so its mean off-diagonal matches the reach of a unit-box layout.
+def rescale_distances(dm: DistanceMatrix) -> DistanceMatrix:
+    """Scale D so its mean off-diagonal, `RESCALED_MEAN`, fits a unit box.
 
     Pearson correlation is scale-invariant, so this changes nothing about the
     embedding quality measure; it only puts the optimizer's target within
@@ -88,7 +86,7 @@ def rescale_distances(dm: DistanceMatrix,
     mean = off.mean()
     if mean <= 0:
         return dm
-    return DistanceMatrix(dm.d * (target_mean / mean), dm.realization_class)
+    return DistanceMatrix(dm.d * (RESCALED_MEAN / mean), dm.realization_class)
 
 
 def _dhat(points, metric: str):
@@ -108,12 +106,12 @@ def embedding_energy(d, points, metric: str = "as_printed") -> float:
     return float((diff ** 2).sum())
 
 
-def embed_2d(dm: DistanceMatrix, eta: float = 1e-3, iters: int = 100_000,
-             seed: int = 0, metric: str = "as_printed") -> Embedding2D:
+def embed_2d(dm: DistanceMatrix, iters: int = 100_000, seed: int = 0,
+             metric: str = "as_printed") -> Embedding2D:
     """Random-perturbation search: move all points, keep only improvements.
 
-    Points start uniform on [0, 1]^2; each iteration adds Gaussian(0, eta)
-    to every coordinate and the move is kept only if the energy decreases.
+    Points start uniform on [0, 1]^2; each iteration adds Gaussian(0,
+    EMBED_STEP) to every coordinate, kept only if the energy decreases.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
@@ -125,7 +123,7 @@ def embed_2d(dm: DistanceMatrix, eta: float = 1e-3, iters: int = 100_000,
     history = np.empty(iters + 1)
     history[0] = best
     for it in range(iters):
-        cand = pts + rng.normal(0.0, eta, pts.shape)
+        cand = pts + rng.normal(0.0, EMBED_STEP, pts.shape)
         e = embedding_energy(dm.d, cand, metric)
         if e < best:
             best, pts = e, cand

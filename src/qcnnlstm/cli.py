@@ -110,13 +110,13 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     """
     data_dir = Path(data_dir)
     if (data_dir / "manifest.txt").exists():  # a generated dataset
-        ds, digest = datagen.read_dataset(data_dir)
+        ds = datagen.load_dataset(data_dir)
         train_idx, test_idx = datagen.stratified_split(
             [seq.label for seq in ds.sequences], split.train_fraction,
             split.seed)
         return ([ds.sequences[i] for i in train_idx],
                 [ds.sequences[i] for i in test_idx],
-                ds.n_classes, ds.n_channels, digest)
+                ds.n_classes, ds.n_channels, ds.digest)
     train_path, test_path = _find_ucr_pair(data_dir)
     # one read per file: the bytes parsed are the bytes hashed
     blobs = [train_path.read_bytes(), test_path.read_bytes()]
@@ -246,7 +246,9 @@ def _cmd_quantize(args, argv) -> int:
         (Path(args.out) / "hyperparams.txt").write_text(record.read_text())
     _write_manifest(argv, args.out)
     qnet = quant.QuantizedNetwork.from_params(params, mode)
-    print(f"packed {mode} model: {qnet.weight_bits():,} weight bits -> {args.out}")
+    codes = np.concatenate([c.ravel() for c in [qnet.gates, *qnet.conv_codes]])
+    print(f"packed {mode} model: {qnet.weight_bits():,} weight bits, "
+          f"{(codes == 0).mean():.1%} of gate and CNN codes zero -> {args.out}")
     return 0
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "rows_digest",
     "save_dataset",
     "load_dataset",
-    "read_dataset",
 ]
 
 LOGISTIC_CLASS_R = (3.6, 3.7, 3.8, 3.9, 4.0)
@@ -98,6 +97,7 @@ class SyntheticDataset:
     n_channels: int = 1
     seed: int = 0
     extra: dict = field(default_factory=dict)
+    digest: str = ""  # `load_dataset`: the `rows_digest` of its row file
 
     @property
     def n_classes(self) -> int:
@@ -177,7 +177,7 @@ def make_windows(signal, label: int, window_len: int, n_steps: int,
 
 
 def _dataset(generator, class_params, make_signal, per_class, window_len,
-             n_steps, noise_amplitude, seed, n_channels=1, extra=None):
+             n_steps, noise_amplitude, seed, extra=None):
     for name, size in (("classes", len(class_params)), ("per_class", per_class),
                        ("window_len", window_len), ("n_steps", n_steps)):
         if size < 1:
@@ -196,8 +196,8 @@ def _dataset(generator, class_params, make_signal, per_class, window_len,
             sequences.append(make_windows(signal, label, window_len, n_steps,
                                           noise_amplitude, realization_seed))
     return SyntheticDataset(sequences, list(class_params), noise_amplitude,
-                            generator, window_len, n_steps, n_channels, seed,
-                            extra or {})
+                            generator, window_len, n_steps, seed=seed,
+                            extra=extra or {})
 
 
 def make_logistic_dataset(r_values=LOGISTIC_CLASS_R, per_class: int = 20,
@@ -218,14 +218,12 @@ def make_lorenz_dataset(sigmas=LORENZ_CLASS_SIGMA, per_class: int = 20,
                         window_len: int = 20, n_steps: int = 5,
                         noise_amplitude: float = 0.01, seed: int = 0,
                         scale: float = 40.0, dt: float = 0.01,
-                        transient: int = 1000,
-                        n_samples: int | None = None) -> SyntheticDataset:
-    n = n_samples if n_samples is not None else window_len * n_steps
-
+                        transient: int = 1000) -> SyntheticDataset:
     def gen(sigma, rng):
         initial = tuple(np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.5, 0.5, 3))
         return lorenz_series(LorenzParams(sigma, initial=initial, dt=dt,
-                                          n_samples=n, transient=transient),
+                                          n_samples=window_len * n_steps,
+                                          transient=transient),
                              scale)
 
     return _dataset("lorenz", sigmas, gen, per_class, window_len, n_steps,
@@ -516,18 +514,15 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     save_channels(out_dir, [seq.label for seq in ds.sequences], signals, kv)
 
 
-#: the manifest keys `read_dataset` reads beyond the container's own
+#: the manifest keys `load_dataset` reads beyond the container's own
 _DATASET_KEYS = ("generator", "class_params", "noise_amplitude", "window_len",
                  "n_steps", "seed")
 
 
 def load_dataset(in_dir) -> SyntheticDataset:
-    return read_dataset(in_dir)[0]
-
-
-def read_dataset(in_dir) -> tuple[SyntheticDataset, str]:
-    """(the dataset `save_dataset` wrote, the sha256 of its row files); a
-    container without a generated dataset's keys is a `DataFormatError`."""
+    """The dataset `save_dataset` wrote, its `digest` the `rows_digest` of
+    `data.tsv`: the one reader of a generated dataset. A container without
+    a generated dataset's keys is a `DataFormatError`."""
     kv, labels, signals, digest = load_channels(in_dir)
     for key in _DATASET_KEYS:
         if key not in kv:
@@ -545,4 +540,4 @@ def read_dataset(in_dir) -> tuple[SyntheticDataset, str]:
     return SyntheticDataset(sequences, class_params,
                             float(kv["noise_amplitude"]), kv["generator"],
                             window_len, n_steps, signals.shape[1],
-                            int(kv["seed"]), extra), digest
+                            int(kv["seed"]), extra, digest)

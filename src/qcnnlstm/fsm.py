@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fxp
+from . import fxp, model
 from .fxp import QFormat
-from .model import NetworkConfig, network_forward_fixed
+from .model import NetworkConfig
 from .quant import QuantizedNetwork
 
 __all__ = [
@@ -309,8 +309,8 @@ def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
     and `*_per_seq` traffic are per sequence; bank totals are the banks'
     cumulative counters.
     """
-    logits = network_forward_fixed(windows_raw, banks.qnet, net,
-                                   mc.activation_format, mc.lut_size)[..., -1, :]
+    logits = model.network_forward_fixed(
+        windows_raw, banks.qnet, net, mc.activation_format, mc.lut_size)[..., -1, :]
     one, traffic, trace = _schedule(net, mc,
                                     banks.qnet.weight_format.total_bits)
     banks.add_traffic(traffic, 1 if logits.ndim == 1 else len(logits))

@@ -114,22 +114,22 @@ def _saturate(x, fmt: QFormat) -> np.ndarray:
     return np.minimum(x, fmt.raw_max, out=x)
 
 
-def requantize(acc, extra_frac_bits: int, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """Reduce a double-width accumulator to `fmt`.
+def requantize(acc, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+    """Reduce a double-width accumulator of `fmt` products to `fmt`.
 
-    `acc` holds integers at scale 2**-(fmt.frac_bits + extra_frac_bits); the
-    rounding shift is done in exact integer arithmetic (half away from zero),
-    then the result saturates to the format range.
+    `acc` holds integers at scale 2**-(2 * fmt.frac_bits); the rounding
+    shift is done in exact integer arithmetic (half away from zero), then
+    the result saturates to the format range.
     """
     acc = np.asarray(acc, dtype=np.int64)
-    if extra_frac_bits == 0:
+    if fmt.frac_bits == 0:
         return _saturate(acc.copy(), fmt)
     # floor((acc + half) / 2**e) rounds half up; one less for a negative
     # accumulator makes it -floor((|acc| + half) / 2**e): half away from
     # zero. `acc + half` is the one new array; the rest writes into it.
-    out = acc + (1 << (extra_frac_bits - 1))
+    out = acc + (1 << (fmt.frac_bits - 1))
     out -= acc < 0
-    out >>= extra_frac_bits
+    out >>= fmt.frac_bits
     return _saturate(out, fmt)
 
 
@@ -140,20 +140,21 @@ def sat_add(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
 
 
 def mul_fixed(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """Elementwise product of two raw tensors, requantized once."""
+    """Elementwise product of two raw tensors, requantized once: the LSTM's
+    hidden update o * tanh(c)."""
     prod = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    return requantize(prod, fmt.frac_bits, fmt)
+    return requantize(prod, fmt)
 
 
 def mul_add_fixed(a, b, c, d, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """a*b + c*d on raw tensors, accumulated double-width, requantized once.
 
-    This is the cell-state update a gate-product pair needs: the two products
-    are summed exactly before the single rounding shift.
+    This is the LSTM's cell update f * c + g * i: the two products are
+    summed exactly before the single rounding shift.
     """
-    acc = (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-           + np.asarray(c, dtype=np.int64) * np.asarray(d, dtype=np.int64))
-    return requantize(acc, fmt.frac_bits, fmt)
+    acc = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
+    acc += np.asarray(c, dtype=np.int64) * np.asarray(d, dtype=np.int64)
+    return requantize(acc, fmt)
 
 
 def _product_dtype(fan_in: int, magnitude_bits: int):
@@ -212,7 +213,7 @@ def dot_fixed(x_raw, w_raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     requantized once per output element.
     """
     acc = _exact_product(x_raw, w_raw, 2 * (fmt.total_bits - 1))
-    return requantize(acc, fmt.frac_bits, fmt)
+    return requantize(acc, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@
 every intermediate in the activation Q-format; the cycle simulator in `fsm`
 takes its numerics from it. Its products run in float32 where the fan-in
 keeps them exact there, else in float64, else raise `ValueError` (see
-`fxp._exact_product`); the input half of the gate product runs once over
-all windows before the recurrence. The nonlinearities read direct-address
-tables (`_lut`, one entry per raw code), so a step reads all four gates
-with one gather and tanh(c) with one more, and activation formats wider
-than `fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`. The float
-engine lives in `train`, which trains and evaluates with it.
+`fxp._exact_product`); the input half of the gate product runs once over all
+windows before the recurrence. A step reads all four gates with one gather
+from direct-address tables (`_lut`, one entry per raw code, so formats wider
+than `fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`), tanh(c) with
+one more, and updates c and h by `fxp.mul_add_fixed` and `fxp.mul_fixed`.
+The float engine lives in `train`, which trains and evaluates with it.
 
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
@@ -89,6 +89,8 @@ class NetworkConfig:
             raise ValueError("all network dimensions must be positive")
         if any(len(layer) != 2 or min(layer) < 1 for layer in self.conv_layers):
             raise ValueError("conv_layers must be (filters, width) pairs >= 1")
+        if self.use_cnn and not self.conv_layers:
+            raise ValueError("use_cnn = 1 needs at least one conv_layers pair")
 
     @property
     def input_len(self) -> int:
@@ -218,11 +220,15 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     Every stored intermediate is saturated/requantized to `fmt`, and the
     nonlinearities read `lut_size`-entry tables through their direct-address
     form (`_lut`), so `fmt` may be at most `fxp.DIRECT_LUT_MAX_BITS` wide.
+    Weights at another scale (`qnet.weight_format`) are a `ValueError`.
     """
     x = np.asarray(windows_raw, dtype=np.int64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_steps, cfg.input_len):
         raise ValueError(f"expected windows {(cfg.n_steps, cfg.input_len)} "
                          f"or a batch of them, got {x.shape}")
+    if qnet.weight_format.frac_bits != fmt.frac_bits:
+        raise ValueError(f"weights in {qnet.weight_format} and a datapath in "
+                         f"{fmt} differ in scale")
     lut = _lut(lut_size, fmt)
     # states 1-2 do not depend on the recurrent state: all windows at once
     v = x.reshape(-1, cfg.input_len)
@@ -245,7 +251,6 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     offsets = np.repeat([0, mask + 1], [3 * n_h, n_h])
     h = c = np.zeros((len(x_part), n_h), dtype=np.int64)
     hs = np.empty((len(x_part), cfg.n_steps, n_h), dtype=np.int64)
-    acc, term = np.empty_like(c), np.empty_like(c)
     for t in range(cfg.n_steps):
         # the saturated gate sums, turned into table positions in place
         idx = fxp.dot_ternary(h, w_h, x_part[:, t], fmt)
@@ -254,15 +259,8 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
         g = lut.take(idx)  # all four gates, in quant.GATE_ORDER
         g_forget, g_input = g[:, :n_h], g[:, n_h:2 * n_h]
         g_output, g_cell = g[:, 2 * n_h:3 * n_h], g[:, 3 * n_h:]
-        # c = g_forget * c + g_cell * g_input, rounded once
-        np.multiply(g_forget, c, out=acc)
-        np.multiply(g_cell, g_input, out=term)
-        acc += term
-        c = fxp.requantize(acc, fmt.frac_bits, fmt)
-        # h = g_output * tanh(c), rounded once
-        np.bitwise_and(c, mask, out=term)
-        np.multiply(g_output, tanh_lut.take(term), out=acc)
-        h = hs[:, t] = fxp.requantize(acc, fmt.frac_bits, fmt)
+        c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt)
+        h = hs[:, t] = fxp.mul_fixed(g_output, tanh_lut.take(c & mask), fmt)
     logits = fxp.dot_fixed(hs.reshape(-1, n_h), qnet.logits_raw, fmt=fmt)
     return logits.reshape(x.shape[:-1] + (cfg.n_classes,))
 

@@ -8,7 +8,8 @@ the package breaks the benchmark only when it runs. These tests read
 lookup `bench/tracer.py` installs its wrappers with, and every keyword a
 call passes to a package callable must be one of its parameters. Fields
 `bench/` reads from instances, which no static lookup sees, are pinned by
-name.
+name. A traced name the package no longer calls resolves but reads 0, so
+one test also runs a tiny CLI pipeline and counts the calls on each.
 """
 
 import ast
@@ -16,12 +17,14 @@ import functools
 import importlib
 import inspect
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcnnlstm import datagen, fsm, quant, train
+from qcnnlstm import cli, datagen, fsm, model, quant, train
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -126,6 +129,59 @@ def test_every_trace_target_resolves(monkeypatch):
     assert [f"{getattr(owner, '__name__', owner)}.{attr}"
             for owner, attr, _ in targets
             if not _resolves(owner, [attr])] == []
+
+
+def test_every_trace_target_is_reached(monkeypatch, tmp_path):
+    """A tiny pipeline through `cli.dispatch` calls every traced name, so
+    none reads 0 in the benchmark because the package stopped calling it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    targets = importlib.import_module("workloads").trace_targets()
+    calls = Counter()
+
+    def counted(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = []
+    for owner, attr, _ in targets:
+        name = f"{getattr(owner, '__name__', owner)}.{attr}"
+        raw = inspect.getattr_static(owner, attr)
+        monkeypatch.setattr(owner, attr,
+                            classmethod(counted(raw.__func__, name))
+                            if isinstance(raw, classmethod) else
+                            counted(raw, name))
+        names.append(name)
+    # both cache their work: the table builder and the bank bookings would
+    # not run for a configuration an earlier test already ran
+    model._lut.cache_clear()
+    fsm._schedule.cache_clear()
+
+    def run(*argv):
+        assert cli.dispatch([str(a) for a in argv]) == 0
+
+    ds, net, ucr = tmp_path / "ds", tmp_path / "net", tmp_path / "ucr"
+    run("gen", "--system", "sine", "--classes", 2, "--per-class", 4,
+        "--window", 4, "--steps", 2, "--out", ds)
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("window_len = 4\nn_steps = 2\nn_hidden = 3\n"
+                   "conv_layers = 2x3\nepochs = 1\n")
+    run("train", "--data", ds, "--config", cfg, "--precision", "ternary",
+        "--out", net)
+    run("eval", "--model", net, "--data", ds)
+    run("simulate", "--model", net, "--data", ds)
+    ucr.mkdir()
+    rng = np.random.default_rng(0)
+    for split in ("TRAIN", "TEST"):
+        rows = [f"{k % 2}\t" + "\t".join(map(str, rng.uniform(-1, 1, 8)))
+                for k in range(6)]
+        (ucr / f"X_{split}.tsv").write_text("\n".join(rows) + "\n")
+    run("train", "--data", ucr, "--config", cfg, "--out", tmp_path / "ucr_net")
+    run("eval", "--model", tmp_path / "ucr_net", "--data", ucr)
+    assert [name for name in names if not calls[name]] == []
 
 
 def test_a_deleted_name_is_reported(tmp_path):

@@ -161,7 +161,7 @@ class TestRowFilesReadOnce:
         datagen.save_dataset(ds, tmp_path / "d")
         (tmp_path / "d" / datagen.ROWS_NPY).unlink()
         reads.clear()
-        _, digest = datagen.read_dataset(tmp_path / "d")
+        digest = datagen.load_dataset(tmp_path / "d").digest
         assert reads["data.tsv"] == 1
         assert digest == datagen.rows_digest([tmp_path / "d" / "data.tsv"])
 
@@ -355,6 +355,20 @@ class TestOneNetworkDefinition:
             train_mod.forward_logits(params, windows, net, "ternary"),
             train_mod.forward_logits(qparams, windows, net, "full"))
 
+    def test_quantize_reports_the_share_of_zero_codes(self, cnn_data,
+                                                      tmp_path, capsys):
+        # shadow weights this small all lie within +-0.5, so every code is 0
+        _, ds, _ = cnn_data
+        cfg, full = tmp_path / "small.cfg", tmp_path / "full"
+        cfg.write_text("window_len = 6\nn_steps = 2\nn_hidden = 4\n"
+                       "conv_layers = 2x3;3x2\nepochs = 1\ninit_scale = 0.01\n")
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(full)) == 0
+        capsys.readouterr()
+        assert run("quantize", "--model", str(full),
+                   "--out", str(tmp_path / "q")) == 0
+        assert "100.0% of gate and CNN codes zero" in capsys.readouterr().out
+
     @pytest.mark.parametrize("precision", ["ternary", "binary"])
     def test_quantized_training_writes_what_quantize_writes(
             self, cnn_data, tmp_path, precision):
@@ -420,8 +434,8 @@ class TestDatasetProvenance:
                    "--per-class", "6", "--window", "10", "--steps", "3",
                    "--noise", "0.05", "--seed", "1", "--out", str(other)) == 0
         recorded = read_kv(model_dir / "hyperparams.txt")["data_sha256"]
-        assert recorded == datagen.read_dataset(ds)[1] != \
-            datagen.read_dataset(other)[1]
+        assert recorded == datagen.load_dataset(ds).digest != \
+            datagen.load_dataset(other).digest
         qdir = tmp_path / "quantized"
         assert run("quantize", "--model", str(model_dir),
                    "--out", str(qdir)) == 0
@@ -429,7 +443,7 @@ class TestDatasetProvenance:
         assert run("eval", "--model", str(model_dir),
                    "--data", str(other)) == 2
         err = capsys.readouterr().err
-        assert recorded in err and datagen.read_dataset(other)[1] in err
+        assert recorded in err and datagen.load_dataset(other).digest in err
         assert run("simulate", "--model", str(qdir),
                    "--data", str(other)) == 2
         assert recorded in capsys.readouterr().err

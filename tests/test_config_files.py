@@ -154,6 +154,20 @@ def test_value_that_does_not_parse_exits_2(tiny, tmp_path, capsys, line,
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "estimate"])
+def test_cnn_without_conv_layers_exits_2(tiny, tmp_path, capsys, command):
+    _, ds, _ = tiny
+    cfg = _write(tmp_path / "c.cfg", {"window_len": 4, "n_steps": 2,
+                                      "n_hidden": 3, "use_cnn": True,
+                                      "conv_layers": ()})
+    argv = ["train", "--data", ds, "--config", cfg, "--out", tmp_path / "m"] \
+        if command == "train" else ["estimate", "--config", cfg]
+    assert run(*argv) == 2
+    assert f"{cfg}: use_cnn = 1 needs at least one conv_layers pair" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_missing_required_key_names_file_and_key(tmp_path, capsys):
     cfg = _write(tmp_path / "c.cfg", {"window_len": 20, "n_hidden": 4})
     assert run("train", "--data", ECG_DIR, "--config", cfg,

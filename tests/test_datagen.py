@@ -313,7 +313,7 @@ class TestBinaryRows:
         manifest = (tmp_path / "a" / "manifest.txt").read_text()
         assert "text_sha256 = " in manifest and "npy_sha256 = " in manifest
         assert (tmp_path / "b" / "manifest.txt").read_text() == manifest
-        assert datagen.read_dataset(tmp_path / "b")[1] in manifest
+        assert datagen.load_dataset(tmp_path / "b").digest in manifest
         assert _windows(datagen.load_dataset(tmp_path / "b")) == _windows(ds)
 
     def test_container_without_digests_loads_from_the_text(self, tmp_path):

@@ -235,6 +235,18 @@ class TestBandwidth:
         assert rep16.im_bits_transferred * 12 == rep12.im_bits_transferred * 16
         assert rep16.wb_bits_read == rep12.wb_bits_read
 
+    def test_datapath_of_another_scale_is_rejected(self):
+        # the FC and output products round by the datapath's fractional
+        # bits, so Q4.8 weights on a Q4.6 datapath would come out 4x too big
+        rng = np.random.default_rng(14)
+        cfg, qnet, raw = random_net(rng, use_cnn=True)
+        narrow = MachineConfig(activation_format=fxp.QFormat(10, 6))
+        message = "weights in Q4.8 and a datapath in Q4.6 differ in scale"
+        with pytest.raises(ValueError, match=message):
+            network_forward_fixed(raw, qnet, cfg, narrow.activation_format)
+        with pytest.raises(ValueError, match=message):
+            run_inference(raw, load_banks(qnet, narrow), cfg, narrow)
+
     def test_capacity_guard(self):
         cfg = NetworkConfig(5, 2, 64, 2, use_cnn=False)
         params = init_params(cfg, seed=1, init_scale=1.0)

@@ -75,19 +75,19 @@ class TestRequantize:
     def test_exact_shift(self):
         # 1.5 at scale 2^-16 back to 2^-8
         acc = np.array([3 << 15])
-        assert fxp.requantize(acc, 8, Q48)[0] == 384
+        assert fxp.requantize(acc, Q48)[0] == 384
 
     def test_round_half_away_negative(self):
-        assert fxp.requantize(np.array([-384]), 8, Q48)[0] == -2  # -1.5 ulp
-        assert fxp.requantize(np.array([384]), 8, Q48)[0] == 2
+        assert fxp.requantize(np.array([-384]), Q48)[0] == -2  # -1.5 ulp
+        assert fxp.requantize(np.array([384]), Q48)[0] == 2
 
     def test_saturates(self):
-        assert fxp.requantize(np.array([1 << 30]), 8, Q48)[0] == 2047
-        assert fxp.requantize(np.array([-(1 << 30)]), 8, Q48)[0] == -2048
+        assert fxp.requantize(np.array([1 << 30]), Q48)[0] == 2047
+        assert fxp.requantize(np.array([-(1 << 30)]), Q48)[0] == -2048
 
     @given(st.integers(-(1 << 24), 1 << 24))
     def test_matches_float_rounding(self, acc):
-        got = fxp.requantize(np.array([acc]), 8, Q48)[0]
+        got = fxp.requantize(np.array([acc]), Q48)[0]
         want = to_fixed(acc / 65536.0, Q48).raw
         assert got == want
 
