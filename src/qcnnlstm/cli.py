@@ -207,9 +207,9 @@ def _cmd_train(args, argv) -> int:
     rate = {} if args.precision == "full" else {"learning_rate": 0.1}
     cfg = datagen.read_record(train_mod.TrainConfig, kv, path,
                               mode=args.precision, **rate)
-    # n_classes and n_channels come from the data; 1 stands in until it is
-    # read, and a value the config states must agree with it
-    net_cfg = datagen.read_record(model.NetworkConfig, kv, path, n_classes=1)
+    # n_classes and n_channels come from the data; 2 classes stand in until
+    # it is read, and a value the config states must agree with it
+    net_cfg = datagen.read_record(model.NetworkConfig, kv, path, n_classes=2)
     train_seqs, test_seqs, n_classes, n_channels, digest = \
         _load_split(args.data, kv, split)
     # a generated dataset fixes its windows; a UCR pair is cut per the config

@@ -178,10 +178,13 @@ def make_windows(signal, label: int, window_len: int, n_steps: int,
 
 def _dataset(generator, class_params, make_signal, per_class, window_len,
              n_steps, noise_amplitude, seed, extra=None):
-    for name, size in (("classes", len(class_params)), ("per_class", per_class),
-                       ("window_len", window_len), ("n_steps", n_steps)):
-        if size < 1:
-            raise ValueError(f"{name} = {size}; a dataset needs at least 1")
+    for name, size, least in (("classes", len(class_params), 2),
+                              ("per_class", per_class, 1),
+                              ("window_len", window_len, 1),
+                              ("n_steps", n_steps, 1)):
+        if size < least:
+            raise ValueError(f"{name} = {size}; a dataset needs at least "
+                             f"{least}")
     for name, value in {"noise_amplitude": noise_amplitude,
                         **(extra or {})}.items():
         if not np.isfinite(value) or (name == "noise_amplitude" and value < 0):

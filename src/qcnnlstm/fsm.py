@@ -59,14 +59,23 @@ class MachineConfig:
 
     def __post_init__(self):
         if min(self.mac_lanes, self.wb_read_bits_per_cycle,
-               self.im_bits_per_cycle, self.lut_size) < 1 or self.clock_hz <= 0:
+               self.im_bits_per_cycle, self.lut_size) < 1:
             raise ValueError("machine parameters must be positive")
+        if not self.clock_hz >= 1.0:
+            raise ValueError(f"clock_hz = {self.clock_hz}; the clock runs at "
+                             "1 Hz or faster")
         if self.lut_size & (self.lut_size - 1):
             raise ValueError("lut_size must be a power of two")
         if self.activation_format.total_bits > fxp.DIRECT_LUT_MAX_BITS:
             raise ValueError(f"activation_format {self.activation_format} is "
                              f"wider than {fxp.DIRECT_LUT_MAX_BITS} bits, the "
                              "widest with direct-address tables")
+        # checked here, before any table of that size is built
+        finest = fxp.max_lut_size(self.activation_format)
+        if self.lut_size > finest:
+            raise ValueError(f"lut_size = {self.lut_size} cuts cells finer "
+                             f"than one {self.activation_format} code; at "
+                             f"most {finest}")
 
     @property
     def lanes_per_gate(self) -> int:

@@ -33,6 +33,7 @@ __all__ = [
     "dot_ternary",
     "dot_fixed",
     "build_lut",
+    "max_lut_size",
     "lut_index_raw",
     "lut_entries_in",
 ]
@@ -285,6 +286,12 @@ def build_lut(kind: str, n_entries: int = LUT_SIZE) -> LutTable:
     mids = u_min + (np.arange(n_entries) + 0.5) * du
     entries = to_raw(_LUT_FUNCS[kind](mids), ENTRY_FORMAT)
     return LutTable(kind, u_min, u_max, entries)
+
+
+def max_lut_size(fmt: QFormat) -> int:
+    """The most entries a table may have at `fmt`: one raw code per cell over
+    the narrower table range, since `lut_index_raw` shifts by whole codes."""
+    return int(min(hi - lo for lo, hi in _LUT_RANGES.values()) * fmt.scale)
 
 
 def lut_index_raw(u_raw, table: LutTable, fmt: QFormat = ACT_FORMAT) -> np.ndarray:

@@ -87,6 +87,9 @@ class NetworkConfig:
         if min(self.window_len, self.n_steps, self.n_hidden,
                self.n_classes, self.n_channels) < 1:
             raise ValueError("all network dimensions must be positive")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes = {self.n_classes}; a classifier "
+                             "needs at least 2 classes")
         if any(len(layer) != 2 or min(layer) < 1 for layer in self.conv_layers):
             raise ValueError("conv_layers must be (filters, width) pairs >= 1")
         if self.use_cnn and not self.conv_layers:
@@ -143,20 +146,31 @@ def is_bias(name: str) -> bool:
     return name.endswith("bias") or name == "lstm.b_logits"
 
 
-def network_tensors(params: NetworkParams, mode: str) -> dict:
+def network_tensors(params: NetworkParams, mode: str,
+                    out: dict | None = None) -> dict:
     """The tensors a `mode` network computes with, keyed as `named_tensors`:
     the gates and CNN kernels as codes and, in binary/ternary modes, every
-    bias zero (the accelerator has no bias stage)."""
+    bias zero (the accelerator has no bias stage).
+
+    `out`, what an earlier call returned for the same `params` and `mode`,
+    takes the current codes in place and is returned.
+    """
     tensors = named_tensors(params)
     if mode == "full":
         return tensors
-    return {name: quant.quantize_weights(w, mode) if is_quantized(name) else
-            np.zeros_like(w) if is_bias(name) else w
-            for name, w in tensors.items()}
+    if out is None:
+        out = {name: np.empty_like(w) if is_quantized(name) else
+               np.zeros_like(w) if is_bias(name) else w
+               for name, w in tensors.items()}
+    for name, w in tensors.items():
+        if is_quantized(name):
+            quant.quantize_weights(w, mode, out=out[name])
+    return out
 
 
-def im2col(maps, m: int) -> np.ndarray:
-    """(N, depth, length) maps -> (N * length, depth * m) conv patches.
+def im2col(maps, m: int, out=None) -> np.ndarray:
+    """(N, depth, length) maps -> (N * length, depth * m) conv patches,
+    written to `out` when given.
 
     Zero padding keeps the length: symmetric, one extra on the right when
     the width is even. Row n * length + position, column d * m + a holds
@@ -166,10 +180,12 @@ def im2col(maps, m: int) -> np.ndarray:
     left = (m - 1) // 2
     padded = np.zeros((n, depth, length + m - 1), dtype=maps.dtype)
     padded[:, :, left:left + length] = maps
-    out = np.empty((n, length, depth, m), dtype=maps.dtype)
+    if out is None:
+        out = np.empty((n * length, depth * m), dtype=maps.dtype)
+    taps = out.reshape(n, length, depth, m)
     for a in range(m):
-        out[..., a] = padded[:, :, a:a + length].transpose(0, 2, 1)
-    return out.reshape(n * length, depth * m)
+        taps[..., a] = padded[:, :, a:a + length].transpose(0, 2, 1)
+    return out
 
 
 def softmax(logits) -> np.ndarray:

@@ -28,35 +28,47 @@ MODES = ("full", "binary", "ternary")
 GATE_ORDER = ("forget", "input", "output", "cell")
 
 
-def quantize_binary(r):
-    """sign(r) with sign(0) = +1."""
+def quantize_binary(r, out=None):
+    """sign(r) with sign(0) = +1, written to `out` when given."""
     r = np.asarray(r, dtype=np.float64)
-    return np.where(r >= 0, 1.0, -1.0)
+    q = np.greater_equal(r, 0.0, out=np.empty_like(r) if out is None else out)
+    q *= 2.0
+    q -= 1.0
+    return q
 
 
-def quantize_ternary(r):
-    """round(r) with halves away from zero: thresholds at +-0.5."""
+def quantize_ternary(r, out=None):
+    """round(r) with halves away from zero: thresholds at +-0.5. Written to
+    `out` when given."""
     r = np.asarray(r, dtype=np.float64)
-    q = np.abs(r, out=np.empty_like(r))  # the steps below reuse this buffer
+    # the steps below reuse this buffer
+    q = np.abs(r, out=np.empty_like(r) if out is None else out)
     q += 0.5
     np.floor(q, out=q)
     return np.copysign(q, r, out=q)
 
 
-def quantize_weights(r, mode: str):
+def quantize_weights(r, mode: str, out=None):
+    """The `mode` codes of `r`; binary and ternary codes go to `out` when given."""
     if mode == "full":
         return np.asarray(r, dtype=np.float64)
     if mode == "binary":
-        return quantize_binary(r)
+        return quantize_binary(r, out)
     if mode == "ternary":
-        return quantize_ternary(r)
+        return quantize_ternary(r, out)
     raise ValueError(f"unknown quantization mode {mode!r}")
 
 
 def ste_backward(g_q, r):
-    """Straight-through estimator: pass the gradient where |r| <= 1, else 0."""
+    """Straight-through estimator: pass the gradient where |r| <= 1, else 0.
+
+    When every r is in range, which the trainer's clamp keeps after the first
+    update, `g_q` itself is returned; one min and one max decide it.
+    """
     g_q = np.asarray(g_q, dtype=np.float64)
     r = np.asarray(r)
+    if g_q.shape == r.shape and r.size and r.min() >= -1.0 and r.max() <= 1.0:
+        return g_q
     return np.where((r >= -1.0) & (r <= 1.0), g_q, 0.0)
 
 

@@ -4,11 +4,22 @@ The same class label is applied at every step and the per-step cross-entropy
 losses are averaged; test-time prediction uses only the final step. The
 forward pass reads `model.network_tensors`; binary/ternary runs route the
 code gradients to the full-precision shadow weights through the
-straight-through estimator and leave the biases at zero.
+straight-through estimator and leave the biases at zero, so their bias
+gradients are never computed.
+
+`train()` owns per-call workspaces: the codes, the forward and backward
+buffers (`_Workspace`) and Adagrad's step arrays (`AdagradState`) are
+allocated once per call and reused by every batch and every per-epoch
+evaluation, and the test windows are stacked once. Allocated fresh for every
+batch, arrays of these sizes come back as new pages from the operating
+system, and those page faults took about a fifth of the training time.
+Nothing outlives the call, and no float sum changes its order: the traces
+and the trained tensors are bit-identical to allocating fresh arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +27,7 @@ import numpy as np
 
 from . import quant
 from .model import (ConvLayerParams, LstmParams, NetworkConfig, NetworkParams,
-                    im2col, is_bias, is_quantized, named_tensors,
+                    im2col, is_quantized, named_tensors,
                     network_tensors, softmax)
 
 __all__ = [
@@ -39,6 +50,7 @@ __all__ = [
 
 CLIP_LIMIT = 5.0  # gradients are clipped to [-CLIP_LIMIT, CLIP_LIMIT]
 ADAGRAD_EPSILON = 1e-8
+ADAGRAD_BLOCK = 1 << 15  # elements per Adagrad update block (256 KiB of float64)
 
 
 @dataclass
@@ -63,7 +75,10 @@ class TrainConfig:
 
 @dataclass
 class AdagradState:
+    """Per tensor: the sum of squared gradients and a one-block step workspace."""
+
     acc: dict = field(default_factory=dict)
+    step: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -111,53 +126,85 @@ def init_params(cfg: NetworkConfig, seed: int = 0,
 # product over all steps.
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """Named float64 buffers that the batches of one call share.
+
+    `take(name, shape)` returns the first prod(shape) elements of buffer
+    `name` as a C-contiguous array, growing the buffer when a larger shape
+    asks, so a short last batch and the evaluation batch reuse it too. Every
+    caller writes what it takes before reading it.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self._buffers or self._buffers[name].size < size:
+            self._buffers.pop(name, None)  # free the old buffer first
+            self._buffers[name] = np.empty(size)
+        return self._buffers[name][:size].reshape(shape)
+
+
 def _sigmoid_in_place(z) -> None:
     np.negative(z, out=z)
-    np.exp(z, out=z)
+    with np.errstate(over="ignore"):  # exp -> inf gives 1 / (1 + inf) = 0
+        np.exp(z, out=z)
     z += 1.0
     np.divide(1.0, z, out=z)
 
 
-def _forward(windows, eff: dict, cfg: NetworkConfig):
-    """windows (B, q, U) -> (logits (q, B, Ny), cache for backprop)."""
-    b, q, _ = windows.shape
+def _forward(x, eff: dict, cfg: NetworkConfig, ws: _Workspace):
+    """Time-major windows x (q, B, U) -> (logits (q, B, Ny), cache for backprop)."""
+    q, b, _ = x.shape
     nh = cfg.n_hidden
-    x = windows.transpose(1, 0, 2).reshape(q * b, cfg.input_len)
-    v, cnn = _cnn_forward(x, eff, cfg) if cfg.use_cnn else (x, None)
+    x = x.reshape(q * b, cfg.input_len)
+    v, cnn = _cnn_forward(x, eff, cfg, ws) if cfg.use_cnn else (x, None)
     w = eff["lstm.gates"]
-    gates = (v @ w[nh:] + eff["lstm.gate_bias"]).reshape(q, b, 4 * nh)
+    gates = ws.take("gates", (q, b, 4 * nh))
+    np.matmul(v, w[nh:], out=gates.reshape(q * b, 4 * nh))
+    gates += eff["lstm.gate_bias"]
     sig, cell = gates[..., :3 * nh], gates[..., 3 * nh:]
-    hs = np.zeros((q + 1, b, nh))  # hs[t], cs[t]: the state step t reads
-    cs = np.zeros((q + 1, b, nh))
+    hs = ws.take("hs", (q + 1, b, nh))  # hs[t], cs[t]: the state step t reads
+    cs = ws.take("cs", (q + 1, b, nh))
+    hs[0] = cs[0] = 0.0
+    gate_step = ws.take("gate_step", (b, 4 * nh))
+    tanh_c = ws.take("tanh_c", (b, nh))
     for t in range(q):
-        gates[t] += hs[t] @ w[:nh]
+        gates[t] += np.matmul(hs[t], w[:nh], out=gate_step)
         _sigmoid_in_place(sig[t])
         np.tanh(cell[t], out=cell[t])
         g_forget, g_input, g_output, g_cell = np.split(gates[t], 4, axis=1)
         np.multiply(g_forget, cs[t], out=cs[t + 1])
         cs[t + 1] += g_cell * g_input
-        np.multiply(g_output, np.tanh(cs[t + 1]), out=hs[t + 1])
+        np.multiply(g_output, np.tanh(cs[t + 1], out=tanh_c), out=hs[t + 1])
     logits = hs[1:].reshape(q * b, nh) @ eff["lstm.w_logits"] + eff["lstm.b_logits"]
     return logits.reshape(q, b, -1), dict(v=v, gates=gates, hs=hs, cs=cs, cnn=cnn)
 
 
-def _cnn_forward(x, eff: dict, cfg: NetworkConfig):
+def _cnn_forward(x, eff: dict, cfg: NetworkConfig, ws: _Workspace):
     """States 1-2 for all (N, U) windows: conv + ReLU layers, FC, residual."""
-    n = len(x)
-    maps = x.reshape(n, cfg.n_channels, cfg.window_len)
+    n, length = len(x), cfg.window_len
+    maps = x.reshape(n, cfg.n_channels, length)
     cols, outs = [], []
     for i, (f, m) in enumerate(cfg.conv_layers):
-        cols.append(im2col(maps, m))
-        z = cols[-1] @ eff[f"conv{i}.weights"].reshape(f, -1).T + eff[f"conv{i}.bias"]
-        outs.append(np.maximum(z, 0.0, out=z))  # (N * window_len, f)
-        maps = z.reshape(n, cfg.window_len, f).transpose(0, 2, 1)
-    flat = maps.reshape(n, -1)
+        cols.append(im2col(maps, m, out=ws.take(
+            f"cols{i}", (n * length, maps.shape[1] * m))))
+        z = ws.take(f"outs{i}", (n * length, f))
+        np.matmul(cols[-1], eff[f"conv{i}.weights"].reshape(f, -1).T, out=z)
+        z += eff[f"conv{i}.bias"]
+        outs.append(np.maximum(z, 0.0, out=z))
+        maps = z.reshape(n, length, f).transpose(0, 2, 1)
+    flat = ws.take("flat", (n, maps.shape[1] * length))
+    np.copyto(flat.reshape(maps.shape), maps)
     p = flat @ eff["fc.weights"].T
     return (x + p if cfg.residual else p), dict(cols=cols, outs=outs, flat=flat)
 
 
-def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache):
-    """Returns (mean loss over the batch, grads w.r.t. effective tensors)."""
+def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache,
+              ws: _Workspace, biases: bool):
+    """Returns (mean loss over the batch, grads w.r.t. effective tensors);
+    the bias gradients only when `biases`."""
     q, b, n_classes = logits.shape
     nh = cfg.n_hidden
     rows = np.arange(b)
@@ -171,65 +218,83 @@ def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache):
     dlogits *= weight[:, None, None]
     dlogits = dlogits.reshape(q * b, n_classes)
     hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
-    grads = {"lstm.w_logits": hs[1:].reshape(q * b, nh).T @ dlogits,
-             "lstm.b_logits": dlogits.sum(axis=0)}
-    dh_out = (dlogits @ eff["lstm.w_logits"].T).reshape(q, b, nh)
+    grads = {"lstm.w_logits": hs[1:].reshape(q * b, nh).T @ dlogits}
+    if biases:
+        grads["lstm.b_logits"] = dlogits.sum(axis=0)
+    dh_out = ws.take("dh_out", (q, b, nh))
+    np.matmul(dlogits, eff["lstm.w_logits"].T, out=dh_out.reshape(q * b, nh))
 
     g_forget, g_input, g_output, g_cell = np.split(gates, 4, axis=2)
-    tcs = np.tanh(cs[1:])
-    d_act = gates * (1.0 - gates)  # sigmoid' per gate; tanh' for the cell
-    np.subtract(1.0, g_cell * g_cell, out=d_act[..., 3 * nh:])
-    d_cell_state = g_output * (1.0 - tcs * tcs)  # dh/dc of h = o tanh(c)
-    dpre = np.empty_like(gates)
+    dpre = ws.take("dpre", gates.shape)
     d_forget, d_input, d_output, d_cellgate = np.split(dpre, 4, axis=2)
+    # per step: the gates' derivatives (sigmoid', tanh' for the cell), as
+    # the forward pass's gate_step; tanh(c) again; dh times dh/dc
+    d_act = ws.take("gate_step", (b, 4 * nh))
+    d_cell = d_act[:, 3 * nh:]
+    tanh_c = ws.take("tanh_c", (b, nh))
+    dc_step = ws.take("dc_step", (b, nh))
     w_h = eff["lstm.gates"][:nh]
     dh_carry = np.zeros((b, nh))
     dc = np.zeros((b, nh))
     for t in reversed(range(q)):
-        dh = dh_out[t] + dh_carry
-        np.multiply(dh, tcs[t], out=d_output[t])
-        dc += dh * d_cell_state[t]
+        dh = dh_out[t]
+        dh += dh_carry
+        np.tanh(cs[t + 1], out=tanh_c)
+        np.multiply(dh, tanh_c, out=d_output[t])
+        np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=dc_step), out=dc_step)
+        dc_step *= g_output[t]
+        dc += np.multiply(dh, dc_step, out=dc_step)
         np.multiply(dc, cs[t], out=d_forget[t])
         np.multiply(dc, g_cell[t], out=d_input[t])
         np.multiply(dc, g_input[t], out=d_cellgate[t])
         dc *= g_forget[t]
-        dpre[t] *= d_act[t]
+        np.multiply(np.subtract(1.0, gates[t], out=d_act), gates[t], out=d_act)
+        np.subtract(1.0, np.multiply(g_cell[t], g_cell[t], out=d_cell), out=d_cell)
+        dpre[t] *= d_act
         if t:
-            dh_carry = dpre[t] @ w_h.T
+            np.matmul(dpre[t], w_h.T, out=dh_carry)
 
     dpre = dpre.reshape(q * b, 4 * nh)
-    dw = np.empty_like(eff["lstm.gates"])
+    # the recurrence above was the last reader of the gate activations
+    dw = ws.take("gates", eff["lstm.gates"].shape)
     np.matmul(hs[:-1].reshape(q * b, nh).T, dpre, out=dw[:nh])
     np.matmul(cache["v"].T, dpre, out=dw[nh:])
     grads["lstm.gates"] = dw
-    grads["lstm.gate_bias"] = dpre.sum(axis=0)
+    if biases:
+        grads["lstm.gate_bias"] = dpre.sum(axis=0)
     if cfg.use_cnn:
         dv = dpre @ eff["lstm.gates"][nh:].T
-        _cnn_backward(dv, cache["cnn"], eff, cfg, grads)
+        _cnn_backward(dv, cache["cnn"], eff, cfg, grads, ws, biases)
     return loss, grads
 
 
-def _cnn_backward(dv, cache, eff: dict, cfg: NetworkConfig, grads: dict):
+def _cnn_backward(dv, cache, eff: dict, cfg: NetworkConfig, grads: dict,
+                  ws: _Workspace, biases: bool):
     n, length = len(dv), cfg.window_len
     # the residual add passes the gradient straight through to the FC output
     grads["fc.weights"] = dv.T @ cache["flat"]
-    dmaps = (dv @ eff["fc.weights"]).reshape(n, -1, length)
+    dflat = ws.take("dflat", cache["flat"].shape)
+    dmaps = np.matmul(dv, eff["fc.weights"], out=dflat).reshape(n, -1, length)
     for i in reversed(range(len(cfg.conv_layers))):
         f, m = cfg.conv_layers[i]
         w = eff[f"conv{i}.weights"].reshape(f, -1)
-        dz = dmaps.transpose(0, 2, 1).reshape(n * length, f)
-        dz = dz * (cache["outs"][i] > 0)
+        dz = ws.take(f"dz{i}", (n * length, f))
+        np.copyto(dz.reshape(n, length, f), dmaps.transpose(0, 2, 1))
+        dz *= cache["outs"][i] > 0
         grads[f"conv{i}.weights"] = (dz.T @ cache["cols"][i]).reshape(f, -1, m)
-        grads[f"conv{i}.bias"] = dz.sum(axis=0)
+        if biases:
+            grads[f"conv{i}.bias"] = dz.sum(axis=0)
         if i:
-            dmaps = _col2im(dz @ w, n, length, m)
+            dcols = np.matmul(dz, w, out=ws.take("dcols", (n * length, w.shape[1])))
+            dmaps = _col2im(dcols, n, length, m, ws)
 
 
-def _col2im(dcols, n: int, length: int, m: int) -> np.ndarray:
+def _col2im(dcols, n: int, length: int, m: int, ws: _Workspace) -> np.ndarray:
     """Adjoint of `model.im2col`: (N * length, depth * m) -> (N, depth, length)."""
     dcols = dcols.reshape(n, length, -1, m)
     left = (m - 1) // 2
-    dpad = np.zeros((n, dcols.shape[2], length + m - 1))
+    dpad = ws.take("dpad", (n, dcols.shape[2], length + m - 1))
+    dpad.fill(0.0)
     for a in range(m):
         dpad[:, :, a:a + length] += dcols[..., a].transpose(0, 2, 1)
     return dpad[:, :, left:left + length]
@@ -243,22 +308,26 @@ def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
                                                    net_cfg.input_len):
         raise ValueError(f"expected windows (B, {net_cfg.n_steps}, "
                          f"{net_cfg.input_len}), got {windows.shape}")
-    logits, _ = _forward(windows, network_tensors(params, mode), net_cfg)
+    logits, _ = _forward(windows.transpose(1, 0, 2),
+                         network_tensors(params, mode), net_cfg, _Workspace())
     return logits.transpose(1, 0, 2)
 
 
 def batch_loss_and_grads(windows, labels, params: NetworkParams,
                          net_cfg: NetworkConfig, cfg: TrainConfig):
     """Mean loss and shadow-weight gradients for windows (B, q, U)."""
-    loss, grads = _loss_and_grads(windows, np.asarray(labels),
-                                  network_tensors(params, cfg.mode), net_cfg)
-    return loss, _route_to_shadow(grads, params, cfg.mode)
+    x = np.asarray(windows, dtype=np.float64).transpose(1, 0, 2)
+    return _loss_and_grads(x, np.asarray(labels), params,
+                           network_tensors(params, cfg.mode), net_cfg,
+                           cfg.mode, _Workspace())
 
 
-def _loss_and_grads(windows, labels, eff: dict, cfg: NetworkConfig):
-    # the codes and the cache are freed before the gradients are routed
-    logits, cache = _forward(windows, eff, cfg)
-    return _backward(labels, eff, cfg, logits, cache)
+def _loss_and_grads(x, labels, params: NetworkParams, eff: dict,
+                    net_cfg: NetworkConfig, mode: str, ws: _Workspace):
+    logits, cache = _forward(x, eff, net_cfg, ws)
+    loss, grads = _backward(labels, eff, net_cfg, logits, cache, ws,
+                            biases=mode == "full")
+    return loss, _route_to_shadow(grads, params, mode)
 
 
 def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
@@ -270,38 +339,60 @@ def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
 
 
 def _route_to_shadow(grads: dict, params: NetworkParams, mode: str) -> dict:
-    """Full mode trains every tensor; binary/ternary modes drop the bias
-    gradients and pass the code gradients through the STE (|shadow| <= 1)."""
+    """Binary/ternary modes pass the code gradients through the STE
+    (|shadow| <= 1); their biases have no gradients."""
     if mode == "full":
         return grads
     shadow = named_tensors(params)
     return {name: quant.ste_backward(g, shadow[name]) if is_quantized(name)
-            else g for name, g in grads.items() if not is_bias(name)}
+            else g for name, g in grads.items()}
 
 
 def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
                  cfg: TrainConfig) -> None:
     """Clip, accumulate squared gradients, update in place, clamp shadows.
 
-    The gradient arrays are clipped and scaled in place.
+    A tensor is updated in blocks of leading-axis rows, through a step
+    workspace of one block that `state` keeps per tensor; each element goes
+    through the same operations in the same order. The gradient arrays are
+    clipped and scaled in place.
     """
     tensors = named_tensors(params)
     for name, g in grads.items():
-        np.clip(g, -CLIP_LIMIT, CLIP_LIMIT, out=g)
         if name not in state.acc:
             state.acc[name] = np.zeros_like(g)
-        step = np.square(g)
-        state.acc[name] += step
-        np.sqrt(state.acc[name], out=step)
-        step += ADAGRAD_EPSILON
-        g *= cfg.learning_rate
-        tensors[name] -= np.divide(g, step, out=step)
-        if cfg.mode != "full" and is_quantized(name):
-            np.clip(tensors[name], -1.0, 1.0, out=tensors[name])
+            rows = max(1, ADAGRAD_BLOCK * len(g) // g.size)
+            state.step[name] = np.empty_like(g[:rows])
+        w, acc, step = tensors[name], state.acc[name], state.step[name]
+        clamp = cfg.mode != "full" and is_quantized(name)
+        for a in range(0, len(g), len(step)):
+            rows = slice(a, a + len(step))
+            g_b, w_b = g[rows], w[rows]
+            step_b = step[:len(g_b)]
+            np.clip(g_b, -CLIP_LIMIT, CLIP_LIMIT, out=g_b)
+            acc[rows] += np.square(g_b, out=step_b)
+            np.sqrt(acc[rows], out=step_b)
+            step_b += ADAGRAD_EPSILON
+            g_b *= cfg.learning_rate
+            w_b -= np.divide(g_b, step_b, out=step_b)
+            if clamp:
+                np.clip(w_b, -1.0, 1.0, out=w_b)
+
+
+def _train_batch(x, labels, params: NetworkParams, eff: dict,
+                 state: AdagradState, cfg: TrainConfig, net_cfg: NetworkConfig,
+                 ws: _Workspace) -> float:
+    """One minibatch's mean loss, after its Adagrad update. Its gradients,
+    views of `ws`, die with this frame, before a larger pass regrows them."""
+    loss, grads = _loss_and_grads(x, labels, params, eff, net_cfg, cfg.mode, ws)
+    adagrad_step(params, grads, state, cfg)
+    return loss
 
 
 def _stack_windows(seqs) -> tuple[np.ndarray, np.ndarray]:
-    windows = np.stack([np.asarray(s.windows, dtype=np.float64) for s in seqs])
+    """Time-major windows (q, B, U) and the labels of `seqs`."""
+    windows = np.stack([np.asarray(s.windows, dtype=np.float64) for s in seqs],
+                       axis=1)
     labels = np.array([s.label for s in seqs], dtype=np.int64)
     return windows, labels
 
@@ -313,9 +404,12 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
         raise ValueError("both splits must be non-empty")
     params = init_params(net_cfg, cfg.seed, cfg.init_scale)
     state = AdagradState()
+    ws = _Workspace()
     rng = np.random.default_rng(cfg.seed)
     windows, labels = _stack_windows(train_seqs)
-    n = len(train_seqs)
+    test_windows, test_labels = _stack_windows(test_seqs)
+    q, n, width = windows.shape
+    eff = None
     loss_trace = np.zeros(cfg.epochs)
     acc_trace = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
@@ -323,16 +417,22 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = batch_loss_and_grads(windows[idx], labels[idx],
-                                               params, net_cfg, cfg)
-            adagrad_step(params, grads, state, cfg)
-            epoch_loss += loss * len(idx)
+            # a permutation's indices are in range: "wrap" skips the
+            # bounds-checked copy that the default mode makes through a temporary
+            x = np.take(windows, idx, axis=1, mode="wrap",
+                        out=ws.take("x", (q, len(idx), width)))
+            eff = network_tensors(params, cfg.mode, out=eff)
+            epoch_loss += _train_batch(x, labels[idx], params, eff, state,
+                                       cfg, net_cfg, ws) * len(idx)
         loss_trace[epoch] = epoch_loss / n
         if not np.isfinite(loss_trace[epoch]):
             raise ValueError(f"epoch {epoch}: mean loss {loss_trace[epoch]} "
                              "is not finite; lower learning_rate or "
                              "init_scale")
-        acc_trace[epoch] = evaluate_accuracy(params, test_seqs, net_cfg, cfg.mode)
+        eff = network_tensors(params, cfg.mode, out=eff)
+        logits = _forward(test_windows, eff, net_cfg, ws)[0]
+        preds = softmax(logits[-1]).argmax(axis=1)
+        acc_trace[epoch] = float((preds == test_labels).mean())
     return TrainResult(params, loss_trace, acc_trace)
 
 
@@ -344,7 +444,8 @@ def predict_probs(params: NetworkParams, seqs, net_cfg: NetworkConfig,
                   mode: str = "full") -> np.ndarray:
     """Softmax probabilities of the final step for each sequence."""
     windows, _ = _stack_windows(seqs)
-    return softmax(forward_logits(params, windows, net_cfg, mode)[:, -1, :])
+    return softmax(forward_logits(params, windows.transpose(1, 0, 2), net_cfg,
+                                  mode)[:, -1, :])
 
 
 def evaluate_accuracy(params: NetworkParams, seqs, net_cfg: NetworkConfig,
@@ -356,7 +457,11 @@ def evaluate_accuracy(params: NetworkParams, seqs, net_cfg: NetworkConfig,
 
 
 def auc_macro(labels, scores) -> float:
-    """Macro one-vs-rest AUC via the rank statistic (ties get mid-ranks)."""
+    """Macro one-vs-rest AUC via the rank statistic (ties get mid-ranks).
+
+    Classes without both positives and negatives are skipped; a `ValueError`
+    when no class has both.
+    """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     aucs = []
@@ -373,6 +478,9 @@ def auc_macro(labels, scores) -> float:
         ranks = (0.5 * (2 * first + counts - 1) + 1.0)[block]
         auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         aucs.append(auc)
+    if not aucs:
+        raise ValueError("AUC needs a class with both positive and negative "
+                         "samples")
     return float(np.mean(aucs))
 
 

@@ -28,6 +28,17 @@ def _last_trace_accuracy(model_dir) -> str:
     return f"accuracy {float(last.split(',')[2]):.4f}"
 
 
+def _one_class_ucr_pair(tmp_path) -> Path:
+    """ECG200's rows, every one labelled 1."""
+    data = tmp_path / "one_class"
+    data.mkdir()
+    for part in ("TRAIN", "TEST"):
+        rows = (ECG_DIR / f"ECG200_{part}.tsv").read_text().splitlines()
+        (data / f"X_{part}.tsv").write_text("".join(
+            f"1\t{row.split(chr(9), 1)[1]}\n" for row in rows))
+    return data
+
+
 class TestDispatch:
     def test_no_arguments_usage_error(self, capsys):
         assert run() == 1
@@ -68,6 +79,32 @@ class TestDispatch:
         assert run("train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "does not occur in the train split" in capsys.readouterr().err
+
+    def test_one_class_data_is_data_error(self, tmp_path, capsys):
+        data = _one_class_ucr_pair(tmp_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window_len = 20\nn_steps = 4\nn_hidden = 4\n"
+                       "epochs = 1\nuse_cnn = 0\n")
+        out = tmp_path / "o"
+        assert run("train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(out)) == 2
+        assert "n_classes = 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_auc_of_a_one_class_model_is_data_error(self, tmp_path, capsys):
+        # a model directory that records one class, as earlier versions
+        # trained on one-class data
+        net = model.NetworkConfig(20, 4, 4, 2, use_cnn=False)
+        model_dir = tmp_path / "m"
+        model.save_network(model_dir, train_mod.init_params(net), net)
+        config = model_dir / "config.txt"
+        config.write_text(config.read_text().replace("n_classes = 2",
+                                                     "n_classes = 1"))
+        assert run("eval", "--model", str(model_dir), "--data",
+                   str(_one_class_ucr_pair(tmp_path)), "--report",
+                   "auc") == 2
+        captured = capsys.readouterr()
+        assert "n_classes = 1" in captured.err and "auc" not in captured.out
 
     def test_missing_config_key_is_data_error(self, tmp_path):
         cfg = tmp_path / "partial.cfg"
@@ -115,6 +152,15 @@ class TestGen:
         assert run("gen", "--system", system, flag, "0",
                    "--out", str(out)) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system", ["sine", "logistic", "lorenz"])
+    def test_one_class_dataset_is_data_error(self, system, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", system, "--classes", "1",
+                   "--out", str(out)) == 2
+        assert "classes = 1; a dataset needs at least 2" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("system, flag, value, message", [

@@ -246,6 +246,12 @@ class TestMachineFile:
         assert rc == 2 and f"{machine}: clock_hz = inf is not a number" in err
         assert "latency" not in out
 
+    def test_sub_hertz_clock_exits_2(self, tmp_path, capsys):
+        machine = _write(tmp_path / "m.txt", {"clock_hz": 1e-300})
+        rc, out, err = self._cycles(capsys, "--machine", machine)
+        assert rc == 2 and f"{machine}: clock_hz = 1e-300" in err
+        assert "latency" not in out
+
     def test_bus_bits_is_an_unknown_key(self, tmp_path, capsys):
         machine = _write(tmp_path / "m.txt", {"bus_bits": 96})
         rc, _, err = self._cycles(capsys, "--machine", machine)

@@ -342,6 +342,38 @@ class TestLatency:
             a.worst_window_latency_seconds / 2
 
 
+class TestMachineChecks:
+    @pytest.mark.parametrize("clock_hz", [1e-300, 0.5, 0.0, float("nan")])
+    def test_clock_below_one_hertz_is_rejected(self, clock_hz):
+        with pytest.raises(ValueError, match="clock_hz"):
+            MachineConfig(clock_hz=clock_hz)
+
+    def test_one_hertz_clock_is_accepted(self):
+        assert MachineConfig(clock_hz=1.0).clock_hz == 1.0
+
+    @pytest.mark.parametrize("fmt", [fxp.ACT_FORMAT, fxp.QFormat(10, 6),
+                                     fxp.QFormat(16, 10)])
+    def test_finest_table_has_one_code_per_cell(self, fmt):
+        # tanh spans 8 units: Q4.8 cells of one code give 2048 entries
+        finest = fxp.max_lut_size(fmt)
+        assert finest == 8 * fmt.scale
+        mc = MachineConfig(lut_size=finest, activation_format=fmt)
+        table = fxp.build_lut("tanh", mc.lut_size)
+        codes = np.arange(fmt.raw_min, fmt.raw_max + 1)
+        assert len(set(fxp.lut_index_raw(codes, table, fmt).tolist())) == \
+            finest
+        with pytest.raises(ValueError, match="lut_size"):
+            MachineConfig(lut_size=2 * finest, activation_format=fmt)
+
+    def test_huge_table_is_rejected_before_it_is_built(self, monkeypatch):
+        def build_lut(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(fxp, "build_lut", build_lut)
+        with pytest.raises(ValueError, match="at most 2048"):
+            MachineConfig(lut_size=17179869184)
+
+
 class TestInterfaces:
     def test_window_shape_mismatch(self):
         cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)

@@ -210,6 +210,10 @@ class TestNetworkForward:
         with pytest.raises(ValueError):
             network_forward(np.zeros((5, 4)), params, cfg)
 
+    def test_one_class_is_no_classifier(self):
+        with pytest.raises(ValueError, match="n_classes = 1"):
+            NetworkConfig(4, 2, 3, 1)
+
 
 class TestFixedForward:
     def test_matches_float_coarsely(self):
@@ -394,6 +398,14 @@ class TestIm2col:
         got = im2col(maps, m)
         assert got.dtype == dtype
         assert np.array_equal(got, im2col_reference(maps, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_fills_every_entry_of_a_used_buffer(self, m):
+        # widths past the map length leave whole taps in the padding
+        maps = np.random.default_rng(m).uniform(-9, 9, (3, 2, 4))
+        out = np.full((3 * 4, 2 * m), 7.0)
+        assert im2col(maps, m, out=out) is out
+        assert np.array_equal(out, im2col_reference(maps, m))
 
 
 class TestSerialization:

@@ -51,6 +51,17 @@ class TestSte:
     def test_boundary_inclusive(self):
         assert quant.ste_backward(-3.1, -1.0) == -3.1
 
+    def test_shadows_in_range_pass_the_mask_s_gradient(self):
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(50, 40))
+        g[0, 0] = -0.0
+        r = rng.uniform(-1.0, 1.0, g.shape)
+        r[0, 1], r[0, 2] = -1.0, 1.0
+        want = np.where((r >= -1.0) & (r <= 1.0), g, 0.0)
+        got = quant.ste_backward(g, r)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     @given(arrays(np.float64, 8, elements=st.floats(-10, 10)),
            arrays(np.float64, 8, elements=st.floats(-3, 3)))
     def test_zero_set_exact(self, g, r):

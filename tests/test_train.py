@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import scipy.stats
 from float_oracle import cross_entropy, loss_gradient, network_forward
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
 from qcnnlstm.model import NetworkConfig, named_tensors
-from qcnnlstm.train import (AdagradState, TrainConfig, adagrad_step,
-                            auc_macro, confusion_matrix, evaluate_accuracy,
-                            init_params, predict_probs,
+from qcnnlstm.train import (ADAGRAD_BLOCK, ADAGRAD_EPSILON, AdagradState,
+                            TrainConfig, adagrad_step, auc_macro,
+                            confusion_matrix, evaluate_accuracy,
+                            forward_logits, init_params, predict_probs,
                             sequence_loss_and_grads, train, write_trace)
 
 
@@ -162,6 +164,23 @@ class TestAdagrad:
             assert np.all(state.acc["lstm.gates"] >= prev)
             prev = state.acc["lstm.gates"].copy()
 
+    def test_two_steps_equal_the_plain_formula(self):
+        # a tensor of more than one update block; gradients inside the clip
+        cfg = NetworkConfig(2, 1, 100, 2, use_cnn=False)
+        params = init_params(cfg, seed=3, init_scale=0.5)
+        assert params.lstm.gates.size > ADAGRAD_BLOCK
+        tc = TrainConfig(learning_rate=0.07)
+        rng = np.random.default_rng(4)
+        state = AdagradState()
+        w, acc = params.lstm.gates.copy(), np.zeros_like(params.lstm.gates)
+        for _ in range(2):
+            g = rng.uniform(-5.0, 5.0, w.shape)
+            acc = acc + g * g
+            w = w - tc.learning_rate * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
+            adagrad_step(params, {"lstm.gates": g.copy()}, state, tc)
+        assert np.array_equal(state.acc["lstm.gates"], acc)
+        assert np.array_equal(params.lstm.gates, w)
+
     def test_shadow_clamped_in_ternary_mode(self):
         cfg = NetworkConfig(2, 1, 2, 2, use_cnn=False)
         params = init_params(cfg, seed=0, init_scale=0.9)
@@ -221,6 +240,35 @@ class TestTrainLoop:
         assert np.array_equal(a.loss_trace, b.loss_trace)
         assert np.array_equal(a.accuracy_trace, b.accuracy_trace)
         assert np.array_equal(a.params.lstm.gates, b.params.lstm.gates)
+
+    def test_no_state_carries_over_between_calls(self):
+        # A (ternary, two conv layers, a short last batch), then B (full
+        # precision, no CNN, other shapes), then A again
+        train_seqs, test_seqs = tiny_sine_task()
+        a_net = NetworkConfig(10, 3, 6, 3, conv_layers=((2, 3), (3, 2)))
+        a_cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=7,
+                            init_scale=0.6, seed=2, mode="ternary")
+        assert len(train_seqs) % a_cfg.batch_size
+        first = train(train_seqs, test_seqs, a_cfg, a_net)
+        train(train_seqs[:10], test_seqs[:5], TrainConfig(epochs=2, seed=4),
+              NetworkConfig(10, 3, 9, 3, use_cnn=False))
+        again = train(train_seqs, test_seqs, a_cfg, a_net)
+        assert np.array_equal(first.loss_trace, again.loss_trace)
+        assert np.array_equal(first.accuracy_trace, again.accuracy_trace)
+        again_tensors = named_tensors(again.params)
+        for name, w in named_tensors(first.params).items():
+            assert np.array_equal(w, again_tensors[name]), name
+
+    def test_saturated_gates_raise_no_warning(self):
+        # pre-activations of -4000: exp(4000) overflows to inf, and the
+        # sigmoid of the gate is exactly 0
+        cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
+        params = init_params(cfg, seed=0, init_scale=1.0)
+        params.lstm.gates[:] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logits = forward_logits(params, np.full((1, 2, 4), -1000.0), cfg)
+        assert np.array_equal(logits, np.zeros_like(logits))
 
     def test_learns_separable_task(self):
         train_seqs, test_seqs = tiny_sine_task(beta=0.3)
@@ -303,6 +351,11 @@ class TestEvaluation:
             aucs.append((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) /
                         (n_pos * n_neg))
         assert auc_macro(labels, scores) == float(np.mean(aucs))
+
+    def test_auc_of_one_class_labels_is_an_error(self):
+        scores = np.array([[0.9, 0.1], [0.6, 0.4]])
+        with pytest.raises(ValueError, match="both positive and negative"):
+            auc_macro(np.array([0, 0]), scores)
 
     def test_confusion_matrix_counts(self):
         cm = confusion_matrix([0, 0, 1, 2], [0, 1, 1, 2], 3)
