@@ -300,14 +300,19 @@ def _col2im(dcols, n: int, length: int, m: int, ws: _Workspace) -> np.ndarray:
     return dpad[:, :, left:left + length]
 
 
-def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
-                   mode: str = "full") -> np.ndarray:
-    """Float logits (B, q, n_classes) of a batch of windows (B, q, U)."""
-    windows = np.asarray(windows, dtype=np.float64)
+def _check_windows(windows, net_cfg: NetworkConfig) -> None:
+    """Raises unless batch-major windows are (B, q, U) as `net_cfg` has it."""
     if windows.ndim != 3 or windows.shape[1:] != (net_cfg.n_steps,
                                                    net_cfg.input_len):
         raise ValueError(f"expected windows (B, {net_cfg.n_steps}, "
                          f"{net_cfg.input_len}), got {windows.shape}")
+
+
+def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
+                   mode: str = "full") -> np.ndarray:
+    """Float logits (B, q, n_classes) of a batch of windows (B, q, U)."""
+    windows = np.asarray(windows, dtype=np.float64)
+    _check_windows(windows, net_cfg)
     logits, _ = _forward(windows.transpose(1, 0, 2),
                          network_tensors(params, mode), net_cfg, _Workspace())
     return logits.transpose(1, 0, 2)
@@ -389,10 +394,12 @@ def _train_batch(x, labels, params: NetworkParams, eff: dict,
     return loss
 
 
-def _stack_windows(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Time-major windows (q, B, U) and the labels of `seqs`."""
+def _stack_windows(seqs, net_cfg: NetworkConfig):
+    """Time-major windows (q, B, U) and the labels of `seqs`, checked
+    against `net_cfg`."""
     windows = np.stack([np.asarray(s.windows, dtype=np.float64) for s in seqs],
                        axis=1)
+    _check_windows(windows.swapaxes(0, 1), net_cfg)
     labels = np.array([s.label for s in seqs], dtype=np.int64)
     return windows, labels
 
@@ -406,8 +413,8 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
     state = AdagradState()
     ws = _Workspace()
     rng = np.random.default_rng(cfg.seed)
-    windows, labels = _stack_windows(train_seqs)
-    test_windows, test_labels = _stack_windows(test_seqs)
+    windows, labels = _stack_windows(train_seqs, net_cfg)
+    test_windows, test_labels = _stack_windows(test_seqs, net_cfg)
     q, n, width = windows.shape
     eff = None
     loss_trace = np.zeros(cfg.epochs)
@@ -430,9 +437,7 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
                              "is not finite; lower learning_rate or "
                              "init_scale")
         eff = network_tensors(params, cfg.mode, out=eff)
-        logits = _forward(test_windows, eff, net_cfg, ws)[0]
-        preds = softmax(logits[-1]).argmax(axis=1)
-        acc_trace[epoch] = float((preds == test_labels).mean())
+        acc_trace[epoch] = _accuracy(test_windows, test_labels, eff, net_cfg, ws)
     return TrainResult(params, loss_trace, acc_trace)
 
 
@@ -440,20 +445,31 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _final_probs(windows, eff: dict, net_cfg: NetworkConfig,
+                 ws: _Workspace) -> np.ndarray:
+    """Softmax of the final step for time-major windows (q, B, U)."""
+    return softmax(_forward(windows, eff, net_cfg, ws)[0][-1])
+
+
+def _accuracy(windows, labels, eff: dict, net_cfg: NetworkConfig,
+              ws: _Workspace) -> float:
+    preds = _final_probs(windows, eff, net_cfg, ws).argmax(axis=1)
+    return float((preds == labels).mean())
+
+
 def predict_probs(params: NetworkParams, seqs, net_cfg: NetworkConfig,
                   mode: str = "full") -> np.ndarray:
     """Softmax probabilities of the final step for each sequence."""
-    windows, _ = _stack_windows(seqs)
-    return softmax(forward_logits(params, windows.transpose(1, 0, 2), net_cfg,
-                                  mode)[:, -1, :])
+    windows, _ = _stack_windows(seqs, net_cfg)
+    return _final_probs(windows, network_tensors(params, mode), net_cfg,
+                        _Workspace())
 
 
 def evaluate_accuracy(params: NetworkParams, seqs, net_cfg: NetworkConfig,
                       mode: str = "full") -> float:
-    probs = predict_probs(params, seqs, net_cfg, mode)
-    preds = probs.argmax(axis=1)
-    labels = np.array([s.label for s in seqs])
-    return float((preds == labels).mean())
+    windows, labels = _stack_windows(seqs, net_cfg)
+    return _accuracy(windows, labels, network_tensors(params, mode), net_cfg,
+                     _Workspace())
 
 
 def auc_macro(labels, scores) -> float:

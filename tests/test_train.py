@@ -278,6 +278,30 @@ class TestTrainLoop:
         assert result.accuracy_trace[-1] > 0.8
         assert result.loss_trace[-1] < result.loss_trace[0]
 
+    def test_last_accuracy_is_evaluate_accuracy(self):
+        # the per-epoch accuracy runs on the call's workspace; it must read
+        # what the public evaluation reads for the final parameters
+        train_seqs, test_seqs = tiny_sine_task()
+        net = NetworkConfig(10, 3, 6, 3, conv_layers=((2, 3),))
+        for mode in ("full", "ternary"):
+            tc = TrainConfig(learning_rate=0.1, epochs=2, batch_size=7,
+                             init_scale=0.6, seed=3, mode=mode)
+            result = train(train_seqs, test_seqs, tc, net)
+            acc = evaluate_accuracy(result.params, test_seqs, net, mode)
+            preds = predict_probs(result.params, test_seqs, net,
+                                  mode).argmax(axis=1)
+            labels = [s.label for s in test_seqs]
+            assert result.accuracy_trace[-1] == acc == np.mean(preds == labels)
+
+    def test_windows_of_another_shape_rejected(self):
+        train_seqs, test_seqs = tiny_sine_task()
+        net = NetworkConfig(10, 3, 4, 3, use_cnn=False)
+        short = [WindowedSequence(s.windows[:2], s.label) for s in test_seqs]
+        with pytest.raises(ValueError, match="expected windows"):
+            train(train_seqs, short, TrainConfig(epochs=1), net)
+        with pytest.raises(ValueError, match="expected windows"):
+            predict_probs(init_params(net), short, net)
+
     def test_rejects_empty_split(self):
         train_seqs, _ = tiny_sine_task()
         with pytest.raises(ValueError):
