@@ -5,12 +5,15 @@ configurable Q-format (12-bit Q4.8 by default), round-half-away-from-zero
 quantization, saturating adds/multiply-accumulates with double-width
 accumulation, and midpoint-sampled sigmoid/tanh lookup tables.
 
-Everything here is a pure value computation on int64 numpy arrays of raw
-codes, so results are exactly reproducible; there are no Python-int scalars
-(the scalar reference lives with the tests). Dot products multiply through
-BLAS in the narrowest float type that is exact for them, chosen from the
-formats and the fan-in, which bound every partial sum: float32 up to 2**24,
-float64 below 2**53, and a `ValueError` beyond.
+Everything here is a pure value computation on numpy arrays of raw codes,
+so results are exactly reproducible; there are no Python-int scalars (the
+scalar reference lives with the tests). Dot products multiply through BLAS
+in the narrowest float type that is exact for them, chosen from the formats
+and the fan-in, which bound every partial sum: float32 up to 2**24, float64
+below 2**53, and a `ValueError` beyond. A ternary dot product keeps its
+exact codes in that float type, saturated there; the requantizing
+operations (`requantize`, `dot_fixed`, `mul_fixed`, `mul_add_fixed`,
+`sat_add`) return int64 codes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "LutTable",
     "to_raw",
     "from_raw",
+    "saturate",
     "requantize",
     "sat_add",
     "mul_fixed",
@@ -102,13 +106,14 @@ def from_raw(raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / fmt.scale
 
 
-def _saturate(x, fmt: QFormat) -> np.ndarray:
-    """`x`, an int64 result the caller made, saturated to the format range.
+def saturate(x, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+    """`x`, integer codes the caller made (int or float array), saturated to
+    the format range.
 
     An array is clipped in place; a NumPy scalar (from 0-d operands) cannot
     be written into, so it comes back as a new scalar.
     """
-    # np.minimum/np.maximum: np.clip looks the dtype limits up on every call
+    # np.minimum/np.maximum: np.clip costs about twice as much per call
     if not isinstance(x, np.ndarray):
         return np.minimum(np.maximum(x, fmt.raw_min), fmt.raw_max)
     np.maximum(x, fmt.raw_min, out=x)
@@ -124,20 +129,20 @@ def requantize(acc, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """
     acc = np.asarray(acc, dtype=np.int64)
     if fmt.frac_bits == 0:
-        return _saturate(acc.copy(), fmt)
+        return saturate(acc.copy(), fmt)
     # floor((acc + half) / 2**e) rounds half up; one less for a negative
     # accumulator makes it -floor((|acc| + half) / 2**e): half away from
     # zero. `acc + half` is the one new array; the rest writes into it.
     out = acc + (1 << (fmt.frac_bits - 1))
     out -= acc < 0
     out >>= fmt.frac_bits
-    return _saturate(out, fmt)
+    return saturate(out, fmt)
 
 
 def sat_add(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Saturating add of raw codes in the same format."""
-    return _saturate(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64),
-                     fmt)
+    return saturate(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64),
+                    fmt)
 
 
 def mul_fixed(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -175,20 +180,25 @@ def _product_dtype(fan_in: int, magnitude_bits: int):
 
 
 def _exact_product(x_raw, w, magnitude_bits: int) -> np.ndarray:
-    """x @ w for integer values whose products are at most 2**magnitude_bits.
+    """x @ w for integer values whose products are at most 2**magnitude_bits,
+    returned in the float type it ran in.
 
     The product runs in float32 when the fan-in keeps every partial sum at or
-    below 2**24, in float64 below 2**53, and raises `ValueError` beyond; `w`
-    is cast to that type on the fly (a no-op for float32 codes in the
-    float32 tier).
+    below 2**24, in float64 below 2**53, and raises `ValueError` beyond. A
+    float `x_raw` of a wider type keeps it: a caller that adds a longer
+    product's partial sum picks the type from the total fan-in. The operands
+    are cast on the fly (a no-op for float32 codes in the float32 tier).
     """
     dtype = _product_dtype(np.shape(w)[0], magnitude_bits)
-    acc = np.asarray(x_raw, dtype=dtype) @ np.asarray(w, dtype=dtype)
-    return acc.astype(np.int64)
+    x = np.asarray(x_raw)
+    if x.dtype.kind == "f":
+        dtype = np.promote_types(dtype, x.dtype)
+    return x.astype(dtype, copy=False) @ np.asarray(w, dtype=dtype)
 
 
 def ternary_acc(x_raw, codes, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """x @ codes for 2-bit weight codes: the exact, unsaturated int64 sum."""
+    """x @ codes for 2-bit weight codes: the exact, unsaturated sum, in the
+    float type `_exact_product` ran it in."""
     return _exact_product(x_raw, codes, fmt.total_bits - 1)
 
 
@@ -199,12 +209,18 @@ def dot_ternary(x_raw, codes, bias_raw=None, fmt: QFormat = ACT_FORMAT) -> np.nd
     only quantization effect is the final saturation. It is applied once, to
     the exact sum of the product and `bias_raw`; a bias outside the format,
     such as a `ternary_acc` partial sum of a longer product, is not clipped
-    first.
+    first. The result is the product's float type; a bias of another type
+    is added in float64. A bias of the product's own type is added in place:
+    the caller's total fan-in must keep that sum exact (see `_exact_product`).
     """
     acc = ternary_acc(x_raw, codes, fmt)
     if bias_raw is not None:
-        acc = acc + np.asarray(bias_raw, dtype=np.int64)
-    return _saturate(acc, fmt)
+        bias = np.asarray(bias_raw)
+        if bias.dtype == acc.dtype:
+            acc += bias
+        else:
+            acc = np.add(acc, bias, dtype=np.float64)
+    return saturate(acc, fmt)
 
 
 def dot_fixed(x_raw, w_raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
@@ -224,10 +240,10 @@ def dot_fixed(x_raw, w_raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
 # (raw - raw(u_min)), clamped. Every LUT input of the engine is saturated
 # to the activation format first, so the engine reads a direct-address
 # table built from it once per (size, format) instead: entry k holds the
-# value for the code whose low total_bits bits are k (negative codes wrap
-# to the top half), and one gather at raw & (2**total_bits - 1) replaces
-# shift, clamp and lookup. Such a table has 2**total_bits entries, hence
-# the DIRECT_LUT_MAX_BITS cap on activation formats.
+# value for code raw_min + k, in natural code order, and one gather at
+# raw - raw_min replaces shift, clamp and lookup. Such a table has
+# 2**total_bits entries, hence the DIRECT_LUT_MAX_BITS cap on activation
+# formats.
 # ---------------------------------------------------------------------------
 
 #: Table size of the reference machine; `fsm.MachineConfig.lut_size` may change it.

@@ -4,11 +4,17 @@
 every intermediate in the activation Q-format; the cycle simulator in `fsm`
 takes its numerics from it. Its products run in float32 where the fan-in
 keeps them exact there, else in float64, else raise `ValueError` (see
-`fxp._exact_product`); the input half of the gate product runs once over all
-windows before the recurrence. A step reads all four gates with one gather
-from direct-address tables (`_lut`, one entry per raw code, so formats wider
-than `fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`), tanh(c) with
-one more, and updates c and h by `fxp.mul_add_fixed` and `fxp.mul_fixed`.
+`fxp._exact_product`). Conv maps, gate sums and h keep their exact
+integer codes in that float type; the requantizing primitives (FC, cell,
+hidden, logits) return int64 codes. The input half of the gate product runs once over all windows
+before the recurrence, in the type the fused fan-in (n_hidden +
+input_len) picks, so each step adds its recurrent half exactly; step 0,
+whose h and c are zero, has no recurrent product and no forget term. A
+step turns its saturated gate sums into positions in direct-address tables
+(`_lut`, one entry per raw code in natural order, so formats wider than
+`fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`) with one add,
+reads all four gates with one gather and tanh(c) with one more, and
+updates c and h by `fxp.mul_add_fixed` and `fxp.mul_fixed`.
 The float engine lives in `train`, which trains and evaluates with it.
 
 The four LSTM gate matrices are fused into one input-major matrix of shape
@@ -203,24 +209,33 @@ def softmax(logits) -> np.ndarray:
 def _lut(size: int, fmt: QFormat) -> np.ndarray:
     """The direct-address sigmoid and tanh tables at `fmt`, concatenated.
 
-    Entry k of each half holds the `size`-entry table's value, requantized
-    to `fmt`, for the raw code whose low total_bits bits are k, so an input
-    saturated to `fmt` reads its sigmoid at raw & mask and its tanh at
-    2**total_bits + (raw & mask). Built once per key.
+    Each half holds the `size`-entry table's values, requantized to `fmt`,
+    for every code of `fmt` in natural order, so an input saturated to
+    `fmt` reads its sigmoid at raw - raw_min and its tanh at
+    2**total_bits + raw - raw_min. Built once per key.
     """
     if fmt.total_bits > fxp.DIRECT_LUT_MAX_BITS:
         raise ValueError(f"activation format {fmt} is {fmt.total_bits} bits "
                          "wide; the direct-address tables take at most "
                          f"{fxp.DIRECT_LUT_MAX_BITS}")
-    n = 1 << fmt.total_bits
-    codes = np.arange(n)
-    codes[n // 2:] -= n  # position k holds the two's-complement code k
+    codes = np.arange(fmt.raw_min, fmt.raw_max + 1)
     halves = []
     for kind in ("sigmoid", "tanh"):
         table = fxp.build_lut(kind, size)
         halves.append(fxp.lut_entries_in(table, fmt)[
             fxp.lut_index_raw(codes, table, fmt)])
     out = np.concatenate(halves)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def _gate_offsets(n_hidden: int, fmt: QFormat, dtype) -> np.ndarray:
+    """What turns the saturated gate sums of one step into `_lut` positions:
+    forget, input and output read the sigmoid half, the cell gate the tanh
+    half. In the gate sums' float type, so one add makes the positions."""
+    out = np.repeat(np.array([0, 1 << fmt.total_bits], dtype=dtype) -
+                    fmt.raw_min, [3 * n_hidden, n_hidden])
     out.flags.writeable = False
     return out
 
@@ -232,11 +247,12 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     """Bit-accurate forward pass over raw activation codes.
 
     `windows_raw` is (n_steps, input_len) or a batch (B, n_steps, input_len);
-    returns raw logit codes, (n_steps, n_classes) or (B, n_steps, n_classes).
-    Every stored intermediate is saturated/requantized to `fmt`, and the
-    nonlinearities read `lut_size`-entry tables through their direct-address
-    form (`_lut`), so `fmt` may be at most `fxp.DIRECT_LUT_MAX_BITS` wide.
-    Weights at another scale (`qnet.weight_format`) are a `ValueError`.
+    returns raw int64 logit codes, (n_steps, n_classes) or
+    (B, n_steps, n_classes). Every stored intermediate is
+    saturated/requantized to `fmt`, and the nonlinearities read
+    `lut_size`-entry tables through their direct-address form (`_lut`), so
+    `fmt` may be at most `fxp.DIRECT_LUT_MAX_BITS` wide. Weights at another
+    scale (`qnet.weight_format`) are a `ValueError`.
     """
     x = np.asarray(windows_raw, dtype=np.int64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_steps, cfg.input_len):
@@ -249,40 +265,43 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     # states 1-2 do not depend on the recurrent state: all windows at once
     v = x.reshape(-1, cfg.input_len)
     if cfg.use_cnn:
-        maps = v.reshape(len(v), cfg.n_channels, cfg.window_len)
+        maps = v.reshape(len(v), cfg.n_channels, cfg.window_len).astype(
+            np.float32)
         for codes in qnet.conv_codes:
             maps = _conv_relu_fixed(maps, codes, fmt)
         p = fxp.dot_fixed(maps.reshape(len(v), -1), qnet.fc_raw.T, fmt=fmt)
         v = fxp.sat_add(v, p, fmt) if cfg.residual else p
     n_h = cfg.n_hidden
-    # the input half of every step's gate product, for all windows at once;
-    # each step adds its row, exact and unsaturated, to the recurrent half,
-    # and dot_ternary saturates the sum once
-    x_part = fxp.ternary_acc(v, qnet.gates[n_h:], fmt).reshape(
+    # a step's gate sum [h, window] @ gates is exact in the float type its
+    # fused fan-in picks, so the input half, run once for all windows, and
+    # the recurrent half of each step add up exactly there
+    dtype = fxp._product_dtype(len(qnet.gates), fmt.total_bits - 1)
+    x_part = fxp.ternary_acc(v.astype(dtype), qnet.gates[n_h:], fmt).reshape(
         -1, cfg.n_steps, 4 * n_h)
     w_h = qnet.gates[:n_h]
-    mask = (1 << fmt.total_bits) - 1
-    tanh_lut = lut[mask + 1:]
-    # forget, input and output read the sigmoid half, the cell gate the tanh
-    offsets = np.repeat([0, mask + 1], [3 * n_h, n_h])
-    h = c = np.zeros((len(x_part), n_h), dtype=np.int64)
-    hs = np.empty((len(x_part), cfg.n_steps, n_h), dtype=np.int64)
+    offsets = _gate_offsets(n_h, fmt, dtype)
+    tanh_base = (1 << fmt.total_bits) - fmt.raw_min
+    pos = np.empty(x_part[:, 0].shape, dtype=np.intp)
+    hs = np.empty((len(x_part), cfg.n_steps, n_h), dtype=dtype)
     for t in range(cfg.n_steps):
-        # the saturated gate sums, turned into table positions in place
-        idx = fxp.dot_ternary(h, w_h, x_part[:, t], fmt)
-        idx &= mask
-        idx += offsets
-        g = lut.take(idx)  # all four gates, in quant.GATE_ORDER
+        # h and c start at zero: step 0 has no recurrent product and no
+        # forget term, and saturates its input row in place
+        s = fxp.dot_ternary(hs[:, t - 1], w_h, x_part[:, t], fmt) if t else \
+            fxp.saturate(x_part[:, 0], fmt)
+        np.add(s, offsets, out=pos, casting="unsafe")
+        g = lut.take(pos)  # all four gates, in quant.GATE_ORDER
         g_forget, g_input = g[:, :n_h], g[:, n_h:2 * n_h]
         g_output, g_cell = g[:, 2 * n_h:3 * n_h], g[:, 3 * n_h:]
-        c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt)
-        h = hs[:, t] = fxp.mul_fixed(g_output, tanh_lut.take(c & mask), fmt)
+        c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt) if t else \
+            fxp.mul_fixed(g_cell, g_input, fmt)
+        hs[:, t] = fxp.mul_fixed(g_output, lut.take(c + tanh_base), fmt)
     logits = fxp.dot_fixed(hs.reshape(-1, n_h), qnet.logits_raw, fmt=fmt)
     return logits.reshape(x.shape[:-1] + (cfg.n_classes,))
 
 
 def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
-    """Conv + ReLU in fixed point over (N, depth, length) maps, one product."""
+    """Conv + ReLU in fixed point over (N, depth, length) float maps of raw
+    codes, one product; the maps come back in the product's float type."""
     f, depth, m = codes.shape
     n, _, length = maps_raw.shape
     # ternary taps keep the activation scale; saturating before the ReLU

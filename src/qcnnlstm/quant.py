@@ -37,14 +37,19 @@ def quantize_binary(r, out=None):
     return q
 
 
+# the smallest |r| with a nonzero code: floor(|r| + 0.5) in float64 is 1
+# from the largest double below 0.5 on (its sum with 0.5 rounds to 1.0), so
+# comparing with it gives the rounded codes below 1.5 and 1 beyond
+_TERNARY_THRESHOLD = np.nextafter(0.5, 0.0)
+
+
 def quantize_ternary(r, out=None):
-    """round(r) with halves away from zero: thresholds at +-0.5. Written to
-    `out` when given."""
+    """round(r) with halves away from zero, clamped to {-1, 0, +1}:
+    thresholds at +-0.5, and NaN gives 0. Written to `out` when given."""
     r = np.asarray(r, dtype=np.float64)
     # the steps below reuse this buffer
     q = np.abs(r, out=np.empty_like(r) if out is None else out)
-    q += 0.5
-    np.floor(q, out=q)
+    np.greater_equal(q, _TERNARY_THRESHOLD, out=q)
     return np.copysign(q, r, out=q)
 
 
@@ -90,12 +95,17 @@ def pack_codes(codes) -> bytes:
     return packed.astype(np.uint8).tobytes()
 
 
+# byte -> its four codes, low field first; a 0b10 field decodes to 2,
+# which `unpack_codes` rejects
+_BYTE_CODES = np.array([0, 1, 2, -1])[
+    np.arange(256)[:, None] >> np.arange(0, 8, 2) & 0b11]
+_BYTE_CODES.flags.writeable = False
+
+
 def unpack_codes(buf: bytes, shape) -> np.ndarray:
     n = int(np.prod(shape))
     packed = np.frombuffer(buf, dtype=np.uint8)
-    fields = np.stack([(packed >> (2 * k)) & 0b11 for k in range(4)], axis=1)
-    codes = fields.ravel()[:n].astype(np.int64)
-    codes[codes == 0b11] = -1
+    codes = _BYTE_CODES.take(packed, axis=0).ravel()[:n]
     if (codes > 1).any():
         raise ValueError("invalid 2-bit code 0b10 in packed buffer")
     return codes.reshape(shape)

@@ -401,6 +401,23 @@ class TestOneNetworkDefinition:
             train_mod.forward_logits(params, windows, net, "ternary"),
             train_mod.forward_logits(qparams, windows, net, "full"))
 
+    def test_weights_past_one_quantize_and_simulate(self, cnn_data, tmp_path):
+        # full-precision weights are not clamped; round half away alone
+        # would make codes of 3 and -2, which no 2-bit field holds
+        _, ds, cfg = cnn_data
+        full, qdir = tmp_path / "full", tmp_path / "q"
+        assert run("train", "--data", str(ds), "--config", str(cfg),
+                   "--out", str(full)) == 0
+        params, net, _ = model.load_network(full)
+        params.lstm.gates[0, 0] = 2.7
+        params.conv[0].weights[0, 0, 0] = -1.5
+        model.save_network(full, params, net)
+        assert run("quantize", "--model", str(full), "--out", str(qdir)) == 0
+        qparams, _, _ = model.load_network(qdir)
+        assert qparams.lstm.gates[0, 0] == 1
+        assert qparams.conv[0].weights[0, 0, 0] == -1
+        assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 0
+
     def test_quantize_reports_the_share_of_zero_codes(self, cnn_data,
                                                       tmp_path, capsys):
         # shadow weights this small all lie within +-0.5, so every code is 0

@@ -283,6 +283,88 @@ class TestFixedEngineRanges:
         for raw, row in zip(raws, got):
             assert row.tolist() == fixed_oracle.forward(raw, qnet, cfg)
 
+    @pytest.mark.parametrize("fused,tier", [(8192, np.float32),
+                                            (8193, np.float64)])
+    def test_fused_gate_sum_tiers(self, fused, tier):
+        # the gate sum [h, window] @ gates has fan-in n_hidden + input_len:
+        # 8192 terms of 12-bit codes keep it in float32, 8193 need float64.
+        # Every input but the last is raw_min. In columns 0, 4, ... the
+        # codes cancel in halves, so partial sums reach about 2**23 while
+        # the total is the last input, less 2048 when the halves differ by
+        # one row; the other columns pass raw_min (+1 codes), raw_max (-1
+        # codes) or take random codes
+        n_h = 4
+        input_len = fused - n_h
+        cfg = NetworkConfig(window_len=input_len, n_steps=3, n_hidden=n_h,
+                            n_classes=2, use_cnn=False)
+        rng = np.random.default_rng(fused)
+        gates = rng.integers(-1, 2, (fused, 4 * n_h)).astype(float)
+        half = (input_len - 1) // 2
+        gates[n_h:n_h + half, 0::4] = -1
+        gates[n_h + half:, 0::4] = 1
+        gates[n_h:, 1::4] = 1
+        gates[n_h:, 2::4] = -1
+        qnet = quant.QuantizedNetwork(
+            [], None, gates, fxp.to_raw(rng.uniform(-1, 1, (n_h, 2))))
+        assert fxp._product_dtype(len(qnet.gates), 11) is tier
+        fmt = fxp.ACT_FORMAT
+        raws = np.full((2, cfg.n_steps, input_len), fmt.raw_min)
+        raws[:, :, -1] = rng.integers(0, fmt.raw_max + 1, (2, cfg.n_steps))
+        sums = raws[:, 0] @ gates[n_h:]
+        assert fmt.raw_min <= sums[:, 0::4].min() <= sums[:, 0::4].max() \
+            <= fmt.raw_max
+        assert sums[:, 1::4].max() < -(1 << 23) and \
+            sums[:, 2::4].min() > 1 << 23
+        got = network_forward_fixed(raws, qnet, cfg)
+        for row, raw in zip(got, raws):
+            assert row.tolist() == fixed_oracle.forward(raw, qnet, cfg)
+
+    def test_gate_sums_saturate_at_both_ends(self):
+        # the input codes are +1 in even gate columns and -1 in odd ones, so
+        # a window of 2000s puts every input partial at +-4000, past both
+        # ends of Q4.8, and the recurrent half (at most 2 * 256) cannot
+        # bring it back: every step, step 0 included, clips at both ends
+        n_h = 2
+        cfg = NetworkConfig(window_len=2, n_steps=3, n_hidden=n_h,
+                            n_classes=2, use_cnn=False)
+        rng = np.random.default_rng(7)
+        gates = np.vstack([rng.integers(-1, 2, (n_h, 4 * n_h)),
+                           np.tile([1, -1], (2, 2 * n_h))]).astype(float)
+        qnet = quant.QuantizedNetwork([], None, gates,
+                                      fxp.to_raw(rng.uniform(-1, 1, (n_h, 2))))
+        windows = np.array([[[2000, 2000], [-2000, -2000], [2000, 2000]],
+                            [[-2000, -2000], [2000, 1900], [-1900, -2000]]])
+        for window in windows:
+            sums = window @ gates[n_h:]
+            assert (sums.max(axis=1) > 2047 + 512).all()
+            assert (sums.min(axis=1) < -2048 - 512).all()
+        batch = network_forward_fixed(windows, qnet, cfg)
+        for row, window in zip(batch, windows):
+            want = fixed_oracle.forward(window, qnet, cfg)
+            assert row.tolist() == want
+            assert network_forward_fixed(window, qnet, cfg).tolist() == want
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_cnn_with_live_codes_over_the_full_range(self, batch):
+        # conv sums of five taps of full-range inputs pass both ends; the
+        # ReLU and the saturation both act, and the FC and residual see
+        # maps at raw_max
+        cfg = NetworkConfig(window_len=7, n_steps=3, n_hidden=5, n_classes=3,
+                            n_channels=2, conv_layers=((4, 5), (3, 2)))
+        params = init_params(cfg, seed=batch, init_scale=1.0)
+        qnet = quant.QuantizedNetwork.from_params(params, "ternary")
+        for codes in qnet.conv_codes:
+            assert np.count_nonzero(codes) > codes.size // 3
+        rng = np.random.default_rng(batch)
+        fmt = fxp.ACT_FORMAT
+        raws = rng.integers(fmt.raw_min, fmt.raw_max + 1,
+                            (batch, cfg.n_steps, cfg.input_len))
+        raws[0, 0, :4] = fmt.raw_max
+        got = network_forward_fixed(raws, qnet, cfg)
+        assert got.dtype == np.int64
+        for raw, row in zip(raws, got):
+            assert row.tolist() == fixed_oracle.forward(raw, qnet, cfg)
+
     @pytest.mark.parametrize("rec_code,windows", [
         (-1, [[2000, 2000], [2000, 2000]]),    # input partial above raw_max
         (1, [[2000, 2000], [-2000, -2000]]),   # input partial below raw_min
@@ -323,13 +405,13 @@ class TestDirectTables:
     def test_every_code_reads_its_lut_index_raw_entry(self, fmt, size):
         lut = model._lut(size, fmt)
         codes = np.arange(fmt.raw_min, fmt.raw_max + 1)
-        mask = (1 << fmt.total_bits) - 1
-        assert len(lut) == 2 * (mask + 1)
+        n = 1 << fmt.total_bits
+        assert len(codes) == n and len(lut) == 2 * n
         for half, kind in enumerate(("sigmoid", "tanh")):
             table = fxp.build_lut(kind, size)
             want = fxp.lut_entries_in(table, fmt)[
                 fxp.lut_index_raw(codes, table, fmt)]
-            assert np.array_equal(lut[(codes & mask) + half * (mask + 1)], want)
+            assert np.array_equal(lut[codes - fmt.raw_min + half * n], want)
 
     @pytest.mark.parametrize("fmt", [fxp.QFormat(16, 8), fxp.QFormat(10, 6)],
                              ids=str)

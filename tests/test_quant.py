@@ -28,7 +28,44 @@ class TestTernary:
     def test_round_half_away(self, r, want):
         assert quant.quantize_ternary(r) == want
 
-    @given(arrays(np.float64, 16, elements=st.floats(-1, 1)))
+    def test_large_shadows_clamp_to_unit_codes(self):
+        # round half away alone would give 2, -3 and 3
+        got = quant.quantize_ternary(np.array([1.5, -2.7, 3.0]))
+        assert got.tolist() == [1, -1, 1]
+        out = np.empty(3)
+        assert quant.quantize_ternary(np.array([-1.5, 2.5, 0.49]), out) is out
+        assert out.tolist() == [-1, 1, 0]
+
+    @staticmethod
+    def _round_half_away(r):
+        return np.copysign(np.floor(np.abs(r) + 0.5), r)
+
+    def test_codes_below_one_and_a_half_are_round_half_away(self):
+        # the 64 doubles on each side of 0, 0.5 and 1 and below 1.5, both
+        # signs: the codes equal floor(|r| + 0.5) with r's sign in float64
+        r = []
+        for start in (0.0, 0.5, 1.0, 1.5):
+            for toward in (0.0, 2.0):
+                v = start
+                for _ in range(64):
+                    v = np.nextafter(v, toward)
+                    r.append(v)
+        r = np.array(r)
+        r = r[r < 1.5]
+        r = np.concatenate([r, -r])
+        want = self._round_half_away(r)
+        got = quant.quantize_ternary(r)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @given(arrays(np.float64, 16, elements=st.floats(-1.5, 1.5,
+                                                     exclude_min=True,
+                                                     exclude_max=True)))
+    def test_round_half_away_below_one_and_a_half(self, r):
+        assert np.array_equal(quant.quantize_ternary(r),
+                              self._round_half_away(r))
+
+    @given(arrays(np.float64, 16, elements=st.floats(-1e6, 1e6)))
     def test_values_are_codes(self, r):
         q = quant.quantize_ternary(r)
         assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
@@ -88,6 +125,20 @@ class TestPacking:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             quant.pack_codes(np.array([0, 2]))
+
+    def test_every_byte_decodes_to_what_packs_to_it(self):
+        fields = (np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 0b11
+        for byte, row in enumerate(fields):
+            buf = bytes([byte])
+            if (row == 0b10).any():
+                with pytest.raises(ValueError, match="0b10"):
+                    quant.unpack_codes(buf, (4,))
+                continue
+            codes = quant.unpack_codes(buf, (4,))
+            assert codes.dtype == np.int64
+            assert quant.pack_codes(codes) == buf
+            for n in range(1, 4):  # padding fields are dropped
+                assert np.array_equal(quant.unpack_codes(buf, (n,)), codes[:n])
 
     def test_little_endian_within_byte(self):
         buf = quant.pack_codes(np.array([1, -1, 0, 1]))
