@@ -93,12 +93,20 @@ ACT_FORMAT = QFormat(12, 8)
 
 
 def to_raw(x, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """Vectorized quantizer; returns int64 raw codes (saturating, never wrapping)."""
+    """Vectorized quantizer; returns int64 raw codes (saturating, never wrapping).
+
+    floor(|x| * scale + 0.5) with x's sign, in one float64 buffer; a
+    scalar `x` gives a NumPy scalar.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
-    raw = np.floor(np.abs(x) * fmt.scale + 0.5) * np.sign(x)
-    return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(np.int64)
+    raw = np.abs(x, out=np.empty_like(x))
+    raw *= fmt.scale
+    raw += 0.5
+    np.floor(raw, out=raw)
+    np.copysign(raw, x, out=raw)
+    return saturate(raw, fmt).astype(np.int64)[()]
 
 
 def from_raw(raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:

@@ -155,8 +155,9 @@ def is_bias(name: str) -> bool:
 def network_tensors(params: NetworkParams, mode: str,
                     out: dict | None = None) -> dict:
     """The tensors a `mode` network computes with, keyed as `named_tensors`:
-    the gates and CNN kernels as codes and, in binary/ternary modes, every
-    bias zero (the accelerator has no bias stage).
+    in binary/ternary modes the gates and CNN kernels as float64 codes,
+    whatever the shadows' type, and every bias zero (the accelerator has no
+    bias stage); in full mode the tensors themselves.
 
     `out`, what an earlier call returned for the same `params` and `mode`,
     takes the current codes in place and is returned.
@@ -165,7 +166,7 @@ def network_tensors(params: NetworkParams, mode: str,
     if mode == "full":
         return tensors
     if out is None:
-        out = {name: np.empty_like(w) if is_quantized(name) else
+        out = {name: np.empty(w.shape) if is_quantized(name) else
                np.zeros_like(w) if is_bias(name) else w
                for name, w in tensors.items()}
     for name, w in tensors.items():
@@ -355,36 +356,76 @@ def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
     datagen.write_kv(out / "config.txt", {"mode": mode, **vars(cfg)})
 
 
+def _read_tensor(path: Path, name: str, dtype: str, shape: tuple,
+                 mode: str) -> np.ndarray:
+    """One manifest entry's file as a new array: int2 files as float32
+    codes, float64 files as float64. A byte length that does not fit
+    `shape`, a 0b10 field and a 0 code in a binary network are
+    `DataFormatError`s naming the file."""
+    n = int(np.prod(shape))
+    sizes = {"int2": (n + 3) // 4, "float64": 8 * n}
+    if dtype not in sizes:
+        raise datagen.DataFormatError(f"{path}: {name} has dtype {dtype!r}; "
+                                      "expected int2 or float64")
+    buf = path.read_bytes()
+    if len(buf) != sizes[dtype]:
+        raise datagen.DataFormatError(
+            f"{path}: {len(buf)} bytes, but {name}, {dtype} of shape "
+            f"{shape}, takes {sizes[dtype]}")
+    if dtype == "float64":
+        return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        codes = quant.unpack_codes(buf, shape)
+    except ValueError as exc:
+        raise datagen.DataFormatError(f"{path}: {exc}") from None
+    if mode == "binary" and not codes.all():
+        raise datagen.DataFormatError(f"{path}: {name} holds a 0 code; binary "
+                                      "codes are -1 and +1")
+    return codes
+
+
 def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
-    """Read a saved network; quantized tensors come back as float codes."""
+    """Read a saved network, the tensors its `config.txt` asks for.
+
+    Packed (int2) tensors come back as float32 codes, and the fused gates
+    are float32 when their files are packed; float64 files come back as
+    float64. A tensor the manifest lacks and a file `_read_tensor` rejects
+    are `DataFormatError`s naming the tensor or the file.
+    """
     mdir = Path(model_dir)
     kv = datagen.read_kv(mdir / "config.txt")
     cfg = datagen.read_record(NetworkConfig, kv, mdir / "config.txt")
     mode = kv.get("mode", "full")
-    stored = {}  # int64 codes or read-only float64 views of the file bytes
-    for line in (mdir / "params.manifest").read_text().splitlines():
-        name, dtype, shape_csv, fname = line.split("\t")
+    manifest = mdir / "params.manifest"
+    stored = {}
+    for ln, line in enumerate(manifest.read_text().splitlines(), start=1):
+        entry = line.split("\t")
+        if len(entry) != 4:
+            raise datagen.DataFormatError(
+                f"{manifest}:{ln}: expected name, dtype, shape and file "
+                f"separated by tabs, got {line!r}")
+        name, dtype, shape_csv, fname = entry
         shape = tuple(int(s) for s in shape_csv.split(","))
-        buf = (mdir / fname).read_bytes()
-        stored[name] = quant.unpack_codes(buf, shape) if dtype == "int2" else \
-            np.frombuffer(buf, dtype="<f8").reshape(shape)
+        stored[name] = _read_tensor(mdir / fname, name, dtype, shape, mode)
 
     def take(name):
-        return np.array(stored[name], dtype=np.float64)
+        if name not in stored:
+            raise datagen.DataFormatError(
+                f"{manifest}: no tensor {name}, which the network in "
+                f"{mdir / 'config.txt'} needs")
+        return stored[name]
 
-    conv = []
-    for i in range(len(cfg.conv_layers)):
-        if f"conv{i}.weights" not in stored:
-            break
-        conv.append(ConvLayerParams(take(f"conv{i}.weights"), take(f"conv{i}.bias")))
-    fc = take("fc.weights") if "fc.weights" in stored else None
+    conv = [ConvLayerParams(take(f"conv{i}.weights"), take(f"conv{i}.bias"))
+            for i in range(len(cfg.conv_shapes()))]
+    fc = take("fc.weights") if cfg.use_cnn else None
     # the gate files are copied straight into their column blocks
-    w_first = stored[f"lstm.w_{quant.GATE_ORDER[0]}"]
-    lstm = LstmParams(np.empty((len(w_first), 4 * w_first.shape[1])),
+    w_first = take(f"lstm.w_{quant.GATE_ORDER[0]}")
+    lstm = LstmParams(np.empty((len(w_first), 4 * w_first.shape[1]),
+                               dtype=w_first.dtype),
                       np.empty(4 * w_first.shape[1]),
                       take("lstm.w_logits"), take("lstm.b_logits"))
     weights, biases = lstm.gate_weights(), lstm.gate_biases()
     for gate in quant.GATE_ORDER:
-        weights[gate][:] = stored[f"lstm.w_{gate}"]
-        biases[gate][:] = stored[f"lstm.b_{gate}"]
+        weights[gate][:] = take(f"lstm.w_{gate}")
+        biases[gate][:] = take(f"lstm.b_{gate}")
     return NetworkParams(conv, fc, lstm), cfg, mode

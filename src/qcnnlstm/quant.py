@@ -28,9 +28,16 @@ MODES = ("full", "binary", "ternary")
 GATE_ORDER = ("forget", "input", "output", "cell")
 
 
+def _as_float(r) -> np.ndarray:
+    """`r` as an array: float32 stays float32, anything else is float64."""
+    r = np.asarray(r)
+    return r if r.dtype == np.float32 else r.astype(np.float64, copy=False)
+
+
 def quantize_binary(r, out=None):
-    """sign(r) with sign(0) = +1, written to `out` when given."""
-    r = np.asarray(r, dtype=np.float64)
+    """sign(r) with sign(0) = +1, written to `out` when given, else in
+    `r`'s type: float32 for float32 input, float64 for any other."""
+    r = _as_float(r)
     q = np.greater_equal(r, 0.0, out=np.empty_like(r) if out is None else out)
     q *= 2.0
     q -= 1.0
@@ -39,14 +46,17 @@ def quantize_binary(r, out=None):
 
 # the smallest |r| with a nonzero code: floor(|r| + 0.5) in float64 is 1
 # from the largest double below 0.5 on (its sum with 0.5 rounds to 1.0), so
-# comparing with it gives the rounded codes below 1.5 and 1 beyond
-_TERNARY_THRESHOLD = np.nextafter(0.5, 0.0)
+# comparing with it gives the rounded codes below 1.5 and 1 beyond. A Python
+# float, so a float32 comparison stays float32: there it rounds to 0.5, and
+# floor(|r| + 0.5) of the largest float32 below 0.5 is 0
+_TERNARY_THRESHOLD = float(np.nextafter(0.5, 0.0))
 
 
 def quantize_ternary(r, out=None):
     """round(r) with halves away from zero, clamped to {-1, 0, +1}:
-    thresholds at +-0.5, and NaN gives 0. Written to `out` when given."""
-    r = np.asarray(r, dtype=np.float64)
+    thresholds at +-0.5, and NaN gives 0. Written to `out` when given, else
+    in `r`'s type: float32 for float32 input, float64 for any other."""
+    r = _as_float(r)
     # the steps below reuse this buffer
     q = np.abs(r, out=np.empty_like(r) if out is None else out)
     np.greater_equal(q, _TERNARY_THRESHOLD, out=q)
@@ -54,7 +64,8 @@ def quantize_ternary(r, out=None):
 
 
 def quantize_weights(r, mode: str, out=None):
-    """The `mode` codes of `r`; binary and ternary codes go to `out` when given."""
+    """The `mode` codes of `r`: binary and ternary codes go to `out` when
+    given, else keep a float32 `r`'s type; full precision is `r` as float64."""
     if mode == "full":
         return np.asarray(r, dtype=np.float64)
     if mode == "binary":
@@ -95,20 +106,23 @@ def pack_codes(codes) -> bytes:
     return packed.astype(np.uint8).tobytes()
 
 
-# byte -> its four codes, low field first; a 0b10 field decodes to 2,
-# which `unpack_codes` rejects
-_BYTE_CODES = np.array([0, 1, 2, -1])[
+# byte -> its four float32 codes, low field first; `unpack_codes` rejects
+# the bytes holding a 0b10 field before decoding
+_BYTE_CODES = np.array([0, 1, 0, -1], dtype=np.float32)[
     np.arange(256)[:, None] >> np.arange(0, 8, 2) & 0b11]
 _BYTE_CODES.flags.writeable = False
 
 
 def unpack_codes(buf: bytes, shape) -> np.ndarray:
+    """The first prod(`shape`) codes of a `pack_codes` buffer as a new
+    float32 array of `shape`; a 0b10 field anywhere in `buf`, padding
+    included, is a `ValueError`."""
     n = int(np.prod(shape))
     packed = np.frombuffer(buf, dtype=np.uint8)
-    codes = _BYTE_CODES.take(packed, axis=0).ravel()[:n]
-    if (codes > 1).any():
+    # a field's high bit set and its low bit clear
+    if (packed & ~(packed << 1) & 0xAA).any():
         raise ValueError("invalid 2-bit code 0b10 in packed buffer")
-    return codes.reshape(shape)
+    return _BYTE_CODES.take(packed, axis=0).ravel()[:n].reshape(shape)
 
 
 @dataclass
@@ -119,9 +133,11 @@ class QuantizedNetwork:
     in. The codes in {-1, 0, +1} are float32, which the fixed-point engine
     multiplies in directly wherever the fan-in keeps the products exact
     there (see `fxp._exact_product`); a wider product upcasts them on the
-    fly. `conv_codes` holds one (filters, depth, width) array per CNN layer;
-    `gates` fuses the (n_hidden + input_len, n_hidden) gate matrices in
-    `GATE_ORDER` and `gate_codes` maps each gate name to its column view.
+    fly. Codes `model.load_network` read are float32 already, and
+    `from_params` quantizes them without a float64 copy. `conv_codes` holds
+    one (filters, depth, width) array per CNN layer; `gates` fuses the
+    (n_hidden + input_len, n_hidden) gate matrices in `GATE_ORDER` and
+    `gate_codes` maps each gate name to its column view.
     `fc_raw` / `logits_raw` are raw fixed-point codes in `weight_format`,
     float64: their 12x12-bit products need it. Biases are zero in quantized
     networks and are not stored.

@@ -416,7 +416,9 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
     windows, labels = _stack_windows(train_seqs, net_cfg)
     test_windows, test_labels = _stack_windows(test_seqs, net_cfg)
     q, n, width = windows.shape
-    eff = None
+    # the codes are quantized after each update, for the next batch and the
+    # epoch's evaluation alike
+    eff = network_tensors(params, cfg.mode)
     loss_trace = np.zeros(cfg.epochs)
     acc_trace = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
@@ -428,15 +430,14 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
             # bounds-checked copy that the default mode makes through a temporary
             x = np.take(windows, idx, axis=1, mode="wrap",
                         out=ws.take("x", (q, len(idx), width)))
-            eff = network_tensors(params, cfg.mode, out=eff)
             epoch_loss += _train_batch(x, labels[idx], params, eff, state,
                                        cfg, net_cfg, ws) * len(idx)
+            eff = network_tensors(params, cfg.mode, out=eff)
         loss_trace[epoch] = epoch_loss / n
         if not np.isfinite(loss_trace[epoch]):
             raise ValueError(f"epoch {epoch}: mean loss {loss_trace[epoch]} "
                              "is not finite; lower learning_rate or "
                              "init_scale")
-        eff = network_tensors(params, cfg.mode, out=eff)
         acc_trace[epoch] = _accuracy(test_windows, test_labels, eff, net_cfg, ws)
     return TrainResult(params, loss_trace, acc_trace)
 

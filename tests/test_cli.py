@@ -1,11 +1,12 @@
 import filecmp
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcnnlstm import cli, datagen, fsm, fxp, model
+from qcnnlstm import cli, datagen, fsm, fxp, model, quant
 from qcnnlstm import train as train_mod
 from qcnnlstm.cli import dispatch
 from qcnnlstm.datagen import DataFormatError, read_kv
@@ -660,3 +661,55 @@ class TestConfigParser:
         f.write_text("just words\n")
         with pytest.raises(DataFormatError, match="c.cfg:1: "):
             read_kv(f)
+
+
+def _grow_int2_file(mdir):
+    with open(mdir / "lstm_w_input.bin", "ab") as f:
+        f.write(b"\0")
+    return "lstm_w_input.bin"
+
+
+def _cut_float64_file(mdir):
+    path = mdir / "lstm_b_forget.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    return "lstm_b_forget.bin"
+
+
+def _drop_manifest_line(mdir):
+    path = mdir / "params.manifest"
+    path.write_text("".join(line for line in path.read_text().splitlines(True)
+                            if not line.startswith("lstm.w_input\t")))
+    return "params.manifest: no tensor lstm.w_input"
+
+
+def _zero_binary_code(mdir):
+    params, cfg, _ = model.load_network(mdir)
+    model.save_network(mdir, params, cfg, mode="binary")
+    path = mdir / "lstm_w_input.bin"
+    codes = quant.unpack_codes(path.read_bytes(), (370, 350))
+    codes[5, 7] = 0
+    path.write_bytes(quant.pack_codes(codes))
+    return "lstm_w_input.bin: lstm.w_input holds a 0 code"
+
+
+def _invalid_field(mdir):
+    path = mdir / "conv0_weights.bin"
+    path.write_bytes(bytes([0b10]) + path.read_bytes()[1:])
+    return "conv0_weights.bin: invalid 2-bit code 0b10"
+
+
+class TestModelDirectoryBoundary:
+    """A model directory that does not hold what its manifest and config
+    say is a data error naming the file or the tensor."""
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("damage", [_grow_int2_file, _cut_float64_file,
+                                        _drop_manifest_line, _zero_binary_code,
+                                        _invalid_field])
+    def test_is_a_data_error_naming_the_file(self, command, damage, tmp_path,
+                                             capsys):
+        mdir = tmp_path / "m"
+        shutil.copytree(ECG_MODEL, mdir)
+        named = damage(mdir)
+        assert run(command, "--model", str(mdir), "--data", str(ECG_DIR)) == 2
+        assert named in capsys.readouterr().err

@@ -64,6 +64,48 @@ class TestToFixed:
         with pytest.raises(ValueError):
             fxp.to_raw(float("inf"), Q48)
 
+    @staticmethod
+    def _to_raw_formula(x, fmt):
+        x = np.asarray(x, dtype=np.float64)
+        raw = np.floor(np.abs(x) * fmt.scale + 0.5) * np.sign(x)
+        return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(np.int64)
+
+    @pytest.mark.parametrize("fmt", [Q48, QFormat(2, 0), QFormat(16, 15),
+                                     QFormat(32, 4)])
+    def test_equals_the_formula_at_the_edges(self, fmt):
+        # +-0, exact half codes, each side of the saturation limits, huge
+        # magnitudes and subnormals
+        edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300,
+                 np.finfo(np.float64).max]
+        for raw in (0, 1, 2, fmt.raw_max - 1, fmt.raw_max, -fmt.raw_min,
+                    -fmt.raw_min + 1):
+            for frac in (-0.5, 0.0, 0.5):
+                v = (raw + frac) / fmt.scale
+                edges += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+        x = np.array(edges)
+        x = np.concatenate([x, -x])
+        with np.errstate(over="ignore"):  # max * scale is inf, then saturates
+            got = fxp.to_raw(x, fmt)
+            want = self._to_raw_formula(x, fmt)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert fxp.to_raw(-0.0, fmt) == 0
+        assert np.isscalar(fxp.to_raw(0.25, fmt))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8))
+    def test_equals_the_formula(self, xs):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(fxp.to_raw(xs, Q48),
+                                  self._to_raw_formula(xs, Q48))
+
+    def test_leaves_its_input_alone(self):
+        x = np.array([[0.3, -7.9], [100.0, -0.0]])
+        before = x.copy()
+        fxp.to_raw(x, Q48)
+        assert np.array_equal(x, before)
+        assert np.signbit(x[1, 1])
+
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(-9, 9, 1001)
         raws = fxp.to_raw(xs, Q48)

@@ -4,6 +4,8 @@ checks the trainer's batched engine against that oracle."""
 
 import hashlib
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import fixed_oracle
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from float_oracle import (LstmState, conv1d_relu, fc_residual, lstm_step,
                           network_forward, sequence_loss)
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcnnlstm import cli, fsm, fxp, model, quant
@@ -521,6 +523,70 @@ class TestSerialization:
         assert np.array_equal(loaded.lstm.gates, want)
         # fc stays full precision even in ternary mode
         assert np.array_equal(loaded.fc, params.fc)
+
+    def test_codes_load_as_float32_and_the_rest_as_float64(self, tmp_path):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=10, init_scale=1.5)
+        for mode in ("full", "binary", "ternary"):
+            save_network(tmp_path / mode, params, cfg, mode=mode)
+            loaded, _, _ = load_network(tmp_path / mode)
+            for name, w in model.named_tensors(loaded).items():
+                coded = mode != "full" and model.is_quantized(name)
+                assert w.dtype == (np.float32 if coded else np.float64), name
+                assert w.flags.writeable and w.flags.c_contiguous, name
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(["binary", "ternary"]), use_cnn=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    def test_a_loaded_network_quantizes_as_the_saved_one(self, mode, use_cnn,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        layers = tuple((int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+                       for _ in range(int(rng.integers(1, 3))))
+        cfg = NetworkConfig(window_len=int(rng.integers(2, 7)),
+                            n_steps=int(rng.integers(1, 4)),
+                            n_hidden=int(rng.integers(1, 7)),
+                            n_classes=int(rng.integers(2, 4)),
+                            n_channels=int(rng.integers(1, 4)),
+                            conv_layers=layers, use_cnn=use_cnn)
+        params = init_params(cfg, seed=seed, init_scale=1.5)
+        want = quant.QuantizedNetwork.from_params(params, mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_network(tmp, params, cfg, mode=mode)
+            loaded, _, loaded_mode = load_network(tmp)
+        got = quant.QuantizedNetwork.from_params(loaded, loaded_mode)
+        assert len(got.conv_codes) == len(want.conv_codes) == \
+            len(cfg.conv_shapes())
+        pairs = list(zip(got.conv_codes, want.conv_codes)) + [
+            (got.gates, want.gates), (got.logits_raw, want.logits_raw)]
+        if use_cnn:
+            pairs.append((got.fc_raw, want.fc_raw))
+        else:
+            assert got.fc_raw is want.fc_raw is None
+        for a, b in pairs:
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.weight_format == want.weight_format
+        for gate, view in got.gate_codes.items():
+            assert np.shares_memory(view, got.gates)
+            assert np.array_equal(view, want.gate_codes[gate])
+
+    def test_loading_the_stored_model_keeps_few_copies_of_its_codes(self):
+        # the codes go from the packed files to the engine in float32: the
+        # file-per-gate codes, the fused gates and the network's codes, not
+        # int64 or float64 copies of them
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            params, _, mode = load_network(STORED_MODEL)
+            qnet = quant.QuantizedNetwork.from_params(params, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert qnet.gates.dtype == np.float32
+        assert peak < 3 * qnet.gates.nbytes
 
 
 def random_engine_case(rng, mode):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -108,6 +108,54 @@ class TestSte:
         assert np.array_equal(out[~outside], g[~outside])
 
 
+class TestCodeTypes:
+    """A float32 shadow keeps float32 codes, equal to the float64 codes of
+    the same values; every other input is quantized in float64."""
+
+    QUANTIZERS = [quant.quantize_binary, quant.quantize_ternary]
+
+    @pytest.mark.parametrize("quantize", QUANTIZERS)
+    def test_float32_codes_equal_float64_codes_at_the_thresholds(self,
+                                                                 quantize):
+        r = []
+        for start in (0.0, 0.5, 1.0, 1.5):
+            for toward in (0.0, 2.0):
+                v = np.float32(start)
+                for _ in range(8):
+                    v = np.nextafter(v, np.float32(toward))
+                    r.append(v)
+        r = np.array(r, dtype=np.float32)
+        r = np.concatenate([r, -r, [0.0, -0.0, 0.5, -0.5, np.nan]]).astype(
+            np.float32)
+        got = quantize(r)
+        assert got.dtype == np.float32
+        want = quantize(r.astype(np.float64))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("quantize", QUANTIZERS)
+    @settings(derandomize=True)
+    @given(r=arrays(np.float32, 16, elements=st.floats(-3, 3, width=32)))
+    def test_float32_codes_equal_float64_codes(self, quantize, r):
+        got = quantize(r)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, quantize(r.astype(np.float64)))
+
+    @pytest.mark.parametrize("quantize", QUANTIZERS)
+    @pytest.mark.parametrize("r", [np.array([-2, 0, 1]),
+                                   np.array([0.7, -0.2], dtype=np.float16),
+                                   [0.7, -0.2], 0.7])
+    def test_other_inputs_give_float64_codes(self, quantize, r):
+        assert quantize(r).dtype == np.float64
+
+    @pytest.mark.parametrize("quantize", QUANTIZERS)
+    def test_float32_shadows_into_a_float64_buffer(self, quantize):
+        r = np.array([0.7, -0.2, 0.5, -1.0], dtype=np.float32)
+        out = np.empty(4)
+        assert quantize(r, out) is out
+        assert np.array_equal(out, quantize(r.astype(np.float64)))
+
+
 class TestPacking:
     @given(arrays(np.int64, st.integers(1, 40).map(lambda n: (n,)),
                   elements=st.integers(-1, 1)))
@@ -135,10 +183,15 @@ class TestPacking:
                     quant.unpack_codes(buf, (4,))
                 continue
             codes = quant.unpack_codes(buf, (4,))
-            assert codes.dtype == np.int64
+            assert codes.dtype == np.float32
             assert quant.pack_codes(codes) == buf
             for n in range(1, 4):  # padding fields are dropped
                 assert np.array_equal(quant.unpack_codes(buf, (n,)), codes[:n])
+
+    def test_invalid_field_in_the_padding_is_rejected(self):
+        # the fields past the last code are still part of the file
+        with pytest.raises(ValueError, match="0b10"):
+            quant.unpack_codes(bytes([0b10_00_00_01]), (1,))
 
     def test_little_endian_within_byte(self):
         buf = quant.pack_codes(np.array([1, -1, 0, 1]))

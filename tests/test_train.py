@@ -6,11 +6,13 @@ import pytest
 import scipy.stats
 
 from float_oracle import cross_entropy, loss_gradient, network_forward
+from qcnnlstm import quant
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
 from qcnnlstm.model import NetworkConfig, named_tensors
 from qcnnlstm.train import (ADAGRAD_BLOCK, ADAGRAD_EPSILON, AdagradState,
                             TrainConfig, adagrad_step, auc_macro,
-                            confusion_matrix, evaluate_accuracy,
+                            batch_loss_and_grads, confusion_matrix,
+                            evaluate_accuracy,
                             forward_logits, init_params, predict_probs,
                             sequence_loss_and_grads, train, write_trace)
 
@@ -258,6 +260,47 @@ class TestTrainLoop:
         again_tensors = named_tensors(again.params)
         for name, w in named_tensors(first.params).items():
             assert np.array_equal(w, again_tensors[name]), name
+
+    @pytest.mark.parametrize("mode", ["full", "ternary"])
+    def test_equals_a_loop_of_public_steps(self, mode, monkeypatch):
+        # the codes are quantized once per update: before the first batch,
+        # then after each Adagrad step, for the next batch and the epoch's
+        # evaluation alike
+        train_seqs, test_seqs = tiny_sine_task()
+        net = NetworkConfig(10, 3, 6, 3, conv_layers=((2, 3), (3, 2)))
+        tc = TrainConfig(learning_rate=0.1, epochs=3, batch_size=7,
+                         init_scale=0.6, seed=5, mode=mode)
+        quantize, calls = quant.quantize_weights, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return quantize(*args, **kwargs)
+
+        monkeypatch.setattr(quant, "quantize_weights", counting)
+        result = train(train_seqs, test_seqs, tc, net)
+        monkeypatch.undo()
+        n_batches = -(-len(train_seqs) // tc.batch_size)
+        n_coded = 1 + len(net.conv_layers) if mode == "ternary" else 0
+        assert len(calls) == n_coded * (1 + tc.epochs * n_batches)
+
+        params, state = init_params(net, tc.seed, tc.init_scale), AdagradState()
+        rng = np.random.default_rng(tc.seed)
+        windows = np.stack([s.windows for s in train_seqs])
+        labels = np.array([s.label for s in train_seqs])
+        for epoch in range(tc.epochs):
+            order, total = rng.permutation(len(windows)), 0.0
+            for start in range(0, len(windows), tc.batch_size):
+                idx = order[start:start + tc.batch_size]
+                loss, grads = batch_loss_and_grads(windows[idx], labels[idx],
+                                                   params, net, tc)
+                adagrad_step(params, grads, state, tc)
+                total += loss * len(idx)
+            assert result.loss_trace[epoch] == total / len(windows)
+            assert result.accuracy_trace[epoch] == evaluate_accuracy(
+                params, test_seqs, net, mode)
+        trained = named_tensors(result.params)
+        for name, w in named_tensors(params).items():
+            assert np.array_equal(trained[name], w), name
 
     def test_saturated_gates_raise_no_warning(self):
         # pre-activations of -4000: exp(4000) overflows to inf, and the
