@@ -4,7 +4,7 @@
 Muscle-activity patterns are recognizable from signal amplitude, so the
 preprocessing for sEMG runs each electrode through an envelope detector.
 This demo fabricates an 8-channel stand-in (gesture classes differ by which
-channels burst), round-trips it through the dataset container (one row file,
+channels burst), round-trips it through the dataset container (one `rows.npy`,
 each row a label and every channel's samples in turn), extracts envelopes,
 and trains a small LSTM on the windowed result.
 """
@@ -38,8 +38,8 @@ with tempfile.TemporaryDirectory() as tmp:
     datagen.save_channels(tmp, labels, signals, {"name": "semg-demo"})
     _, labels, signals, _ = datagen.load_channels(tmp)
 dataset = ingest.RawDataset(labels.astype(int), signals, name="semg-demo")
-print("container round trip: one TSV row per recording, every channel in "
-      "turn, plus a key=value manifest")
+print("container round trip: one float64 row per recording in rows.npy, "
+      "every channel in turn, plus a key=value manifest")
 
 enveloped = ingest.envelope_dataset(dataset)
 raw_std = np.std(dataset.signals)

@@ -106,7 +106,8 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     Generated data is split by `seed` and `train_fraction`; a UCR pair keeps
     its split, enveloped when `envelope` is 1, and is windowed per `kv`.
     `digest` is `datagen.rows_digest` of the row files read: a generated
-    dataset's (its `text_sha256`) or a UCR pair's _TRAIN and _TEST files.
+    dataset's `rows.npy` (its `rows_sha256`) or a UCR pair's _TRAIN and
+    _TEST files.
     """
     data_dir = Path(data_dir)
     if (data_dir / "manifest.txt").exists():  # a generated dataset

@@ -32,7 +32,6 @@ __all__ = [
     "read_record",
     "write_kv",
     "parse_rows",
-    "write_rows",
     "stratified_split",
     "save_channels",
     "load_channels",
@@ -97,7 +96,7 @@ class SyntheticDataset:
     n_channels: int = 1
     seed: int = 0
     extra: dict = field(default_factory=dict)
-    digest: str = ""  # `load_dataset`: the `rows_digest` of its row file
+    digest: str = ""  # `load_dataset`: the `rows_digest` of its rows.npy
 
     @property
     def n_classes(self) -> int:
@@ -251,7 +250,7 @@ def make_sine_dataset(n_classes: int = 5, beta: float = 0.1,
 
 # ---------------------------------------------------------------------------
 # On-disk forms for every dataset: key = value files, checked numeric rows
-# (label first), and the container (one row file, all channels per row).
+# (label first), and the container (rows.npy, all channels per row).
 # ---------------------------------------------------------------------------
 
 class DataFormatError(ValueError):
@@ -368,14 +367,6 @@ def parse_rows(path, data: bytes | None = None) -> np.ndarray:
     return np.array(rows)
 
 
-def write_rows(path, labels, rows) -> None:
-    """One line per row: the label, then the values at full precision."""
-    rows = np.asarray(rows, dtype=np.float64).tolist()
-    lines = [f"{label}\t" + "\t".join(map(repr, row))
-             for label, row in zip(labels, rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def stratified_split(labels, train_fraction: float, seed: int):
     """Sorted (train_idx, test_idx): round(fraction * n) of each class trains.
 
@@ -401,8 +392,7 @@ def stratified_split(labels, train_fraction: float, seed: int):
 
 
 ROWS_NPY = "rows.npy"
-_TEXT_DIGEST_KEY = "text_sha256"
-_NPY_DIGEST_KEY = "npy_sha256"
+_DIGEST_KEY = "rows_sha256"
 
 
 def rows_digest(paths, blobs=None) -> str:
@@ -420,91 +410,84 @@ def rows_digest(paths, blobs=None) -> str:
 
 
 def save_channels(out_dir, labels, signals, manifest: dict) -> None:
-    """Write (N, channels, T) `signals` as one row file, `data.tsv`.
+    """Write (N, channels, T) `signals` as `rows.npy`, one float64 row each.
 
-    Each row is the label, then channel 0's samples, channel 1's and so on.
-    The same rows also go to `rows.npy` as one (N, 1 + channels*T) array:
-    what `parse_rows` returns for `data.tsv`. `manifest` goes to
-    manifest.txt in its order, with `n_channels` set and the sha256 of
-    `data.tsv` (`text_sha256`) and of `rows.npy` (`npy_sha256`). Rows are
-    written as `repr` values, so both forms hold the same float64 bits.
+    A row is the label, then channel 0's samples, channel 1's and so on.
+    `manifest` goes to manifest.txt in its order, with `n_channels` set and
+    `rows_sha256`, the `rows_digest` of `rows.npy`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     signals = np.asarray(signals, dtype=np.float64)
     n, n_channels = signals.shape[:2]
-    # the label column as parse_rows reads back what write_rows writes
-    rows = np.column_stack([
-        np.array([f"{label}" for label in labels], dtype=np.float64),
-        signals.reshape(n, -1)])
-    write_rows(out / "data.tsv", labels, rows[:, 1:])
-    np.save(out / ROWS_NPY, rows, allow_pickle=False)
-    kv = {**manifest, "n_channels": n_channels,
-          _TEXT_DIGEST_KEY: rows_digest([out / "data.tsv"]),
-          _NPY_DIGEST_KEY: hashlib.sha256(
-              (out / ROWS_NPY).read_bytes()).hexdigest()}
-    write_kv(out / "manifest.txt", kv)
+    rows = np.column_stack([np.asarray(labels, dtype=np.float64),
+                            signals.reshape(n, -1)])
+    npy = out / ROWS_NPY
+    np.save(npy, rows, allow_pickle=False)
+    write_kv(out / "manifest.txt", {**manifest, "n_channels": n_channels,
+                                    _DIGEST_KEY: rows_digest([npy])})
 
 
-def _stored_rows(src: Path, kv: dict):
-    """The (N, 1 + channels*T) rows from `rows.npy`, or None to parse the text.
-
-    None unless the manifest's `npy_sha256` matches the `.npy` bytes and
-    the rows are a non-empty, finite 2-D array: `parse_rows` then reports
-    what is wrong at path:line. The caller checks `text_sha256`.
-    """
-    npy = src / ROWS_NPY
-    if not npy.exists():
-        return None
-    data = npy.read_bytes()
-    if hashlib.sha256(data).hexdigest() != kv.get(_NPY_DIGEST_KEY):
-        return None
-    rows = np.load(io.BytesIO(data), allow_pickle=False)
-    if rows.ndim != 2 or rows.size == 0 or not np.isfinite(rows).all():
-        return None
-    return rows
+def _check_rows(path, labels, ok, what: str) -> None:
+    """A `DataFormatError` at the first row of `path` where `ok` is False;
+    `what` may name that row's `{label}`."""
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise DataFormatError(f"{path}: row {row + 1}: "
+                              + what.format(label=labels[row]))
 
 
 def load_channels(in_dir):
     """(manifest, labels (N,), signals (N, channels, T), the `rows_digest`
-    of `data.tsv`) from `save_channels`.
+    of `rows.npy`) from `save_channels`.
 
-    The rows come from `rows.npy` when the manifest's `text_sha256` matches
-    `data.tsv` and its `npy_sha256` matches the `.npy`. Otherwise, such as
-    after `data.tsv` was edited or for a container without digests, the
-    text is parsed and checked by `parse_rows`: it is the source of truth.
-    Each row splits into the manifest's `n_channels` equal blocks; a count
-    below 1 or one that does not divide a row is a `DataFormatError`. The
-    returned manifest omits the digests.
+    The manifest's `rows_sha256` must match `rows.npy`, which must hold a
+    non-empty, finite 2-D float64 array whose labels are non-negative
+    integers, and each row must split into the manifest's `n_channels`
+    equal blocks. Anything else is a `DataFormatError` naming the file at
+    fault. The returned manifest omits the digest.
     """
     src = Path(in_dir)
-    kv = read_kv(src / "manifest.txt")
-    # rows.npy first: holding the text's bytes while the larger array loads
-    # costs fresh pages (~7 ms a call at the gesture-dba size)
-    rows = _stored_rows(src, kv)
-    path = src / "data.tsv"
-    # a missing data.tsv is reported by parse_rows; otherwise it is read
-    # once, and the text fallback parses the bytes that were hashed
-    data = path.read_bytes() if path.exists() else None
-    digest = None if data is None else rows_digest([path], [data])
-    if rows is None or digest is None or digest != kv.get(_TEXT_DIGEST_KEY):
-        rows = parse_rows(path, data)
+    manifest, npy = src / "manifest.txt", src / ROWS_NPY
+    kv = read_kv(manifest)
+    want = kv.pop(_DIGEST_KEY, None)
+    if want is None:
+        raise DataFormatError(f"{manifest}: no {_DIGEST_KEY}; the container "
+                              "predates rows.npy as its one form, regenerate "
+                              "it with `gen`")
+    if not npy.exists():
+        raise DataFormatError(f"{npy}: no such file")
+    data = npy.read_bytes()
+    digest = rows_digest([npy], [data])
+    if digest != want:
+        raise DataFormatError(f"{npy}: sha256 {digest} differs from "
+                              f"{_DIGEST_KEY} = {want} in {manifest}")
+    try:
+        rows = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataFormatError(f"{npy}: not a .npy array ({exc})") from None
+    if rows.dtype != np.float64 or rows.ndim != 2 or rows.size == 0:
+        raise DataFormatError(f"{npy}: holds a {rows.dtype} array of shape "
+                              f"{rows.shape}, not non-empty float64 rows")
+    labels = rows[:, 0]
+    _check_rows(npy, labels, np.isfinite(rows).all(axis=1),
+                "non-finite value")
+    _check_rows(npy, labels, (labels >= 0) & (labels == np.floor(labels)),
+                "label {label} is not a non-negative integer")
     n_channels, samples = int(kv.get("n_channels", 1)), rows.shape[1] - 1
     if n_channels < 1 or samples % n_channels:
-        raise DataFormatError(f"{src / 'manifest.txt'}: n_channels = "
-                              f"{n_channels} does not split rows of "
-                              f"{samples} samples")
-    for key in (_TEXT_DIGEST_KEY, _NPY_DIGEST_KEY):
-        kv.pop(key, None)
-    return (kv, rows[:, 0], rows[:, 1:].reshape(
+        raise DataFormatError(f"{manifest}: n_channels = {n_channels} does "
+                              f"not split rows of {samples} samples")
+    return (kv, labels, rows[:, 1:].reshape(
         len(rows), n_channels, samples // n_channels), digest)
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     """The container, un-windowed, with the generator settings."""
-    signals = [seq.windows.reshape(ds.n_steps, ds.n_channels, ds.window_len)
-               .transpose(1, 0, 2).reshape(ds.n_channels, -1)
-               for seq in ds.sequences]
+    n = len(ds.sequences)
+    signals = (np.stack([seq.windows for seq in ds.sequences])
+               .reshape(n, ds.n_steps, ds.n_channels, ds.window_len)
+               .transpose(0, 2, 1, 3).reshape(n, ds.n_channels, -1))
     kv = {"generator": ds.generator,
           "classes": ds.n_classes,
           "class_params": ",".join(repr(float(p)) for p in ds.class_params),
@@ -524,8 +507,9 @@ _DATASET_KEYS = ("generator", "class_params", "noise_amplitude", "window_len",
 
 def load_dataset(in_dir) -> SyntheticDataset:
     """The dataset `save_dataset` wrote, its `digest` the `rows_digest` of
-    `data.tsv`: the one reader of a generated dataset. A container without
-    a generated dataset's keys is a `DataFormatError`."""
+    `rows.npy`: the one reader of a generated dataset. A container without
+    a generated dataset's keys, or with a label at or above its class
+    count, is a `DataFormatError`."""
     kv, labels, signals, digest = load_channels(in_dir)
     for key in _DATASET_KEYS:
         if key not in kv:
@@ -535,9 +519,12 @@ def load_dataset(in_dir) -> SyntheticDataset:
     if signals.shape[2] != n_steps * window_len:
         raise DataFormatError(f"{in_dir}: rows hold {signals.shape[2]} samples,"
                               f" the manifest {n_steps} x {window_len}")
+    class_params = [float(p) for p in kv["class_params"].split(",")]
+    _check_rows(Path(in_dir) / ROWS_NPY, labels, labels < len(class_params),
+                f"label {{label}} is not below the {len(class_params)} "
+                "classes")
     sequences = [make_windows(sig, int(label), window_len, n_steps)
                  for label, sig in zip(labels, signals)]
-    class_params = [float(p) for p in kv["class_params"].split(",")]
     extra = {k: v for k, v in kv.items()
              if k not in _DATASET_KEYS + ("classes", "n_channels")}
     return SyntheticDataset(sequences, class_params,

@@ -119,7 +119,8 @@ class TestGen:
         out = tmp_path / "ds"
         assert run("gen", "--system", "sine", "--classes", "5",
                    "--per-class", "3", "--out", str(out)) == 0
-        assert (out / "data.tsv").exists()
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["manifest.txt", datagen.ROWS_NPY, "run_manifest.txt"]
         manifest = (out / "manifest.txt").read_text()
         assert "alpha = 3.0" in manifest  # default carrier frequency
         assert "generator = sine" in manifest
@@ -131,7 +132,8 @@ class TestGen:
                 "--per-class", "2", "--seed", "11"]
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
-        assert filecmp.cmp(a / "data.tsv", b / "data.tsv", shallow=False)
+        assert filecmp.cmp(a / datagen.ROWS_NPY, b / datagen.ROWS_NPY,
+                           shallow=False)
         assert (a / "manifest.txt").read_text() == \
             (b / "manifest.txt").read_text()
 
@@ -140,8 +142,7 @@ class TestGen:
         assert run("gen", "--system", "lorenz", "--classes", "2",
                    "--per-class", "1", "--window", "10", "--steps", "2",
                    "--out", str(out)) == 0
-        rows = (out / "data.tsv").read_text().splitlines()
-        assert len(rows) == 2
+        assert np.load(out / datagen.ROWS_NPY).shape == (2, 21)
 
     @pytest.mark.parametrize("system", ["sine", "logistic", "lorenz"])
     @pytest.mark.parametrize("flag, message", [
@@ -203,44 +204,33 @@ class TestRowFilesReadOnce:
         cli.load_split_sequences(ECG_DIR, {"window_len": 20, "n_steps": 4})
         assert reads["ECG200_TRAIN.tsv"] == reads["ECG200_TEST.tsv"] == 1
 
-    def test_container_parsed_from_the_text(self, tmp_path, reads):
+    def test_generated_dataset(self, tmp_path, reads):
         ds = datagen.make_sine_dataset(per_class=2, seed=3)
         datagen.save_dataset(ds, tmp_path / "d")
-        (tmp_path / "d" / datagen.ROWS_NPY).unlink()
         reads.clear()
         digest = datagen.load_dataset(tmp_path / "d").digest
-        assert reads["data.tsv"] == 1
-        assert digest == datagen.rows_digest([tmp_path / "d" / "data.tsv"])
+        assert reads == {"manifest.txt": 1, datagen.ROWS_NPY: 1}
+        assert digest == datagen.rows_digest([tmp_path / "d" /
+                                              datagen.ROWS_NPY])
 
 
 class TestGenBinaryRows:
-    """`gen` writes rows.npy; it must give the row files' windows exactly."""
+    """`gen` writes rows.npy; it must give the generator's windows exactly."""
 
     @pytest.mark.parametrize("system", ["sine", "logistic", "lorenz"])
-    def test_binary_windows_equal_the_text_windows(self, system, tmp_path,
-                                                   monkeypatch):
+    def test_loaded_windows_equal_the_generated(self, system, tmp_path,
+                                                monkeypatch):
+        generated = []
+        save = datagen.save_dataset
+        monkeypatch.setattr(datagen, "save_dataset", lambda ds, out:
+                            generated.append(ds) or save(ds, out))
         out = tmp_path / "ds"
         assert run("gen", "--system", system, "--classes", "3",
                    "--per-class", "2", "--window", "10", "--steps", "3",
                    "--out", str(out)) == 0
-        with monkeypatch.context() as m:
-            m.setattr(datagen, "parse_rows", _no_parse)
-            binary = _keys(datagen.load_dataset(out).sequences)
-        (out / datagen.ROWS_NPY).unlink()
-        assert binary == _keys(datagen.load_dataset(out).sequences)
-
-    def test_value_edited_after_gen_is_loaded(self, tmp_path):
-        out = tmp_path / "ds"
-        assert run("gen", "--system", "sine", "--classes", "2",
-                   "--per-class", "2", "--window", "10", "--steps", "2",
-                   "--out", str(out)) == 0
-        tsv = out / "data.tsv"
-        lines = tsv.read_text().splitlines()
-        row = lines[0].split("\t")
-        assert float(row[1]) != -0.5
-        lines[0] = "\t".join(row[:1] + ["-0.5"] + row[2:])
-        tsv.write_text("\n".join(lines) + "\n")
-        assert datagen.load_dataset(out).sequences[0].windows[0, 0] == -0.5
+        monkeypatch.setattr(datagen, "parse_rows", _no_parse)
+        assert _keys(datagen.load_dataset(out).sequences) == \
+            _keys(generated[0].sequences)
 
 
 class TestEmbed:
@@ -542,7 +532,7 @@ class TestDatasetProvenance:
 
 
 class TestGeneratedDataBoundary:
-    """Bad values and degenerate splits in a generated dataset exit 2."""
+    """Bad values and degenerate splits in the training data exit 2."""
 
     @pytest.fixture
     def sine(self, tmp_path):
@@ -558,24 +548,32 @@ class TestGeneratedDataBoundary:
     @pytest.mark.parametrize("bad, message", [("nan", "non-finite"),
                                               ("potato", "non-numeric"),
                                               (None, "columns")])
-    def test_bad_row_is_data_error(self, sine, tmp_path, capsys, bad,
-                                   message):
-        ds, cfg = sine
-        lines = (ds / "data.tsv").read_text().splitlines()
+    def test_bad_row_is_data_error(self, tmp_path, capsys, bad, message):
+        # the text input the CLI reads: a UCR _TRAIN/_TEST pair
+        data = tmp_path / "ecg"
+        data.mkdir()
+        for path in ECG_DIR.glob("ECG200_T*"):
+            (data / path.name).write_bytes(path.read_bytes())
+        train_file = data / "ECG200_TRAIN.tsv"
+        lines = train_file.read_text().splitlines()
         row = lines[2].split("\t")[:-1]  # None: one value short
         lines[2] = "\t".join(row if bad is None else row + [bad])
-        (ds / "data.tsv").write_text("\n".join(lines) + "\n")
-        assert run("train", "--data", str(ds), "--config", str(cfg),
+        train_file.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "ecg.cfg"
+        cfg.write_text("window_len = 20\nn_steps = 4\nn_hidden = 4\n"
+                       "use_cnn = 0\nepochs = 1\n")
+        assert run("train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert f"{ds / 'data.tsv'}:3: " in err and message in err
+        assert f"{train_file}:3: " in err and message in err
 
     def test_class_missing_from_a_split_is_data_error(self, sine, tmp_path,
                                                       capsys):
         ds, cfg = sine
         # class 0 keeps 2 sequences: round(0.75 * 2) leaves none to test
-        lines = (ds / "data.tsv").read_text().splitlines()
-        (ds / "data.tsv").write_text("\n".join(lines[4:]) + "\n")
+        uneven = datagen.load_dataset(ds)
+        uneven.sequences = uneven.sequences[4:]
+        datagen.save_dataset(uneven, ds)
         cfg.write_text(cfg.read_text() + "train_fraction = 0.75\n")
         assert run("train", "--data", str(ds), "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
@@ -597,18 +595,20 @@ class TestGeneratedDataBoundary:
     def test_earlier_per_channel_container_is_data_error(self, sine,
                                                          tmp_path, capsys):
         # the earlier layout of a 2-channel dataset: data_ch0.tsv and
-        # data_ch1.tsv, and no data.tsv
+        # data_ch1.tsv, a manifest without digests, and no rows.npy
         ds, cfg = sine
-        text = (ds / "data.tsv").read_text()
-        (ds / "data.tsv").unlink()
+        (ds / datagen.ROWS_NPY).unlink()
         for ch in range(2):
-            (ds / f"data_ch{ch}.tsv").write_text(text)
+            (ds / f"data_ch{ch}.tsv").write_text("0\t0.5\n1\t0.25\n")
         manifest = ds / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace(
-            "n_channels = 1", "n_channels = 2"))
+        manifest.write_text("".join(
+            line.replace("n_channels = 1", "n_channels = 2")
+            for line in manifest.read_text().splitlines(keepends=True)
+            if not line.startswith("rows_sha256")))
         assert run("train", "--data", str(ds), "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
-        assert f"{ds / 'data.tsv'}: no such file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{manifest}: no rows_sha256" in err and "`gen`" in err
 
 
 class TestEstimateCommand:

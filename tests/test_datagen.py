@@ -1,9 +1,11 @@
-import hashlib
+import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qcnnlstm import datagen
+from qcnnlstm import cli, datagen
 from qcnnlstm.datagen import (LogisticParams, LorenzParams, logistic_series,
                               lorenz_series, make_windows, sine_bank_series)
 
@@ -172,15 +174,13 @@ class TestDatasets:
             datagen.load_dataset(tmp_path / "d")
         # a channel count below 1 or one that does not divide the 24
         # samples of a row
-        for _ in range(2):  # from rows.npy, then from the text
-            for n_channels in (0, -1, 5):
-                manifest.write_text(text.replace(
-                    "n_channels = 2", f"n_channels = {n_channels}"))
-                with pytest.raises(datagen.DataFormatError,
-                                   match=r"manifest\.txt: n_channels = "
-                                         f"{n_channels} .* 24 samples"):
-                    datagen.load_dataset(tmp_path / "d")
-            (tmp_path / "d" / datagen.ROWS_NPY).unlink(missing_ok=True)
+        for n_channels in (0, -1, 5):
+            manifest.write_text(text.replace(
+                "n_channels = 2", f"n_channels = {n_channels}"))
+            with pytest.raises(datagen.DataFormatError,
+                               match=r"manifest\.txt: n_channels = "
+                                     f"{n_channels} .* 24 samples"):
+                datagen.load_dataset(tmp_path / "d")
 
     def test_lorenz_dataset_bounded(self):
         ds = datagen.make_lorenz_dataset(per_class=1, window_len=10, n_steps=2,
@@ -203,30 +203,95 @@ def _dba_dataset(seed=0):
                                     seed)
 
 
-def _three_channels(seed=0):
+def _three_channels(seed=0, n=4):
     rng = np.random.default_rng(seed)
     seqs = [datagen.WindowedSequence(rng.uniform(-1, 1, (2, 12)), k % 2)
-            for k in range(4)]
+            for k in range(n)]
     return datagen.SyntheticDataset(seqs, [0.0, 1.0], 0.0, "hand", 4, 2, 3)
 
 
+
+
 def _no_text(*args, **kwargs):
-    raise AssertionError("the row files were parsed")
+    raise AssertionError("the rows were parsed as text")
 
 
-@pytest.fixture
-def parsed(monkeypatch):
-    """The paths `parse_rows` is called on, in order."""
-    paths = []
-    real_parse = datagen.parse_rows
-    monkeypatch.setattr(datagen, "parse_rows",
-                        lambda path, data=None:
-                        paths.append(path) or real_parse(path, data))
-    return paths
+def _npy(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _restore(d, data: bytes) -> None:
+    """`data` as rows.npy, with the manifest's rows_sha256 to match."""
+    npy, manifest = d / datagen.ROWS_NPY, d / "manifest.txt"
+    want = datagen.read_kv(manifest)["rows_sha256"]
+    npy.write_bytes(data)
+    manifest.write_text(manifest.read_text().replace(
+        want, datagen.rows_digest([npy])))
+
+
+def _flip_last_bytes(d, rows):
+    npy = d / datagen.ROWS_NPY
+    data = bytearray(npy.read_bytes())
+    data[-8:] = bytes(b ^ 0xFF for b in data[-8:])
+    npy.write_bytes(bytes(data))
+
+
+def _earlier_manifest(d, rows):
+    # the manifest written before rows.npy was the one form: a text copy's
+    # digest and the .npy's, and no rows_sha256
+    manifest = d / "manifest.txt"
+    kv = datagen.read_kv(manifest)
+    (d / "data.tsv").write_text("0\t0.5\n")
+    manifest.write_text(manifest.read_text().replace(
+        f"rows_sha256 = {kv['rows_sha256']}",
+        f"text_sha256 = {kv['rows_sha256']}\nnpy_sha256 = 0"))
+
+
+def _with_nan(d, rows):
+    rows[1, 5] = np.nan
+    _restore(d, _npy(rows))
+
+
+def _five_channels(d, rows):
+    manifest = d / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("n_channels = 3",
+                                                     "n_channels = 5"))
+
+
+#: (name, how rows.npy or the manifest goes bad, the file named, message)
+_BAD_CONTAINERS = [
+    ("missing", lambda d, rows: (d / datagen.ROWS_NPY).unlink(),
+     datagen.ROWS_NPY, "no such file"),
+    ("digest", _flip_last_bytes, datagen.ROWS_NPY, "differs from rows_sha256"),
+    ("no-digest", _earlier_manifest, "manifest.txt",
+     "no rows_sha256; .* regenerate it with `gen`"),
+    ("truncated", lambda d, rows: _restore(d, _npy(rows)[:-8]),
+     datagen.ROWS_NPY, "not a .npy array"),
+    ("object", lambda d, rows: _restore(
+        d, _npy(rows.astype(object), allow_pickle=True)),
+     datagen.ROWS_NPY, "not a .npy array"),
+    ("3-d", lambda d, rows: _restore(d, _npy(rows[None])),
+     datagen.ROWS_NPY, r"shape \(1, 4, 25\)"),
+    ("empty", lambda d, rows: _restore(d, _npy(rows[:0])),
+     datagen.ROWS_NPY, r"shape \(0, 25\)"),
+    ("nan", _with_nan, datagen.ROWS_NPY, "row 2: non-finite value"),
+    ("channels", _five_channels, "manifest.txt",
+     "n_channels = 5 does not split rows of 24 samples"),
+]
+
+
+def _train(tmp_path, data):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("window_len = 4\nn_steps = 2\nn_hidden = 4\nuse_cnn = 0\n"
+                   "epochs = 1\n")
+    return cli.dispatch(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(tmp_path / "m")])
 
 
 class TestBinaryRows:
-    """rows.npy stands in for the row files only while both digests match."""
+    """A generated dataset is manifest.txt plus rows.npy under one digest."""
 
     @pytest.mark.parametrize("make", [
         lambda: datagen.make_sine_dataset(per_class=2, seed=3),
@@ -234,100 +299,83 @@ class TestBinaryRows:
         lambda: datagen.make_lorenz_dataset(per_class=1, transient=100),
         _dba_dataset,
     ], ids=["sine", "logistic", "lorenz", "dba"])
-    def test_binary_and_text_windows_are_identical(self, make, tmp_path,
-                                                   monkeypatch):
+    def test_loaded_windows_equal_the_generated(self, make, tmp_path,
+                                                monkeypatch):
         ds = make()
         datagen.save_dataset(ds, tmp_path / "d")
         assert sorted(p.name for p in (tmp_path / "d").iterdir()) == \
-            ["data.tsv", "manifest.txt", datagen.ROWS_NPY]
-        with monkeypatch.context() as m:
-            m.setattr(datagen, "parse_rows", _no_text)
-            binary = _windows(datagen.load_dataset(tmp_path / "d"))
-        (tmp_path / "d" / datagen.ROWS_NPY).unlink()
-        text = _windows(datagen.load_dataset(tmp_path / "d"))
-        assert binary == text == _windows(ds)
-
-    def test_edited_row_file_wins(self, tmp_path):
-        ds = datagen.make_sine_dataset(per_class=2, seed=3)
-        datagen.save_dataset(ds, tmp_path / "d")
-        tsv = tmp_path / "d" / "data.tsv"
-        lines = tsv.read_text().splitlines()
-        row = lines[1].split("\t")
-        row[3] = "0.125"
-        lines[1] = "\t".join(row)
-        tsv.write_text("\n".join(lines) + "\n")
-        loaded = datagen.load_dataset(tmp_path / "d")
-        assert loaded.sequences[1].windows.ravel()[2] == 0.125
-        assert ds.sequences[1].windows.ravel()[2] != 0.125
+            ["manifest.txt", datagen.ROWS_NPY]
+        rows = np.load(tmp_path / "d" / datagen.ROWS_NPY)
+        assert rows.dtype == np.float64
+        assert rows.shape == (len(ds.sequences),
+                              1 + ds.sequences[0].windows.size)
+        assert rows[:, 0].tolist() == [seq.label for seq in ds.sequences]
+        monkeypatch.setattr(datagen, "parse_rows", _no_text)
+        assert _windows(datagen.load_dataset(tmp_path / "d")) == _windows(ds)
 
     def test_stored_non_finite_value_is_reported_at_its_line(self, tmp_path):
         ds = datagen.make_sine_dataset(per_class=2, seed=3)
         ds.sequences[2].windows[0, 0] = np.nan
         datagen.save_dataset(ds, tmp_path / "d")
         with pytest.raises(datagen.DataFormatError,
-                           match=r"data\.tsv:3: non-finite"):
+                           match=r"rows\.npy: row 3: non-finite value"):
             datagen.load_dataset(tmp_path / "d")
-
-    def test_bad_npy_falls_back_to_the_text(self, tmp_path, parsed):
-        ds = _three_channels()
-        d, other = tmp_path / "d", tmp_path / "other"
-        datagen.save_dataset(ds, d)
-        datagen.save_dataset(_three_channels(seed=1), other)
-        npy = d / datagen.ROWS_NPY
-        good = npy.read_bytes()
-        flipped = bytearray(good)
-        flipped[-8:] = bytes(b ^ 0xFF for b in flipped[-8:])
-        for bad in (bytes(flipped), good[:-8], (other / datagen.ROWS_NPY)
-                    .read_bytes(), None):
-            if bad is None:
-                npy.unlink()
-            else:
-                npy.write_bytes(bad)
-            parsed.clear()
-            assert _windows(datagen.load_dataset(d)) == _windows(ds)
-            assert parsed == [d / "data.tsv"]
-
-    def test_earlier_single_channel_container_is_read_from_the_text(
-            self, tmp_path, parsed):
-        # the earlier layout stored (channels, N, 1+T) rows under the same
-        # data.tsv and digests: a 3-D rows.npy that matches them
-        ds = datagen.make_sine_dataset(per_class=2, seed=3)
-        d = tmp_path / "d"
-        datagen.save_dataset(ds, d)
-        npy = d / datagen.ROWS_NPY
-        np.save(npy, np.load(npy)[None], allow_pickle=False)
-        manifest = d / "manifest.txt"
-        kv = datagen.read_kv(manifest)
-        manifest.write_text(manifest.read_text().replace(
-            kv["npy_sha256"], hashlib.sha256(npy.read_bytes()).hexdigest()))
-        assert _windows(datagen.load_dataset(d)) == _windows(ds)
-        assert parsed == [d / "data.tsv"]
 
     def test_round_trip_writes_fresh_digests_and_the_same_manifest(
             self, tmp_path):
         ds = datagen.make_sine_dataset(per_class=2, seed=3)
         datagen.save_dataset(ds, tmp_path / "a")
         loaded = datagen.load_dataset(tmp_path / "a")
-        assert not {"text_sha256", "npy_sha256"} & set(loaded.extra)
+        assert "rows_sha256" not in loaded.extra
         datagen.save_dataset(loaded, tmp_path / "b")
         manifest = (tmp_path / "a" / "manifest.txt").read_text()
-        assert "text_sha256 = " in manifest and "npy_sha256 = " in manifest
+        assert f"rows_sha256 = {loaded.digest}\n" in manifest
+        assert manifest.count("sha256") == 1
         assert (tmp_path / "b" / "manifest.txt").read_text() == manifest
-        assert datagen.load_dataset(tmp_path / "b").digest in manifest
+        assert (tmp_path / "b" / datagen.ROWS_NPY).read_bytes() == \
+            (tmp_path / "a" / datagen.ROWS_NPY).read_bytes()
         assert _windows(datagen.load_dataset(tmp_path / "b")) == _windows(ds)
 
-    def test_container_without_digests_loads_from_the_text(self, tmp_path):
-        ds = datagen.make_sine_dataset(per_class=2, seed=3)
+    @pytest.mark.parametrize("spoil, name, message",
+                             [case[1:] for case in _BAD_CONTAINERS],
+                             ids=[case[0] for case in _BAD_CONTAINERS])
+    def test_bad_container_exits_2_naming_the_file(self, spoil, name, message,
+                                                   tmp_path, capsys):
+        d = tmp_path / "d"
+        datagen.save_dataset(_three_channels(), d)
+        spoil(d, np.load(d / datagen.ROWS_NPY))
+        where = re.escape(str(d / name))
+        with pytest.raises(datagen.DataFormatError,
+                           match=f"{where}: .*{message}"):
+            datagen.load_dataset(d)
+        assert _train(tmp_path, d) == 2
+        assert f"{d / name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label, message", [
+        (1.5, "row 5: label 1.5 is not a non-negative integer"),
+        (-1, "row 5: label -1.0 is not a non-negative integer"),
+        (7, "row 5: label 7.0 is not below the 2 classes")],
+        ids=["fraction", "negative", "class-count"])
+    def test_bad_label_exits_2_naming_the_file(self, label, message, tmp_path,
+                                               capsys):
+        # two sequences of each label, so every label survives the split
+        ds = _three_channels(n=6)
+        for seq in ds.sequences[4:]:
+            seq.label = label
         datagen.save_dataset(ds, tmp_path / "d")
-        current = datagen.load_dataset(tmp_path / "d")
-        # the form written before rows.npy: no .npy, no digest keys
-        (tmp_path / "d" / datagen.ROWS_NPY).unlink()
-        manifest = tmp_path / "d" / "manifest.txt"
-        manifest.write_text("".join(
-            line for line in manifest.read_text().splitlines(keepends=True)
-            if "_sha256" not in line))
-        old = datagen.load_dataset(tmp_path / "d")
-        assert _windows(old) == _windows(current) == _windows(ds)
-        assert old.extra == current.extra
-        assert (old.generator, old.class_params, old.n_channels) == \
-            (current.generator, current.class_params, current.n_channels)
+        assert _train(tmp_path, tmp_path / "d") == 2
+        assert f"{tmp_path / 'd' / datagen.ROWS_NPY}: {message}" in \
+            capsys.readouterr().err
+
+
+def test_writer_peak_memory_is_bounded(tmp_path):
+    """save_dataset holds a few copies of the rows, not a text rendering."""
+    ds = _dba_dataset()
+    tracemalloc.start()
+    try:
+        datagen.save_dataset(ds, tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = np.load(tmp_path / "d" / datagen.ROWS_NPY).nbytes
+    assert peak <= 4 * rows_bytes

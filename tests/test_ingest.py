@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from qcnnlstm.datagen import stratified_split, write_rows
+from qcnnlstm.datagen import stratified_split
 from qcnnlstm.ingest import (DataFormatError, RawDataset, dataset_to_sequences,
                              envelope_dataset, hilbert_envelope, load_ucr,
                              normalize_and_split)
@@ -66,7 +66,9 @@ class TestLoadUcr:
         rng = np.random.default_rng(0)
         labels = np.arange(6) % 2
         signals = rng.normal(size=(6, 1, 16))
-        write_rows(tmp_path / "rt.tsv", labels, signals[:, 0])
+        (tmp_path / "rt.tsv").write_text("".join(
+            f"{label}\t" + "\t".join(map(repr, row.tolist())) + "\n"
+            for label, row in zip(labels, signals[:, 0])))
         loaded = load_ucr(tmp_path / "rt.tsv")
         assert np.array_equal(loaded.labels, labels)
         assert np.array_equal(loaded.signals, signals)
