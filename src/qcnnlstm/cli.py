@@ -103,14 +103,19 @@ def load_split_sequences(data_dir, kv: dict):
 def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     """(train_seqs, test_seqs, n_classes, n_channels, digest).
 
-    Generated data is split by `seed` and `train_fraction`; a UCR pair keeps
-    its split, enveloped when `envelope` is 1, and is windowed per `kv`.
-    `digest` is `datagen.rows_digest` of the row files read: a generated
-    dataset's `rows.npy` (its `rows_sha256`) or a UCR pair's _TRAIN and
-    _TEST files.
+    Generated data is split by `seed` and `train_fraction`, and `envelope`
+    = 1 on it is a `DataFormatError`; a UCR pair keeps its split, enveloped
+    when `envelope` is 1, and is windowed per `kv`. `digest` is
+    `datagen.rows_digest` of the row files read: a generated dataset's
+    `rows.npy` (its `rows_sha256`) or a UCR pair's _TRAIN and _TEST files.
     """
     data_dir = Path(data_dir)
-    if (data_dir / "manifest.txt").exists():  # a generated dataset
+    manifest = data_dir / "manifest.txt"
+    if manifest.exists():  # a generated dataset
+        if split.envelope:
+            raise ingest.DataFormatError(
+                f"{manifest}: a generated dataset; envelope = 1 applies to "
+                "UCR pairs only")
         ds = datagen.load_dataset(data_dir)
         train_idx, test_idx = datagen.stratified_split(
             [seq.label for seq in ds.sequences], split.train_fraction,

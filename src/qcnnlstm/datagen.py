@@ -303,8 +303,11 @@ def _finite(text: str) -> float:
 #: a field's declared type -> (its parser, which raises ValueError or
 #: KeyError on a value that does not parse; what a value must look like)
 _PARSERS = {
+    "str": (str, "text"),
     "int": (int, "an integer"),
     "float": (_finite, "a number"),
+    "list": (lambda text: [_finite(x) for x in text.split(",")],
+             "numbers separated by commas"),
     "bool": ({"0": False, "1": True}.__getitem__, "0 or 1"),
     "tuple": (lambda text: tuple(tuple(int(x) for x in pair.split("x"))
                                  for pair in text.split(";") if pair),
@@ -437,6 +440,13 @@ def _check_rows(path, labels, ok, what: str) -> None:
                               + what.format(label=labels[row]))
 
 
+@dataclass(frozen=True)
+class _Container:
+    """The manifest key `load_channels` reads beyond the digest."""
+
+    n_channels: int = 1
+
+
 def load_channels(in_dir):
     """(manifest, labels (N,), signals (N, channels, T), the `rows_digest`
     of `rows.npy`) from `save_channels`.
@@ -474,7 +484,8 @@ def load_channels(in_dir):
                 "non-finite value")
     _check_rows(npy, labels, (labels >= 0) & (labels == np.floor(labels)),
                 "label {label} is not a non-negative integer")
-    n_channels, samples = int(kv.get("n_channels", 1)), rows.shape[1] - 1
+    n_channels = read_record(_Container, kv, manifest).n_channels
+    samples = rows.shape[1] - 1
     if n_channels < 1 or samples % n_channels:
         raise DataFormatError(f"{manifest}: n_channels = {n_channels} does "
                               f"not split rows of {samples} samples")
@@ -500,34 +511,39 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     save_channels(out_dir, [seq.label for seq in ds.sequences], signals, kv)
 
 
-#: the manifest keys `load_dataset` reads beyond the container's own
-_DATASET_KEYS = ("generator", "class_params", "noise_amplitude", "window_len",
-                 "n_steps", "seed")
+@dataclass(frozen=True)
+class _Generated:
+    """The manifest keys `load_dataset` reads beyond the container's own."""
+
+    generator: str
+    class_params: list
+    noise_amplitude: float
+    window_len: int
+    n_steps: int
+    seed: int
+
+    def __post_init__(self):
+        if min(self.window_len, self.n_steps) < 1:
+            raise ValueError("window_len and n_steps must be positive")
 
 
 def load_dataset(in_dir) -> SyntheticDataset:
     """The dataset `save_dataset` wrote, its `digest` the `rows_digest` of
     `rows.npy`: the one reader of a generated dataset. A container without
-    a generated dataset's keys, or with a label at or above its class
-    count, is a `DataFormatError`."""
+    a generated dataset's keys, a key that does not parse and a label at or
+    above the class count are `DataFormatError`s naming the file."""
     kv, labels, signals, digest = load_channels(in_dir)
-    for key in _DATASET_KEYS:
-        if key not in kv:
-            raise DataFormatError(f"{Path(in_dir) / 'manifest.txt'}: missing "
-                                  f"key {key!r}; not a generated dataset")
-    window_len, n_steps = int(kv["window_len"]), int(kv["n_steps"])
-    if signals.shape[2] != n_steps * window_len:
+    gen = read_record(_Generated, kv, Path(in_dir) / "manifest.txt")
+    if signals.shape[2] != gen.n_steps * gen.window_len:
         raise DataFormatError(f"{in_dir}: rows hold {signals.shape[2]} samples,"
-                              f" the manifest {n_steps} x {window_len}")
-    class_params = [float(p) for p in kv["class_params"].split(",")]
-    _check_rows(Path(in_dir) / ROWS_NPY, labels, labels < len(class_params),
-                f"label {{label}} is not below the {len(class_params)} "
-                "classes")
-    sequences = [make_windows(sig, int(label), window_len, n_steps)
+                              f" the manifest {gen.n_steps} x {gen.window_len}")
+    n_classes = len(gen.class_params)
+    _check_rows(Path(in_dir) / ROWS_NPY, labels, labels < n_classes,
+                f"label {{label}} is not below the {n_classes} classes")
+    sequences = [make_windows(sig, int(label), gen.window_len, gen.n_steps)
                  for label, sig in zip(labels, signals)]
-    extra = {k: v for k, v in kv.items()
-             if k not in _DATASET_KEYS + ("classes", "n_channels")}
-    return SyntheticDataset(sequences, class_params,
-                            float(kv["noise_amplitude"]), kv["generator"],
-                            window_len, n_steps, signals.shape[1],
-                            int(kv["seed"]), extra, digest)
+    known = {f.name for f in fields(_Generated)} | {"classes", "n_channels"}
+    extra = {k: v for k, v in kv.items() if k not in known}
+    return SyntheticDataset(sequences, gen.class_params, gen.noise_amplitude,
+                            gen.generator, gen.window_len, gen.n_steps,
+                            signals.shape[1], gen.seed, extra, digest)

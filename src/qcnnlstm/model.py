@@ -19,15 +19,19 @@ The float engine lives in `train`, which trains and evaluates with it.
 
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
-computes [h, window] @ gates + gate_bias. `named_tensors` names every tensor
-once and `network_tensors` what a `mode` network computes with, the tensors
-the float engine reads and `save_network` writes; model directories keep one
-file per gate, split at the file boundary.
+computes [h, window] @ gates + gate_bias. A network's parameters are one
+dict, tensor name -> array, in the order `train.init_params` and
+`load_network` build it: `conv{i}.weights` and `conv{i}.bias` per CNN layer,
+`fc.weights` with a CNN, then `lstm.gates`, `lstm.gate_bias`,
+`lstm.w_logits` and `lstm.b_logits`. `network_tensors` gives what a `mode`
+network computes with, the tensors the float engine reads and
+`save_network` writes; model directories keep one file per gate, split at
+the file boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,11 +41,7 @@ from . import datagen, fxp, quant
 from .fxp import QFormat
 
 __all__ = [
-    "ConvLayerParams",
-    "LstmParams",
     "NetworkConfig",
-    "NetworkParams",
-    "named_tensors",
     "network_tensors",
     "is_quantized",
     "is_bias",
@@ -51,31 +51,6 @@ __all__ = [
     "save_network",
     "load_network",
 ]
-
-
-@dataclass
-class ConvLayerParams:
-    """One 1-D convolution layer: weights (filters, depth, width), bias (filters,)."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class LstmParams:
-    """Fused gates (n_hidden + input_len, 4 n_hidden) and their bias, output layer."""
-
-    gates: np.ndarray
-    gate_bias: np.ndarray  # (4 n_hidden,)
-    w_logits: np.ndarray  # (n_hidden, n_classes)
-    b_logits: np.ndarray
-
-    def gate_weights(self) -> dict:
-        """Gate name -> (n_hidden + input_len, n_hidden) column view."""
-        return dict(zip(quant.GATE_ORDER, np.split(self.gates, 4, axis=1)))
-
-    def gate_biases(self) -> dict:
-        return dict(zip(quant.GATE_ORDER, np.split(self.gate_bias, 4)))
 
 
 @dataclass(frozen=True)
@@ -119,29 +94,6 @@ class NetworkConfig:
         return [(d, f, m) for d, (f, m) in zip(depths, self.conv_layers)]
 
 
-@dataclass
-class NetworkParams:
-    conv: list = field(default_factory=list)
-    # fully connected map from the flattened feature maps to the window,
-    # (input_len, n_filters * window_len); None without a CNN
-    fc: np.ndarray | None = None
-    lstm: LstmParams | None = None
-
-
-def named_tensors(params: NetworkParams) -> dict:
-    """Every tensor under one name: the trainer's keys for grads and state."""
-    out = {}
-    for i, layer in enumerate(params.conv):
-        out[f"conv{i}.weights"] = layer.weights
-        out[f"conv{i}.bias"] = layer.bias
-    if params.fc is not None:
-        out["fc.weights"] = params.fc
-    p = params.lstm
-    out.update({"lstm.gates": p.gates, "lstm.gate_bias": p.gate_bias,
-                "lstm.w_logits": p.w_logits, "lstm.b_logits": p.b_logits})
-    return out
-
-
 def is_quantized(name: str) -> bool:
     """Gates and CNN kernels take codes; FC and output layers stay full precision."""
     return name == "lstm.gates" or \
@@ -152,24 +104,22 @@ def is_bias(name: str) -> bool:
     return name.endswith("bias") or name == "lstm.b_logits"
 
 
-def network_tensors(params: NetworkParams, mode: str,
-                    out: dict | None = None) -> dict:
-    """The tensors a `mode` network computes with, keyed as `named_tensors`:
-    in binary/ternary modes the gates and CNN kernels as float64 codes,
+def network_tensors(params: dict, mode: str, out: dict | None = None) -> dict:
+    """The tensors a `mode` network computes with, keyed as `params`: in
+    binary/ternary modes the gates and CNN kernels as float64 codes,
     whatever the shadows' type, and every bias zero (the accelerator has no
-    bias stage); in full mode the tensors themselves.
+    bias stage); in full mode `params` itself.
 
     `out`, what an earlier call returned for the same `params` and `mode`,
     takes the current codes in place and is returned.
     """
-    tensors = named_tensors(params)
     if mode == "full":
-        return tensors
+        return params
     if out is None:
         out = {name: np.empty(w.shape) if is_quantized(name) else
                np.zeros_like(w) if is_bias(name) else w
-               for name, w in tensors.items()}
-    for name, w in tensors.items():
+               for name, w in params.items()}
+    for name, w in params.items():
         if is_quantized(name):
             quant.quantize_weights(w, mode, out=out[name])
     return out
@@ -331,11 +281,11 @@ def _file_tensors(tensors: dict):
             yield name, arr, is_quantized(name)
 
 
-def save_network(out_dir, params: NetworkParams, cfg: NetworkConfig,
+def save_network(out_dir, params: dict, cfg: NetworkConfig,
                  mode: str = "full") -> None:
     """Write `network_tensors(params, mode)` to `out_dir`; a non-finite
     tensor is a `ValueError`, raised before anything is written."""
-    for name, arr in named_tensors(params).items():
+    for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} holds a non-finite value; the network "
                              "is not saved")
@@ -384,18 +334,24 @@ def _read_tensor(path: Path, name: str, dtype: str, shape: tuple,
     return codes
 
 
-def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
-    """Read a saved network, the tensors its `config.txt` asks for.
+def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
+    """Read a saved network, the tensors its `config.txt` asks for, as the
+    parameter dict `train.init_params` builds.
 
     Packed (int2) tensors come back as float32 codes, and the fused gates
     are float32 when their files are packed; float64 files come back as
-    float64. A tensor the manifest lacks and a file `_read_tensor` rejects
-    are `DataFormatError`s naming the tensor or the file.
+    float64. A mode outside `quant.MODES`, a manifest shape that is not
+    integers, a tensor the manifest lacks and a file `_read_tensor` rejects
+    are `DataFormatError`s naming the file, and the key, line or tensor.
     """
     mdir = Path(model_dir)
-    kv = datagen.read_kv(mdir / "config.txt")
-    cfg = datagen.read_record(NetworkConfig, kv, mdir / "config.txt")
+    config = mdir / "config.txt"
+    kv = datagen.read_kv(config)
+    cfg = datagen.read_record(NetworkConfig, kv, config)
     mode = kv.get("mode", "full")
+    if mode not in quant.MODES:
+        raise datagen.DataFormatError(f"{config}: mode = {mode} is not one of "
+                                      f"{', '.join(quant.MODES)}")
     manifest = mdir / "params.manifest"
     stored = {}
     for ln, line in enumerate(manifest.read_text().splitlines(), start=1):
@@ -405,27 +361,31 @@ def load_network(model_dir) -> tuple[NetworkParams, NetworkConfig, str]:
                 f"{manifest}:{ln}: expected name, dtype, shape and file "
                 f"separated by tabs, got {line!r}")
         name, dtype, shape_csv, fname = entry
-        shape = tuple(int(s) for s in shape_csv.split(","))
+        try:
+            shape = tuple(int(s) for s in shape_csv.split(","))
+        except ValueError:
+            raise datagen.DataFormatError(
+                f"{manifest}:{ln}: {name} has shape {shape_csv!r}; expected "
+                "integers separated by commas") from None
         stored[name] = _read_tensor(mdir / fname, name, dtype, shape, mode)
 
     def take(name):
         if name not in stored:
             raise datagen.DataFormatError(
                 f"{manifest}: no tensor {name}, which the network in "
-                f"{mdir / 'config.txt'} needs")
+                f"{config} needs")
         return stored[name]
 
-    conv = [ConvLayerParams(take(f"conv{i}.weights"), take(f"conv{i}.bias"))
-            for i in range(len(cfg.conv_shapes()))]
-    fc = take("fc.weights") if cfg.use_cnn else None
-    # the gate files are copied straight into their column blocks
-    w_first = take(f"lstm.w_{quant.GATE_ORDER[0]}")
-    lstm = LstmParams(np.empty((len(w_first), 4 * w_first.shape[1]),
-                               dtype=w_first.dtype),
-                      np.empty(4 * w_first.shape[1]),
-                      take("lstm.w_logits"), take("lstm.b_logits"))
-    weights, biases = lstm.gate_weights(), lstm.gate_biases()
-    for gate in quant.GATE_ORDER:
-        weights[gate][:] = take(f"lstm.w_{gate}")
-        biases[gate][:] = take(f"lstm.b_{gate}")
-    return NetworkParams(conv, fc, lstm), cfg, mode
+    params = {}
+    for i in range(len(cfg.conv_shapes())):
+        params[f"conv{i}.weights"] = take(f"conv{i}.weights")
+        params[f"conv{i}.bias"] = take(f"conv{i}.bias")
+    if cfg.use_cnn:
+        params["fc.weights"] = take("fc.weights")
+    params["lstm.gates"] = np.concatenate(
+        [take(f"lstm.w_{gate}") for gate in quant.GATE_ORDER], axis=1)
+    params["lstm.gate_bias"] = np.concatenate(
+        [take(f"lstm.b_{gate}") for gate in quant.GATE_ORDER])
+    params["lstm.w_logits"] = take("lstm.w_logits")
+    params["lstm.b_logits"] = take("lstm.b_logits")
+    return params, cfg, mode

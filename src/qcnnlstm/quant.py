@@ -159,15 +159,18 @@ class QuantizedNetwork:
         self.gate_codes = dict(zip(GATE_ORDER, np.split(self.gates, 4, axis=1)))
 
     @classmethod
-    def from_params(cls, params, mode: str, weight_format: QFormat = fxp.ACT_FORMAT):
-        """Quantize a trained float network for the fixed-point engine."""
+    def from_params(cls, params: dict, mode: str,
+                    weight_format: QFormat = fxp.ACT_FORMAT):
+        """Quantize a trained float network, a `model` parameter dict, for
+        the fixed-point engine."""
         if mode not in ("binary", "ternary"):
             raise ValueError("hardware networks are binary or ternary")
-        conv = [quantize_weights(layer.weights, mode) for layer in params.conv]
-        fc = None if params.fc is None else \
-            fxp.to_raw(params.fc, weight_format)
-        gates = quantize_weights(params.lstm.gates, mode)
-        logits = fxp.to_raw(params.lstm.w_logits, weight_format)
+        conv = [quantize_weights(w, mode) for name, w in params.items()
+                if name.startswith("conv") and name.endswith(".weights")]
+        fc = fxp.to_raw(params["fc.weights"], weight_format) \
+            if "fc.weights" in params else None
+        gates = quantize_weights(params["lstm.gates"], mode)
+        logits = fxp.to_raw(params["lstm.w_logits"], weight_format)
         return cls(conv, fc, gates, logits, weight_format)
 
     def weight_bits(self) -> int:

@@ -26,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import quant
-from .model import (ConvLayerParams, LstmParams, NetworkConfig, NetworkParams,
-                    im2col, is_quantized, named_tensors,
-                    network_tensors, softmax)
+from .model import (NetworkConfig, im2col, is_quantized, network_tensors,
+                    softmax)
 
 __all__ = [
     "TrainConfig",
@@ -83,7 +82,7 @@ class AdagradState:
 
 @dataclass
 class TrainResult:
-    params: NetworkParams
+    params: dict  # tensor name -> array, as `init_params` builds it
     loss_trace: np.ndarray
     accuracy_trace: np.ndarray
 
@@ -93,8 +92,9 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 def init_params(cfg: NetworkConfig, seed: int = 0,
-                init_scale: float = 0.01) -> NetworkParams:
-    """Weights uniform in [-init_scale, +init_scale]; biases start at zero.
+                init_scale: float = 0.01) -> dict:
+    """The network's parameters, tensor name -> array (see `model`):
+    weights uniform in [-init_scale, +init_scale], biases zero.
 
     Draw order: conv kernels, FC, then each gate block in `quant.GATE_ORDER`
     and the output layer.
@@ -104,18 +104,20 @@ def init_params(cfg: NetworkConfig, seed: int = 0,
     def u(*shape):
         return rng.uniform(-init_scale, init_scale, shape)
 
-    conv, fc = [], None
+    params = {}
+    for i, (depth, f, m) in enumerate(cfg.conv_shapes()):
+        params[f"conv{i}.weights"] = u(f, depth, m)
+        params[f"conv{i}.bias"] = np.zeros(f)
     if cfg.use_cnn:
-        for depth, f, m in cfg.conv_shapes():
-            conv.append(ConvLayerParams(u(f, depth, m), np.zeros(f)))
-        fc = u(cfg.input_len, cfg.fc_input_len)
+        params["fc.weights"] = u(cfg.input_len, cfg.fc_input_len)
     nh = cfg.n_hidden
-    gates = np.empty((nh + cfg.input_len, 4 * nh))
+    gates = params["lstm.gates"] = np.empty((nh + cfg.input_len, 4 * nh))
     for k in range(4):
         gates[:, k * nh:(k + 1) * nh] = u(nh + cfg.input_len, nh)
-    lstm = LstmParams(gates, np.zeros(4 * nh), w_logits=u(nh, cfg.n_classes),
-                      b_logits=np.zeros(cfg.n_classes))
-    return NetworkParams(conv, fc, lstm)
+    params["lstm.gate_bias"] = np.zeros(4 * nh)
+    params["lstm.w_logits"] = u(nh, cfg.n_classes)
+    params["lstm.b_logits"] = np.zeros(cfg.n_classes)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def _check_windows(windows, net_cfg: NetworkConfig) -> None:
                          f"{net_cfg.input_len}), got {windows.shape}")
 
 
-def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
+def forward_logits(params: dict, windows, net_cfg: NetworkConfig,
                    mode: str = "full") -> np.ndarray:
     """Float logits (B, q, n_classes) of a batch of windows (B, q, U)."""
     windows = np.asarray(windows, dtype=np.float64)
@@ -318,7 +320,7 @@ def forward_logits(params: NetworkParams, windows, net_cfg: NetworkConfig,
     return logits.transpose(1, 0, 2)
 
 
-def batch_loss_and_grads(windows, labels, params: NetworkParams,
+def batch_loss_and_grads(windows, labels, params: dict,
                          net_cfg: NetworkConfig, cfg: TrainConfig):
     """Mean loss and shadow-weight gradients for windows (B, q, U)."""
     x = np.asarray(windows, dtype=np.float64).transpose(1, 0, 2)
@@ -327,7 +329,7 @@ def batch_loss_and_grads(windows, labels, params: NetworkParams,
                            cfg.mode, _Workspace())
 
 
-def _loss_and_grads(x, labels, params: NetworkParams, eff: dict,
+def _loss_and_grads(x, labels, params: dict, eff: dict,
                     net_cfg: NetworkConfig, mode: str, ws: _Workspace):
     logits, cache = _forward(x, eff, net_cfg, ws)
     loss, grads = _backward(labels, eff, net_cfg, logits, cache, ws,
@@ -335,7 +337,7 @@ def _loss_and_grads(x, labels, params: NetworkParams, eff: dict,
     return loss, _route_to_shadow(grads, params, mode)
 
 
-def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
+def sequence_loss_and_grads(seq, params: dict, net_cfg: NetworkConfig,
                             cfg: TrainConfig | None = None):
     """Loss and shadow-weight gradients for one windowed sequence."""
     windows = np.asarray(seq.windows, dtype=np.float64)[None, :, :]
@@ -343,17 +345,16 @@ def sequence_loss_and_grads(seq, params: NetworkParams, net_cfg: NetworkConfig,
                                 cfg or TrainConfig())
 
 
-def _route_to_shadow(grads: dict, params: NetworkParams, mode: str) -> dict:
+def _route_to_shadow(grads: dict, params: dict, mode: str) -> dict:
     """Binary/ternary modes pass the code gradients through the STE
     (|shadow| <= 1); their biases have no gradients."""
     if mode == "full":
         return grads
-    shadow = named_tensors(params)
-    return {name: quant.ste_backward(g, shadow[name]) if is_quantized(name)
+    return {name: quant.ste_backward(g, params[name]) if is_quantized(name)
             else g for name, g in grads.items()}
 
 
-def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
+def adagrad_step(params: dict, grads: dict, state: AdagradState,
                  cfg: TrainConfig) -> None:
     """Clip, accumulate squared gradients, update in place, clamp shadows.
 
@@ -362,13 +363,12 @@ def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
     through the same operations in the same order. The gradient arrays are
     clipped and scaled in place.
     """
-    tensors = named_tensors(params)
     for name, g in grads.items():
         if name not in state.acc:
             state.acc[name] = np.zeros_like(g)
             rows = max(1, ADAGRAD_BLOCK * len(g) // g.size)
             state.step[name] = np.empty_like(g[:rows])
-        w, acc, step = tensors[name], state.acc[name], state.step[name]
+        w, acc, step = params[name], state.acc[name], state.step[name]
         clamp = cfg.mode != "full" and is_quantized(name)
         for a in range(0, len(g), len(step)):
             rows = slice(a, a + len(step))
@@ -384,7 +384,7 @@ def adagrad_step(params: NetworkParams, grads: dict, state: AdagradState,
                 np.clip(w_b, -1.0, 1.0, out=w_b)
 
 
-def _train_batch(x, labels, params: NetworkParams, eff: dict,
+def _train_batch(x, labels, params: dict, eff: dict,
                  state: AdagradState, cfg: TrainConfig, net_cfg: NetworkConfig,
                  ws: _Workspace) -> float:
     """One minibatch's mean loss, after its Adagrad update. Its gradients,
@@ -458,7 +458,7 @@ def _accuracy(windows, labels, eff: dict, net_cfg: NetworkConfig,
     return float((preds == labels).mean())
 
 
-def predict_probs(params: NetworkParams, seqs, net_cfg: NetworkConfig,
+def predict_probs(params: dict, seqs, net_cfg: NetworkConfig,
                   mode: str = "full") -> np.ndarray:
     """Softmax probabilities of the final step for each sequence."""
     windows, _ = _stack_windows(seqs, net_cfg)
@@ -466,7 +466,7 @@ def predict_probs(params: NetworkParams, seqs, net_cfg: NetworkConfig,
                         _Workspace())
 
 
-def evaluate_accuracy(params: NetworkParams, seqs, net_cfg: NetworkConfig,
+def evaluate_accuracy(params: dict, seqs, net_cfg: NetworkConfig,
                       mode: str = "full") -> float:
     windows, labels = _stack_windows(seqs, net_cfg)
     return _accuracy(windows, labels, network_tensors(params, mode), net_cfg,

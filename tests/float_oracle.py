@@ -2,8 +2,9 @@
 
 One sequence at a time, one matrix product per gate and one product per conv
 tap: the straightforward reading of the model, sharing no code with the
-batched engine in `qcnnlstm.train`. The fused gate parameters are read
-through their per-gate views. `cross_entropy` and `loss_gradient` are the
+batched engine in `qcnnlstm.train`. The network is the parameter dict,
+tensor name -> array; the fused gate parameters are read through their
+per-gate views. `cross_entropy` and `loss_gradient` are the
 per-step loss reference the trainer's loss is checked against.
 """
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcnnlstm.model import ConvLayerParams, LstmParams, NetworkConfig
+from qcnnlstm import quant
+from qcnnlstm.model import NetworkConfig
 
 
 @dataclass
@@ -32,21 +34,21 @@ def _pad_window(m: int) -> tuple[int, int]:
     return left, m - 1 - left
 
 
-def conv1d_relu(x, layer: ConvLayerParams) -> np.ndarray:
+def conv1d_relu(x, w, bias) -> np.ndarray:
     """Zero-padded stride-1 1-D convolution followed by ReLU.
 
     `x` is (depth, length) or (length,) for single-channel input; the output
-    is (filters, length): padding keeps the spatial length.
+    is (filters, length): padding keeps the spatial length. `w` is
+    (filters, depth, width), `bias` (filters,).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    w = layer.weights
     f, depth, m = w.shape
     if x.shape[0] != depth:
         raise ValueError(f"input depth {x.shape[0]} != filter depth {depth}")
     n = x.shape[1]
     left, right = _pad_window(m)
     xpad = np.pad(x, ((0, 0), (left, right)))
-    z = np.tile(layer.bias[:, None], (1, n)).astype(np.float64)
+    z = np.tile(bias[:, None], (1, n)).astype(np.float64)
     for a in range(m):
         z += w[:, :, a] @ xpad[:, a:a + n]
     return np.maximum(z, 0.0)
@@ -68,26 +70,29 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def lstm_step(xx, state: LstmState, p: LstmParams):
-    """One LSTM update from xx = [h, window]; returns (new state, logits)."""
-    w, b = p.gate_weights(), p.gate_biases()
+def lstm_step(xx, state: LstmState, p: dict):
+    """One LSTM update from xx = [h, window] with the `lstm.*` tensors of
+    `p`; returns (new state, logits)."""
+    w = dict(zip(quant.GATE_ORDER, np.split(p["lstm.gates"], 4, axis=1)))
+    b = dict(zip(quant.GATE_ORDER, np.split(p["lstm.gate_bias"], 4)))
     g_forget = _sigmoid(xx @ w["forget"] + b["forget"])
     g_input = _sigmoid(xx @ w["input"] + b["input"])
     g_output = _sigmoid(xx @ w["output"] + b["output"])
     g_cell = np.tanh(xx @ w["cell"] + b["cell"])
     c = g_forget * state.c + g_cell * g_input
     h = g_output * np.tanh(c)
-    logits = h @ p.w_logits + p.b_logits
+    logits = h @ p["lstm.w_logits"] + p["lstm.b_logits"]
     return LstmState(h, c), logits
 
 
 def _extract_features(window, params, cfg: NetworkConfig):
     """CNN stack + FC + optional residual for one flattened window."""
     maps = np.asarray(window, dtype=np.float64).reshape(cfg.n_channels, cfg.window_len)
-    for layer in params.conv:
-        maps = conv1d_relu(maps, layer)
+    for i in range(len(cfg.conv_layers)):
+        maps = conv1d_relu(maps, params[f"conv{i}.weights"],
+                           params[f"conv{i}.bias"])
     skip = window if cfg.residual else None
-    return fc_residual(maps, params.fc, skip)
+    return fc_residual(maps, params["fc.weights"], skip)
 
 
 def network_forward(windows, params, cfg: NetworkConfig) -> np.ndarray:
@@ -101,7 +106,7 @@ def network_forward(windows, params, cfg: NetworkConfig) -> np.ndarray:
     for t in range(cfg.n_steps):
         v = _extract_features(windows[t], params, cfg) if cfg.use_cnn else windows[t]
         xx = np.concatenate([state.h, v])
-        state, logits[t] = lstm_step(xx, state, params.lstm)
+        state, logits[t] = lstm_step(xx, state, params)
     return logits
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qcnnlstm import analysis, datagen, estimate, fsm, fxp, ingest, quant
-from qcnnlstm.model import NetworkConfig, named_tensors, network_forward_fixed
+from qcnnlstm.model import NetworkConfig, network_forward_fixed
 from qcnnlstm.train import (AdagradState, TrainConfig, adagrad_step,
                             init_params, sequence_loss_and_grads, train)
 
@@ -49,19 +49,19 @@ class TestCriterion1GradientOracle:
             cfg = random_tiny_config(rng)
             params = init_params(cfg, seed=int(rng.integers(2**31)),
                                  init_scale=0.5)
-            for layer in params.conv:
+            for i in range(len(cfg.conv_shapes())):
                 # keep conv pre-activations off the exact ReLU kink, where
                 # central differences are invalid
-                layer.bias += rng.uniform(-0.3, 0.3, layer.bias.shape)
+                bias = params[f"conv{i}.bias"]
+                bias += rng.uniform(-0.3, 0.3, bias.shape)
             seq = datagen.WindowedSequence(
                 rng.uniform(-1, 1, (cfg.n_steps, cfg.input_len)),
                 int(rng.integers(0, cfg.n_classes)))
             tc = TrainConfig()
             _, grads = sequence_loss_and_grads(seq, params, cfg, tc)
-            tensors = named_tensors(params)
             step = 1e-5
             for name, g in grads.items():
-                flat_t, flat_g = tensors[name].ravel(), g.ravel()
+                flat_t, flat_g = params[name].ravel(), g.ravel()
                 for k in range(flat_t.size):
                     orig = flat_t[k]
                     flat_t[k] = orig + step
@@ -331,7 +331,7 @@ class TestCriterion11PropertySuites:
         tc = TrainConfig(learning_rate=3.0, mode="ternary")
         adagrad_step(params, {"lstm.gates": np.full((7, 16), -4.0)},
                      AdagradState(), tc)
-        assert np.abs(params.lstm.gates).max() <= 1.0
+        assert np.abs(params["lstm.gates"]).max() <= 1.0
 
         # state-trace grammar and bandwidth caps on a random CNN model
         net = NetworkConfig(5, 3, 6, 3, conv_layers=((2, 3), (3, 2)))

@@ -372,11 +372,10 @@ class TestOneNetworkDefinition:
                    "--out", str(full)) == 0
         assert run("quantize", "--model", str(full), "--out", str(qdir)) == 0
         params, net, mode = model.load_network(full)
-        biases = [name for name in model.named_tensors(params)
-                  if model.is_bias(name)]
+        biases = [name for name in params if model.is_bias(name)]
         assert {"conv0.bias", "conv1.bias", "lstm.gate_bias",
                 "lstm.b_logits"} <= set(biases)
-        assert any(model.named_tensors(params)[name].any() for name in biases)
+        assert any(params[name].any() for name in biases)
         qparams, _, qmode = model.load_network(qdir)
         assert qmode == "ternary"
         for line in (qdir / "params.manifest").read_text().splitlines():
@@ -400,13 +399,13 @@ class TestOneNetworkDefinition:
         assert run("train", "--data", str(ds), "--config", str(cfg),
                    "--out", str(full)) == 0
         params, net, _ = model.load_network(full)
-        params.lstm.gates[0, 0] = 2.7
-        params.conv[0].weights[0, 0, 0] = -1.5
+        params["lstm.gates"][0, 0] = 2.7
+        params["conv0.weights"][0, 0, 0] = -1.5
         model.save_network(full, params, net)
         assert run("quantize", "--model", str(full), "--out", str(qdir)) == 0
         qparams, _, _ = model.load_network(qdir)
-        assert qparams.lstm.gates[0, 0] == 1
-        assert qparams.conv[0].weights[0, 0, 0] == -1
+        assert qparams["lstm.gates"][0, 0] == 1
+        assert qparams["conv0.weights"][0, 0, 0] == -1
         assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 0
 
     def test_quantize_reports_the_share_of_zero_codes(self, cnn_data,
@@ -698,6 +697,18 @@ def _invalid_field(mdir):
     return "conv0_weights.bin: invalid 2-bit code 0b10"
 
 
+def _unknown_mode(mdir):
+    path = mdir / "config.txt"
+    path.write_text(path.read_text().replace("mode = ternary", "mode = foo"))
+    return "config.txt: mode = foo is not one of full, binary, ternary"
+
+
+def _shape_not_integers(mdir):
+    path = mdir / "params.manifest"
+    path.write_text(path.read_text().replace("\t20,600\t", "\t20,6x0\t"))
+    return "params.manifest:5: fc.weights has shape '20,6x0'"
+
+
 class TestModelDirectoryBoundary:
     """A model directory that does not hold what its manifest and config
     say is a data error naming the file or the tensor."""
@@ -705,7 +716,8 @@ class TestModelDirectoryBoundary:
     @pytest.mark.parametrize("command", ["simulate", "eval"])
     @pytest.mark.parametrize("damage", [_grow_int2_file, _cut_float64_file,
                                         _drop_manifest_line, _zero_binary_code,
-                                        _invalid_field])
+                                        _invalid_field, _unknown_mode,
+                                        _shape_not_integers])
     def test_is_a_data_error_naming_the_file(self, command, damage, tmp_path,
                                              capsys):
         mdir = tmp_path / "m"

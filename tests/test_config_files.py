@@ -1,6 +1,7 @@
 """The key = value files: each user key reaches its record, unknown keys and
 values that do not parse exit 2, and every machine key changes the run."""
 
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -61,7 +62,9 @@ def test_train_key_reaches_the_recorded_settings(tiny, tmp_path, key):
     _, ds, base = tiny
     value = TRAIN_VALUES[key]
     cfg = _write(tmp_path / "train.cfg", {**base, key: value})
-    assert run("train", "--data", ds, "--config", cfg,
+    # envelope applies to UCR pairs only
+    data = ECG_DIR if key == "envelope" else ds
+    assert run("train", "--data", data, "--config", cfg,
                "--out", tmp_path / "m") == 0
     recorded = read_kv(tmp_path / "m" / "hyperparams.txt")
     write_kv(tmp_path / "want.txt", {key: value})
@@ -200,6 +203,50 @@ def test_recordings_container_is_data_error(tiny, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'rec' / 'manifest.txt'}: missing key 'generator'" \
         in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_channels", "1.5", "n_channels = 1.5 is not an integer"),
+    ("window_len", "ten", "window_len = ten is not an integer"),
+    ("n_steps", "2.5", "n_steps = 2.5 is not an integer"),
+    ("seed", "x", "seed = x is not an integer"),
+    ("noise_amplitude", "loud", "noise_amplitude = loud is not a number"),
+    ("class_params", "0.0,one",
+     "class_params = 0.0,one is not numbers separated by commas"),
+    ("n_steps", "0", "window_len and n_steps must be positive"),
+])
+def test_manifest_value_that_does_not_parse_exits_2(tiny, tmp_path, capsys,
+                                                    key, value, message):
+    root, ds, _ = tiny
+    data = tmp_path / "ds"
+    shutil.copytree(ds, data)
+    manifest = data / "manifest.txt"
+    kv = read_kv(manifest)
+    assert key in kv
+    write_kv(manifest, {**kv, key: value})
+    assert run("train", "--data", data, "--config", root / "base.cfg",
+               "--out", tmp_path / "m") == 2
+    assert f"{manifest}: {message}" in capsys.readouterr().err
+
+
+def test_envelope_on_a_generated_dataset_exits_2(tiny, tmp_path, capsys):
+    root, ds, base = tiny
+    want = (f"{ds / 'manifest.txt'}: a generated dataset; envelope = 1 "
+            "applies to UCR pairs only")
+    cfg = _write(tmp_path / "c.cfg", {**base, "envelope": True})
+    assert run("train", "--data", ds, "--config", cfg,
+               "--out", tmp_path / "m") == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    # eval and simulate read the setting back from hyperparams.txt
+    assert run("train", "--data", ds, "--config", root / "base.cfg",
+               "--precision", "ternary", "--out", tmp_path / "m") == 0
+    record = tmp_path / "m" / "hyperparams.txt"
+    write_kv(record, {**read_kv(record), "envelope": True})
+    for command in ("eval", "simulate"):
+        capsys.readouterr()
+        assert run(command, "--model", tmp_path / "m", "--data", ds) == 2
+        assert want in capsys.readouterr().err
 
 
 def test_train_and_eval_hash_the_rows_once(tiny, tmp_path, monkeypatch):

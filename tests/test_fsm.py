@@ -148,23 +148,22 @@ class TestGoldenEquivalence:
     def test_serialized_model_round_trip_preserves_bits(self, tmp_path):
         # banks loaded from a packed on-disk model must reproduce the
         # in-memory golden logits exactly
-        from qcnnlstm.model import load_network, save_network
+        from qcnnlstm.model import is_bias, load_network, save_network
         rng = np.random.default_rng(99)
         cfg, qnet, raw = random_net(rng, use_cnn=True)
         golden = network_forward_fixed(raw, qnet, cfg, MC.activation_format)
 
         params = init_params(cfg, seed=int(rng.integers(2**31)))
         # rebuild the exact same codes through the serialization path
-        params.lstm.gates[:] = qnet.gates
-        for layer, codes in zip(params.conv, qnet.conv_codes):
-            layer.weights[:] = codes
-        params.fc[:] = fxp.from_raw(qnet.fc_raw, qnet.weight_format)
-        params.lstm.w_logits[:] = fxp.from_raw(qnet.logits_raw,
-                                               qnet.weight_format)
-        params.lstm.gate_bias[:] = 0.0
-        params.lstm.b_logits[:] = 0.0
-        for layer in params.conv:
-            layer.bias[:] = 0.0
+        params["lstm.gates"][:] = qnet.gates
+        for i, codes in enumerate(qnet.conv_codes):
+            params[f"conv{i}.weights"][:] = codes
+        params["fc.weights"][:] = fxp.from_raw(qnet.fc_raw, qnet.weight_format)
+        params["lstm.w_logits"][:] = fxp.from_raw(qnet.logits_raw,
+                                                  qnet.weight_format)
+        for name, w in params.items():
+            if is_bias(name):
+                w[:] = 0.0
         save_network(tmp_path / "m", params, cfg, mode="ternary")
         loaded, cfg2, mode = load_network(tmp_path / "m")
         qnet2 = quant.QuantizedNetwork.from_params(loaded, mode,

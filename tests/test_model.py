@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcnnlstm import cli, fsm, fxp, model, quant
-from qcnnlstm.model import (ConvLayerParams, LstmParams, NetworkConfig,
-                            NetworkParams, im2col, load_network,
+from qcnnlstm.model import (NetworkConfig, im2col, load_network,
                             network_forward_fixed, save_network, softmax)
 from qcnnlstm.train import (TrainConfig, batch_loss_and_grads, forward_logits,
                             init_params, predict_probs)
@@ -28,45 +27,43 @@ STORED_MODEL = ROOT / "bench" / "models" / "ecg200-ternary350"
 
 
 def scalar_lstm_params(n_classes=1):
-    return LstmParams(gates=np.ones((2, 4)), gate_bias=np.zeros(4),
-                      w_logits=np.ones((1, n_classes)),
-                      b_logits=np.zeros(n_classes))
+    return {"lstm.gates": np.ones((2, 4)), "lstm.gate_bias": np.zeros(4),
+            "lstm.w_logits": np.ones((1, n_classes)),
+            "lstm.b_logits": np.zeros(n_classes)}
 
 
 class TestConv:
     def test_hand_convolution_even_width(self):
-        layer = ConvLayerParams(np.array([[[1.0, 1.0]]]), np.zeros(1))
-        out = conv1d_relu(np.array([1.0, 2.0, 3.0]), layer)
+        out = conv1d_relu(np.array([1.0, 2.0, 3.0]), np.array([[[1.0, 1.0]]]),
+                          np.zeros(1))
         assert np.allclose(out, [[3.0, 5.0, 3.0]])
 
     def test_relu_clamps_negatives(self):
-        layer = ConvLayerParams(np.array([[[1.0]]]), np.zeros(1))
-        out = conv1d_relu(np.array([-1.0, -2.0]), layer)
+        out = conv1d_relu(np.array([-1.0, -2.0]), np.array([[[1.0]]]),
+                          np.zeros(1))
         assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_hand_evaluation_with_bias(self):
         # oracle: z = [0.25, -0.15, 0.3] by direct substitution, then ReLU
-        layer = ConvLayerParams(np.array([[[0.5, -0.5]]]), np.array([0.1]))
-        out = conv1d_relu(np.array([0.2, -0.1, 0.4]), layer)
+        out = conv1d_relu(np.array([0.2, -0.1, 0.4]),
+                          np.array([[[0.5, -0.5]]]), np.array([0.1]))
         assert np.allclose(out, [[0.25, 0.0, 0.3]])
 
     def test_odd_width_pads_symmetrically(self):
-        layer = ConvLayerParams(np.array([[[1.0, 1.0, 1.0]]]), np.zeros(1))
-        out = conv1d_relu(np.array([1.0, 1.0, 1.0]), layer)
+        out = conv1d_relu(np.array([1.0, 1.0, 1.0]),
+                          np.array([[[1.0, 1.0, 1.0]]]), np.zeros(1))
         assert np.allclose(out, [[2.0, 3.0, 2.0]])
 
     def test_multichannel_depth(self):
         w = np.zeros((1, 2, 1))
         w[0, 0, 0] = 1.0
         w[0, 1, 0] = 10.0
-        layer = ConvLayerParams(w, np.zeros(1))
-        out = conv1d_relu(np.array([[1.0, 2.0], [3.0, 4.0]]), layer)
+        out = conv1d_relu(np.array([[1.0, 2.0], [3.0, 4.0]]), w, np.zeros(1))
         assert np.allclose(out, [[31.0, 42.0]])
 
     def test_depth_mismatch_rejected(self):
-        layer = ConvLayerParams(np.zeros((1, 2, 1)), np.zeros(1))
         with pytest.raises(ValueError):
-            conv1d_relu(np.array([1.0, 2.0]), layer)
+            conv1d_relu(np.array([1.0, 2.0]), np.zeros((1, 2, 1)), np.zeros(1))
 
 
 class TestFcResidual:
@@ -95,9 +92,9 @@ class TestFcResidual:
 class TestLstmStep:
     def test_all_zero_weights(self):
         p = scalar_lstm_params(n_classes=2)
-        p.gates[:] = 0.0
-        p.w_logits[:] = 0.0
-        p.b_logits[:] = [0.5, -0.5]
+        p["lstm.gates"][:] = 0.0
+        p["lstm.w_logits"][:] = 0.0
+        p["lstm.b_logits"][:] = [0.5, -0.5]
         state, logits = lstm_step(np.array([0.0, 1.0]),
                                   LstmState.zeros(1), p)
         assert np.allclose(state.c, 0.0)
@@ -106,7 +103,7 @@ class TestLstmStep:
 
     def test_zero_weights_nonzero_cell(self):
         p = scalar_lstm_params()
-        p.gates[:] = 0.0
+        p["lstm.gates"][:] = 0.0
         c0 = 0.8
         state, _ = lstm_step(np.array([0.0, 1.0]), LstmState(np.zeros(1),
                                                              np.array([c0])), p)
@@ -129,8 +126,9 @@ class TestLstmStep:
         gates = np.concatenate([rng.normal(size=(nh + u, nh)) for _ in range(4)],
                                axis=1)
         gate_bias = np.concatenate([rng.normal(size=nh) for _ in range(4)])
-        p = LstmParams(gates, gate_bias, w_logits=rng.normal(size=(nh, 2)),
-                       b_logits=np.zeros(2))
+        p = {"lstm.gates": gates, "lstm.gate_bias": gate_bias,
+             "lstm.w_logits": rng.normal(size=(nh, 2)),
+             "lstm.b_logits": np.zeros(2)}
         state = LstmState.zeros(nh)
         for _ in range(20):
             xx = np.concatenate([state.h, rng.uniform(-1, 1, u)])
@@ -172,7 +170,7 @@ class TestNetworkForward:
         win = np.random.default_rng(0).uniform(-1, 1, (1, 4))
         logits = network_forward(win, params, cfg)
         xx = np.concatenate([np.zeros(3), win[0]])
-        _, manual = lstm_step(xx, LstmState.zeros(3), params.lstm)
+        _, manual = lstm_step(xx, LstmState.zeros(3), params)
         assert np.allclose(logits[0], manual)
 
     def test_manual_composition_multi_step_with_cnn(self):
@@ -183,16 +181,17 @@ class TestNetworkForward:
 
         state = LstmState.zeros(3)
         for t in range(3):
-            maps = conv1d_relu(win[t][None, :], params.conv[0])
-            v = fc_residual(maps, params.fc, win[t])
+            maps = conv1d_relu(win[t][None, :], params["conv0.weights"],
+                               params["conv0.bias"])
+            v = fc_residual(maps, params["fc.weights"], win[t])
             xx = np.concatenate([state.h, v])
-            state, manual = lstm_step(xx, state, params.lstm)
+            state, manual = lstm_step(xx, state, params)
         assert np.allclose(logits[-1], manual)
 
     def test_zero_input_zero_state_constant_logits(self):
         cfg = tiny_cfg(use_cnn=False, n_steps=4)
         params = init_params(cfg, seed=11, init_scale=0.3)
-        params.lstm.gates[:3, :] = 0.0  # no recurrent coupling
+        params["lstm.gates"][:3, :] = 0.0  # no recurrent coupling
         logits = network_forward(np.zeros((4, 4)), params, cfg)
         assert np.allclose(logits, logits[0])
 
@@ -201,8 +200,8 @@ class TestNetworkForward:
         params = init_params(cfg, seed=13, init_scale=0.5)
         win = np.random.default_rng(2).uniform(-1, 1, (2, 4))
         base = network_forward(win, params, cfg)
-        params.lstm.w_logits = params.lstm.w_logits[:, ::-1].copy()
-        params.lstm.b_logits = params.lstm.b_logits[::-1].copy()
+        params["lstm.w_logits"] = params["lstm.w_logits"][:, ::-1].copy()
+        params["lstm.b_logits"] = params["lstm.b_logits"][::-1].copy()
         flipped = network_forward(win, params, cfg)
         assert np.allclose(base[:, ::-1], flipped)
 
@@ -223,7 +222,7 @@ class TestFixedForward:
         cfg = NetworkConfig(window_len=6, n_steps=2, n_hidden=4, n_classes=3,
                             use_cnn=False)
         params = init_params(cfg, seed=21, init_scale=1.0)
-        params.lstm.gates[:] = quant.quantize_ternary(params.lstm.gates)
+        params["lstm.gates"][:] = quant.quantize_ternary(params["lstm.gates"])
         win = np.random.default_rng(3).uniform(-1, 1, (2, 6))
         qnet = quant.QuantizedNetwork.from_params(params, "ternary")
         raw = fxp.to_raw(win)
@@ -500,15 +499,15 @@ class TestSerialization:
         loaded, cfg2, mode = load_network(tmp_path / "m")
         assert mode == "full"
         assert cfg2 == cfg
-        assert np.array_equal(loaded.lstm.gates, params.lstm.gates)
-        assert np.array_equal(loaded.conv[0].weights, params.conv[0].weights)
-        assert np.array_equal(loaded.fc, params.fc)
+        assert np.array_equal(loaded["lstm.gates"], params["lstm.gates"])
+        assert np.array_equal(loaded["conv0.weights"], params["conv0.weights"])
+        assert np.array_equal(loaded["fc.weights"], params["fc.weights"])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_tensor_is_not_saved(self, tmp_path, value):
         cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
         params = init_params(cfg, seed=0)
-        params.lstm.gates[1, 2] = value
+        params["lstm.gates"][1, 2] = value
         with pytest.raises(ValueError, match="lstm.gates"):
             save_network(tmp_path / "m", params, cfg)
         assert not (tmp_path / "m").exists()
@@ -519,10 +518,10 @@ class TestSerialization:
         save_network(tmp_path / "m", params, cfg, mode="ternary")
         loaded, _, mode = load_network(tmp_path / "m")
         assert mode == "ternary"
-        want = quant.quantize_ternary(params.lstm.gates)
-        assert np.array_equal(loaded.lstm.gates, want)
+        want = quant.quantize_ternary(params["lstm.gates"])
+        assert np.array_equal(loaded["lstm.gates"], want)
         # fc stays full precision even in ternary mode
-        assert np.array_equal(loaded.fc, params.fc)
+        assert np.array_equal(loaded["fc.weights"], params["fc.weights"])
 
     def test_codes_load_as_float32_and_the_rest_as_float64(self, tmp_path):
         cfg = tiny_cfg()
@@ -530,10 +529,35 @@ class TestSerialization:
         for mode in ("full", "binary", "ternary"):
             save_network(tmp_path / mode, params, cfg, mode=mode)
             loaded, _, _ = load_network(tmp_path / mode)
-            for name, w in model.named_tensors(loaded).items():
+            for name, w in loaded.items():
                 coded = mode != "full" and model.is_quantized(name)
                 assert w.dtype == (np.float32 if coded else np.float64), name
                 assert w.flags.writeable and w.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("mode", ["full", "binary", "ternary"])
+    @pytest.mark.parametrize("use_cnn", [True, False])
+    def test_the_parameter_dict_round_trips_in_order(self, tmp_path, use_cnn,
+                                                     mode):
+        cfg = NetworkConfig(window_len=4, n_steps=2, n_hidden=3, n_classes=2,
+                            conv_layers=((2, 3), (2, 2)), use_cnn=use_cnn)
+        params = init_params(cfg, seed=12, init_scale=1.5)
+        cnn = ["conv0.weights", "conv0.bias", "conv1.weights", "conv1.bias",
+               "fc.weights"] if use_cnn else []
+        assert list(params) == cnn + ["lstm.gates", "lstm.gate_bias",
+                                      "lstm.w_logits", "lstm.b_logits"]
+        save_network(tmp_path / "m", params, cfg, mode=mode)
+        loaded, _, _ = load_network(tmp_path / "m")
+        assert list(loaded) == list(params)
+        manifest = (tmp_path / "m" / "params.manifest").read_text()
+        gates = [f"lstm.{kind}_{gate}" for gate in quant.GATE_ORDER
+                 for kind in "wb"]
+        assert [line.split("\t")[0] for line in manifest.splitlines()] == \
+            cnn + gates + ["lstm.w_logits", "lstm.b_logits"]
+        want = model.network_tensors(params, mode)
+        for name, w in loaded.items():
+            coded = mode != "full" and model.is_quantized(name)
+            assert w.dtype == (np.float32 if coded else np.float64), name
+            assert np.array_equal(w, want[name]), name
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(mode=st.sampled_from(["binary", "ternary"]), use_cnn=st.booleans(),
@@ -602,10 +626,9 @@ def random_engine_case(rng, mode):
                         conv_layers=layers, use_cnn=use_cnn,
                         residual=bool(rng.integers(0, 2)))
     params = init_params(cfg, seed=int(rng.integers(2**31)), init_scale=1.0)
-    for layer in params.conv:
-        layer.bias += rng.uniform(-0.3, 0.3, layer.bias.shape)
-    params.lstm.gate_bias += rng.uniform(-0.3, 0.3, params.lstm.gate_bias.shape)
-    params.lstm.b_logits += rng.uniform(-0.3, 0.3, cfg.n_classes)
+    for name, w in params.items():
+        if model.is_bias(name):
+            w += rng.uniform(-0.3, 0.3, w.shape)
     b = int(rng.integers(1, 6))
     windows = rng.uniform(-1, 1, (b, cfg.n_steps, cfg.input_len))
     labels = rng.integers(0, cfg.n_classes, b)
@@ -617,12 +640,9 @@ def coded(params, mode):
     binary/ternary networks compute with codes and zero biases."""
     if mode == "full":
         return params
-    conv = [ConvLayerParams(quant.quantize_weights(layer.weights, mode),
-                            np.zeros_like(layer.bias)) for layer in params.conv]
-    lstm = LstmParams(quant.quantize_weights(params.lstm.gates, mode),
-                      np.zeros_like(params.lstm.gate_bias),
-                      params.lstm.w_logits, np.zeros_like(params.lstm.b_logits))
-    return NetworkParams(conv, params.fc, lstm)
+    return {name: quant.quantize_weights(w, mode) if model.is_quantized(name)
+            else np.zeros_like(w) if model.is_bias(name) else w
+            for name, w in params.items()}
 
 
 class TestFloatEngine:
@@ -676,7 +696,7 @@ class TestModelDirectoryFormat:
         cfg = NetworkConfig(window_len=4, n_steps=2, n_hidden=3, n_classes=2,
                             conv_layers=((2, 3), (2, 2)))
         params = init_params(cfg, seed=15, init_scale=0.7)
-        params.lstm.gate_bias[:] = np.arange(12) / 7.0
+        params["lstm.gate_bias"][:] = np.arange(12) / 7.0
         save_network(tmp_path / "a", params, cfg, mode="full")
         save_network(tmp_path / "b", *load_network(tmp_path / "a"))
         files = _dir_bytes(tmp_path / "a")
@@ -685,9 +705,9 @@ class TestModelDirectoryFormat:
         for k, gate in enumerate(quant.GATE_ORDER):
             cols = slice(3 * k, 3 * k + 3)
             assert files[f"lstm_w_{gate}.bin"] == \
-                params.lstm.gates[:, cols].astype("<f8").tobytes()
+                params["lstm.gates"][:, cols].astype("<f8").tobytes()
             assert files[f"lstm_b_{gate}.bin"] == \
-                params.lstm.gate_bias[cols].astype("<f8").tobytes()
+                params["lstm.gate_bias"][cols].astype("<f8").tobytes()
 
     def test_stored_model_reproduces_recorded_digests(self):
         # the benchmark's record of this model: the gate blocks must load

@@ -208,6 +208,6 @@ class TestQuantizedNetwork:
         assert [c.dtype for c in qnet.conv_codes] == [np.float32] * 2
         assert qnet.fc_raw.dtype == qnet.logits_raw.dtype == np.float64
         assert np.array_equal(qnet.gates,
-                              quant.quantize_ternary(params.lstm.gates))
+                              quant.quantize_ternary(params["lstm.gates"]))
         for view in qnet.gate_codes.values():
             assert np.shares_memory(view, qnet.gates)

@@ -8,7 +8,7 @@ import scipy.stats
 from float_oracle import cross_entropy, loss_gradient, network_forward
 from qcnnlstm import quant
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
-from qcnnlstm.model import NetworkConfig, named_tensors
+from qcnnlstm.model import NetworkConfig
 from qcnnlstm.train import (ADAGRAD_BLOCK, ADAGRAD_EPSILON, AdagradState,
                             TrainConfig, adagrad_step, auc_macro,
                             batch_loss_and_grads, confusion_matrix,
@@ -51,8 +51,9 @@ def random_instance(cfg, seed, kink_free=True):
     if kink_free:
         # nonzero conv biases keep pre-activations off the exact ReLU kink,
         # where central differences are invalid
-        for layer in params.conv:
-            layer.bias += rng.uniform(-0.3, 0.3, layer.bias.shape)
+        for i in range(len(cfg.conv_shapes())):
+            bias = params[f"conv{i}.bias"]
+            bias += rng.uniform(-0.3, 0.3, bias.shape)
     seq = WindowedSequence(rng.uniform(-1, 1, (cfg.n_steps, cfg.input_len)),
                            int(rng.integers(0, cfg.n_classes)))
     return params, seq
@@ -62,10 +63,9 @@ def finite_difference_check(cfg, seed, step=1e-5, tol=1e-4):
     params, seq = random_instance(cfg, seed)
     tc = TrainConfig()
     _, grads = sequence_loss_and_grads(seq, params, cfg, tc)
-    tensors = named_tensors(params)
     worst = 0.0
     for name, g in grads.items():
-        flat_t, flat_g = tensors[name].ravel(), g.ravel()
+        flat_t, flat_g = params[name].ravel(), g.ravel()
         for k in range(flat_t.size):
             orig = flat_t[k]
             flat_t[k] = orig + step
@@ -119,7 +119,7 @@ class TestSequenceLoss:
     def test_converged_example_has_tiny_gradients(self):
         cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
         params, seq = random_instance(cfg, 5)
-        params.lstm.b_logits[seq.label] = 50.0  # saturate the true class
+        params["lstm.b_logits"][seq.label] = 50.0  # saturate the true class
         loss, grads = sequence_loss_and_grads(seq, params, cfg, TrainConfig())
         assert loss < 1e-6
         for g in grads.values():
@@ -134,32 +134,32 @@ class TestAdagrad:
 
     def test_clipping_to_range(self):
         params, state, tc = self._setup()
-        before = params.lstm.gates.copy()
+        before = params["lstm.gates"].copy()
         grads = {"lstm.gates": np.full_like(before, 7.0)}
         adagrad_step(params, grads, state, tc)
         # clipped to 5 before accumulation: acc = 25, step = lr*5/(5+eps)
         assert np.allclose(state.acc["lstm.gates"], 25.0)
-        assert np.allclose(before - params.lstm.gates, 0.05, atol=1e-8)
+        assert np.allclose(before - params["lstm.gates"], 0.05, atol=1e-8)
 
     def test_first_step_size_is_learning_rate(self):
         params, state, tc = self._setup()
-        before = params.lstm.gates.copy()
+        before = params["lstm.gates"].copy()
         grads = {"lstm.gates": np.ones_like(before)}
         adagrad_step(params, grads, state, tc)
-        assert np.allclose(before - params.lstm.gates, 0.05, atol=1e-7)
+        assert np.allclose(before - params["lstm.gates"], 0.05, atol=1e-7)
 
     def test_zero_gradient_no_change(self):
         params, state, tc = self._setup()
-        before = params.lstm.gates.copy()
+        before = params["lstm.gates"].copy()
         grads = {"lstm.gates": np.zeros_like(before)}
         adagrad_step(params, grads, state, tc)
-        assert np.array_equal(params.lstm.gates, before)
+        assert np.array_equal(params["lstm.gates"], before)
         assert np.all(state.acc["lstm.gates"] == 0.0)
 
     def test_accumulator_non_decreasing(self):
         params, state, tc = self._setup()
         rng = np.random.default_rng(1)
-        prev = np.zeros_like(params.lstm.gates)
+        prev = np.zeros_like(params["lstm.gates"])
         for _ in range(10):
             grads = {"lstm.gates": rng.normal(size=prev.shape)}
             adagrad_step(params, grads, state, tc)
@@ -170,26 +170,26 @@ class TestAdagrad:
         # a tensor of more than one update block; gradients inside the clip
         cfg = NetworkConfig(2, 1, 100, 2, use_cnn=False)
         params = init_params(cfg, seed=3, init_scale=0.5)
-        assert params.lstm.gates.size > ADAGRAD_BLOCK
+        assert params["lstm.gates"].size > ADAGRAD_BLOCK
         tc = TrainConfig(learning_rate=0.07)
         rng = np.random.default_rng(4)
         state = AdagradState()
-        w, acc = params.lstm.gates.copy(), np.zeros_like(params.lstm.gates)
+        w, acc = params["lstm.gates"].copy(), np.zeros_like(params["lstm.gates"])
         for _ in range(2):
             g = rng.uniform(-5.0, 5.0, w.shape)
             acc = acc + g * g
             w = w - tc.learning_rate * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
             adagrad_step(params, {"lstm.gates": g.copy()}, state, tc)
         assert np.array_equal(state.acc["lstm.gates"], acc)
-        assert np.array_equal(params.lstm.gates, w)
+        assert np.array_equal(params["lstm.gates"], w)
 
     def test_shadow_clamped_in_ternary_mode(self):
         cfg = NetworkConfig(2, 1, 2, 2, use_cnn=False)
         params = init_params(cfg, seed=0, init_scale=0.9)
         tc = TrainConfig(learning_rate=2.0, mode="ternary")
-        grads = {"lstm.gates": np.full_like(params.lstm.gates, -5.0)}
+        grads = {"lstm.gates": np.full_like(params["lstm.gates"], -5.0)}
         adagrad_step(params, grads, AdagradState(), tc)
-        assert np.abs(params.lstm.gates).max() <= 1.0
+        assert np.abs(params["lstm.gates"]).max() <= 1.0
 
 
 class TestQuantizedTraining:
@@ -197,8 +197,8 @@ class TestQuantizedTraining:
         # all shadows inside (-0.5, 0.5) ternarize to zero: logits collapse
         cfg = NetworkConfig(3, 2, 4, 3, use_cnn=False)
         params, seq = random_instance(cfg, 6)
-        params.lstm.gates *= 0.4
-        params.lstm.w_logits[:] = 0.0
+        params["lstm.gates"] *= 0.4
+        params["lstm.w_logits"][:] = 0.0
         loss, _ = sequence_loss_and_grads(seq, params, cfg,
                                           TrainConfig(mode="ternary"))
         assert loss == pytest.approx(math.log(3), abs=1e-12)
@@ -206,7 +206,7 @@ class TestQuantizedTraining:
     def test_ste_cancels_outside_clamp(self):
         cfg = NetworkConfig(3, 2, 4, 2, use_cnn=False)
         params, seq = random_instance(cfg, 7)
-        params.lstm.gate_weights()["cell"][0, 0] = 1.5
+        params["lstm.gates"][0, 3 * cfg.n_hidden] = 1.5  # cell gate
         _, grads = sequence_loss_and_grads(seq, params, cfg,
                                            TrainConfig(mode="ternary"))
         assert grads["lstm.gates"][0, 3 * cfg.n_hidden] == 0.0
@@ -241,7 +241,7 @@ class TestTrainLoop:
         b = train(train_seqs, test_seqs, tc, cfg)
         assert np.array_equal(a.loss_trace, b.loss_trace)
         assert np.array_equal(a.accuracy_trace, b.accuracy_trace)
-        assert np.array_equal(a.params.lstm.gates, b.params.lstm.gates)
+        assert np.array_equal(a.params["lstm.gates"], b.params["lstm.gates"])
 
     def test_no_state_carries_over_between_calls(self):
         # A (ternary, two conv layers, a short last batch), then B (full
@@ -257,9 +257,8 @@ class TestTrainLoop:
         again = train(train_seqs, test_seqs, a_cfg, a_net)
         assert np.array_equal(first.loss_trace, again.loss_trace)
         assert np.array_equal(first.accuracy_trace, again.accuracy_trace)
-        again_tensors = named_tensors(again.params)
-        for name, w in named_tensors(first.params).items():
-            assert np.array_equal(w, again_tensors[name]), name
+        for name, w in first.params.items():
+            assert np.array_equal(w, again.params[name]), name
 
     @pytest.mark.parametrize("mode", ["full", "ternary"])
     def test_equals_a_loop_of_public_steps(self, mode, monkeypatch):
@@ -298,16 +297,15 @@ class TestTrainLoop:
             assert result.loss_trace[epoch] == total / len(windows)
             assert result.accuracy_trace[epoch] == evaluate_accuracy(
                 params, test_seqs, net, mode)
-        trained = named_tensors(result.params)
-        for name, w in named_tensors(params).items():
-            assert np.array_equal(trained[name], w), name
+        for name, w in params.items():
+            assert np.array_equal(result.params[name], w), name
 
     def test_saturated_gates_raise_no_warning(self):
         # pre-activations of -4000: exp(4000) overflows to inf, and the
         # sigmoid of the gate is exactly 0
         cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
         params = init_params(cfg, seed=0, init_scale=1.0)
-        params.lstm.gates[:] = 1.0
+        params["lstm.gates"][:] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logits = forward_logits(params, np.full((1, 2, 4), -1000.0), cfg)
