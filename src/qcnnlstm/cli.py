@@ -308,6 +308,14 @@ def _cmd_simulate(args, argv) -> int:
     preds, report = fsm.run_inference(raw, banks, cfg, mc, trace_path=trace)
     correct = int((preds == np.array([seq.label for seq in seqs])).sum())
     print(f"simulated {n} inferences, accuracy {correct / n:.4f}")
+    # the datapath clips every logit to the format, and argmax breaks ties
+    # to the lowest class: say how often either decided an output
+    logits, fmt = banks.im["logits"], mc.activation_format
+    at_limits = int(np.isin(logits, (fmt.raw_min, fmt.raw_max)).sum())
+    tied = int(((logits == logits.max(axis=1, keepdims=True)).sum(axis=1)
+                > 1).sum())
+    print(f"final logits at the {fmt} limits {at_limits} of {logits.size}")
+    print(f"predictions tied at the maximum {tied} of {n}")
     print(report.summary())
     if out is not None:
         (out / "cycle_report.txt").write_text(report.summary() + "\n")

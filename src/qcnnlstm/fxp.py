@@ -7,19 +7,32 @@ accumulation, and midpoint-sampled sigmoid/tanh lookup tables.
 
 Everything here is a pure value computation on numpy arrays of raw codes,
 so results are exactly reproducible; there are no Python-int scalars (the
-scalar reference lives with the tests). Dot products multiply through BLAS
-in the narrowest float type that is exact for them, chosen from the formats
-and the fan-in, which bound every partial sum: float32 up to 2**24, float64
-below 2**53, and a `ValueError` beyond. A ternary dot product keeps its
-exact codes in that float type, saturated there; the requantizing
-operations (`requantize`, `dot_fixed`, `mul_fixed`, `mul_add_fixed`,
-`sat_add`) return int64 codes.
+scalar reference lives with the tests). Integer codes are carried in float
+types wherever those hold them exactly (Jacob et al. 2018, arXiv
+1712.05877, do the same arithmetic in integers): `to_raw` is the one
+operation that returns int64 codes.
+
+* Dot products multiply through BLAS in the narrowest float type that is
+  exact for them, chosen from the formats and the fan-in, which bound every
+  partial sum: float32 up to 2**24, float64 below 2**53, and a `ValueError`
+  beyond. A ternary dot product keeps its exact codes in that float type,
+  saturated there.
+* The requantizing operations (`requantize`, `dot_fixed`, `mul_fixed`,
+  `mul_add_fixed`, `sat_add`) compute in, and return codes in, the
+  format's code type (`code_dtype`): the narrowest float type exact for
+  a*b + c*d of two products of the format's codes, at most 2**(2 *
+  total_bits - 1) in magnitude. That is float32 up to 12 bits (Q4.8: 2**23),
+  float64 up to 26 bits, and a `ValueError` beyond. They round the exactly
+  scaled accumulator x = acc * 2**-frac_bits as trunc(x + copysign(0.5, x))
+  and then saturate. The elementwise ones take `out`, a float array at
+  least that wide, for the codes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +42,7 @@ __all__ = [
     "to_raw",
     "from_raw",
     "saturate",
+    "code_dtype",
     "requantize",
     "sat_add",
     "mul_fixed",
@@ -114,6 +128,14 @@ def from_raw(raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / fmt.scale
 
 
+@lru_cache(maxsize=None)
+def _constants(fmt: QFormat, dtype) -> tuple:
+    """raw_min, raw_max, 2**-frac_bits and 0.5 as 0-d arrays of `dtype`: a
+    ufunc reads them faster than Python numbers."""
+    return tuple(np.array(v, dtype)
+                 for v in (fmt.raw_min, fmt.raw_max, fmt.step, 0.5))
+
+
 def saturate(x, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """`x`, integer codes the caller made (int or float array), saturated to
     the format range.
@@ -121,54 +143,78 @@ def saturate(x, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     An array is clipped in place; a NumPy scalar (from 0-d operands) cannot
     be written into, so it comes back as a new scalar.
     """
-    # np.minimum/np.maximum: np.clip costs about twice as much per call
     if not isinstance(x, np.ndarray):
         return np.minimum(np.maximum(x, fmt.raw_min), fmt.raw_max)
-    np.maximum(x, fmt.raw_min, out=x)
-    return np.minimum(x, fmt.raw_max, out=x)
+    # the method with bounds of x's type: np.clip, or bounds that need a
+    # cast, cost about twice as much per call
+    lo, hi, _, _ = _constants(fmt, x.dtype)
+    return x.clip(lo, hi, out=x)
+
+
+def code_dtype(fmt: QFormat = ACT_FORMAT):
+    """The float type the requantizing operations compute and return `fmt`
+    codes in: the narrowest exact for a*b + c*d over `fmt` codes."""
+    return _product_dtype(2, 2 * (fmt.total_bits - 1))
+
+
+def _codes_out(out, operands, fmt: QFormat) -> np.ndarray:
+    """`out`, or a new array of `code_dtype(fmt)` the operands broadcast to."""
+    if out is not None:
+        return out
+    return np.empty(np.broadcast_shapes(*map(np.shape, operands)),
+                    code_dtype(fmt))
+
+
+def _round_saturate(acc, fmt: QFormat, tmp=None) -> np.ndarray:
+    """`acc`, a float array of exact integers at scale 2**-(2 * frac_bits),
+    as `fmt` codes in place: scaled by 2**-frac_bits (exact), rounded half
+    away from zero, saturated. `tmp`, scratch of `acc`'s shape, when given."""
+    lo, hi, step, half = _constants(fmt, acc.dtype)
+    tmp = np.copysign(half, acc, out=tmp)
+    acc *= step
+    acc += tmp
+    np.trunc(acc, out=acc)
+    return acc.clip(lo, hi, out=acc)
 
 
 def requantize(acc, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """Reduce a double-width accumulator of `fmt` products to `fmt`.
+    """Reduce a double-width accumulator of `fmt` products to `fmt` codes.
 
-    `acc` holds integers at scale 2**-(2 * fmt.frac_bits); the rounding
-    shift is done in exact integer arithmetic (half away from zero), then
-    the result saturates to the format range.
+    `acc` holds integers at scale 2**-(2 * fmt.frac_bits), of any numeric
+    type; it is cast to `code_dtype(fmt)` first. Every accumulator whose
+    code does not saturate is exact there, and the cast rounds
+    monotonically, so a wider one still saturates at the right end.
     """
-    acc = np.asarray(acc, dtype=np.int64)
-    if fmt.frac_bits == 0:
-        return saturate(acc.copy(), fmt)
-    # floor((acc + half) / 2**e) rounds half up; one less for a negative
-    # accumulator makes it -floor((|acc| + half) / 2**e): half away from
-    # zero. `acc + half` is the one new array; the rest writes into it.
-    out = acc + (1 << (fmt.frac_bits - 1))
-    out -= acc < 0
-    out >>= fmt.frac_bits
-    return saturate(out, fmt)
+    x = np.empty(np.shape(acc), code_dtype(fmt))
+    np.copyto(x, acc, casting="unsafe")
+    return _round_saturate(x, fmt)
 
 
-def sat_add(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+def sat_add(a, b, fmt: QFormat = ACT_FORMAT, out=None) -> np.ndarray:
     """Saturating add of raw codes in the same format."""
-    return saturate(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64),
-                    fmt)
+    x = _codes_out(out, (a, b), fmt)
+    return saturate(np.add(a, b, out=x, dtype=x.dtype, casting="unsafe"), fmt)
 
 
-def mul_fixed(a, b, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+def mul_fixed(a, b, fmt: QFormat = ACT_FORMAT, out=None) -> np.ndarray:
     """Elementwise product of two raw tensors, requantized once: the LSTM's
     hidden update o * tanh(c)."""
-    prod = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    return requantize(prod, fmt)
+    x = _codes_out(out, (a, b), fmt)
+    np.multiply(a, b, out=x, dtype=x.dtype, casting="unsafe")
+    return _round_saturate(x, fmt)
 
 
-def mul_add_fixed(a, b, c, d, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
+def mul_add_fixed(a, b, c, d, fmt: QFormat = ACT_FORMAT, out=None) -> np.ndarray:
     """a*b + c*d on raw tensors, accumulated double-width, requantized once.
 
     This is the LSTM's cell update f * c + g * i: the two products are
-    summed exactly before the single rounding shift.
+    summed exactly before the single rounding. `out` may be `b`.
     """
-    acc = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    acc += np.asarray(c, dtype=np.int64) * np.asarray(d, dtype=np.int64)
-    return requantize(acc, fmt)
+    x = _codes_out(out, (a, b, c, d), fmt)
+    np.multiply(a, b, out=x, dtype=x.dtype, casting="unsafe")
+    cd = np.multiply(c, d, dtype=x.dtype, casting="unsafe")
+    x += cd
+    return _round_saturate(x, fmt, cd)
 
 
 def _product_dtype(fan_in: int, magnitude_bits: int):
@@ -235,7 +281,7 @@ def dot_fixed(x_raw, w_raw, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
     """Dot product of activations with fixed-point weights, both in `fmt`.
 
     Products sit at scale 2**-(2*frac); they are accumulated exactly and
-    requantized once per output element.
+    requantized once per output element, to `code_dtype(fmt)` codes.
     """
     acc = _exact_product(x_raw, w_raw, 2 * (fmt.total_bits - 1))
     return requantize(acc, fmt)

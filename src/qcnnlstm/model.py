@@ -2,19 +2,28 @@
 
 `network_forward_fixed` is the one fixed-point engine: batched, BLAS-backed,
 every intermediate in the activation Q-format; the cycle simulator in `fsm`
-takes its numerics from it. Its products run in float32 where the fan-in
-keeps them exact there, else in float64, else raise `ValueError` (see
-`fxp._exact_product`). Conv maps, gate sums and h keep their exact
-integer codes in that float type; the requantizing primitives (FC, cell,
-hidden, logits) return int64 codes. The input half of the gate product runs once over all windows
-before the recurrence, in the type the fused fan-in (n_hidden +
-input_len) picks, so each step adds its recurrent half exactly; step 0,
-whose h and c are zero, has no recurrent product and no forget term. A
-step turns its saturated gate sums into positions in direct-address tables
-(`_lut`, one entry per raw code in natural order, so formats wider than
-`fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`) with one add,
-reads all four gates with one gather and tanh(c) with one more, and
-updates c and h by `fxp.mul_add_fixed` and `fxp.mul_fixed`.
+takes its numerics from it. Nothing in it is int64 but the logits it
+returns: exact integer codes ride in float types throughout.
+
+* Products run in float32 where the fan-in keeps them exact there, else in
+  float64, else raise `ValueError` (see `fxp._exact_product`); conv maps
+  and gate sums keep their codes in the type their product ran in.
+* The windows, the direct-address tables, FC, cell, hidden and logit codes
+  are in `fxp.code_dtype(fmt)`, the type the requantizing primitives
+  compute in: float32 for formats up to 12 bits (Q4.8 products and their
+  pairwise sums stay within 2**23), float64 up to 16 (the widest format
+  with a table).
+* The input half of the gate product runs once over all windows before
+  the recurrence, in the type the fused fan-in (n_hidden + input_len)
+  picks, so each step adds its recurrent half exactly; step 0, whose h and
+  c are zero, has no recurrent product and no forget term.
+* A step turns its saturated gate sums into positions in direct-address
+  tables (`_lut`, one entry per raw code in natural order, so formats wider
+  than `fxp.DIRECT_LUT_MAX_BITS` (16) bits are a `ValueError`) with one
+  add, reads all four gates with one gather and tanh(c) with one more, and
+  updates c and h by `fxp.mul_add_fixed` and `fxp.mul_fixed`, all into
+  buffers allocated once per call.
+
 The float engine lives in `train`, which trains and evaluates with it.
 
 The four LSTM gate matrices are fused into one input-major matrix of shape
@@ -158,7 +167,8 @@ def softmax(logits) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _lut(size: int, fmt: QFormat) -> np.ndarray:
-    """The direct-address sigmoid and tanh tables at `fmt`, concatenated.
+    """The direct-address sigmoid and tanh tables at `fmt`, concatenated, in
+    `fxp.code_dtype(fmt)`.
 
     Each half holds the `size`-entry table's values, requantized to `fmt`,
     for every code of `fmt` in natural order, so an input saturated to
@@ -175,7 +185,7 @@ def _lut(size: int, fmt: QFormat) -> np.ndarray:
         table = fxp.build_lut(kind, size)
         halves.append(fxp.lut_entries_in(table, fmt)[
             fxp.lut_index_raw(codes, table, fmt)])
-    out = np.concatenate(halves)
+    out = np.concatenate(halves).astype(fxp.code_dtype(fmt))
     out.flags.writeable = False
     return out
 
@@ -205,7 +215,7 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
     `fmt` may be at most `fxp.DIRECT_LUT_MAX_BITS` wide. Weights at another
     scale (`qnet.weight_format`) are a `ValueError`.
     """
-    x = np.asarray(windows_raw, dtype=np.int64)
+    x = np.asarray(windows_raw)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_steps, cfg.input_len):
         raise ValueError(f"expected windows {(cfg.n_steps, cfg.input_len)} "
                          f"or a batch of them, got {x.shape}")
@@ -214,40 +224,51 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
                          f"{fmt} differ in scale")
     lut = _lut(lut_size, fmt)
     # states 1-2 do not depend on the recurrent state: all windows at once
-    v = x.reshape(-1, cfg.input_len)
+    v = x.reshape(-1, cfg.input_len).astype(lut.dtype)
     if cfg.use_cnn:
-        maps = v.reshape(len(v), cfg.n_channels, cfg.window_len).astype(
-            np.float32)
+        maps = v.reshape(len(v), cfg.n_channels, cfg.window_len)
         for codes in qnet.conv_codes:
             maps = _conv_relu_fixed(maps, codes, fmt)
         p = fxp.dot_fixed(maps.reshape(len(v), -1), qnet.fc_raw.T, fmt=fmt)
-        v = fxp.sat_add(v, p, fmt) if cfg.residual else p
+        v = fxp.sat_add(v, p, fmt, out=p) if cfg.residual else p
     n_h = cfg.n_hidden
     # a step's gate sum [h, window] @ gates is exact in the float type its
     # fused fan-in picks, so the input half, run once for all windows, and
     # the recurrent half of each step add up exactly there
     dtype = fxp._product_dtype(len(qnet.gates), fmt.total_bits - 1)
-    x_part = fxp.ternary_acc(v.astype(dtype), qnet.gates[n_h:], fmt).reshape(
-        -1, cfg.n_steps, 4 * n_h)
+    x_part = fxp.ternary_acc(v.astype(dtype, copy=False), qnet.gates[n_h:],
+                             fmt).reshape(-1, cfg.n_steps, 4 * n_h)
     w_h = qnet.gates[:n_h]
     offsets = _gate_offsets(n_h, fmt, dtype)
     tanh_base = (1 << fmt.total_bits) - fmt.raw_min
-    pos = np.empty(x_part[:, 0].shape, dtype=np.intp)
-    hs = np.empty((len(x_part), cfg.n_steps, n_h), dtype=dtype)
+    # one set of buffers for the whole call; g's gate views follow
+    # quant.GATE_ORDER. The positions are in range, so the gathers need no
+    # bounds check ("clip" mode)
+    batch = len(x_part)
+    pos = np.empty((batch, 4 * n_h), dtype=np.intp)
+    g = np.empty((batch, 4 * n_h), dtype=lut.dtype)
+    g_forget, g_input, g_output, g_cell = (
+        g[:, k * n_h:(k + 1) * n_h] for k in range(4))
+    c = np.empty((batch, n_h), dtype=lut.dtype)
+    c_pos = np.empty((batch, n_h), dtype=np.intp)
+    tanh_c = np.empty((batch, n_h), dtype=lut.dtype)
+    hs = np.empty((batch, cfg.n_steps, n_h), dtype=lut.dtype)
     for t in range(cfg.n_steps):
         # h and c start at zero: step 0 has no recurrent product and no
         # forget term, and saturates its input row in place
-        s = fxp.dot_ternary(hs[:, t - 1], w_h, x_part[:, t], fmt) if t else \
+        s = fxp.dot_ternary(h, w_h, x_part[:, t], fmt) if t else \
             fxp.saturate(x_part[:, 0], fmt)
         np.add(s, offsets, out=pos, casting="unsafe")
-        g = lut.take(pos)  # all four gates, in quant.GATE_ORDER
-        g_forget, g_input = g[:, :n_h], g[:, n_h:2 * n_h]
-        g_output, g_cell = g[:, 2 * n_h:3 * n_h], g[:, 3 * n_h:]
-        c = fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt) if t else \
-            fxp.mul_fixed(g_cell, g_input, fmt)
-        hs[:, t] = fxp.mul_fixed(g_output, lut.take(c + tanh_base), fmt)
+        lut.take(pos, out=g, mode="clip")
+        if t:
+            fxp.mul_add_fixed(g_forget, c, g_cell, g_input, fmt, out=c)
+        else:
+            fxp.mul_fixed(g_cell, g_input, fmt, out=c)
+        np.add(c, tanh_base, out=c_pos, casting="unsafe")
+        lut.take(c_pos, out=tanh_c, mode="clip")
+        h = fxp.mul_fixed(g_output, tanh_c, fmt, out=hs[:, t])
     logits = fxp.dot_fixed(hs.reshape(-1, n_h), qnet.logits_raw, fmt=fmt)
-    return logits.reshape(x.shape[:-1] + (cfg.n_classes,))
+    return logits.astype(np.int64).reshape(x.shape[:-1] + (cfg.n_classes,))
 
 
 def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
@@ -341,8 +362,10 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
     Packed (int2) tensors come back as float32 codes, and the fused gates
     are float32 when their files are packed; float64 files come back as
     float64. A mode outside `quant.MODES`, a manifest shape that is not
-    integers, a tensor the manifest lacks and a file `_read_tensor` rejects
-    are `DataFormatError`s naming the file, and the key, line or tensor.
+    integers, a tensor the manifest lacks or of another shape than the
+    configured network's (the shapes `train.init_params` builds, every gate
+    (n_hidden + input_len, n_hidden)) and a file `_read_tensor` rejects are
+    `DataFormatError`s naming the file, and the key, line or tensor.
     """
     mdir = Path(model_dir)
     config = mdir / "config.txt"
@@ -369,23 +392,29 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
                 "integers separated by commas") from None
         stored[name] = _read_tensor(mdir / fname, name, dtype, shape, mode)
 
-    def take(name):
+    def take(name, shape):
         if name not in stored:
             raise datagen.DataFormatError(
                 f"{manifest}: no tensor {name}, which the network in "
                 f"{config} needs")
+        if stored[name].shape != shape:
+            raise datagen.DataFormatError(
+                f"{manifest}: {name} has shape {stored[name].shape}, but the "
+                f"network in {config} needs {shape}")
         return stored[name]
 
+    n_h, n_in = cfg.n_hidden, cfg.input_len
     params = {}
-    for i in range(len(cfg.conv_shapes())):
-        params[f"conv{i}.weights"] = take(f"conv{i}.weights")
-        params[f"conv{i}.bias"] = take(f"conv{i}.bias")
+    for i, (depth, f, m) in enumerate(cfg.conv_shapes()):
+        params[f"conv{i}.weights"] = take(f"conv{i}.weights", (f, depth, m))
+        params[f"conv{i}.bias"] = take(f"conv{i}.bias", (f,))
     if cfg.use_cnn:
-        params["fc.weights"] = take("fc.weights")
+        params["fc.weights"] = take("fc.weights", (n_in, cfg.fc_input_len))
     params["lstm.gates"] = np.concatenate(
-        [take(f"lstm.w_{gate}") for gate in quant.GATE_ORDER], axis=1)
+        [take(f"lstm.w_{gate}", (n_h + n_in, n_h))
+         for gate in quant.GATE_ORDER], axis=1)
     params["lstm.gate_bias"] = np.concatenate(
-        [take(f"lstm.b_{gate}") for gate in quant.GATE_ORDER])
-    params["lstm.w_logits"] = take("lstm.w_logits")
-    params["lstm.b_logits"] = take("lstm.b_logits")
+        [take(f"lstm.b_{gate}", (n_h,)) for gate in quant.GATE_ORDER])
+    params["lstm.w_logits"] = take("lstm.w_logits", (n_h, cfg.n_classes))
+    params["lstm.b_logits"] = take("lstm.b_logits", (cfg.n_classes,))
     return params, cfg, mode

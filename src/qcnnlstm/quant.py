@@ -54,13 +54,15 @@ _TERNARY_THRESHOLD = float(np.nextafter(0.5, 0.0))
 
 def quantize_ternary(r, out=None):
     """round(r) with halves away from zero, clamped to {-1, 0, +1}:
-    thresholds at +-0.5, and NaN gives 0. Written to `out` when given, else
-    in `r`'s type: float32 for float32 input, float64 for any other."""
+    thresholds at +-0.5, NaN gives 0, and every 0 code is +0.0. Written to
+    `out` when given, else in `r`'s type: float32 for float32 input, float64
+    for any other."""
     r = _as_float(r)
-    # the steps below reuse this buffer
-    q = np.abs(r, out=np.empty_like(r) if out is None else out)
-    np.greater_equal(q, _TERNARY_THRESHOLD, out=q)
-    return np.copysign(q, r, out=q)
+    # (r >= t) - (r <= -t): two comparisons, no sign transfer
+    q = np.greater_equal(r, _TERNARY_THRESHOLD,
+                         out=np.empty_like(r) if out is None else out)
+    q -= r <= -_TERNARY_THRESHOLD
+    return q
 
 
 def quantize_weights(r, mode: str, out=None):

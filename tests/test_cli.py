@@ -709,6 +709,29 @@ def _shape_not_integers(mdir):
     return "params.manifest:5: fc.weights has shape '20,6x0'"
 
 
+def _config_disagrees_with_files(mdir):
+    # the files hold n_hidden = 350: the first tensor whose shape depends
+    # on it is the forget gate, (20 + 350, 350) where 300 needs (320, 300)
+    path = mdir / "config.txt"
+    path.write_text(path.read_text().replace("n_hidden = 350",
+                                             "n_hidden = 300"))
+    return ("params.manifest: lstm.w_forget has shape (370, 350), but the "
+            "network in")
+
+
+def _narrow_gate_file(mdir):
+    # one gate file a column short, its manifest line to match: the gates
+    # would fuse to 1399 columns
+    path = mdir / "lstm_w_cell.bin"
+    codes = quant.unpack_codes(path.read_bytes(), (370, 350))
+    path.write_bytes(quant.pack_codes(codes[:, :349]))
+    manifest = mdir / "params.manifest"
+    manifest.write_text(manifest.read_text().replace(
+        "lstm.w_cell\tint2\t370,350\t", "lstm.w_cell\tint2\t370,349\t"))
+    return ("params.manifest: lstm.w_cell has shape (370, 349), but the "
+            "network in")
+
+
 class TestModelDirectoryBoundary:
     """A model directory that does not hold what its manifest and config
     say is a data error naming the file or the tensor."""
@@ -717,7 +740,9 @@ class TestModelDirectoryBoundary:
     @pytest.mark.parametrize("damage", [_grow_int2_file, _cut_float64_file,
                                         _drop_manifest_line, _zero_binary_code,
                                         _invalid_field, _unknown_mode,
-                                        _shape_not_integers])
+                                        _shape_not_integers,
+                                        _config_disagrees_with_files,
+                                        _narrow_gate_file])
     def test_is_a_data_error_naming_the_file(self, command, damage, tmp_path,
                                              capsys):
         mdir = tmp_path / "m"
@@ -725,3 +750,29 @@ class TestModelDirectoryBoundary:
         named = damage(mdir)
         assert run(command, "--model", str(mdir), "--data", str(ECG_DIR)) == 2
         assert named in capsys.readouterr().err
+
+
+class TestSimulateReportsLogitLimits:
+    """`simulate` says how many final logits sit at the format's limits and
+    how many predictions tie at the maximum; it exits 0 either way."""
+
+    def test_stored_model(self, capsys):
+        # 27 of the 100 ECG200 test sequences end at (-2048, +2047) raw
+        assert run("simulate", "--model", str(ECG_MODEL),
+                   "--data", str(ECG_DIR)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "simulated 100 inferences, accuracy 0.8800"
+        assert out[1:3] == ["final logits at the Q4.8 limits 54 of 200",
+                            "predictions tied at the maximum 0 of 100"]
+        assert any(line.startswith("total cycles") for line in out)
+
+    def test_zero_output_layer_ties_every_prediction(self, tmp_path, capsys):
+        mdir = tmp_path / "m"
+        shutil.copytree(ECG_MODEL, mdir)
+        path = mdir / "lstm_w_logits.bin"
+        path.write_bytes(bytes(len(path.read_bytes())))
+        assert run("simulate", "--model", str(mdir), "--data", str(ECG_DIR),
+                   "--limit", "7") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:3] == ["final logits at the Q4.8 limits 0 of 14",
+                            "predictions tied at the maximum 7 of 7"]

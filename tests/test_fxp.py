@@ -134,6 +134,114 @@ class TestRequantize:
         assert got == want
 
 
+def requant_int(acc: int, fmt: QFormat) -> int:
+    """The scalar reference in Python ints: acc / 2**frac_bits rounded half
+    away from zero, then saturated."""
+    half = (1 << fmt.frac_bits) >> 1
+    mag = (abs(acc) + half) >> fmt.frac_bits
+    return min(max(mag if acc >= 0 else -mag, fmt.raw_min), fmt.raw_max)
+
+
+def extreme_codes(fmt: QFormat) -> list:
+    """Both ends of the format, the codes next to 0, and +-2**(frac_bits - 1)
+    and its neighbours, whose products with 1 are exact halves."""
+    half = 1 << (fmt.frac_bits - 1)
+    codes = {fmt.raw_min, fmt.raw_min + 1, fmt.raw_max - 1, fmt.raw_max,
+             -1, 0, 1, half - 1, half, half + 1}
+    return sorted(codes | {-c for c in codes if -c <= fmt.raw_max})
+
+
+class TestFloatCodedPrimitives:
+    """The requantizing operations return codes in `code_dtype(fmt)`: float32
+    up to 12 bits, float64 up to 26, a `ValueError` beyond. They equal the
+    Python-int reference everywhere their tier is exact."""
+
+    def test_code_dtype_tiers(self):
+        assert fxp.code_dtype(Q48) is np.float32
+        assert fxp.code_dtype(QFormat(13, 8)) is np.float64
+        assert fxp.code_dtype(QFormat(26, 8)) is np.float64
+        with pytest.raises(ValueError, match="not exact"):
+            fxp.code_dtype(QFormat(27, 8))
+
+    def test_requantize_every_float32_accumulator(self):
+        # every accumulator with |acc| <= 2**23, the float32 tier's range.
+        # requantize is checked to be non-decreasing over all of them and to
+        # equal the reference at both ends and on each side of each of its
+        # steps; the reference is non-decreasing too, so the two agree on
+        # every accumulator in between
+        lo, hi = -(1 << 23), 1 << 23
+        chunk = 1 << 20
+        prev, checked = None, [lo, hi]
+        for start in range(lo, hi + 1, chunk):
+            acc = np.arange(start, min(start + chunk, hi + 1))
+            got = fxp.requantize(acc, Q48)
+            assert got.dtype == np.float32
+            if prev is not None:
+                got = np.concatenate([[prev], got])
+                acc = np.concatenate([[start - 1], acc])
+            steps = np.flatnonzero(np.diff(got))
+            assert (np.diff(got) >= 0).all()
+            checked += acc[steps].tolist() + acc[steps + 1].tolist()
+            prev = got[-1]
+        assert len(checked) > 2 * (Q48.raw_max - Q48.raw_min)
+        checked = np.array(checked)
+        want = [requant_int(int(a), Q48) for a in checked]
+        assert fxp.requantize(checked, Q48).tolist() == want
+
+    @pytest.mark.parametrize("fmt,dtype", [(Q48, np.float32),
+                                           (QFormat(16, 8), np.float64)],
+                             ids=str)
+    def test_mul_at_the_extreme_codes(self, fmt, dtype):
+        codes = extreme_codes(fmt)
+        a, b = (np.array(v) for v in zip(*[(x, y) for x in codes
+                                            for y in codes]))
+        got = fxp.mul_fixed(a, b, fmt)
+        assert got.dtype == dtype
+        assert got.tolist() == [requant_int(int(x) * int(y), fmt)
+                                for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("fmt,dtype", [(Q48, np.float32),
+                                           (QFormat(16, 8), np.float64)],
+                             ids=str)
+    def test_mul_add_at_the_extreme_codes(self, fmt, dtype):
+        # every quadruple of extreme codes: both products at either end, and
+        # sums that cancel to exact halves
+        codes = np.array(extreme_codes(fmt))
+        a, b, c, d = (g.ravel() for g in np.meshgrid(codes, codes, codes,
+                                                     codes, indexing="ij"))
+        got = fxp.mul_add_fixed(a, b, c, d, fmt)
+        assert got.dtype == dtype
+        want = [requant_int(int(w) * int(x) + int(y) * int(z), fmt)
+                for w, x, y, z in zip(a, b, c, d)]
+        assert got.tolist() == want
+        # into a caller's buffer, which may be the second operand
+        out = b.astype(dtype)
+        assert fxp.mul_add_fixed(a, out, c, d, fmt, out=out) is out
+        assert out.tolist() == want
+
+    def test_no_fraction_bits(self):
+        # scale 1: every pair of 8-bit codes, products past both ends
+        fmt = QFormat(8, 0)
+        codes = np.arange(fmt.raw_min, fmt.raw_max + 1)
+        a, b = (g.ravel() for g in np.meshgrid(codes, codes, indexing="ij"))
+        want = [requant_int(int(x) * int(y), fmt) for x, y in zip(a, b)]
+        assert fxp.mul_fixed(a, b, fmt).tolist() == want
+        assert fxp.requantize(a * b, fmt).tolist() == want
+        assert fxp.mul_add_fixed(a, b, a, -b, fmt).tolist() == [0] * len(a)
+        assert fxp.sat_add(a, b, fmt).tolist() == \
+            [min(max(int(x) + int(y), -128), 127) for x, y in zip(a, b)]
+
+    def test_past_float64_exactness_is_rejected(self):
+        wide = QFormat(27, 8)
+        one = np.ones(2)
+        for call in (lambda: fxp.requantize(one, wide),
+                     lambda: fxp.mul_fixed(one, one, wide),
+                     lambda: fxp.mul_add_fixed(one, one, one, one, wide),
+                     lambda: fxp.sat_add(one, one, wide)):
+            with pytest.raises(ValueError, match="not exact"):
+                call()
+
+
 def exact_dot(x, codes, bias, fmt=Q48):
     """Saturated x @ codes + bias in Python ints: the scalar reference."""
     return [[min(max(sum(int(a) * int(c) for a, c in zip(row, col)) + int(b),

@@ -56,7 +56,26 @@ class TestTernary:
         want = self._round_half_away(r)
         got = quant.quantize_ternary(r)
         assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # a 0 code is +0.0 whatever r's sign: the sign bit marks -1 codes
+        assert np.array_equal(np.signbit(got), got < 0)
+
+    @pytest.mark.parametrize("dtype,code_below", [(np.float64, 1),
+                                                   (np.float32, 0)])
+    def test_non_finite_and_the_neighbours_of_a_half(self, dtype, code_below):
+        # the largest double below 0.5 rounds up (see _TERNARY_THRESHOLD),
+        # the largest float32 below it does not; the next one down is 0 in both
+        half = dtype(0.5)
+        below, above = (np.nextafter(half, dtype(v)) for v in (0, 1))
+        below2 = np.nextafter(below, dtype(0))
+        big = np.finfo(dtype).max
+        r = np.array([np.nan, np.inf, -np.inf, big, -big, half, -half, above,
+                      -above, below, -below, below2, -below2, 0.0, -0.0],
+                     dtype=dtype)
+        got = quant.quantize_ternary(r)
+        assert got.dtype == dtype
+        assert got.tolist() == [0, 1, -1, 1, -1, 1, -1, 1, -1, code_below,
+                                -code_below, 0, 0, 0, 0]
+        assert not np.signbit(got[got == 0]).any()
 
     @given(arrays(np.float64, 16, elements=st.floats(-1.5, 1.5,
                                                      exclude_min=True,
