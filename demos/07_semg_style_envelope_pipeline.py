@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Multichannel container + Hilbert envelope, gesture-recognition style.
+"""Multichannel recordings + Hilbert envelope, gesture-recognition style.
 
 Muscle-activity patterns are recognizable from signal amplitude, so the
 preprocessing for sEMG runs each electrode through an envelope detector.
 This demo fabricates an 8-channel stand-in (gesture classes differ by which
-channels burst), round-trips it through the dataset container (one `rows.npy`,
-each row a label and every channel's samples in turn), extracts envelopes,
-and trains a small LSTM on the windowed result.
+channels burst), keeps the recordings in memory as an `ingest.RawDataset`,
+extracts envelopes, and trains a small LSTM on the windowed result.
 """
-
-import tempfile
 
 import numpy as np
 
-from qcnnlstm import datagen, ingest
+from qcnnlstm import ingest
 from qcnnlstm.model import NetworkConfig
 from qcnnlstm.train import TrainConfig, train
 
@@ -34,12 +31,7 @@ for sig, label in zip(signals, labels):
 print(f"fabricated {len(labels)} recordings, {N_CHANNELS} channels "
       f"x {LENGTH} samples, {N_CLASSES} gesture classes")
 
-with tempfile.TemporaryDirectory() as tmp:
-    datagen.save_channels(tmp, labels, signals, {"name": "semg-demo"})
-    _, labels, signals, _ = datagen.load_channels(tmp)
-dataset = ingest.RawDataset(labels.astype(int), signals, name="semg-demo")
-print("container round trip: one float64 row per recording in rows.npy, "
-      "every channel in turn, plus a key=value manifest")
+dataset = ingest.RawDataset(labels, signals, name="semg-demo")
 
 enveloped = ingest.envelope_dataset(dataset)
 raw_std = np.std(dataset.signals)

@@ -4,11 +4,11 @@ cycle-counting simulator of a shared-bus fixed-point accelerator.
 Submodules:
 
 * ``fxp`` saturating fixed-point arithmetic and LUT nonlinearities
-* ``datagen`` chaotic/sinusoidal synthetic datasets and windowing
+* ``datagen`` synthetic datasets, windowing, datasets on disk
 * ``analysis`` Fourier-domain distances and stochastic 2-D embedding
-* ``model`` float and fixed-point forward passes
+* ``model`` network config, model directories, fixed-point forward pass
 * ``quant`` binary/ternary quantizers, STE, 2-bit packing
-* ``train`` BPTT trainer with Adagrad and gradient clipping
+* ``train`` float forward pass, BPTT trainer with Adagrad and clipping
 * ``fsm`` eight-state cycle-accurate accelerator simulator
 * ``estimate`` analytic memory/MAC/latency estimators
 * ``ingest`` UCR loading, Hilbert envelope, normalization, splits

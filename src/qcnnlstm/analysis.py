@@ -20,6 +20,7 @@ __all__ = [
     "embedding_energy",
     "embed_2d",
     "embedding_correlation",
+    "save_embedding",
 ]
 
 LOG_POWER_EPS = 1e-12

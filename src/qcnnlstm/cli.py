@@ -145,7 +145,7 @@ def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
     """load_split_sequences with the split settings `train` recorded, if any.
 
     When `train` recorded the dataset digest, data with another digest is a
-    `DataFormatError`.
+    `DataFormatError`, and so is data with another class count than `cfg`.
     """
     record = Path(model_dir) / "hyperparams.txt"
     kv = datagen.read_kv(record) if record.exists() else {}
@@ -155,6 +155,9 @@ def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
         raise ingest.DataFormatError(
             f"{data_dir}: data sha256 {digest} differs from "
             f"{kv['data_sha256']}, the data {record} was trained on")
+    if split[2] != cfg.n_classes:
+        raise ingest.DataFormatError(
+            f"model has {cfg.n_classes} classes, data has {split[2]}")
     return split
 
 
@@ -260,10 +263,7 @@ def _cmd_quantize(args, argv) -> int:
 
 def _cmd_eval(args, argv) -> int:
     params, cfg, mode = model.load_network(args.model)
-    _, test_seqs, n_classes, _ = _held_out_split(args.model, args.data, cfg)
-    if n_classes != cfg.n_classes:
-        raise ingest.DataFormatError(
-            f"model has {cfg.n_classes} classes, data has {n_classes}")
+    _, test_seqs, _, _ = _held_out_split(args.model, args.data, cfg)
     probs = train_mod.predict_probs(params, test_seqs, cfg, mode)
     labels = np.array([s.label for s in test_seqs])
     if args.report == "accuracy":
@@ -417,11 +417,7 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    except KeyError as exc:
-        print(f"data error: missing config key {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (ingest.DataFormatError, FileNotFoundError, ValueError,
-            fsm.BankCapacityError) as exc:
+    except (FileNotFoundError, ValueError, fsm.BankCapacityError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

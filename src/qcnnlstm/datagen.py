@@ -1,15 +1,18 @@
-"""Synthetic class datasets, signal windowing, and the shared on-disk forms.
+"""Synthetic class datasets, the window cut, and the shared on-disk forms.
 
 Classes are discrete parameter regimes of the logistic map, the Lorenz
 system, or a sine bank with linearly spaced frequencies. Realizations of one
 class differ by initial condition (chaotic systems) and additive uniform
-noise; every generator is deterministic per seed.
+noise; every generator is deterministic per seed. `save_dataset` and
+`load_dataset` are the one writer and reader of a generated dataset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
+import tokenize
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -33,8 +36,6 @@ __all__ = [
     "write_kv",
     "parse_rows",
     "stratified_split",
-    "save_channels",
-    "load_channels",
     "rows_digest",
     "save_dataset",
     "load_dataset",
@@ -153,26 +154,21 @@ def sine_bank_series(class_idx: int, beta: float, t_grid,
     return np.sin(t * (alpha + class_idx * beta))
 
 
-def make_windows(signal, label: int, window_len: int, n_steps: int,
-                 noise_amplitude: float = 0.0, rng_seed: int = 0) -> WindowedSequence:
-    """Cut q consecutive non-overlapping windows and add uniform noise.
+def make_windows(signals, window_len: int, n_steps: int) -> np.ndarray:
+    """Cut q consecutive non-overlapping windows from each recording.
 
-    `signal` is (channels, T) or (T,); each window flattens to
-    channels*window_len values. Noise is uniform in [-amplitude, +amplitude],
-    drawn from a stream seeded by `rng_seed`.
+    `signals` is (..., channels, T), or (T,) for one channel; the windows
+    come back as a new array (..., n_steps, channels*window_len), each
+    window channel 0's samples, then channel 1's and so on.
     """
-    sig = np.atleast_2d(np.asarray(signal, dtype=np.float64))
-    m, t_len = sig.shape
+    sig = np.atleast_2d(np.asarray(signals, dtype=np.float64))
+    *lead, m, t_len = sig.shape
     needed = n_steps * window_len
     if t_len < needed:
         raise ValueError(f"signal length {t_len} < n_steps*window_len = {needed}")
-    cut = sig[:, :needed].reshape(m, n_steps, window_len)
-    windows = cut.transpose(1, 0, 2).reshape(n_steps, m * window_len)
-    if noise_amplitude > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        windows = windows + rng.uniform(-noise_amplitude, noise_amplitude,
-                                        windows.shape)
-    return WindowedSequence(windows, int(label))
+    cut = sig[..., :needed].reshape(*lead, m, n_steps, window_len)
+    return np.swapaxes(cut, -3, -2).copy().reshape(*lead, n_steps,
+                                                   m * window_len)
 
 
 def _dataset(generator, class_params, make_signal, per_class, window_len,
@@ -190,16 +186,20 @@ def _dataset(generator, class_params, make_signal, per_class, window_len,
             raise ValueError(f"{name} = {value}; a dataset needs finite "
                              "settings and a noise amplitude of at least 0")
     root = np.random.default_rng(seed)
-    sequences = []
-    for label, param in enumerate(class_params):
-        for k in range(per_class):
-            realization_seed = int(root.integers(0, 2**63 - 1))
-            signal = make_signal(param, np.random.default_rng(realization_seed))
-            sequences.append(make_windows(signal, label, window_len, n_steps,
-                                          noise_amplitude, realization_seed))
-    return SyntheticDataset(sequences, list(class_params), noise_amplitude,
-                            generator, window_len, n_steps, seed=seed,
-                            extra=extra or {})
+    labels = [k for k in range(len(class_params)) for _ in range(per_class)]
+    seeds = [int(root.integers(0, 2**63 - 1)) for _ in labels]
+    signals = np.stack([make_signal(class_params[k], np.random.default_rng(s))
+                        for k, s in zip(labels, seeds)])
+    windows = make_windows(signals[:, None], window_len, n_steps)
+    if noise_amplitude > 0.0:
+        # uniform in [-amplitude, +amplitude], each realization's from a
+        # fresh stream seeded by its seed
+        for w, s in zip(windows, seeds):
+            w += np.random.default_rng(s).uniform(
+                -noise_amplitude, noise_amplitude, w.shape)
+    return SyntheticDataset(list(map(WindowedSequence, windows, labels)),
+                            list(class_params), noise_amplitude, generator,
+                            window_len, n_steps, seed=seed, extra=extra or {})
 
 
 def make_logistic_dataset(r_values=LOGISTIC_CLASS_R, per_class: int = 20,
@@ -250,7 +250,7 @@ def make_sine_dataset(n_classes: int = 5, beta: float = 0.1,
 
 # ---------------------------------------------------------------------------
 # On-disk forms for every dataset: key = value files, checked numeric rows
-# (label first), and the container (rows.npy, all channels per row).
+# (label first), and a generated dataset (rows.npy, all channels per row).
 # ---------------------------------------------------------------------------
 
 class DataFormatError(ValueError):
@@ -412,23 +412,32 @@ def rows_digest(paths, blobs=None) -> str:
     return h.hexdigest()
 
 
-def save_channels(out_dir, labels, signals, manifest: dict) -> None:
-    """Write (N, channels, T) `signals` as `rows.npy`, one float64 row each.
-
-    A row is the label, then channel 0's samples, channel 1's and so on.
-    `manifest` goes to manifest.txt in its order, with `n_channels` set and
-    `rows_sha256`, the `rows_digest` of `rows.npy`.
+def save_dataset(ds: SyntheticDataset, out_dir) -> None:
+    """Write `ds` as `rows.npy`, a float64 row per sequence (the label, then
+    channel 0's un-windowed samples, channel 1's and so on), and manifest.txt
+    (the generator settings, then `rows_sha256`, `rows.npy`'s `rows_digest`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    signals = np.asarray(signals, dtype=np.float64)
-    n, n_channels = signals.shape[:2]
-    rows = np.column_stack([np.asarray(labels, dtype=np.float64),
-                            signals.reshape(n, -1)])
+    n, c = len(ds.sequences), ds.n_channels
+    signals = (np.stack([seq.windows for seq in ds.sequences])
+               .reshape(n, ds.n_steps, c, ds.window_len)
+               .transpose(0, 2, 1, 3).reshape(n, -1))
+    rows = np.column_stack([np.array([seq.label for seq in ds.sequences],
+                                     dtype=np.float64), signals])
     npy = out / ROWS_NPY
     np.save(npy, rows, allow_pickle=False)
-    write_kv(out / "manifest.txt", {**manifest, "n_channels": n_channels,
-                                    _DIGEST_KEY: rows_digest([npy])})
+    write_kv(out / "manifest.txt", {
+        "generator": ds.generator,
+        "classes": ds.n_classes,
+        "class_params": ",".join(repr(float(p)) for p in ds.class_params),
+        "noise_amplitude": repr(float(ds.noise_amplitude)),
+        "window_len": ds.window_len,
+        "n_steps": ds.n_steps,
+        "n_channels": c,
+        "seed": ds.seed,
+        **ds.extra,
+        _DIGEST_KEY: rows_digest([npy])})
 
 
 def _check_rows(path, labels, ok, what: str) -> None:
@@ -440,23 +449,48 @@ def _check_rows(path, labels, ok, what: str) -> None:
                               + what.format(label=labels[row]))
 
 
-@dataclass(frozen=True)
-class _Container:
-    """The manifest key `load_channels` reads beyond the digest."""
+def _read_rows(npy, data: bytes) -> np.ndarray:
+    """The array in `data`, the bytes of `npy`, as a read-only view of them;
+    a header whose shape does not account for exactly the bytes after it is
+    a `DataFormatError` raised before anything is allocated."""
+    fp, fmt = io.BytesIO(data), np.lib.format
+    try:
+        shape, fortran, dtype = (fmt.read_array_header_1_0 if fmt.read_magic(
+            fp) == (1, 0) else fmt.read_array_header_2_0)(fp)
+        if math.prod(shape) * dtype.itemsize != len(data) - fp.tell():
+            raise ValueError(f"a header for shape {shape} of {dtype}, then "
+                             f"{len(data) - fp.tell()} bytes")
+        return np.frombuffer(data, dtype, offset=fp.tell()).reshape(
+            shape, order="F" if fortran else "C")
+    # numpy re-reads a header that does not parse with `tokenize`
+    except (ValueError, EOFError, tokenize.TokenError) as exc:
+        raise DataFormatError(f"{npy}: not a .npy array ({exc})") from None
 
+
+@dataclass(frozen=True)
+class _Generated:
+    """The manifest keys `load_dataset` reads beyond the digest."""
+
+    generator: str
+    class_params: list
+    noise_amplitude: float
+    window_len: int
+    n_steps: int
+    seed: int
     n_channels: int = 1
 
+    def __post_init__(self):
+        if min(self.window_len, self.n_steps) < 1:
+            raise ValueError("window_len and n_steps must be positive")
 
-def load_channels(in_dir):
-    """(manifest, labels (N,), signals (N, channels, T), the `rows_digest`
-    of `rows.npy`) from `save_channels`.
 
-    The manifest's `rows_sha256` must match `rows.npy`, which must hold a
-    non-empty, finite 2-D float64 array whose labels are non-negative
-    integers, and each row must split into the manifest's `n_channels`
-    equal blocks. Anything else is a `DataFormatError` naming the file at
-    fault. The returned manifest omits the digest.
-    """
+def load_dataset(in_dir) -> SyntheticDataset:
+    """The dataset `save_dataset` wrote, its `digest` the `rows_digest` of
+    `rows.npy`, which must match the manifest's `rows_sha256` and hold
+    non-empty, finite float64 rows: a label below the class count, then
+    `n_channels` blocks of `n_steps` x `window_len` samples. Anything else,
+    a missing key and a key that does not parse are `DataFormatError`s
+    naming the file at fault."""
     src = Path(in_dir)
     manifest, npy = src / "manifest.txt", src / ROWS_NPY
     kv = read_kv(manifest)
@@ -472,10 +506,7 @@ def load_channels(in_dir):
     if digest != want:
         raise DataFormatError(f"{npy}: sha256 {digest} differs from "
                               f"{_DIGEST_KEY} = {want} in {manifest}")
-    try:
-        rows = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise DataFormatError(f"{npy}: not a .npy array ({exc})") from None
+    rows = _read_rows(npy, data)
     if rows.dtype != np.float64 or rows.ndim != 2 or rows.size == 0:
         raise DataFormatError(f"{npy}: holds a {rows.dtype} array of shape "
                               f"{rows.shape}, not non-empty float64 rows")
@@ -484,66 +515,23 @@ def load_channels(in_dir):
                 "non-finite value")
     _check_rows(npy, labels, (labels >= 0) & (labels == np.floor(labels)),
                 "label {label} is not a non-negative integer")
-    n_channels = read_record(_Container, kv, manifest).n_channels
+    gen = read_record(_Generated, kv, manifest)
     samples = rows.shape[1] - 1
-    if n_channels < 1 or samples % n_channels:
-        raise DataFormatError(f"{manifest}: n_channels = {n_channels} does "
-                              f"not split rows of {samples} samples")
-    return (kv, labels, rows[:, 1:].reshape(
-        len(rows), n_channels, samples // n_channels), digest)
-
-
-def save_dataset(ds: SyntheticDataset, out_dir) -> None:
-    """The container, un-windowed, with the generator settings."""
-    n = len(ds.sequences)
-    signals = (np.stack([seq.windows for seq in ds.sequences])
-               .reshape(n, ds.n_steps, ds.n_channels, ds.window_len)
-               .transpose(0, 2, 1, 3).reshape(n, ds.n_channels, -1))
-    kv = {"generator": ds.generator,
-          "classes": ds.n_classes,
-          "class_params": ",".join(repr(float(p)) for p in ds.class_params),
-          "noise_amplitude": repr(float(ds.noise_amplitude)),
-          "window_len": ds.window_len,
-          "n_steps": ds.n_steps,
-          "n_channels": ds.n_channels,
-          "seed": ds.seed}
-    kv.update(ds.extra)
-    save_channels(out_dir, [seq.label for seq in ds.sequences], signals, kv)
-
-
-@dataclass(frozen=True)
-class _Generated:
-    """The manifest keys `load_dataset` reads beyond the container's own."""
-
-    generator: str
-    class_params: list
-    noise_amplitude: float
-    window_len: int
-    n_steps: int
-    seed: int
-
-    def __post_init__(self):
-        if min(self.window_len, self.n_steps) < 1:
-            raise ValueError("window_len and n_steps must be positive")
-
-
-def load_dataset(in_dir) -> SyntheticDataset:
-    """The dataset `save_dataset` wrote, its `digest` the `rows_digest` of
-    `rows.npy`: the one reader of a generated dataset. A container without
-    a generated dataset's keys, a key that does not parse and a label at or
-    above the class count are `DataFormatError`s naming the file."""
-    kv, labels, signals, digest = load_channels(in_dir)
-    gen = read_record(_Generated, kv, Path(in_dir) / "manifest.txt")
-    if signals.shape[2] != gen.n_steps * gen.window_len:
-        raise DataFormatError(f"{in_dir}: rows hold {signals.shape[2]} samples,"
-                              f" the manifest {gen.n_steps} x {gen.window_len}")
+    if gen.n_channels < 1 or samples % gen.n_channels:
+        raise DataFormatError(f"{manifest}: n_channels = {gen.n_channels} "
+                              f"does not split rows of {samples} samples")
+    if samples // gen.n_channels != gen.n_steps * gen.window_len:
+        raise DataFormatError(f"{in_dir}: rows hold {samples // gen.n_channels}"
+                              f" samples, the manifest {gen.n_steps} x "
+                              f"{gen.window_len}")
     n_classes = len(gen.class_params)
-    _check_rows(Path(in_dir) / ROWS_NPY, labels, labels < n_classes,
+    _check_rows(npy, labels, labels < n_classes,
                 f"label {{label}} is not below the {n_classes} classes")
-    sequences = [make_windows(sig, int(label), gen.window_len, gen.n_steps)
-                 for label, sig in zip(labels, signals)]
-    known = {f.name for f in fields(_Generated)} | {"classes", "n_channels"}
-    extra = {k: v for k, v in kv.items() if k not in known}
-    return SyntheticDataset(sequences, gen.class_params, gen.noise_amplitude,
-                            gen.generator, gen.window_len, gen.n_steps,
-                            signals.shape[1], gen.seed, extra, digest)
+    windows = make_windows(rows[:, 1:].reshape(len(rows), gen.n_channels, -1),
+                           gen.window_len, gen.n_steps)
+    known = {f.name for f in fields(_Generated)} | {"classes"}
+    return SyntheticDataset(
+        list(map(WindowedSequence, windows, labels.astype(int).tolist())),
+        gen.class_params, gen.noise_amplitude, gen.generator, gen.window_len,
+        gen.n_steps, gen.n_channels, gen.seed,
+        {k: v for k, v in kv.items() if k not in known}, digest)

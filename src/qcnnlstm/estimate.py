@@ -20,6 +20,7 @@ __all__ = [
     "memory_bits",
     "mac_count",
     "response_time",
+    "estimate_table",
 ]
 
 PRECISIONS = ("full32", "ternary2")

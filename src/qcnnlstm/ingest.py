@@ -20,6 +20,7 @@ __all__ = [
     "RawDataset",
     "load_ucr",
     "hilbert_envelope",
+    "envelope_dataset",
     "normalize_and_split",
     "dataset_to_sequences",
 ]
@@ -124,6 +125,6 @@ def _relabel(test: RawDataset, train: RawDataset) -> np.ndarray:
 
 def dataset_to_sequences(ds: RawDataset, window_len: int,
                          n_steps: int) -> list[WindowedSequence]:
-    """Cut each recording into a windowed sequence for the classifier."""
-    return [make_windows(signal, label, window_len, n_steps)
-            for label, signal in zip(ds.labels.tolist(), ds.signals)]
+    """Cut every recording into a windowed sequence for the classifier."""
+    windows = make_windows(ds.signals, window_len, n_steps)
+    return list(map(WindowedSequence, windows, map(int, ds.labels.tolist())))

@@ -232,6 +232,24 @@ class TestGenBinaryRows:
         assert _keys(datagen.load_dataset(out).sequences) == \
             _keys(generated[0].sequences)
 
+    # rows_sha256 of each run below as first recorded (numpy 2.4, x86-64):
+    # a change to a generator, to the window cut or to the writer shows here
+    @pytest.mark.parametrize("system, digest", [
+        ("sine",
+         "ab7ae6d7cdf1a32b2e2ea2b164b5b8afef54d0e56e2aae131210b366c444378e"),
+        ("logistic",
+         "d387a4ebe0a76ca0c3ab041e43f55a41023e4ef878cd1adc926b31fb09b4a6d7"),
+        ("lorenz",
+         "a873c3698f05e4dbe272dff6025881e38ae9e69e523b464d5e4978814e7a82ce"),
+    ])
+    def test_generated_bytes_are_pinned(self, system, digest, tmp_path):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", system, "--classes", "3",
+                   "--per-class", "2", "--window", "10", "--steps", "3",
+                   "--out", str(out)) == 0
+        assert read_kv(out / "manifest.txt")["rows_sha256"] == digest
+        assert datagen.rows_digest([out / datagen.ROWS_NPY]) == digest
+
 
 class TestEmbed:
     def test_embed_writes_artifacts(self, tmp_path, capsys):
@@ -507,6 +525,24 @@ class TestDatasetProvenance:
             if not line.startswith("data_sha256")))
         assert run("simulate", "--model", str(qdir),
                    "--data", str(other)) == 0
+
+    def test_other_class_count_is_data_error_for_eval_and_simulate(
+            self, tmp_path, capsys):
+        # a 2-class ternary model with no hyperparams.txt, 3-class data
+        net = model.NetworkConfig(4, 2, 3, 2, use_cnn=False)
+        model_dir, ds = tmp_path / "m", tmp_path / "ds"
+        model.save_network(model_dir, train_mod.init_params(net), net,
+                           mode="ternary")
+        assert run("gen", "--system", "sine", "--classes", "3",
+                   "--per-class", "4", "--window", "4", "--steps", "2",
+                   "--out", str(ds)) == 0
+        capsys.readouterr()
+        for command in ("eval", "simulate"):
+            assert run(command, "--model", str(model_dir),
+                       "--data", str(ds)) == 2
+            captured = capsys.readouterr()
+            assert "model has 2 classes, data has 3" in captured.err
+            assert "accuracy" not in captured.out
 
     def test_edited_ucr_pair_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ecg"

@@ -192,17 +192,19 @@ def test_dimension_the_data_contradicts_exits_2(tiny, tmp_path, capsys, key,
     assert f"{cfg}: {key} = {value}, but the data in {ds} has {have}" in err
 
 
-def test_recordings_container_is_data_error(tiny, tmp_path, capsys):
-    root, _, _ = tiny
-    rng = np.random.default_rng(0)
-    records = [(k % 2, rng.uniform(-1, 1, (2, 8))) for k in range(8)]
-    datagen.save_channels(tmp_path / "rec", [label for label, _ in records],
-                          [signal for _, signal in records], {"name": "rec"})
-    assert run("train", "--data", tmp_path / "rec", "--config",
-               root / "base.cfg", "--out", tmp_path / "m") == 2
+def test_manifest_without_generator_exits_2_naming_the_key(tiny, tmp_path,
+                                                          capsys):
+    root, ds, _ = tiny
+    data = tmp_path / "ds"
+    shutil.copytree(ds, data)
+    manifest = data / "manifest.txt"
+    kv = read_kv(manifest)
+    del kv["generator"]
+    write_kv(manifest, kv)
+    assert run("train", "--data", data, "--config", root / "base.cfg",
+               "--out", tmp_path / "m") == 2
     err = capsys.readouterr().err
-    assert f"{tmp_path / 'rec' / 'manifest.txt'}: missing key 'generator'" \
-        in err
+    assert f"{manifest}: missing key 'generator'" in err
 
 
 @pytest.mark.parametrize("key, value, message", [

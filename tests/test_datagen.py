@@ -100,35 +100,34 @@ class TestSineBank:
 class TestMakeWindows:
     def test_exact_partition(self):
         sig = np.arange(6.0)
-        seq = make_windows(sig, 1, window_len=3, n_steps=2)
-        assert np.array_equal(seq.windows, [[0, 1, 2], [3, 4, 5]])
+        windows = make_windows(sig, window_len=3, n_steps=2)
+        assert np.array_equal(windows, [[0, 1, 2], [3, 4, 5]])
 
     def test_multichannel_window_length(self):
         sig = np.arange(30.0).reshape(3, 10)
-        seq = make_windows(sig, 0, window_len=10, n_steps=1)
-        assert seq.windows.shape == (1, 30)
+        windows = make_windows(sig, window_len=10, n_steps=1)
+        assert windows.shape == (1, 30)
 
     def test_channel_blocks_stay_contiguous(self):
         sig = np.array([[0.0, 1, 2, 3], [10, 11, 12, 13]])
-        seq = make_windows(sig, 0, window_len=2, n_steps=2)
-        assert np.array_equal(seq.windows, [[0, 1, 10, 11], [2, 3, 12, 13]])
-
-    def test_deterministic_noise(self):
-        sig = np.zeros(20)
-        a = make_windows(sig, 0, 5, 4, noise_amplitude=0.01, rng_seed=42)
-        b = make_windows(sig, 0, 5, 4, noise_amplitude=0.01, rng_seed=42)
-        assert np.array_equal(a.windows, b.windows)
-        c = make_windows(sig, 0, 5, 4, noise_amplitude=0.01, rng_seed=43)
-        assert not np.array_equal(a.windows, c.windows)
+        windows = make_windows(sig, window_len=2, n_steps=2)
+        assert np.array_equal(windows, [[0, 1, 10, 11], [2, 3, 12, 13]])
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError):
-            make_windows(np.zeros(5), 0, window_len=3, n_steps=2)
+            make_windows(np.zeros(5), window_len=3, n_steps=2)
 
     def test_partition_reconstructs_signal(self):
         sig = np.random.default_rng(1).uniform(-1, 1, 24)
-        seq = make_windows(sig, 0, 6, 4)
-        assert np.array_equal(seq.windows.ravel(), sig)
+        windows = make_windows(sig, 6, 4)
+        assert np.array_equal(windows.ravel(), sig)
+
+    def test_one_cut_of_a_batch_equals_each_recording_cut_alone(self):
+        signals = np.random.default_rng(2).uniform(-1, 1, (5, 3, 26))
+        windows = make_windows(signals, 4, 6)
+        assert windows.shape == (5, 6, 12)
+        for row, signal in zip(windows, signals):
+            assert row.tobytes() == make_windows(signal, 4, 6).tobytes()
 
 
 class TestDatasets:
@@ -138,6 +137,28 @@ class TestDatasets:
         for sa, sb in zip(a.sequences, b.sequences):
             assert np.array_equal(sa.windows, sb.windows)
             assert sa.label == sb.label
+
+    def test_deterministic_noise(self):
+        def noisy(seed):
+            return datagen.make_sine_dataset(
+                n_classes=2, per_class=1, window_len=5, n_steps=4,
+                noise_amplitude=0.01, seed=seed)
+
+        a, b, c = noisy(42), noisy(42), noisy(43)
+        assert np.array_equal(a.sequences[0].windows, b.sequences[0].windows)
+        assert not np.array_equal(a.sequences[0].windows,
+                                  c.sequences[0].windows)
+        # each realization's noise is a fresh stream from its own seed, in
+        # the windows' shape
+        clean = datagen.make_sine_dataset(
+            n_classes=2, per_class=1, window_len=5, n_steps=4,
+            noise_amplitude=0.0, seed=42)
+        root = np.random.default_rng(42)
+        for seq, clean_seq in zip(a.sequences, clean.sequences):
+            noise = np.random.default_rng(
+                int(root.integers(0, 2**63 - 1))).uniform(-0.01, 0.01, (4, 5))
+            assert (clean_seq.windows + noise).tobytes() == \
+                seq.windows.tobytes()
 
     def test_labels_contiguous(self):
         ds = datagen.make_logistic_dataset(per_class=2, window_len=10,
