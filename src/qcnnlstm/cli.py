@@ -105,7 +105,8 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
 
     Generated data is split by `seed` and `train_fraction`, and `envelope`
     = 1 on it is a `DataFormatError`; a UCR pair keeps its split, enveloped
-    when `envelope` is 1, and is windowed per `kv`. `digest` is
+    when `envelope` is 1, and is windowed per `kv`'s `window_len` and
+    `n_steps`, a missing one a `DataFormatError`. `digest` is
     `datagen.rows_digest` of the row files read: a generated dataset's
     `rows.npy` (its `rows_sha256`) or a UCR pair's _TRAIN and _TEST files.
     """
@@ -124,6 +125,11 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
                 [ds.sequences[i] for i in test_idx],
                 ds.n_classes, ds.n_channels, ds.digest)
     train_path, test_path = _find_ucr_pair(data_dir)
+    for key in ("window_len", "n_steps"):
+        if key not in kv:
+            raise ingest.DataFormatError(
+                f"{data_dir}: a UCR pair is cut into windows by window_len "
+                f"and n_steps; missing key {key!r}")
     # one read per file: the bytes parsed are the bytes hashed
     blobs = [train_path.read_bytes(), test_path.read_bytes()]
     train_raw = ingest.load_ucr(train_path, blobs[0])
@@ -192,6 +198,10 @@ def _cmd_gen(args, argv) -> int:
 
 def _cmd_embed(args, argv) -> int:
     ds = datagen.load_dataset(args.data)
+    if ds.n_channels != 1:  # flattened windows would interleave channels
+        raise ingest.DataFormatError(
+            f"{args.data}: embed takes single-channel data, and this dataset "
+            f"has {ds.n_channels} channels")
     signals = np.stack([seq.windows.ravel() for seq in ds.sequences])
     labels = np.array([seq.label for seq in ds.sequences])
     dm = analysis.fourier_distance(signals, labels=labels)

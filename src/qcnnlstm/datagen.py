@@ -472,6 +472,7 @@ class _Generated:
     """The manifest keys `load_dataset` reads beyond the digest."""
 
     generator: str
+    classes: int
     class_params: list
     noise_amplitude: float
     window_len: int
@@ -482,15 +483,22 @@ class _Generated:
     def __post_init__(self):
         if min(self.window_len, self.n_steps) < 1:
             raise ValueError("window_len and n_steps must be positive")
+        if self.classes != len(self.class_params):
+            raise ValueError(f"classes = {self.classes}, but class_params "
+                             f"holds {len(self.class_params)} values")
+        if self.noise_amplitude < 0:
+            raise ValueError(f"noise_amplitude = {self.noise_amplitude}; "
+                             "a noise amplitude is at least 0")
 
 
 def load_dataset(in_dir) -> SyntheticDataset:
     """The dataset `save_dataset` wrote, its `digest` the `rows_digest` of
     `rows.npy`, which must match the manifest's `rows_sha256` and hold
     non-empty, finite float64 rows: a label below the class count, then
-    `n_channels` blocks of `n_steps` x `window_len` samples. Anything else,
-    a missing key and a key that does not parse are `DataFormatError`s
-    naming the file at fault."""
+    `n_channels` blocks of `n_steps` x `window_len` samples. The manifest's
+    `classes` must count its `class_params`, and its `noise_amplitude` must
+    be at least 0. Anything else, a missing key and a key that does not
+    parse are `DataFormatError`s naming the file at fault."""
     src = Path(in_dir)
     manifest, npy = src / "manifest.txt", src / ROWS_NPY
     kv = read_kv(manifest)
@@ -529,7 +537,7 @@ def load_dataset(in_dir) -> SyntheticDataset:
                 f"label {{label}} is not below the {n_classes} classes")
     windows = make_windows(rows[:, 1:].reshape(len(rows), gen.n_channels, -1),
                            gen.window_len, gen.n_steps)
-    known = {f.name for f in fields(_Generated)} | {"classes"}
+    known = {f.name for f in fields(_Generated)}
     return SyntheticDataset(
         list(map(WindowedSequence, windows, labels.astype(int).tolist())),
         gen.class_params, gen.noise_amplitude, gen.generator, gen.window_len,

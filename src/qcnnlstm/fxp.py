@@ -50,6 +50,7 @@ __all__ = [
     "ternary_acc",
     "dot_ternary",
     "dot_fixed",
+    "sigmoid",
     "build_lut",
     "max_lut_size",
     "lut_index_raw",
@@ -310,10 +311,18 @@ DIRECT_LUT_MAX_BITS = 16
 #: so the near-saturated sigmoid tail lands at 1023/1024 rather than 1.0.
 ENTRY_FORMAT = QFormat(11, 10)
 
-_LUT_FUNCS = {
-    "sigmoid": lambda u: 1.0 / (1.0 + np.exp(-u)),
-    "tanh": np.tanh,
-}
+
+def sigmoid(u, out=None) -> np.ndarray:
+    """1 / (1 + exp(-u)) by negate, exp, add 1, reciprocal, into `out` when
+    given (`u` itself may be it); an exp that overflows gives 0, unwarned."""
+    z = np.negative(u, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+_LUT_FUNCS = {"sigmoid": sigmoid, "tanh": np.tanh}
 _LUT_RANGES = {"sigmoid": (-8.0, 8.0), "tanh": (-4.0, 4.0)}
 
 

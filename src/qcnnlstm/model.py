@@ -29,13 +29,12 @@ The float engine lives in `train`, which trains and evaluates with it.
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
 computes [h, window] @ gates + gate_bias. A network's parameters are one
-dict, tensor name -> array, in the order `train.init_params` and
-`load_network` build it: `conv{i}.weights` and `conv{i}.bias` per CNN layer,
-`fc.weights` with a CNN, then `lstm.gates`, `lstm.gate_bias`,
-`lstm.w_logits` and `lstm.b_logits`. `network_tensors` gives what a `mode`
-network computes with, the tensors the float engine reads and
-`save_network` writes; model directories keep one file per gate, split at
-the file boundary.
+dict, tensor name -> array, laid out by one table of names, shapes and
+order, `NetworkConfig.tensor_shapes`: `train.init_params` allocates from it
+and `load_network` checks a model directory against it. `network_tensors`
+gives what a `mode` network computes with, the tensors the float engine
+reads and `save_network` writes; model directories keep one file per gate
+(`lstm.w_<gate>`, `lstm.b_<gate>`), split at the file boundary.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from .fxp import QFormat
 __all__ = [
     "NetworkConfig",
     "network_tensors",
-    "is_quantized",
-    "is_bias",
     "im2col",
     "network_forward_fixed",
     "softmax",
@@ -102,15 +99,22 @@ class NetworkConfig:
         depths = [self.n_channels] + [f for f, _ in self.conv_layers[:-1]]
         return [(d, f, m) for d, (f, m) in zip(depths, self.conv_layers)]
 
-
-def is_quantized(name: str) -> bool:
-    """Gates and CNN kernels take codes; FC and output layers stay full precision."""
-    return name == "lstm.gates" or \
-        name.startswith("conv") and name.endswith(".weights")
-
-
-def is_bias(name: str) -> bool:
-    return name.endswith("bias") or name == "lstm.b_logits"
+    def tensor_shapes(self) -> dict:
+        """Tensor name -> shape in the parameter dict's order, also the
+        weights' draw order; the fused gate tensors hold one block per gate
+        in `quant.GATE_ORDER` along their last axis."""
+        shapes = {}
+        for i, (depth, f, m) in enumerate(self.conv_shapes()):
+            shapes[f"conv{i}.weights"] = (f, depth, m)
+            shapes[f"conv{i}.bias"] = (f,)
+        if self.use_cnn:
+            shapes["fc.weights"] = (self.input_len, self.fc_input_len)
+        n_h = self.n_hidden
+        shapes["lstm.gates"] = (n_h + self.input_len, 4 * n_h)
+        shapes["lstm.gate_bias"] = (4 * n_h,)
+        shapes["lstm.w_logits"] = (n_h, self.n_classes)
+        shapes["lstm.b_logits"] = (self.n_classes,)
+        return shapes
 
 
 def network_tensors(params: dict, mode: str, out: dict | None = None) -> dict:
@@ -125,11 +129,11 @@ def network_tensors(params: dict, mode: str, out: dict | None = None) -> dict:
     if mode == "full":
         return params
     if out is None:
-        out = {name: np.empty(w.shape) if is_quantized(name) else
-               np.zeros_like(w) if is_bias(name) else w
+        out = {name: np.empty(w.shape) if quant.is_quantized(name) else
+               np.zeros_like(w) if quant.is_bias(name) else w
                for name, w in params.items()}
     for name, w in params.items():
-        if is_quantized(name):
+        if quant.is_quantized(name):
             quant.quantize_weights(w, mode, out=out[name])
     return out
 
@@ -290,7 +294,8 @@ def _conv_relu_fixed(maps_raw, codes, fmt: QFormat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _file_tensors(tensors: dict):
-    """(name, array, quantized) per stored file: gates and biases per gate."""
+    """(name, view, quantized) per stored file, in the manifest's order:
+    the fused gate tensors as each gate's weights, then its bias."""
     for name, arr in tensors.items():
         if name == "lstm.gates":
             weights = np.split(arr, 4, axis=1)
@@ -299,7 +304,7 @@ def _file_tensors(tensors: dict):
                 yield f"lstm.w_{gate}", w, True
                 yield f"lstm.b_{gate}", b, False
         elif name != "lstm.gate_bias":
-            yield name, arr, is_quantized(name)
+            yield name, arr, quant.is_quantized(name)
 
 
 def save_network(out_dir, params: dict, cfg: NetworkConfig,
@@ -362,10 +367,11 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
     Packed (int2) tensors come back as float32 codes, and the fused gates
     are float32 when their files are packed; float64 files come back as
     float64. A mode outside `quant.MODES`, a manifest shape that is not
-    integers, a tensor the manifest lacks or of another shape than the
-    configured network's (the shapes `train.init_params` builds, every gate
-    (n_hidden + input_len, n_hidden)) and a file `_read_tensor` rejects are
-    `DataFormatError`s naming the file, and the key, line or tensor.
+    integers, a tensor the manifest lacks or of another shape than
+    `NetworkConfig.tensor_shapes` gives it (every gate file a quarter of the
+    fused entry's columns) and a file `_read_tensor` rejects are
+    `DataFormatError`s naming the file, and the key, line or tensor; of
+    several, the first in the table's order.
     """
     mdir = Path(model_dir)
     config = mdir / "config.txt"
@@ -403,18 +409,14 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
                 f"network in {config} needs {shape}")
         return stored[name]
 
-    n_h, n_in = cfg.n_hidden, cfg.input_len
+    per_gate = {"lstm.gates": "lstm.w_", "lstm.gate_bias": "lstm.b_"}
     params = {}
-    for i, (depth, f, m) in enumerate(cfg.conv_shapes()):
-        params[f"conv{i}.weights"] = take(f"conv{i}.weights", (f, depth, m))
-        params[f"conv{i}.bias"] = take(f"conv{i}.bias", (f,))
-    if cfg.use_cnn:
-        params["fc.weights"] = take("fc.weights", (n_in, cfg.fc_input_len))
-    params["lstm.gates"] = np.concatenate(
-        [take(f"lstm.w_{gate}", (n_h + n_in, n_h))
-         for gate in quant.GATE_ORDER], axis=1)
-    params["lstm.gate_bias"] = np.concatenate(
-        [take(f"lstm.b_{gate}", (n_h,)) for gate in quant.GATE_ORDER])
-    params["lstm.w_logits"] = take("lstm.w_logits", (n_h, cfg.n_classes))
-    params["lstm.b_logits"] = take("lstm.b_logits", (cfg.n_classes,))
+    for name, shape in cfg.tensor_shapes().items():
+        if name in per_gate:  # four files, a quarter of the columns each
+            block = shape[:-1] + (shape[-1] // 4,)
+            params[name] = np.concatenate([take(per_gate[name] + gate, block)
+                                           for gate in quant.GATE_ORDER],
+                                          axis=-1)
+        else:
+            params[name] = take(name, shape)
     return params, cfg, mode

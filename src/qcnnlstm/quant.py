@@ -1,8 +1,9 @@
 """Binary/ternary weight quantizers, straight-through gradients, 2-bit packing.
 
 Training keeps full-precision shadow weights; forward passes read the
-quantized codes. Only the LSTM gate matrices and CNN kernels are quantized:
-the fully connected layers keep 12-bit fixed-point values in hardware.
+quantized codes. Only the LSTM gate matrices and CNN kernels are quantized
+(`is_quantized`): the fully connected layers keep 12-bit fixed-point values
+in hardware, and coded networks have no biases (`is_bias`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from . import fxp
 from .fxp import QFormat
 
 __all__ = [
+    "is_quantized",
+    "is_bias",
     "quantize_binary",
     "quantize_ternary",
     "quantize_weights",
@@ -26,6 +29,17 @@ __all__ = [
 
 MODES = ("full", "binary", "ternary")
 GATE_ORDER = ("forget", "input", "output", "cell")
+
+
+def is_quantized(name: str) -> bool:
+    """Gates and CNN kernels take codes; FC and output layers do not."""
+    return name == "lstm.gates" or \
+        name.startswith("conv") and name.endswith(".weights")
+
+
+def is_bias(name: str) -> bool:
+    """Bias tensors and their files, the per-gate `lstm.b_<gate>` too."""
+    return name.endswith("bias") or name.startswith("lstm.b_")
 
 
 def _as_float(r) -> np.ndarray:
@@ -164,16 +178,16 @@ class QuantizedNetwork:
     def from_params(cls, params: dict, mode: str,
                     weight_format: QFormat = fxp.ACT_FORMAT):
         """Quantize a trained float network, a `model` parameter dict, for
-        the fixed-point engine."""
+        the fixed-point engine: `is_quantized` tensors to codes, in order."""
         if mode not in ("binary", "ternary"):
             raise ValueError("hardware networks are binary or ternary")
-        conv = [quantize_weights(w, mode) for name, w in params.items()
-                if name.startswith("conv") and name.endswith(".weights")]
+        codes = {name: quantize_weights(w, mode)
+                 for name, w in params.items() if is_quantized(name)}
+        gates = codes.pop("lstm.gates")
         fc = fxp.to_raw(params["fc.weights"], weight_format) \
             if "fc.weights" in params else None
-        gates = quantize_weights(params["lstm.gates"], mode)
         logits = fxp.to_raw(params["lstm.w_logits"], weight_format)
-        return cls(conv, fc, gates, logits, weight_format)
+        return cls(list(codes.values()), fc, gates, logits, weight_format)
 
     def weight_bits(self) -> int:
         """Total stored weight bits (2 per code, format width per FC value)."""

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import quant
-from .model import (NetworkConfig, im2col, is_quantized, network_tensors,
+from . import fxp, quant
+from .model import (NetworkConfig, _file_tensors, im2col, network_tensors,
                     softmax)
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "adagrad_step",
     "init_params",
     "train",
-    "evaluate_accuracy",
     "predict_probs",
     "auc_macro",
     "confusion_matrix",
@@ -93,30 +92,17 @@ class TrainResult:
 
 def init_params(cfg: NetworkConfig, seed: int = 0,
                 init_scale: float = 0.01) -> dict:
-    """The network's parameters, tensor name -> array (see `model`):
-    weights uniform in [-init_scale, +init_scale], biases zero.
-
-    Draw order: conv kernels, FC, then each gate block in `quant.GATE_ORDER`
-    and the output layer.
+    """The parameters `NetworkConfig.tensor_shapes` lists: weights uniform
+    in [-init_scale, +init_scale], biases zero. Each weight is drawn per
+    stored file (`model._file_tensors`), in the table's order: conv kernels,
+    FC, each gate block in `quant.GATE_ORDER`, the output layer.
     """
     rng = np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-init_scale, init_scale, shape)
-
-    params = {}
-    for i, (depth, f, m) in enumerate(cfg.conv_shapes()):
-        params[f"conv{i}.weights"] = u(f, depth, m)
-        params[f"conv{i}.bias"] = np.zeros(f)
-    if cfg.use_cnn:
-        params["fc.weights"] = u(cfg.input_len, cfg.fc_input_len)
-    nh = cfg.n_hidden
-    gates = params["lstm.gates"] = np.empty((nh + cfg.input_len, 4 * nh))
-    for k in range(4):
-        gates[:, k * nh:(k + 1) * nh] = u(nh + cfg.input_len, nh)
-    params["lstm.gate_bias"] = np.zeros(4 * nh)
-    params["lstm.w_logits"] = u(nh, cfg.n_classes)
-    params["lstm.b_logits"] = np.zeros(cfg.n_classes)
+    params = {name: np.zeros(shape)
+              for name, shape in cfg.tensor_shapes().items()}
+    for name, w, _ in _file_tensors(params):
+        if not quant.is_bias(name):
+            w[...] = rng.uniform(-init_scale, init_scale, w.shape)
     return params
 
 
@@ -148,14 +134,6 @@ class _Workspace:
         return self._buffers[name][:size].reshape(shape)
 
 
-def _sigmoid_in_place(z) -> None:
-    np.negative(z, out=z)
-    with np.errstate(over="ignore"):  # exp -> inf gives 1 / (1 + inf) = 0
-        np.exp(z, out=z)
-    z += 1.0
-    np.divide(1.0, z, out=z)
-
-
 def _forward(x, eff: dict, cfg: NetworkConfig, ws: _Workspace):
     """Time-major windows x (q, B, U) -> (logits (q, B, Ny), cache for backprop)."""
     q, b, _ = x.shape
@@ -174,7 +152,7 @@ def _forward(x, eff: dict, cfg: NetworkConfig, ws: _Workspace):
     tanh_c = ws.take("tanh_c", (b, nh))
     for t in range(q):
         gates[t] += np.matmul(hs[t], w[:nh], out=gate_step)
-        _sigmoid_in_place(sig[t])
+        fxp.sigmoid(sig[t], out=sig[t])
         np.tanh(cell[t], out=cell[t])
         g_forget, g_input, g_output, g_cell = np.split(gates[t], 4, axis=1)
         np.multiply(g_forget, cs[t], out=cs[t + 1])
@@ -334,7 +312,11 @@ def _loss_and_grads(x, labels, params: dict, eff: dict,
     logits, cache = _forward(x, eff, net_cfg, ws)
     loss, grads = _backward(labels, eff, net_cfg, logits, cache, ws,
                             biases=mode == "full")
-    return loss, _route_to_shadow(grads, params, mode)
+    if mode != "full":  # code gradients reach the shadows through the STE
+        grads = {name: quant.ste_backward(g, params[name])
+                 if quant.is_quantized(name) else g
+                 for name, g in grads.items()}
+    return loss, grads
 
 
 def sequence_loss_and_grads(seq, params: dict, net_cfg: NetworkConfig,
@@ -343,15 +325,6 @@ def sequence_loss_and_grads(seq, params: dict, net_cfg: NetworkConfig,
     windows = np.asarray(seq.windows, dtype=np.float64)[None, :, :]
     return batch_loss_and_grads(windows, [seq.label], params, net_cfg,
                                 cfg or TrainConfig())
-
-
-def _route_to_shadow(grads: dict, params: dict, mode: str) -> dict:
-    """Binary/ternary modes pass the code gradients through the STE
-    (|shadow| <= 1); their biases have no gradients."""
-    if mode == "full":
-        return grads
-    return {name: quant.ste_backward(g, params[name]) if is_quantized(name)
-            else g for name, g in grads.items()}
 
 
 def adagrad_step(params: dict, grads: dict, state: AdagradState,
@@ -369,7 +342,7 @@ def adagrad_step(params: dict, grads: dict, state: AdagradState,
             rows = max(1, ADAGRAD_BLOCK * len(g) // g.size)
             state.step[name] = np.empty_like(g[:rows])
         w, acc, step = params[name], state.acc[name], state.step[name]
-        clamp = cfg.mode != "full" and is_quantized(name)
+        clamp = cfg.mode != "full" and quant.is_quantized(name)
         for a in range(0, len(g), len(step)):
             rows = slice(a, a + len(step))
             g_b, w_b = g[rows], w[rows]
@@ -382,16 +355,6 @@ def adagrad_step(params: dict, grads: dict, state: AdagradState,
             w_b -= np.divide(g_b, step_b, out=step_b)
             if clamp:
                 np.clip(w_b, -1.0, 1.0, out=w_b)
-
-
-def _train_batch(x, labels, params: dict, eff: dict,
-                 state: AdagradState, cfg: TrainConfig, net_cfg: NetworkConfig,
-                 ws: _Workspace) -> float:
-    """One minibatch's mean loss, after its Adagrad update. Its gradients,
-    views of `ws`, die with this frame, before a larger pass regrows them."""
-    loss, grads = _loss_and_grads(x, labels, params, eff, net_cfg, cfg.mode, ws)
-    adagrad_step(params, grads, state, cfg)
-    return loss
 
 
 def _stack_windows(seqs, net_cfg: NetworkConfig):
@@ -430,15 +393,19 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
             # bounds-checked copy that the default mode makes through a temporary
             x = np.take(windows, idx, axis=1, mode="wrap",
                         out=ws.take("x", (q, len(idx), width)))
-            epoch_loss += _train_batch(x, labels[idx], params, eff, state,
-                                       cfg, net_cfg, ws) * len(idx)
+            loss, grads = _loss_and_grads(x, labels[idx], params, eff,
+                                          net_cfg, cfg.mode, ws)
+            adagrad_step(params, grads, state, cfg)
+            del grads  # views of `ws`: gone before the evaluation regrows it
+            epoch_loss += loss * len(idx)
             eff = network_tensors(params, cfg.mode, out=eff)
         loss_trace[epoch] = epoch_loss / n
         if not np.isfinite(loss_trace[epoch]):
             raise ValueError(f"epoch {epoch}: mean loss {loss_trace[epoch]} "
                              "is not finite; lower learning_rate or "
                              "init_scale")
-        acc_trace[epoch] = _accuracy(test_windows, test_labels, eff, net_cfg, ws)
+        preds = _final_probs(test_windows, eff, net_cfg, ws).argmax(axis=1)
+        acc_trace[epoch] = (preds == test_labels).mean()
     return TrainResult(params, loss_trace, acc_trace)
 
 
@@ -452,25 +419,12 @@ def _final_probs(windows, eff: dict, net_cfg: NetworkConfig,
     return softmax(_forward(windows, eff, net_cfg, ws)[0][-1])
 
 
-def _accuracy(windows, labels, eff: dict, net_cfg: NetworkConfig,
-              ws: _Workspace) -> float:
-    preds = _final_probs(windows, eff, net_cfg, ws).argmax(axis=1)
-    return float((preds == labels).mean())
-
-
 def predict_probs(params: dict, seqs, net_cfg: NetworkConfig,
                   mode: str = "full") -> np.ndarray:
     """Softmax probabilities of the final step for each sequence."""
     windows, _ = _stack_windows(seqs, net_cfg)
     return _final_probs(windows, network_tensors(params, mode), net_cfg,
                         _Workspace())
-
-
-def evaluate_accuracy(params: dict, seqs, net_cfg: NetworkConfig,
-                      mode: str = "full") -> float:
-    windows, labels = _stack_windows(seqs, net_cfg)
-    return _accuracy(windows, labels, network_tensors(params, mode), net_cfg,
-                     _Workspace())
 
 
 def auc_macro(labels, scores) -> float:

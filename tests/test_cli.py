@@ -264,6 +264,30 @@ class TestEmbed:
         trace = np.loadtxt(out / "energy_trace.csv", skiprows=1)
         assert np.all(np.diff(trace) <= 0)
 
+    def test_multi_channel_data_exits_2_naming_the_channels(self, tmp_path,
+                                                            capsys):
+        # flattened windows would interleave the channels window by window
+        rng = np.random.default_rng(0)
+        seqs = [datagen.WindowedSequence(rng.uniform(-1, 1, (4, 16)), k % 2)
+                for k in range(4)]
+        ds = tmp_path / "ds"
+        datagen.save_dataset(datagen.SyntheticDataset(
+            seqs, [0.0, 1.0], 0.0, "hand", 8, 4, 2), ds)
+        out = tmp_path / "emb"
+        assert run("embed", "--data", str(ds), "--iters", "200",
+                   "--out", str(out)) == 2
+        assert "has 2 channels" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUcrWindowSettings:
+    @pytest.mark.parametrize("kv, key", [
+        ({}, "window_len"), ({"window_len": 20}, "n_steps")])
+    def test_missing_key_is_a_data_error_naming_it(self, kv, key):
+        with pytest.raises(DataFormatError,
+                           match=f"{ECG_DIR}: .*missing key '{key}'"):
+            cli.load_split_sequences(ECG_DIR, kv)
+
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory):
@@ -390,7 +414,7 @@ class TestOneNetworkDefinition:
                    "--out", str(full)) == 0
         assert run("quantize", "--model", str(full), "--out", str(qdir)) == 0
         params, net, mode = model.load_network(full)
-        biases = [name for name in params if model.is_bias(name)]
+        biases = [name for name in params if quant.is_bias(name)]
         assert {"conv0.bias", "conv1.bias", "lstm.gate_bias",
                 "lstm.b_logits"} <= set(biases)
         assert any(params[name].any() for name in biases)

@@ -281,6 +281,14 @@ def _five_channels(d, rows):
                                                      "n_channels = 5"))
 
 
+def _manifest_key(key, value):
+    """A spoiler that sets the manifest's `key` to `value`."""
+    def spoil(d, rows):
+        manifest = d / "manifest.txt"
+        datagen.write_kv(manifest, {**datagen.read_kv(manifest), key: value})
+    return spoil
+
+
 #: (name, how rows.npy or the manifest goes bad, the file named, message)
 _BAD_CONTAINERS = [
     ("missing", lambda d, rows: (d / datagen.ROWS_NPY).unlink(),
@@ -300,6 +308,13 @@ _BAD_CONTAINERS = [
     ("nan", _with_nan, datagen.ROWS_NPY, "row 2: non-finite value"),
     ("channels", _five_channels, "manifest.txt",
      "n_channels = 5 does not split rows of 24 samples"),
+    ("no-classes", _manifest_key("classes", "0"), "manifest.txt",
+     "classes = 0, but class_params holds 2 values"),
+    ("more-classes", _manifest_key("classes", "3"), "manifest.txt",
+     "classes = 3, but class_params holds 2 values"),
+    ("negative-noise", _manifest_key("noise_amplitude", "-1"),
+     "manifest.txt", "noise_amplitude = -1.0; a noise amplitude is at "
+     "least 0"),
 ]
 
 

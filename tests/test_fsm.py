@@ -148,7 +148,7 @@ class TestGoldenEquivalence:
     def test_serialized_model_round_trip_preserves_bits(self, tmp_path):
         # banks loaded from a packed on-disk model must reproduce the
         # in-memory golden logits exactly
-        from qcnnlstm.model import is_bias, load_network, save_network
+        from qcnnlstm.model import load_network, save_network
         rng = np.random.default_rng(99)
         cfg, qnet, raw = random_net(rng, use_cnn=True)
         golden = network_forward_fixed(raw, qnet, cfg, MC.activation_format)
@@ -162,7 +162,7 @@ class TestGoldenEquivalence:
         params["lstm.w_logits"][:] = fxp.from_raw(qnet.logits_raw,
                                                   qnet.weight_format)
         for name, w in params.items():
-            if is_bias(name):
+            if quant.is_bias(name):
                 w[:] = 0.0
         save_network(tmp_path / "m", params, cfg, mode="ternary")
         loaded, cfg2, mode = load_network(tmp_path / "m")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -392,3 +393,28 @@ class TestLutEval:
         bound = 0.25 * sigmoid_lut.cell_width / 2 + Q48.step
         assert np.abs(approx - exact).max() <= bound
 
+
+
+class TestSigmoid:
+    """The one sigmoid, which the trainer's gates and the tables read."""
+
+    def test_equals_the_textbook_expression_bit_for_bit(self):
+        u = np.concatenate([np.linspace(-40.0, 40.0, 10001),
+                            np.random.default_rng(0).normal(0, 5, 10000)])
+        want = 1.0 / (1.0 + np.exp(-u))
+        assert np.array_equal(fxp.sigmoid(u), want)
+        assert fxp.sigmoid(u, out=u) is u
+        assert np.array_equal(u, want)
+
+    def test_in_place_on_a_strided_view(self):
+        gates = np.random.default_rng(1).normal(0, 3, (5, 12))
+        want = gates.copy()
+        want[:, :9] = 1.0 / (1.0 + np.exp(-want[:, :9]))
+        fxp.sigmoid(gates[:, :9], out=gates[:, :9])
+        assert np.array_equal(gates, want)
+
+    def test_overflow_gives_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fxp.sigmoid(np.array([-1000.0, -745.0, 1000.0]))
+        assert got[0] == 0.0 and got[2] == 1.0

@@ -16,7 +16,7 @@ from float_oracle import (LstmState, conv1d_relu, fc_residual, lstm_step,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcnnlstm import cli, fsm, fxp, model, quant
+from qcnnlstm import cli, datagen, fsm, fxp, model, quant
 from qcnnlstm.model import (NetworkConfig, im2col, load_network,
                             network_forward_fixed, save_network, softmax)
 from qcnnlstm.train import (TrainConfig, batch_loss_and_grads, forward_logits,
@@ -530,7 +530,7 @@ class TestSerialization:
             save_network(tmp_path / mode, params, cfg, mode=mode)
             loaded, _, _ = load_network(tmp_path / mode)
             for name, w in loaded.items():
-                coded = mode != "full" and model.is_quantized(name)
+                coded = mode != "full" and quant.is_quantized(name)
                 assert w.dtype == (np.float32 if coded else np.float64), name
                 assert w.flags.writeable and w.flags.c_contiguous, name
 
@@ -555,7 +555,7 @@ class TestSerialization:
             cnn + gates + ["lstm.w_logits", "lstm.b_logits"]
         want = model.network_tensors(params, mode)
         for name, w in loaded.items():
-            coded = mode != "full" and model.is_quantized(name)
+            coded = mode != "full" and quant.is_quantized(name)
             assert w.dtype == (np.float32 if coded else np.float64), name
             assert np.array_equal(w, want[name]), name
 
@@ -613,6 +613,81 @@ class TestSerialization:
         assert peak < 3 * qnet.gates.nbytes
 
 
+class TestTensorTable:
+    """`NetworkConfig.tensor_shapes` is the one statement of a network's
+    tensors: `init_params` allocates from it, `load_network` checks against
+    it."""
+
+    # sha256 over every tensor's bytes, in dict order: another draw order
+    # changes every model trained or built from `init_params`
+    @pytest.mark.parametrize("cfg, digest", [
+        (NetworkConfig(window_len=5, n_steps=3, n_hidden=4, n_classes=3,
+                       n_channels=2, conv_layers=((3, 3), (2, 2))),
+         "2fdb890c02873072586e90f1fb9ff512c0c26e3b767fdc4244148a291e503d6e"),
+        (NetworkConfig(window_len=6, n_steps=2, n_hidden=5, n_classes=2,
+                       n_channels=3, use_cnn=False),
+         "10192295160dd086501b815d52c91234e4830505f529b5b4ab11d71597e1a297"),
+    ], ids=["cnn", "no-cnn"])
+    def test_init_params_draws_are_pinned(self, cfg, digest):
+        h = hashlib.sha256()
+        for w in init_params(cfg, seed=11, init_scale=0.5).values():
+            h.update(w.tobytes())
+        assert h.hexdigest() == digest
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           mode=st.sampled_from(["full", "binary", "ternary"]))
+    def test_init_and_load_give_the_tables_names_order_and_shapes(self, seed,
+                                                                 mode):
+        rng = np.random.default_rng(seed)
+        layers = tuple((int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+                       for _ in range(int(rng.integers(1, 4))))
+        cfg = NetworkConfig(window_len=int(rng.integers(1, 7)),
+                            n_steps=int(rng.integers(1, 4)),
+                            n_hidden=int(rng.integers(1, 7)),
+                            n_classes=int(rng.integers(2, 5)),
+                            n_channels=int(rng.integers(1, 4)),
+                            conv_layers=layers,
+                            use_cnn=bool(rng.integers(0, 2)))
+        want = list(cfg.tensor_shapes().items())
+        params = init_params(cfg, seed=seed, init_scale=1.0)
+        assert [(name, w.shape) for name, w in params.items()] == want
+        with tempfile.TemporaryDirectory() as tmp:
+            save_network(tmp, params, cfg, mode=mode)
+            loaded, _, _ = load_network(tmp)
+        assert [(name, w.shape) for name, w in loaded.items()] == want
+
+    @pytest.mark.parametrize("wrong, first", [
+        (("lstm.b_logits", "conv1.bias"), "conv1.bias"),
+        (("lstm.w_logits", "fc.weights"), "fc.weights"),
+        # every weight file of the fused gates comes before any bias file
+        (("lstm.b_forget", "lstm.w_cell"), "lstm.w_cell"),
+    ])
+    def test_of_two_wrong_tensors_the_first_in_table_order_is_named(
+            self, tmp_path, wrong, first):
+        cfg = NetworkConfig(window_len=4, n_steps=2, n_hidden=3, n_classes=2,
+                            conv_layers=((2, 3), (2, 2)))
+        save_network(tmp_path, init_params(cfg), cfg)
+        manifest = tmp_path / "params.manifest"
+        lines = []
+        for line in manifest.read_text().splitlines():
+            name, dtype, shape, fname = line.split("\t")
+            if name in wrong:  # the same bytes, read as a column
+                shape += ",1"
+            lines.append("\t".join((name, dtype, shape, fname)))
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(datagen.DataFormatError,
+                           match=f"params.manifest: {first} has shape"):
+            load_network(tmp_path)
+
+    def test_per_gate_bias_files_are_biases(self):
+        for gate in quant.GATE_ORDER:
+            assert quant.is_bias(f"lstm.b_{gate}")
+            assert not quant.is_bias(f"lstm.w_{gate}")
+        assert not any(quant.is_bias(name) and quant.is_quantized(name)
+                       for name in NetworkConfig(4, 2, 3, 2).tensor_shapes())
+
+
 def random_engine_case(rng, mode):
     """A tiny random network, batch and labels over the engine's branches."""
     use_cnn = bool(rng.integers(0, 2))
@@ -627,7 +702,7 @@ def random_engine_case(rng, mode):
                         residual=bool(rng.integers(0, 2)))
     params = init_params(cfg, seed=int(rng.integers(2**31)), init_scale=1.0)
     for name, w in params.items():
-        if model.is_bias(name):
+        if quant.is_bias(name):
             w += rng.uniform(-0.3, 0.3, w.shape)
     b = int(rng.integers(1, 6))
     windows = rng.uniform(-1, 1, (b, cfg.n_steps, cfg.input_len))
@@ -640,8 +715,8 @@ def coded(params, mode):
     binary/ternary networks compute with codes and zero biases."""
     if mode == "full":
         return params
-    return {name: quant.quantize_weights(w, mode) if model.is_quantized(name)
-            else np.zeros_like(w) if model.is_bias(name) else w
+    return {name: quant.quantize_weights(w, mode) if quant.is_quantized(name)
+            else np.zeros_like(w) if quant.is_bias(name) else w
             for name, w in params.items()}
 
 
