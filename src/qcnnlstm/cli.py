@@ -63,6 +63,14 @@ class _SplitSettings:
 
 
 @dataclass(frozen=True)
+class _Cut:
+    """How a UCR pair is cut into windows."""
+
+    window_len: int
+    n_steps: int
+
+
+@dataclass(frozen=True)
 class _Throughput:
     gops: float = 6.3  # the accelerator's rated giga-operations per second
 
@@ -106,7 +114,7 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
     Generated data is split by `seed` and `train_fraction`, and `envelope`
     = 1 on it is a `DataFormatError`; a UCR pair keeps its split, enveloped
     when `envelope` is 1, and is windowed per `kv`'s `window_len` and
-    `n_steps`, a missing one a `DataFormatError`. `digest` is
+    `n_steps`, a missing or non-integer one a `DataFormatError`. `digest` is
     `datagen.rows_digest` of the row files read: a generated dataset's
     `rows.npy` (its `rows_sha256`) or a UCR pair's _TRAIN and _TEST files.
     """
@@ -125,11 +133,7 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
                 [ds.sequences[i] for i in test_idx],
                 ds.n_classes, ds.n_channels, ds.digest)
     train_path, test_path = _find_ucr_pair(data_dir)
-    for key in ("window_len", "n_steps"):
-        if key not in kv:
-            raise ingest.DataFormatError(
-                f"{data_dir}: a UCR pair is cut into windows by window_len "
-                f"and n_steps; missing key {key!r}")
+    cut = vars(datagen.read_record(_Cut, kv, data_dir))
     # one read per file: the bytes parsed are the bytes hashed
     blobs = [train_path.read_bytes(), test_path.read_bytes()]
     train_raw = ingest.load_ucr(train_path, blobs[0])
@@ -139,9 +143,8 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
         test_raw = ingest.envelope_dataset(test_raw)
     train_raw, test_raw = ingest.normalize_and_split(
         train_raw, predefined_test=test_raw)
-    window_len, n_steps = int(kv["window_len"]), int(kv["n_steps"])
-    train_seqs = ingest.dataset_to_sequences(train_raw, window_len, n_steps)
-    test_seqs = ingest.dataset_to_sequences(test_raw, window_len, n_steps)
+    train_seqs = ingest.dataset_to_sequences(train_raw, **cut)
+    test_seqs = ingest.dataset_to_sequences(test_raw, **cut)
     return (train_seqs, test_seqs, train_raw.n_classes,
             train_raw.signals.shape[1],
             datagen.rows_digest((train_path, test_path), blobs))
@@ -173,23 +176,13 @@ def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
 
 def _cmd_gen(args, argv) -> int:
     out = Path(args.out)
-    if args.system == "sine":
-        ds = datagen.make_sine_dataset(
-            n_classes=args.classes, beta=args.beta, per_class=args.per_class,
-            window_len=args.window, n_steps=args.steps, alpha=args.alpha,
-            noise_amplitude=args.noise, seed=args.seed)
-    elif args.system == "logistic":
-        r_values = np.linspace(3.6, 4.0, args.classes)
-        ds = datagen.make_logistic_dataset(
-            r_values=tuple(r_values), per_class=args.per_class,
-            window_len=args.window, n_steps=args.steps,
-            noise_amplitude=args.noise, seed=args.seed)
-    else:
-        sigmas = np.linspace(8.0, 18.0, args.classes)
-        ds = datagen.make_lorenz_dataset(
-            sigmas=tuple(sigmas), per_class=args.per_class,
-            window_len=args.window, n_steps=args.steps, scale=args.scale,
-            noise_amplitude=args.noise, seed=args.seed)
+    # the settings every generator takes, then the ones its system adds
+    extra = {"sine": {"beta": args.beta, "alpha": args.alpha},
+             "lorenz": {"scale": args.scale}}.get(args.system, {})
+    ds = getattr(datagen, f"make_{args.system}_dataset")(
+        n_classes=args.classes, per_class=args.per_class,
+        window_len=args.window, n_steps=args.steps,
+        noise_amplitude=args.noise, seed=args.seed, **extra)
     datagen.save_dataset(ds, out)
     _write_manifest(argv, out, seed=args.seed)
     print(f"wrote {len(ds.sequences)} sequences ({ds.n_classes} classes) to {out}")
@@ -274,7 +267,11 @@ def _cmd_quantize(args, argv) -> int:
 def _cmd_eval(args, argv) -> int:
     params, cfg, mode = model.load_network(args.model)
     _, test_seqs, _, _ = _held_out_split(args.model, args.data, cfg)
-    probs = train_mod.predict_probs(params, test_seqs, cfg, mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = train_mod.predict_probs(params, test_seqs, cfg, mode)
+    if not np.isfinite(probs).all():
+        raise ingest.DataFormatError(f"{args.model}: the float engine "
+                                     "overflows on this network's weights")
     labels = np.array([s.label for s in test_seqs])
     if args.report == "accuracy":
         acc = float((probs.argmax(axis=1) == labels).mean())
@@ -427,7 +424,7 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    except (FileNotFoundError, ValueError, fsm.BankCapacityError) as exc:
+    except (OSError, ValueError, fsm.BankCapacityError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

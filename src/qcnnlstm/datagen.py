@@ -3,8 +3,10 @@
 Classes are discrete parameter regimes of the logistic map, the Lorenz
 system, or a sine bank with linearly spaced frequencies. Realizations of one
 class differ by initial condition (chaotic systems) and additive uniform
-noise; every generator is deterministic per seed. `save_dataset` and
-`load_dataset` are the one writer and reader of a generated dataset.
+noise; every generator takes `n_classes` first, computes all realizations
+in one call of its signal maker and is deterministic per seed.
+`save_dataset` and `load_dataset` are the one writer and reader of a
+generated dataset.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ __all__ = [
     "load_dataset",
 ]
 
-LOGISTIC_CLASS_R = (3.6, 3.7, 3.8, 3.9, 4.0)
-LORENZ_CLASS_SIGMA = (8.0, 10.5, 13.0, 15.5, 18.0)
-
-
 @dataclass(frozen=True)
 class LogisticParams:
     r: float
@@ -53,9 +51,9 @@ class LogisticParams:
     transient: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.x0 < 1.0:
+        if not np.all((0.0 < self.x0) & (self.x0 < 1.0)):
             raise ValueError("x0 must lie in (0, 1)")
-        if not 0.0 < self.r <= 4.0:
+        if not np.all((0.0 < self.r) & (self.r <= 4.0)):
             raise ValueError("r must lie in (0, 4]")
         if self.n_samples < 1 or self.transient < 0:
             raise ValueError("bad sample counts")
@@ -105,14 +103,15 @@ class SyntheticDataset:
 
 
 def logistic_series(p: LogisticParams) -> np.ndarray:
-    """Iterate x <- r*x*(1-x); return n_samples values after the transient."""
-    out = np.empty(p.n_samples)
-    x = p.x0
+    """Iterate x <- r*x*(1-x) per element of `r` and `x0`, scalars or arrays
+    of one shape; n_samples values after the transient, on the last axis."""
+    x = np.asarray(p.x0, dtype=np.float64)
+    out = np.empty(x.shape + (p.n_samples,))
     for _ in range(p.transient):
         x = p.r * x * (1.0 - x)
     for i in range(p.n_samples):
         x = p.r * x * (1.0 - x)
-        out[i] = x
+        out[..., i] = x
     return out
 
 
@@ -122,16 +121,18 @@ def _lorenz_deriv(state, sigma, rho, beta):
 
 
 def lorenz_series(p: LorenzParams, scale: float = 40.0) -> np.ndarray:
-    """RK4-integrate the Lorenz system; return x(t)/scale after the transient.
+    """RK4-integrate the Lorenz system, one orbit per element of `sigma`
+    (shape S) and row of `initial` (*S, 3), or a single one; return
+    x(t)/scale after the transient, on the last axis.
 
-    The scaled trajectory must stay inside [-1, 1]; a scale that is too small
-    is reported rather than silently clipped.
+    The scaled trajectories must stay inside [-1, 1]; a scale that is too
+    small or a diverging dt is reported rather than silently clipped.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    state = np.asarray(p.initial, dtype=np.float64)
+    state = np.moveaxis(np.asarray(p.initial, dtype=np.float64), -1, 0)
     n_total = p.transient + p.n_samples
-    xs = np.empty(p.n_samples)
+    xs = np.empty(state.shape[1:] + (p.n_samples,))
     for i in range(n_total):
         k1 = _lorenz_deriv(state, p.sigma, p.rho, p.beta)
         k2 = _lorenz_deriv(state + 0.5 * p.dt * k1, p.sigma, p.rho, p.beta)
@@ -139,17 +140,18 @@ def lorenz_series(p: LorenzParams, scale: float = 40.0) -> np.ndarray:
         k4 = _lorenz_deriv(state + p.dt * k3, p.sigma, p.rho, p.beta)
         state = state + (p.dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if i >= p.transient:
-            xs[i - p.transient] = state[0]
+            xs[..., i - p.transient] = state[0]
     xs /= scale
-    if np.abs(xs).max() > 1.0:
-        raise ValueError(f"scaled trajectory exits [-1, 1] "
-                         f"(max |x|/scale = {np.abs(xs).max():.3f}); increase scale")
+    if not np.abs(xs).max() <= 1.0:  # nan when the integration diverged
+        raise ValueError(f"scaled trajectory exits [-1, 1] (max |x|/scale = "
+                         f"{np.abs(xs).max():.3f}); increase scale or lower dt")
     return xs
 
 
 def sine_bank_series(class_idx: int, beta: float, t_grid,
                      alpha: float = 3.0) -> np.ndarray:
-    """Channel j of the sine bank: sin(t * (alpha + j*beta)) on t_grid."""
+    """Channel j of the sine bank: sin(t * (alpha + j*beta)) on t_grid; a
+    column of channels (N, 1) gives a row per channel."""
     t = np.asarray(t_grid, dtype=np.float64)
     return np.sin(t * (alpha + class_idx * beta))
 
@@ -161,6 +163,9 @@ def make_windows(signals, window_len: int, n_steps: int) -> np.ndarray:
     come back as a new array (..., n_steps, channels*window_len), each
     window channel 0's samples, then channel 1's and so on.
     """
+    if min(window_len, n_steps) < 1:
+        raise ValueError(f"window_len = {window_len}, n_steps = {n_steps}; "
+                         "a window cut needs both at least 1")
     sig = np.atleast_2d(np.asarray(signals, dtype=np.float64))
     *lead, m, t_len = sig.shape
     needed = n_steps * window_len
@@ -188,8 +193,8 @@ def _dataset(generator, class_params, make_signal, per_class, window_len,
     root = np.random.default_rng(seed)
     labels = [k for k in range(len(class_params)) for _ in range(per_class)]
     seeds = [int(root.integers(0, 2**63 - 1)) for _ in labels]
-    signals = np.stack([make_signal(class_params[k], np.random.default_rng(s))
-                        for k, s in zip(labels, seeds)])
+    signals = make_signal(np.asarray(class_params)[labels],
+                          [np.random.default_rng(s) for s in seeds])
     windows = make_windows(signals[:, None], window_len, n_steps)
     if noise_amplitude > 0.0:
         # uniform in [-amplitude, +amplitude], each realization's from a
@@ -202,34 +207,34 @@ def _dataset(generator, class_params, make_signal, per_class, window_len,
                             window_len, n_steps, seed=seed, extra=extra or {})
 
 
-def make_logistic_dataset(r_values=LOGISTIC_CLASS_R, per_class: int = 20,
+def make_logistic_dataset(n_classes: int = 5, per_class: int = 20,
                           window_len: int = 20, n_steps: int = 5,
                           noise_amplitude: float = 0.01, seed: int = 0,
                           transient: int = 100) -> SyntheticDataset:
-    n = window_len * n_steps
+    def gen(r, rngs):
+        x0 = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
+        return logistic_series(LogisticParams(r, x0, window_len * n_steps,
+                                              transient))
 
-    def gen(r, rng):
-        x0 = rng.uniform(0.1, 0.9)
-        return logistic_series(LogisticParams(r, x0, n, transient))
-
-    return _dataset("logistic", r_values, gen, per_class, window_len, n_steps,
-                    noise_amplitude, seed)
+    return _dataset("logistic", np.linspace(3.6, 4.0, n_classes), gen,
+                    per_class, window_len, n_steps, noise_amplitude, seed)
 
 
-def make_lorenz_dataset(sigmas=LORENZ_CLASS_SIGMA, per_class: int = 20,
+def make_lorenz_dataset(n_classes: int = 5, per_class: int = 20,
                         window_len: int = 20, n_steps: int = 5,
                         noise_amplitude: float = 0.01, seed: int = 0,
                         scale: float = 40.0, dt: float = 0.01,
                         transient: int = 1000) -> SyntheticDataset:
-    def gen(sigma, rng):
-        initial = tuple(np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.5, 0.5, 3))
+    def gen(sigma, rngs):
+        initial = 1.0 + np.array([rng.uniform(-0.5, 0.5, 3) for rng in rngs])
         return lorenz_series(LorenzParams(sigma, initial=initial, dt=dt,
                                           n_samples=window_len * n_steps,
                                           transient=transient),
                              scale)
 
-    return _dataset("lorenz", sigmas, gen, per_class, window_len, n_steps,
-                    noise_amplitude, seed, extra={"scale": scale, "dt": dt})
+    return _dataset("lorenz", np.linspace(8.0, 18.0, n_classes), gen,
+                    per_class, window_len, n_steps, noise_amplitude, seed,
+                    extra={"scale": scale, "dt": dt})
 
 
 def make_sine_dataset(n_classes: int = 5, beta: float = 0.1,
@@ -240,8 +245,8 @@ def make_sine_dataset(n_classes: int = 5, beta: float = 0.1,
     """Sine-bank classes: same deterministic waveform per class, noisy copies."""
     t = np.arange(window_len * n_steps) * dt
 
-    def gen(j, rng):
-        return sine_bank_series(int(j), beta, t, alpha)
+    def gen(j, rngs):
+        return sine_bank_series(j[:, None], beta, t, alpha)
 
     return _dataset("sine", list(range(n_classes)), gen, per_class, window_len,
                     n_steps, noise_amplitude, seed,

@@ -336,8 +336,8 @@ def _read_tensor(path: Path, name: str, dtype: str, shape: tuple,
                  mode: str) -> np.ndarray:
     """One manifest entry's file as a new array: int2 files as float32
     codes, float64 files as float64. A byte length that does not fit
-    `shape`, a 0b10 field and a 0 code in a binary network are
-    `DataFormatError`s naming the file."""
+    `shape`, a non-finite float64 value, a 0b10 field and a 0 code in a
+    binary network are `DataFormatError`s naming the file."""
     n = int(np.prod(shape))
     sizes = {"int2": (n + 3) // 4, "float64": 8 * n}
     if dtype not in sizes:
@@ -349,7 +349,11 @@ def _read_tensor(path: Path, name: str, dtype: str, shape: tuple,
             f"{path}: {len(buf)} bytes, but {name}, {dtype} of shape "
             f"{shape}, takes {sizes[dtype]}")
     if dtype == "float64":
-        return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+        values = np.frombuffer(buf, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise datagen.DataFormatError(f"{path}: {name} holds a non-finite "
+                                          "value")
+        return values.astype(np.float64).reshape(shape)
     try:
         codes = quant.unpack_codes(buf, shape)
     except ValueError as exc:
@@ -369,9 +373,9 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
     float64. A mode outside `quant.MODES`, a manifest shape that is not
     integers, a tensor the manifest lacks or of another shape than
     `NetworkConfig.tensor_shapes` gives it (every gate file a quarter of the
-    fused entry's columns) and a file `_read_tensor` rejects are
-    `DataFormatError`s naming the file, and the key, line or tensor; of
-    several, the first in the table's order.
+    fused entry's columns), a file `_read_tensor` rejects and a tensor the
+    network does not use are `DataFormatError`s naming the file, and the
+    key, line or tensor; of several, the first in the table's order.
     """
     mdir = Path(model_dir)
     config = mdir / "config.txt"
@@ -407,7 +411,7 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
             raise datagen.DataFormatError(
                 f"{manifest}: {name} has shape {stored[name].shape}, but the "
                 f"network in {config} needs {shape}")
-        return stored[name]
+        return stored.pop(name)
 
     per_gate = {"lstm.gates": "lstm.w_", "lstm.gate_bias": "lstm.b_"}
     params = {}
@@ -419,4 +423,7 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
                                           axis=-1)
         else:
             params[name] = take(name, shape)
+    if stored:  # say, CNN files under a config.txt with use_cnn = 0
+        raise datagen.DataFormatError(f"{manifest}: {next(iter(stored))} is "
+                                      f"no tensor of the network in {config}")
     return params, cfg, mode

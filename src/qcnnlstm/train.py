@@ -7,6 +7,9 @@ code gradients to the full-precision shadow weights through the
 straight-through estimator and leave the biases at zero, so their bias
 gradients are never computed.
 
+Every entry takes its windows, an array (B, q, U) or a list of (q, U)
+arrays, through `_time_major`: one shape check, one time-major copy.
+
 `train()` owns per-call workspaces: the codes, the forward and backward
 buffers (`_Workspace`) and Adagrad's step arrays (`AdagradState`) are
 allocated once per call and reused by every batch and every per-epoch
@@ -280,20 +283,22 @@ def _col2im(dcols, n: int, length: int, m: int, ws: _Workspace) -> np.ndarray:
     return dpad[:, :, left:left + length]
 
 
-def _check_windows(windows, net_cfg: NetworkConfig) -> None:
-    """Raises unless batch-major windows are (B, q, U) as `net_cfg` has it."""
-    if windows.ndim != 3 or windows.shape[1:] != (net_cfg.n_steps,
-                                                   net_cfg.input_len):
-        raise ValueError(f"expected windows (B, {net_cfg.n_steps}, "
-                         f"{net_cfg.input_len}), got {windows.shape}")
+def _time_major(windows, net_cfg: NetworkConfig) -> np.ndarray:
+    """The float engine's layout of a batch of (q, U) windows, an array
+    (B, q, U) or a list of (q, U) arrays: a new float64 array (q, B, U).
+    Raises unless every window is (q, U) as `net_cfg` has it."""
+    want = (net_cfg.n_steps, net_cfg.input_len)
+    shapes = {np.shape(w) for w in windows}
+    if shapes != {want}:
+        raise ValueError(f"expected windows (B, {want[0]}, {want[1]}), got "
+                         f"{len(windows)} of shapes {sorted(shapes)}")
+    return np.stack(windows, axis=1, dtype=np.float64)
 
 
 def forward_logits(params: dict, windows, net_cfg: NetworkConfig,
                    mode: str = "full") -> np.ndarray:
     """Float logits (B, q, n_classes) of a batch of windows (B, q, U)."""
-    windows = np.asarray(windows, dtype=np.float64)
-    _check_windows(windows, net_cfg)
-    logits, _ = _forward(windows.transpose(1, 0, 2),
+    logits, _ = _forward(_time_major(windows, net_cfg),
                          network_tensors(params, mode), net_cfg, _Workspace())
     return logits.transpose(1, 0, 2)
 
@@ -301,9 +306,8 @@ def forward_logits(params: dict, windows, net_cfg: NetworkConfig,
 def batch_loss_and_grads(windows, labels, params: dict,
                          net_cfg: NetworkConfig, cfg: TrainConfig):
     """Mean loss and shadow-weight gradients for windows (B, q, U)."""
-    x = np.asarray(windows, dtype=np.float64).transpose(1, 0, 2)
-    return _loss_and_grads(x, np.asarray(labels), params,
-                           network_tensors(params, cfg.mode), net_cfg,
+    return _loss_and_grads(_time_major(windows, net_cfg), np.asarray(labels),
+                           params, network_tensors(params, cfg.mode), net_cfg,
                            cfg.mode, _Workspace())
 
 
@@ -322,8 +326,7 @@ def _loss_and_grads(x, labels, params: dict, eff: dict,
 def sequence_loss_and_grads(seq, params: dict, net_cfg: NetworkConfig,
                             cfg: TrainConfig | None = None):
     """Loss and shadow-weight gradients for one windowed sequence."""
-    windows = np.asarray(seq.windows, dtype=np.float64)[None, :, :]
-    return batch_loss_and_grads(windows, [seq.label], params, net_cfg,
+    return batch_loss_and_grads([seq.windows], [seq.label], params, net_cfg,
                                 cfg or TrainConfig())
 
 
@@ -357,16 +360,6 @@ def adagrad_step(params: dict, grads: dict, state: AdagradState,
                 np.clip(w_b, -1.0, 1.0, out=w_b)
 
 
-def _stack_windows(seqs, net_cfg: NetworkConfig):
-    """Time-major windows (q, B, U) and the labels of `seqs`, checked
-    against `net_cfg`."""
-    windows = np.stack([np.asarray(s.windows, dtype=np.float64) for s in seqs],
-                       axis=1)
-    _check_windows(windows.swapaxes(0, 1), net_cfg)
-    labels = np.array([s.label for s in seqs], dtype=np.int64)
-    return windows, labels
-
-
 def train(train_seqs, test_seqs, cfg: TrainConfig,
           net_cfg: NetworkConfig) -> TrainResult:
     """Epoch loop over shuffled minibatches; deterministic per seed."""
@@ -376,8 +369,10 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
     state = AdagradState()
     ws = _Workspace()
     rng = np.random.default_rng(cfg.seed)
-    windows, labels = _stack_windows(train_seqs, net_cfg)
-    test_windows, test_labels = _stack_windows(test_seqs, net_cfg)
+    windows = _time_major([s.windows for s in train_seqs], net_cfg)
+    test_windows = _time_major([s.windows for s in test_seqs], net_cfg)
+    labels, test_labels = (np.array([s.label for s in seqs])
+                           for seqs in (train_seqs, test_seqs))
     q, n, width = windows.shape
     # the codes are quantized after each update, for the next batch and the
     # epoch's evaluation alike
@@ -404,7 +399,9 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
             raise ValueError(f"epoch {epoch}: mean loss {loss_trace[epoch]} "
                              "is not finite; lower learning_rate or "
                              "init_scale")
-        preds = _final_probs(test_windows, eff, net_cfg, ws).argmax(axis=1)
+        # the softmax before the argmax: exp may round two logits to a tie
+        logits, _ = _forward(test_windows, eff, net_cfg, ws)
+        preds = softmax(logits[-1]).argmax(axis=1)
         acc_trace[epoch] = (preds == test_labels).mean()
     return TrainResult(params, loss_trace, acc_trace)
 
@@ -413,18 +410,11 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _final_probs(windows, eff: dict, net_cfg: NetworkConfig,
-                 ws: _Workspace) -> np.ndarray:
-    """Softmax of the final step for time-major windows (q, B, U)."""
-    return softmax(_forward(windows, eff, net_cfg, ws)[0][-1])
-
-
 def predict_probs(params: dict, seqs, net_cfg: NetworkConfig,
                   mode: str = "full") -> np.ndarray:
     """Softmax probabilities of the final step for each sequence."""
-    windows, _ = _stack_windows(seqs, net_cfg)
-    return _final_probs(windows, network_tensors(params, mode), net_cfg,
-                        _Workspace())
+    return softmax(forward_logits(params, [s.windows for s in seqs], net_cfg,
+                                  mode)[:, -1])
 
 
 def auc_macro(labels, scores) -> float:

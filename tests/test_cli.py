@@ -288,6 +288,21 @@ class TestUcrWindowSettings:
                            match=f"{ECG_DIR}: .*missing key '{key}'"):
             cli.load_split_sequences(ECG_DIR, kv)
 
+    def test_a_value_that_is_no_integer_is_a_data_error_naming_it(self):
+        with pytest.raises(DataFormatError, match=f"{ECG_DIR}: window_len = "
+                           "ten is not an integer"):
+            cli.load_split_sequences(ECG_DIR, {"window_len": "ten",
+                                               "n_steps": 4})
+
+    @pytest.mark.parametrize("kv, named", [
+        ({"window_len": 0, "n_steps": 4}, "window_len = 0"),
+        ({"window_len": -3, "n_steps": 4}, "window_len = -3"),
+        ({"window_len": 20, "n_steps": 0}, "n_steps = 0")])
+    def test_a_cut_below_one_is_rejected(self, kv, named):
+        # these returned (4, 0) and (4, 21) windows
+        with pytest.raises(ValueError, match=f"{named}.*; a window cut"):
+            cli.load_split_sequences(ECG_DIR, kv)
+
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory):
@@ -779,6 +794,20 @@ def _config_disagrees_with_files(mdir):
             "network in")
 
 
+def _file_name_empty(mdir):
+    # the entry then names the directory itself, which crashed the reader
+    path = mdir / "params.manifest"
+    path.write_text(path.read_text().replace("\tlstm_b_input.bin\n", "\t\n"))
+    return f"Is a directory: '{mdir}'"
+
+
+def _config_drops_the_cnn(mdir):
+    # the CNN's files would be ignored and the network scored without them
+    path = mdir / "config.txt"
+    path.write_text(path.read_text().replace("use_cnn = 1", "use_cnn = 0"))
+    return "params.manifest: conv0.weights is no tensor of the network in"
+
+
 def _narrow_gate_file(mdir):
     # one gate file a column short, its manifest line to match: the gates
     # would fuse to 1399 columns
@@ -802,7 +831,8 @@ class TestModelDirectoryBoundary:
                                         _invalid_field, _unknown_mode,
                                         _shape_not_integers,
                                         _config_disagrees_with_files,
-                                        _narrow_gate_file])
+                                        _narrow_gate_file, _file_name_empty,
+                                        _config_drops_the_cnn])
     def test_is_a_data_error_naming_the_file(self, command, damage, tmp_path,
                                              capsys):
         mdir = tmp_path / "m"
@@ -810,6 +840,44 @@ class TestModelDirectoryBoundary:
         named = damage(mdir)
         assert run(command, "--model", str(mdir), "--data", str(ECG_DIR)) == 2
         assert named in capsys.readouterr().err
+
+
+class TestEvalOfNonFiniteNetworks:
+    """`eval` scores no network with a non-finite tensor or probability."""
+
+    @pytest.mark.parametrize("report", ["accuracy", "auc"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stored_non_finite_tensor_exits_2_naming_it(self, value, report,
+                                                        tmp_path, capsys):
+        # an all-NaN output layer used to score accuracy 0.5 and auc 0.5
+        mdir = tmp_path / "m"
+        shutil.copytree(ECG_MODEL, mdir)
+        path = mdir / "lstm_w_logits.bin"
+        np.full(len(path.read_bytes()) // 8, value).astype("<f8").tofile(path)
+        assert run("eval", "--model", str(mdir), "--data", str(ECG_DIR),
+                   "--report", report) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: lstm.w_logits holds a non-finite value" in \
+            captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("report", ["accuracy", "auc", "confusion"])
+    def test_overflowing_weights_exit_2_naming_the_model(self, report,
+                                                         tmp_path, capsys):
+        # finite, but the conv and FC products overflow to inf and then NaN;
+        # this used to print two RuntimeWarnings and accuracy 0.5000
+        cfg = model.NetworkConfig(20, 4, 5, 2, conv_layers=((3, 5),))
+        params = train_mod.init_params(cfg)
+        for name in ("fc.weights", "conv0.weights"):
+            params[name].flat[::2] = 1e300
+            params[name].flat[1::2] = -1e300
+        mdir = tmp_path / "m"
+        model.save_network(mdir, params, cfg)
+        assert run("eval", "--model", str(mdir), "--data", str(ECG_DIR),
+                   "--report", report) == 2
+        captured = capsys.readouterr()
+        assert f"{mdir}: the float engine overflows" in captured.err
+        assert captured.out == ""
 
 
 class TestSimulateReportsLogitLimits:

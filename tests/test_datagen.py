@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 import tracemalloc
@@ -63,6 +64,15 @@ class TestLorenz:
             lorenz_series(LorenzParams(8.0, n_samples=2000, transient=1000),
                           scale=1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_integration_is_reported(self):
+        # a dt of 0.5 overflows the orbits to nan, which passed the range
+        # check and filled every window with nan
+        with pytest.raises(ValueError, match="max .x./scale = nan.*lower dt"):
+            datagen.make_lorenz_dataset(n_classes=2, per_class=1, dt=0.5,
+                                        transient=100)
+
     def test_rk4_order_of_accuracy(self):
         # errors against a half-step run should shrink ~16x per halving
         base = dict(sigma=8.0, initial=(1.0, 1.0, 1.0), transient=0)
@@ -113,6 +123,12 @@ class TestMakeWindows:
         windows = make_windows(sig, window_len=2, n_steps=2)
         assert np.array_equal(windows, [[0, 1, 10, 11], [2, 3, 12, 13]])
 
+    @pytest.mark.parametrize("window_len, n_steps", [(0, 2), (-3, 2), (3, 0)])
+    def test_a_cut_below_one_sample_is_rejected(self, window_len, n_steps):
+        with pytest.raises(ValueError, match=f"window_len = {window_len}, "
+                           f"n_steps = {n_steps}; a window cut needs both"):
+            make_windows(np.zeros(12), window_len, n_steps)
+
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError):
             make_windows(np.zeros(5), window_len=3, n_steps=2)
@@ -128,6 +144,40 @@ class TestMakeWindows:
         assert windows.shape == (5, 6, 12)
         for row, signal in zip(windows, signals):
             assert row.tobytes() == make_windows(signal, 4, 6).tobytes()
+
+
+class TestBatchedSeries:
+    """Arrays of parameters give one orbit per element, bit for bit the
+    orbit a scalar call gives."""
+
+    def test_logistic_rows_equal_scalar_orbits(self):
+        r = np.array([[3.6, 3.75], [3.9, 4.0]])
+        x0 = np.array([[0.2, 0.4], [0.6, 0.8]])
+        got = logistic_series(LogisticParams(r, x0, 30, transient=7))
+        assert got.shape == (2, 2, 30)
+        for i in np.ndindex(r.shape):
+            assert got[i].tobytes() == logistic_series(
+                LogisticParams(float(r[i]), float(x0[i]), 30, 7)).tobytes()
+
+    def test_lorenz_rows_equal_scalar_orbits(self):
+        sigma = np.array([8.0, 13.0, 18.0])
+        initial = np.array([[1.0, 1.0, 1.0], [0.6, 1.2, 1.4], [1.5, 0.5, 0.9]])
+        got = lorenz_series(LorenzParams(sigma, initial=initial,
+                                         n_samples=40, transient=60))
+        assert got.shape == (3, 40)
+        for row, s, start in zip(got, sigma, initial):
+            assert row.tobytes() == lorenz_series(LorenzParams(
+                float(s), initial=tuple(start), n_samples=40,
+                transient=60)).tobytes()
+
+    def test_one_bad_element_is_rejected(self):
+        with pytest.raises(ValueError, match="x0"):
+            LogisticParams(np.array([3.7, 3.8]), np.array([0.5, 1.0]), 10)
+        with pytest.raises(ValueError, match="r must"):
+            LogisticParams(np.array([3.7, 4.5]), np.array([0.5, 0.5]), 10)
+        with pytest.raises(ValueError, match="increase scale"):
+            lorenz_series(LorenzParams(np.array([8.0, 18.0]),
+                                       initial=np.ones((2, 3))), scale=5.0)
 
 
 class TestDatasets:
@@ -203,11 +253,77 @@ class TestDatasets:
                                      f"{n_channels} .* 24 samples"):
                 datagen.load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("make, five", [
+        (datagen.make_logistic_dataset, [3.6, 3.7, 3.8, 3.9, 4.0]),
+        (datagen.make_lorenz_dataset, [8.0, 10.5, 13.0, 15.5, 18.0])],
+        ids=["logistic", "lorenz"])
+    def test_class_parameters_are_evenly_spaced(self, make, five):
+        def class_params(n_classes):
+            return make(n_classes=n_classes, per_class=1, window_len=2,
+                        n_steps=1, transient=10).class_params
+
+        assert [float(p) for p in class_params(5)] == five
+        assert np.array_equal(class_params(3),
+                              np.linspace(five[0], five[-1], 3))
+
+    @pytest.mark.parametrize("system", ["logistic", "lorenz", "sine"])
+    def test_one_signal_call_per_dataset(self, system, monkeypatch):
+        maker = {"logistic": "logistic_series", "lorenz": "lorenz_series",
+                 "sine": "sine_bank_series"}[system]
+        real, calls = getattr(datagen, maker), []
+        monkeypatch.setattr(datagen, maker, lambda *args, **kwargs:
+                            calls.append(args) or real(*args, **kwargs))
+        ds = getattr(datagen, f"make_{system}_dataset")(
+            n_classes=3, per_class=4, window_len=5, n_steps=2)
+        assert len(calls) == 1 and len(ds.sequences) == 12
+
     def test_lorenz_dataset_bounded(self):
         ds = datagen.make_lorenz_dataset(per_class=1, window_len=10, n_steps=2,
                                          transient=200, noise_amplitude=0.0)
         for seq in ds.sequences:
             assert np.abs(seq.windows).max() <= 1.0
+
+
+#: sha256 of each generator's windows (float64) and then its labels
+#: (int64), as first recorded (numpy 2.4, x86-64), before the generators
+#: computed every realization in one call
+_GENERATOR_PINS = [
+    ("logistic", {},
+     "7bee9b7ceab2fe95ef6f51937e310f47099aaa5a15e26a5aa3eb1f79f2043d8a"),
+    ("logistic", dict(n_classes=3, per_class=3, window_len=7, n_steps=4,
+                      noise_amplitude=0.0, seed=9, transient=30),
+     "117bf1189a85b18e67b420a4f5f3a17e55e5a7ba978ffdf9a174aed9bd1cd272"),
+    ("logistic", dict(n_classes=7, per_class=2, noise_amplitude=0.2, seed=5),
+     "e4fb69b3f0feb034d620e0c21a395fdda5a42d88599b449cf83829bc47dc2f02"),
+    ("lorenz", {},
+     "7d95d51105159784316d2802d9b47381cea2e3f388d164e6ae0136524d5367e9"),
+    ("lorenz", dict(n_classes=3, per_class=2, window_len=9, n_steps=3,
+                    noise_amplitude=0.2, seed=4, scale=60.0, dt=0.005,
+                    transient=300),
+     "a88fe4dc6bb656d9ece28aeb7c235456c953468ccc8f36fd4b1200ffec9963dc"),
+    ("lorenz", dict(n_classes=4, per_class=3, window_len=6, n_steps=4,
+                    seed=3, scale=50.0),
+     "65a3e1a08ab62ca91d86679232b9acf57d2548c980ab427749bcb2f585e55998"),
+    ("sine", {},
+     "8713a8561e3339fc36c6a005ede4c0ce96358ca170cfdaa7b88bad011764b128"),
+    ("sine", dict(n_classes=3, beta=0.3, per_class=4, window_len=8, n_steps=3,
+                  dt=0.2, noise_amplitude=0.0, seed=2, alpha=2.0),
+     "cfa68585e0f1752d526aa92e1e5b84bd663927a24725082a12ae6afbe51858a7"),
+    ("sine", dict(n_classes=6, beta=0.05, alpha=1.5, noise_amplitude=0.1,
+                  seed=7),
+     "a9d0bf2d932cfb4dbd4a2e6e3d6f35543c0c53b610e3e62ac204a5c9c5766bb0"),
+]
+
+
+@pytest.mark.parametrize("system, settings, digest", _GENERATOR_PINS,
+                         ids=[f"{s}-{i % 3}" for i, (s, *_) in
+                              enumerate(_GENERATOR_PINS)])
+def test_generated_windows_and_labels_are_pinned(system, settings, digest):
+    ds = getattr(datagen, f"make_{system}_dataset")(**settings)
+    windows = np.stack([seq.windows for seq in ds.sequences])
+    labels = np.array([seq.label for seq in ds.sequences], dtype=np.int64)
+    assert hashlib.sha256(windows.tobytes() + labels.tobytes()).hexdigest() \
+        == digest
 
 
 def _windows(ds):

@@ -512,6 +512,18 @@ class TestSerialization:
             save_network(tmp_path / "m", params, cfg)
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stored_tensor_is_a_data_error(self, tmp_path, value):
+        cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
+        save_network(tmp_path / "m", init_params(cfg), cfg)
+        path = tmp_path / "m" / "lstm_b_logits.bin"
+        values = np.fromfile(path, "<f8")
+        values[1] = value
+        values.tofile(path)
+        with pytest.raises(datagen.DataFormatError,
+                           match=f"{path}: lstm.b_logits holds a non-finite"):
+            load_network(tmp_path / "m")
+
     def test_packed_round_trip(self, tmp_path):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=10, init_scale=1.5)

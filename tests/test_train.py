@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.stats
 from float_oracle import cross_entropy, loss_gradient, network_forward
 from qcnnlstm import quant
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
-from qcnnlstm.model import NetworkConfig
+from qcnnlstm.model import NetworkConfig, softmax
 from qcnnlstm.train import (ADAGRAD_BLOCK, ADAGRAD_EPSILON, AdagradState,
                             TrainConfig, adagrad_step, auc_macro,
                             batch_loss_and_grads, confusion_matrix,
@@ -216,6 +217,51 @@ class TestQuantizedTraining:
         _, grads = sequence_loss_and_grads(seq, params, cfg,
                                            TrainConfig(mode="binary"))
         assert set(grads) == {"lstm.gates", "lstm.w_logits"}
+
+
+class TestWindowDoor:
+    """Every entry of the float engine takes windows the one way: an array
+    (B, q, U) or a list of (q, U) arrays, checked against the network."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 5), (2, 8),
+                                       (2, 2, 4, 1)])
+    def test_batch_loss_rejects_another_shape(self, shape):
+        # a 3-step batch for a 2-step network used to run without an error
+        cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected windows (B, 2, 4), got 2 of shapes {[shape[1:]]}")):
+            batch_loss_and_grads(np.zeros(shape), [0, 1], init_params(cfg),
+                                 cfg, TrainConfig())
+
+    def test_windows_of_several_shapes_are_rejected(self):
+        cfg = NetworkConfig(4, 2, 3, 2, use_cnn=False)
+        windows = [np.zeros((2, 4)), np.zeros((3, 4))]
+        for call in (lambda: forward_logits(init_params(cfg), windows, cfg),
+                     lambda: batch_loss_and_grads(windows, [0, 1],
+                                                  init_params(cfg), cfg,
+                                                  TrainConfig())):
+            with pytest.raises(ValueError, match=re.escape(
+                    "got 2 of shapes [(2, 4), (3, 4)]")):
+                call()
+
+    @pytest.mark.parametrize("mode", ["full", "ternary"])
+    def test_an_array_and_a_list_give_equal_results(self, mode):
+        _, test_seqs = tiny_sine_task()
+        net = NetworkConfig(10, 3, 5, 3, conv_layers=((2, 3),))
+        params = init_params(net, seed=2, init_scale=0.5)
+        listed = [s.windows for s in test_seqs]
+        logits = forward_logits(params, np.stack(listed), net, mode)
+        assert forward_logits(params, listed, net, mode).tobytes() == \
+            logits.tobytes()
+        assert predict_probs(params, test_seqs, net, mode).tobytes() == \
+            softmax(logits[:, -1]).tobytes()
+        labels = [s.label for s in test_seqs]
+        tc = TrainConfig(mode=mode)
+        loss, grads = batch_loss_and_grads(np.stack(listed), labels, params,
+                                           net, tc)
+        loss_l, grads_l = batch_loss_and_grads(listed, labels, params, net, tc)
+        assert loss == loss_l
+        assert all(grads[k].tobytes() == grads_l[k].tobytes() for k in grads)
 
 
 def tiny_sine_task(beta=0.2, per_class=12, n_classes=3, seed=0):
