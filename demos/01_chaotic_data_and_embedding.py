@@ -29,7 +29,7 @@ print(f"   off-diagonal distances: mean {off.mean():.2f}, max {off.max():.2f}")
 
 print("== 3. stochastic 2-D embedding (accept only improving moves) ==")
 scaled = analysis.rescale_distances(dm)
-embedding = analysis.embed_2d(scaled, iters=50_000, seed=0, metric="euclidean")
+embedding = analysis.embed_2d(scaled, iters=50_000, seed=0)
 print(f"   energy: {embedding.history[0]:.2f} -> {embedding.energy:.2f} "
       f"over {len(embedding.history) - 1} iterations")
 

@@ -50,5 +50,6 @@ print(f"worst window {verdict.latency_seconds * 1e6:.1f} us vs "
       f"margin {verdict.margin:.1f}x ({'PASS' if verdict.passed else 'FAIL'})")
 
 paper_macs = estimate.mac_count(net, "window", "paper")
+t = estimate.response_time(paper_macs, estimate.RATED_GOPS)
 print(f"\nanalytic check: {paper_macs:,} MACs per window "
-      f"-> {estimate.response_time(paper_macs, 6.3) * 1e6:.1f} us at 6.3 GOPs")
+      f"-> {t * 1e6:.1f} us at {estimate.RATED_GOPS} GOPs")

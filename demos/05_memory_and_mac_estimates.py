@@ -28,13 +28,14 @@ for name, kw in CASES.items():
     print(f"{name:<15} {cells[0]:>9.2f} {cells[1]:>8.2f} "
           f"{cells[2]:>9.2f} {cells[3]:>8.2f}")
 
-print("\nper-window gate-product MACs and analytic response at 6.3 GOPs:")
+print("\nper-window gate-product MACs and analytic response at "
+      f"{estimate.RATED_GOPS} GOPs:")
 for name, (win, hidden) in (("DB-a gestures", (5, 250)),
                             ("DB-c gestures", (10, 350))):
     net = NetworkConfig(window_len=win, n_steps=30, n_hidden=hidden,
                         n_classes=8, n_channels=128, use_cnn=False)
     macs = estimate.mac_count(net, "window", "paper")
-    t = estimate.response_time(macs, 6.3)
+    t = estimate.response_time(macs, estimate.RATED_GOPS)
     print(f"  {name}: ({win}x128 + {hidden}) x {hidden} = {macs:,} MACs "
           f"-> {t * 1e6:.1f} us")
 

@@ -1,7 +1,8 @@
 """Fourier-domain similarity analysis and stochastic 2-D embedding.
 
 Certifies that synthetic classes are hard to separate: distances between
-log power spectra are fitted by a two-coordinate model via a random-search
+log power spectra are fitted by squared planar distances between points in
+the plane, D_hat(i,j) = (x_i - x_j)^2 + (y_i - y_j)^2, via a random-search
 minimizer that only ever accepts improving moves.
 """
 
@@ -27,11 +28,6 @@ LOG_POWER_EPS = 1e-12
 RESCALED_MEAN = 1.0 / 3.0  # the mean off-diagonal D of `rescale_distances`
 EMBED_STEP = 1e-3  # the standard deviation of `embed_2d`'s moves
 
-#: D-hat forms: "as_printed" keeps the minus sign between the squared
-#: coordinate differences (the form the objective is usually written in);
-#: "euclidean" is the plus-sign variant, a true squared planar distance.
-METRICS = ("as_printed", "euclidean")
-
 
 @dataclass
 class DistanceMatrix:
@@ -48,7 +44,6 @@ class Embedding2D:
     points: np.ndarray   # (N, 2)
     energy: float
     history: np.ndarray  # accepted-energy trace, non-increasing
-    metric: str = "as_printed"
 
 
 def fourier_distance(signals, labels=None) -> DistanceMatrix:
@@ -90,25 +85,21 @@ def rescale_distances(dm: DistanceMatrix) -> DistanceMatrix:
     return DistanceMatrix(dm.d * (RESCALED_MEAN / mean), dm.realization_class)
 
 
-def _dhat(points, metric: str):
+def _dhat(points):
     dx2 = (points[:, 0, None] - points[None, :, 0]) ** 2
     dy2 = (points[:, 1, None] - points[None, :, 1]) ** 2
-    if metric == "as_printed":
-        return dx2 - dy2
-    if metric == "euclidean":
-        return dx2 + dy2
-    raise ValueError(f"unknown metric {metric!r}")
+    return dx2 + dy2
 
 
-def embedding_energy(d, points, metric: str = "as_printed") -> float:
+def embedding_energy(d, points) -> float:
     """E = sum over i != j of (D_hat(i,j) - D(i,j))^2."""
-    diff = _dhat(points, metric) - d
+    diff = _dhat(points) - d
     np.fill_diagonal(diff, 0.0)
     return float((diff ** 2).sum())
 
 
-def embed_2d(dm: DistanceMatrix, iters: int = 100_000, seed: int = 0,
-             metric: str = "as_printed") -> Embedding2D:
+def embed_2d(dm: DistanceMatrix, iters: int = 100_000,
+             seed: int = 0) -> Embedding2D:
     """Random-perturbation search: move all points, keep only improvements.
 
     Points start uniform on [0, 1]^2; each iteration adds Gaussian(0,
@@ -116,28 +107,24 @@ def embed_2d(dm: DistanceMatrix, iters: int = 100_000, seed: int = 0,
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, (dm.n, 2))
-    best = embedding_energy(dm.d, pts, metric)
+    best = embedding_energy(dm.d, pts)
     history = np.empty(iters + 1)
     history[0] = best
     for it in range(iters):
         cand = pts + rng.normal(0.0, EMBED_STEP, pts.shape)
-        e = embedding_energy(dm.d, cand, metric)
+        e = embedding_energy(dm.d, cand)
         if e < best:
             best, pts = e, cand
         history[it + 1] = best
-    return Embedding2D(pts, best, history, metric)
+    return Embedding2D(pts, best, history)
 
 
-def embedding_correlation(dm: DistanceMatrix, emb: Embedding2D,
-                          metric: str | None = None) -> float:
+def embedding_correlation(dm: DistanceMatrix, emb: Embedding2D) -> float:
     """Pearson correlation between off-diagonal D-hat and D entries."""
-    metric = emb.metric if metric is None else metric
     mask = ~np.eye(dm.n, dtype=bool)
-    a = _dhat(emb.points, metric)[mask]
+    a = _dhat(emb.points)[mask]
     b = dm.d[mask]
     sa, sb = a.std(), b.std()
     if sa == 0.0 or sb == 0.0:

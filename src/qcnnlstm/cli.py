@@ -70,11 +70,6 @@ class _Cut:
     n_steps: int
 
 
-@dataclass(frozen=True)
-class _Throughput:
-    gops: float = 6.3  # the accelerator's rated giga-operations per second
-
-
 def _read_config(path, *records, fixed=()) -> dict:
     """`read_kv` of a file the user writes, whose keys are the fields of
     `records` except the `fixed` ones."""
@@ -199,8 +194,7 @@ def _cmd_embed(args, argv) -> int:
     labels = np.array([seq.label for seq in ds.sequences])
     dm = analysis.fourier_distance(signals, labels=labels)
     scaled = analysis.rescale_distances(dm)
-    emb = analysis.embed_2d(scaled, iters=args.iters, seed=args.seed,
-                            metric=args.metric)
+    emb = analysis.embed_2d(scaled, iters=args.iters, seed=args.seed)
     corr = analysis.embedding_correlation(scaled, emb)
     out = Path(args.out)
     analysis.save_embedding(out, dm, emb)
@@ -332,17 +326,15 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_estimate(args, argv) -> int:
-    # a residual add costs no MACs and no weight bits
-    kv = _read_config(args.config, model.NetworkConfig, _Throughput,
-                      fixed={"residual"})
+    kv = _read_config(args.config, model.NetworkConfig)
     net = datagen.read_record(model.NetworkConfig, kv, args.config,
                               n_classes=2)
-    no_cnn = replace(net, use_cnn=False, residual=False)
+    no_cnn = replace(net, use_cnn=False)
     print(estimate.estimate_table(no_cnn, net if net.use_cnn else no_cnn))
-    gops = datagen.read_record(_Throughput, kv, args.config).gops
     paper = estimate.mac_count(no_cnn, "window", "paper")
-    rt = estimate.response_time(paper, gops)
-    print(f"response time at {gops} GOPs: {rt * 1e6:.1f} us per window")
+    rt = estimate.response_time(paper, estimate.RATED_GOPS)
+    print(f"response time at {estimate.RATED_GOPS} GOPs: {rt * 1e6:.1f} us "
+          "per window")
     return 0
 
 
@@ -369,7 +361,6 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=100_000)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", choices=analysis.METRICS, default="euclidean")
 
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("--data", required=True)
@@ -424,7 +415,7 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    except (OSError, ValueError, fsm.BankCapacityError) as exc:
+    except (OSError, ValueError, MemoryError, fsm.BankCapacityError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

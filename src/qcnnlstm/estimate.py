@@ -29,6 +29,7 @@ FULL_WEIGHT_BITS = 32
 TERNARY_WEIGHT_BITS = 2
 FIXED_WEIGHT_BITS = 12
 INTERMEDIATE_BITS = 12
+RATED_GOPS = 6.3  # the accelerator's rated giga-operations per second
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fxp, model
+from . import estimate, fxp, model
 from .fxp import QFormat
 from .model import NetworkConfig
 from .quant import QuantizedNetwork
@@ -58,9 +58,12 @@ class MachineConfig:
     wb_capacity_bits: int = 16_020_000  # block-RAM budget of the target part
 
     def __post_init__(self):
-        if min(self.mac_lanes, self.wb_read_bits_per_cycle,
-               self.im_bits_per_cycle, self.lut_size) < 1:
+        if min(self.wb_read_bits_per_cycle, self.im_bits_per_cycle,
+               self.lut_size) < 1:
             raise ValueError("machine parameters must be positive")
+        if self.mac_lanes < 4:
+            raise ValueError(f"mac_lanes = {self.mac_lanes}; the four gate "
+                             "products run at once, a lane each at least")
         if not self.clock_hz >= 1.0:
             raise ValueError(f"clock_hz = {self.clock_hz}; the clock runs at "
                              "1 Hz or faster")
@@ -79,8 +82,8 @@ class MachineConfig:
 
     @property
     def lanes_per_gate(self) -> int:
-        # the 32 MAC lanes are split across the four concurrent gate products
-        return max(1, self.mac_lanes // 4)
+        # the MAC lanes are split across the four concurrent gate products
+        return self.mac_lanes // 4
 
 
 @dataclass
@@ -256,9 +259,8 @@ def _window_visits(net: NetworkConfig, mc: MachineConfig, weight_bits: int,
     if net.use_cnn:  # FC over the last layer's maps, then the residual add
         fc, maps = net.input_len * net.fc_input_len, net.fc_input_len * act
         visits.append(_Visit(2, state_cycle_cost(2, net, mc), fc,
-                             (fc * weight_bits,),
-                             (maps, x) if net.residual else (maps,), (x,),
-                             "MACs", "fc+residual"))
+                             (fc * weight_bits,), (maps, x), (x,), "MACs",
+                             "fc+residual"))
     gate = (net.n_hidden + net.input_len) * net.n_hidden
     out = net.n_hidden * net.n_classes
     cost = {state: state_cycle_cost(state, net, mc) for state in range(3, 9)}
@@ -302,7 +304,7 @@ def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
     report = CycleReport(
         cycles, total, total / mc.clock_hz, worst_window,
         worst_window / mc.clock_hz, sum(v.macs for v in visits),
-        (net.input_len + net.n_hidden) * net.n_hidden, banks.wb_bits_read,
+        estimate.mac_count(net, "window", "paper"), banks.wb_bits_read,
         banks.im_bits, banks.max_wb_beat, banks.max_im_beat,
         [v.state for v in visits], banks.wb_bits_read, banks.im_bits)
     return report, banks, "\n".join(rows) + "\n"

@@ -26,6 +26,10 @@ returns: exact integer codes ride in float types throughout.
 
 The float engine lives in `train`, which trains and evaluates with it.
 
+With a CNN, states 1-2 are conv + ReLU per layer, then the FC projection
+back to the window's length, to which the window itself is added (the
+residual add); without one the window feeds the LSTM directly.
+
 The four LSTM gate matrices are fused into one input-major matrix of shape
 (n_hidden + input_len, 4 * n_hidden), gates in `quant.GATE_ORDER`, so a step
 computes [h, window] @ gates + gate_bias. A network's parameters are one
@@ -68,7 +72,6 @@ class NetworkConfig:
     n_channels: int = 1
     conv_layers: tuple = ((10, 5), (30, 3))  # (filters, width) per layer
     use_cnn: bool = True
-    residual: bool = True
 
     def __post_init__(self):
         if min(self.window_len, self.n_steps, self.n_hidden,
@@ -234,7 +237,7 @@ def network_forward_fixed(windows_raw, qnet: quant.QuantizedNetwork,
         for codes in qnet.conv_codes:
             maps = _conv_relu_fixed(maps, codes, fmt)
         p = fxp.dot_fixed(maps.reshape(len(v), -1), qnet.fc_raw.T, fmt=fmt)
-        v = fxp.sat_add(v, p, fmt, out=p) if cfg.residual else p
+        v = fxp.sat_add(v, p, fmt, out=p)
     n_h = cfg.n_hidden
     # a step's gate sum [h, window] @ gates is exact in the float type its
     # fused fan-in picks, so the input half, run once for all windows, and
@@ -370,16 +373,22 @@ def load_network(model_dir) -> tuple[dict, NetworkConfig, str]:
 
     Packed (int2) tensors come back as float32 codes, and the fused gates
     are float32 when their files are packed; float64 files come back as
-    float64. A mode outside `quant.MODES`, a manifest shape that is not
-    integers, a tensor the manifest lacks or of another shape than
-    `NetworkConfig.tensor_shapes` gives it (every gate file a quarter of the
-    fused entry's columns), a file `_read_tensor` rejects and a tensor the
-    network does not use are `DataFormatError`s naming the file, and the
-    key, line or tensor; of several, the first in the table's order.
+    float64. A `residual` key other than 1 (older directories record the
+    add, which every network has), a mode outside `quant.MODES`, a manifest
+    shape that is not integers, a tensor the manifest lacks or of another
+    shape than `NetworkConfig.tensor_shapes` gives it (every gate file a
+    quarter of the fused entry's columns), a file `_read_tensor` rejects and
+    a tensor the network does not use are `DataFormatError`s naming the
+    file, and the key, line or tensor; of several, the first in the table's
+    order.
     """
     mdir = Path(model_dir)
     config = mdir / "config.txt"
     kv = datagen.read_kv(config)
+    if kv.get("residual", "1") != "1":
+        raise datagen.DataFormatError(
+            f"{config}: residual = {kv['residual']}; the network always adds "
+            "the window to the FC output")
     cfg = datagen.read_record(NetworkConfig, kv, config)
     mode = kv.get("mode", "full")
     if mode not in quant.MODES:

@@ -181,7 +181,7 @@ def _cnn_forward(x, eff: dict, cfg: NetworkConfig, ws: _Workspace):
     flat = ws.take("flat", (n, maps.shape[1] * length))
     np.copyto(flat.reshape(maps.shape), maps)
     p = flat @ eff["fc.weights"].T
-    return (x + p if cfg.residual else p), dict(cols=cols, outs=outs, flat=flat)
+    return x + p, dict(cols=cols, outs=outs, flat=flat)
 
 
 def _backward(labels, eff: dict, cfg: NetworkConfig, logits, cache,

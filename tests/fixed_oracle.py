@@ -121,7 +121,7 @@ def forward(windows_raw, qnet, cfg, fmt: QFormat = ACT_FORMAT,
                     for pos in range(width)] for filt in codes]
             flat = [val for row in maps for val in row]
             p = [requant(acc) for acc in dot(flat, fc)]
-            v = [sat(a + b) for a, b in zip(x, p)] if cfg.residual else p
+            v = [sat(a + b) for a, b in zip(x, p)]
         pre = {g: [sat(acc) for acc in dot(h + v, rows)]
                for g, rows in gates.items()}
         g_f, g_i, g_o = ([lookup("sigmoid", u) for u in pre[g]]

@@ -55,11 +55,9 @@ def conv1d_relu(x, w, bias) -> np.ndarray:
 
 
 def fc_residual(feature_maps, fc, x_window) -> np.ndarray:
-    """P = fc @ flatten(maps); returns x_window + P (or P with residual off)."""
+    """P = fc @ flatten(maps); returns x_window + P."""
     flat = np.asarray(feature_maps, dtype=np.float64).ravel()
     p = fc @ flat
-    if x_window is None:
-        return p
     x_window = np.asarray(x_window, dtype=np.float64)
     if x_window.shape != p.shape:
         raise ValueError("residual add needs FC output length == window length")
@@ -86,13 +84,12 @@ def lstm_step(xx, state: LstmState, p: dict):
 
 
 def _extract_features(window, params, cfg: NetworkConfig):
-    """CNN stack + FC + optional residual for one flattened window."""
+    """CNN stack + FC + residual for one flattened window."""
     maps = np.asarray(window, dtype=np.float64).reshape(cfg.n_channels, cfg.window_len)
     for i in range(len(cfg.conv_layers)):
         maps = conv1d_relu(maps, params[f"conv{i}.weights"],
                            params[f"conv{i}.bias"])
-    skip = window if cfg.residual else None
-    return fc_residual(maps, params["fc.weights"], skip)
+    return fc_residual(maps, params["fc.weights"], window)
 
 
 def network_forward(windows, params, cfg: NetworkConfig) -> np.ndarray:

@@ -68,7 +68,7 @@ class TestEmbed2d:
         rng = np.random.default_rng(9)
         assert np.array_equal(emb.points, rng.uniform(0, 1, (5, 2)))
         assert emb.energy == pytest.approx(
-            embedding_energy(d, emb.points, emb.metric))
+            embedding_energy(d, emb.points))
         assert len(emb.history) == 1
 
     def test_history_non_increasing(self):
@@ -80,13 +80,13 @@ class TestEmbed2d:
         assert np.all(np.diff(emb.history) <= 0.0)
 
     def test_recovers_planar_configuration(self):
-        # 4 points whose D is exactly representable under the printed form
+        # 4 points whose D is exactly their squared planar distances
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 1, (4, 2))
-        d = analysis._dhat(pts, "as_printed")
+        d = analysis._dhat(pts)
         np.fill_diagonal(d, 0.0)
         dm = DistanceMatrix(d, np.zeros(4, dtype=int))
-        emb = embed_2d(dm, iters=100_000, seed=2, metric="as_printed")
+        emb = embed_2d(dm, iters=100_000, seed=2)
         assert emb.energy <= 0.5 * emb.history[0]
 
     def test_deterministic_per_seed(self):
@@ -99,34 +99,29 @@ class TestEmbed2d:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.history, b.history)
 
-    def test_unknown_metric_rejected(self):
-        dm = DistanceMatrix(np.zeros((3, 3)), np.zeros(3, dtype=int))
-        with pytest.raises(ValueError):
-            embed_2d(dm, iters=1, metric="cosine")
-
 
 class TestCorrelation:
-    def _dm_from_points(self, pts, metric):
-        d = analysis._dhat(pts, metric)
+    def _dm_from_points(self, pts):
+        d = analysis._dhat(pts)
         np.fill_diagonal(d, 0.0)
         return DistanceMatrix(d, np.zeros(len(pts), dtype=int))
 
     def test_exact_match_gives_one(self):
         pts = np.random.default_rng(8).uniform(0, 1, (6, 2))
-        dm = self._dm_from_points(pts, "euclidean")
-        emb = Embedding2D(pts, 0.0, np.zeros(1), "euclidean")
+        dm = self._dm_from_points(pts)
+        emb = Embedding2D(pts, 0.0, np.zeros(1))
         assert embedding_correlation(dm, emb) == pytest.approx(1.0)
 
     def test_affine_invariance(self):
         pts = np.random.default_rng(9).uniform(0, 1, (6, 2))
-        dm = self._dm_from_points(pts, "euclidean")
+        dm = self._dm_from_points(pts)
         dm_scaled = DistanceMatrix(3.0 * dm.d + 2.0, dm.realization_class)
-        emb = Embedding2D(pts, 0.0, np.zeros(1), "euclidean")
+        emb = Embedding2D(pts, 0.0, np.zeros(1))
         assert embedding_correlation(dm_scaled, emb) == pytest.approx(1.0)
 
     def test_zero_variance_rejected(self):
         dm = DistanceMatrix(np.ones((4, 4)) - np.eye(4), np.zeros(4, dtype=int))
-        emb = Embedding2D(np.zeros((4, 2)), 0.0, np.zeros(1), "euclidean")
+        emb = Embedding2D(np.zeros((4, 2)), 0.0, np.zeros(1))
         with pytest.raises(ValueError):
             embedding_correlation(dm, emb)
 
@@ -134,10 +129,10 @@ class TestCorrelation:
         rng = np.random.default_rng(10)
         pts = rng.uniform(0, 1, (8, 2))
         noise = rng.normal(0, 0.01, (8, 8))
-        d = analysis._dhat(pts, "euclidean") * 40 + np.abs(noise + noise.T)
+        d = analysis._dhat(pts) * 40 + np.abs(noise + noise.T)
         np.fill_diagonal(d, 0.0)
         dm = DistanceMatrix(d, np.zeros(8, dtype=int))
-        emb = Embedding2D(pts, 0.0, np.zeros(1), "euclidean")
+        emb = Embedding2D(pts, 0.0, np.zeros(1))
         a = embedding_correlation(dm, emb)
         b = embedding_correlation(rescale_distances(dm), emb)
         assert a == pytest.approx(b, abs=1e-12)
@@ -146,7 +141,7 @@ class TestCorrelation:
 class TestSaveEmbedding:
     def test_files_written(self, tmp_path):
         pts = np.random.default_rng(11).uniform(0, 1, (4, 2))
-        d = analysis._dhat(pts, "euclidean")
+        d = analysis._dhat(pts)
         np.fill_diagonal(d, 0.0)
         dm = DistanceMatrix(d, np.arange(4) % 2)
         emb = embed_2d(dm, iters=10, seed=0)

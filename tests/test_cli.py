@@ -107,6 +107,26 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert "n_classes = 1" in captured.err and "auc" not in captured.out
 
+    # arrays of 2**57 bytes and more, which no host allocates: the gate
+    # matrix of 10**8 hidden units, the energy trace of 10**17 moves
+    @pytest.mark.parametrize("command", ["train", "embed"])
+    def test_unallocatable_request_is_data_error(self, command, tmp_path,
+                                                 capsys):
+        ds, out = tmp_path / "ds", tmp_path / "o"
+        assert run("gen", "--system", "sine", "--classes", "2", "--per-class",
+                   "4", "--window", "4", "--steps", "2", "--out",
+                   str(ds)) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window_len = 4\nn_steps = 2\nn_hidden = 100000000\n"
+                       "use_cnn = 0\nepochs = 1\n")
+        argv = {"train": ["--config", str(cfg)],
+                "embed": ["--iters", "100000000000000000"]}[command]
+        capsys.readouterr()
+        assert run(command, "--data", str(ds), *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "data error: Unable to allocate" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_missing_config_key_is_data_error(self, tmp_path):
         cfg = tmp_path / "partial.cfg"
         cfg.write_text("n_hidden = 4\nepochs = 1\n")  # no window_len/n_steps
@@ -279,6 +299,11 @@ class TestEmbed:
         assert "has 2 channels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_metric_flag_is_a_usage_error(self, tmp_path):
+        # the embedding always fits squared planar distances
+        assert run("embed", "--data", str(tmp_path), "--metric", "euclidean",
+                   "--out", str(tmp_path / "emb")) == 1
+
 
 class TestUcrWindowSettings:
     @pytest.mark.parametrize("kv, key", [
@@ -390,7 +415,7 @@ def test_kernel_wider_than_window_is_data_error(tmp_path, capsys):
                "--window", "2", "--steps", "3", "--out", str(ds)) == 0
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("window_len = 2\nn_steps = 3\nn_hidden = 4\n"
-                   "conv_layers = 3x5\nresidual = 0\nepochs = 1\n")
+                   "conv_layers = 3x5\nepochs = 1\n")
     assert run("train", "--data", str(ds), "--config", str(cfg),
                "--precision", "ternary", "--out", str(model)) == 0
     assert run("quantize", "--model", str(model), "--out", str(qdir)) == 0
@@ -808,6 +833,14 @@ def _config_drops_the_cnn(mdir):
     return "params.manifest: conv0.weights is no tensor of the network in"
 
 
+def _config_drops_the_residual(mdir):
+    # no stored shape tells the add apart: the files alone would be scored
+    # as the network with it
+    path = mdir / "config.txt"
+    path.write_text(path.read_text().replace("residual = 1", "residual = 0"))
+    return "config.txt: residual = 0"
+
+
 def _narrow_gate_file(mdir):
     # one gate file a column short, its manifest line to match: the gates
     # would fuse to 1399 columns
@@ -832,7 +865,8 @@ class TestModelDirectoryBoundary:
                                         _shape_not_integers,
                                         _config_disagrees_with_files,
                                         _narrow_gate_file, _file_name_empty,
-                                        _config_drops_the_cnn])
+                                        _config_drops_the_cnn,
+                                        _config_drops_the_residual])
     def test_is_a_data_error_naming_the_file(self, command, damage, tmp_path,
                                              capsys):
         mdir = tmp_path / "m"

@@ -32,15 +32,15 @@ VALUES = ["0", "-1", "nan", "inf", "1e300", "1e-300", "", "ten", REPEAT]
 #: every key each file takes, at a value that works
 TRAIN_CFG = {"window_len": "4", "n_steps": "2", "n_hidden": "3",
              "n_classes": "2", "n_channels": "1", "conv_layers": "2x3",
-             "use_cnn": "1", "residual": "1", "learning_rate": "0.05",
-             "epochs": "1", "batch_size": "4", "init_scale": "0.3",
-             "seed": "0", "train_fraction": "0.5", "envelope": "0"}
+             "use_cnn": "1", "learning_rate": "0.05", "epochs": "1",
+             "batch_size": "4", "init_scale": "0.3", "seed": "0",
+             "train_fraction": "0.5", "envelope": "0"}
 MACHINE_CFG = {"mac_lanes": "32", "wb_read_bits_per_cycle": "64",
                "im_bits_per_cycle": "48", "lut_size": "64",
                "clock_hz": "1e8", "wb_capacity_bits": "16020000"}
 ESTIMATE_CFG = {"window_len": "4", "n_steps": "2", "n_hidden": "3",
                 "n_classes": "2", "n_channels": "1", "conv_layers": "2x3",
-                "use_cnn": "1", "gops": "6.3"}
+                "use_cnn": "1"}
 GEN_FLAGS = {"--system": "sine", "--classes": "2", "--per-class": "2",
              "--window": "4", "--steps": "2", "--noise": "0.01",
              "--seed": "0", "--beta": "0.1", "--alpha": "3.0",
@@ -58,8 +58,7 @@ def test_the_files_list_every_key():
                                   cli._SplitSettings, fixed={"mode"})
     assert set(MACHINE_CFG) == keys(fsm.MachineConfig,
                                     fixed={"activation_format"})
-    assert set(ESTIMATE_CFG) == keys(model.NetworkConfig, cli._Throughput,
-                                     fixed={"residual"})
+    assert set(ESTIMATE_CFG) == keys(model.NetworkConfig)
 
 
 def _dispatch(*argv):

@@ -1,6 +1,7 @@
 """The key = value files: each user key reaches its record, unknown keys and
 values that do not parse exit 2, and every machine key changes the run."""
 
+import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,19 +12,19 @@ import pytest
 from qcnnlstm import cli, datagen, estimate, fsm, fxp, quant
 from qcnnlstm.datagen import read_kv, write_kv
 from qcnnlstm.model import NetworkConfig
-from qcnnlstm.train import init_params
+from qcnnlstm.train import TrainConfig, init_params
 
 ROOT = Path(__file__).resolve().parent.parent
 ECG_DIR = ROOT / "data" / "ECG200"
 ECG_MODEL = ROOT / "bench" / "models" / "ecg200-ternary350"
 
-# the 15 keys a train config takes, each with a value other than its
+# the 14 keys a train config takes, each with a value other than its
 # default that the tiny dataset below accepts
 TRAIN_VALUES = {
     "window_len": 4, "n_steps": 2, "n_hidden": 3, "n_classes": 2,
     "n_channels": 1, "conv_layers": ((2, 3), (4, 2)), "use_cnn": True,
-    "residual": False, "learning_rate": 0.2, "epochs": 2, "batch_size": 4,
-    "init_scale": 0.02, "seed": 3, "train_fraction": 0.5, "envelope": True,
+    "learning_rate": 0.2, "epochs": 2, "batch_size": 4, "init_scale": 0.02,
+    "seed": 3, "train_fraction": 0.5, "envelope": True,
 }
 MACHINE_VALUES = {
     "mac_lanes": 16, "wb_read_bits_per_cycle": 16, "im_bits_per_cycle": 16,
@@ -32,7 +33,6 @@ MACHINE_VALUES = {
 ESTIMATE_VALUES = {
     "window_len": 5, "n_steps": 30, "n_hidden": 250, "n_classes": 8,
     "n_channels": 128, "conv_layers": ((2, 3),), "use_cnn": False,
-    "gops": 3.5,
 }
 
 
@@ -88,32 +88,26 @@ def test_machine_key_reaches_the_machine(tmp_path, monkeypatch, key):
 @pytest.mark.parametrize("key", sorted(ESTIMATE_VALUES))
 def test_estimate_key_reaches_the_estimate(tmp_path, monkeypatch, key):
     seen = {}
-    real_table, real_time = estimate.estimate_table, estimate.response_time
+    real_table = estimate.estimate_table
 
     def table(no_cnn, net):
         seen["net"] = net
         return real_table(no_cnn, net)
 
-    def response_time(macs, gops):
-        seen["gops"] = gops
-        return real_time(macs, gops)
-
     monkeypatch.setattr(estimate, "estimate_table", table)
-    monkeypatch.setattr(estimate, "response_time", response_time)
     base = {"window_len": 20, "n_steps": 4, "n_hidden": 16}
     cfg = _write(tmp_path / "e.cfg", {**base, key: ESTIMATE_VALUES[key]})
     assert run("estimate", "--config", cfg) == 0
-    got = seen["gops"] if key == "gops" else getattr(seen["net"], key)
-    assert got == ESTIMATE_VALUES[key]
+    assert getattr(seen["net"], key) == ESTIMATE_VALUES[key]
 
 
 @pytest.mark.parametrize("command, key", [
     ("train", "epoch"), ("train", "mode"), ("train", "clip_limit"),
     ("train", "replicate_targets"), ("train", "augment_noise"),
-    ("train", "train_biases"), ("machine", "bus_bits"),
+    ("train", "train_biases"), ("train", "residual"), ("machine", "bus_bits"),
     ("machine", "im_capacity_bits"), ("machine", "mac_lane"),
     ("machine", "activation_format"), ("estimate", "n_hiden"),
-    ("estimate", "residual"),
+    ("estimate", "residual"), ("estimate", "gops"),
 ])
 def test_unknown_key_exits_2_naming_file_and_key(tiny, tmp_path, capsys,
                                                  command, key):
@@ -301,6 +295,14 @@ class TestMachineFile:
         assert rc == 2 and f"{machine}: clock_hz = 1e-300" in err
         assert "latency" not in out
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_fewer_lanes_than_gates_exits_2(self, tmp_path, capsys, lanes):
+        # the four gate products run at once, a lane each at least
+        machine = _write(tmp_path / "m.txt", {"mac_lanes": lanes})
+        rc, out, err = self._cycles(capsys, "--machine", machine)
+        assert rc == 2 and f"{machine}: mac_lanes = {lanes}" in err
+        assert "total cycles" not in out
+
     def test_bus_bits_is_an_unknown_key(self, tmp_path, capsys):
         machine = _write(tmp_path / "m.txt", {"bus_bits": 96})
         rc, _, err = self._cycles(capsys, "--machine", machine)
@@ -310,6 +312,34 @@ class TestMachineFile:
 def test_machine_values_cover_the_file_keys():
     assert set(MACHINE_VALUES) == \
         {f.name for f in fields(fsm.MachineConfig)} - {"activation_format"}
+
+
+def _readme_table(heading):
+    """The keys of the README table under the line that starts with
+    `heading`, and the key count that line states."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    count = int(re.search(r"\((\d+) keys", lines[start]).group(1))
+    keys = []
+    for line in lines[start + 1:]:
+        if keys and not line.startswith("|"):
+            break
+        match = re.match(r"\| `(\w+)` \|", line)
+        if match:
+            keys.append(match.group(1))
+    return keys, count
+
+
+@pytest.mark.parametrize("heading, records, fixed", [
+    ("`train --config`", (NetworkConfig, TrainConfig, cli._SplitSettings),
+     {"mode"}),
+    ("`simulate --machine`", (fsm.MachineConfig,), {"activation_format"}),
+])
+def test_readme_table_lists_the_record_fields(heading, records, fixed):
+    keys, count = _readme_table(heading)
+    want = {f.name for record in records for f in fields(record)} - fixed
+    assert len(keys) == len(set(keys)) == count
+    assert set(keys) == want
 
 
 @pytest.mark.parametrize("key", sorted(MACHINE_VALUES))

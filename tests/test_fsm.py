@@ -72,7 +72,7 @@ class TestCycleFormulas:
     def test_kernel_wider_than_window_rejected(self):
         # L - m + 1 positions would go negative; the float engine still pads
         # such a kernel to the window, so the config itself is accepted
-        net = NetworkConfig(2, 3, 4, 2, conv_layers=((3, 5),), residual=False)
+        net = NetworkConfig(2, 3, 4, 2, conv_layers=((3, 5),))
         params = init_params(net, seed=0, init_scale=1.0)
         qnet = quant.QuantizedNetwork.from_params(params, "ternary")
         raw = fxp.to_raw(np.zeros((3, 2)))

@@ -72,11 +72,6 @@ class TestFcResidual:
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(fc_residual(np.zeros((2, 2)), fc, x), x)
 
-    def test_residual_off_returns_projection(self):
-        fc = np.eye(4)
-        maps = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(fc_residual(maps, fc, None), [1, 2, 3, 4])
-
     def test_hand_evaluation(self):
         # one filter, two positions, fc rows average the maps: 1 + 1.5 = 2.5
         fc = np.full((2, 2), 0.5)
@@ -710,8 +705,7 @@ def random_engine_case(rng, mode):
                         n_hidden=int(rng.integers(1, 7)),
                         n_classes=int(rng.integers(2, 4)),
                         n_channels=int(rng.integers(1, 4)),
-                        conv_layers=layers, use_cnn=use_cnn,
-                        residual=bool(rng.integers(0, 2)))
+                        conv_layers=layers, use_cnn=use_cnn)
     params = init_params(cfg, seed=int(rng.integers(2**31)), init_scale=1.0)
     for name, w in params.items():
         if quant.is_bias(name):
@@ -749,10 +743,9 @@ class TestFloatEngine:
                                            TrainConfig(mode=mode))
             assert loss == pytest.approx(want_loss, rel=1e-12)
             widths = {m % 2 for _, m in cfg.conv_layers}
-            seen.add((cfg.use_cnn, cfg.residual, len(windows) > 1,
-                      cfg.n_channels > 1, frozenset(widths)))
-        assert {(c, r) for c, r, *_ in seen} == {(False, False), (False, True),
-                                                 (True, False), (True, True)}
+            seen.add((cfg.use_cnn, len(windows) > 1, cfg.n_channels > 1,
+                      frozenset(widths)))
+        assert {c for c, *_ in seen} == {False, True}
         assert {w for *_, w in seen} >= {frozenset({0}), frozenset({1})}
 
     def test_batch_rows_equal_single_sequences(self):
@@ -777,7 +770,12 @@ class TestModelDirectoryFormat:
     def test_stored_model_round_trips_byte_for_byte(self, tmp_path):
         params, cfg, mode = load_network(STORED_MODEL)
         save_network(tmp_path / "m", params, cfg, mode)
-        assert _dir_bytes(tmp_path / "m") == _dir_bytes(STORED_MODEL)
+        got, want = _dir_bytes(tmp_path / "m"), _dir_bytes(STORED_MODEL)
+        # the stored config.txt also records the residual add, which every
+        # network has and no longer writes
+        assert got.pop("config.txt") == \
+            want.pop("config.txt").replace(b"residual = 1\n", b"")
+        assert got == want
 
     def test_full_precision_round_trips_byte_for_byte(self, tmp_path):
         cfg = NetworkConfig(window_len=4, n_steps=2, n_hidden=3, n_classes=2,

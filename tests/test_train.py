@@ -93,11 +93,6 @@ class TestGradientsAgainstFiniteDifferences:
             NetworkConfig(4, 2, 3, 2, n_channels=2,
                           conv_layers=((2, 3), (3, 2))), seed=12)
 
-    def test_residual_off(self):
-        finite_difference_check(
-            NetworkConfig(4, 2, 3, 2, conv_layers=((2, 2),), residual=False),
-            seed=13)
-
 
 class TestSequenceLoss:
     def test_single_step_equals_cross_entropy(self):
