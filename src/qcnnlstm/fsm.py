@@ -6,9 +6,13 @@ update, (6) tanh of the cell, (7) output-gate product, (8) output layer on
 the final window (otherwise loop back). Cycles, MACs and memory traffic
 depend only on the network and machine configurations, never on the data:
 the schedule is a per-window table with one row per state visit (cycles,
-MACs, WB reads, IM reads and writes in bits), built from closed forms once
-per configuration pair. The report, the trace file and the bank traffic are
-folds over its rows. The numeric result comes from the fixed-point engine,
+MACs, WB reads, IM reads and writes in bits), built once per configuration
+pair. That table holds the machine's one closed form per state; the report,
+the trace file, the bank traffic and `state_cycle_cost` are folds over its
+rows. The MAC lanes serve states 1-3 and 8, and state 3's four gate products
+share all of them. States 4-7 run on the elementwise datapath, one hidden
+unit per cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
+MAC-lane work. The numeric result comes from the fixed-point engine,
 `model.network_forward_fixed`, at the machine's activation format and LUT
 size.
 """
@@ -18,7 +22,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +37,6 @@ __all__ = [
     "CycleReport",
     "LatencyVerdict",
     "BankCapacityError",
-    "conv_layer_cycles",
-    "relu_overhead_cycles",
     "state_cycle_cost",
     "load_banks",
     "run_inference",
@@ -58,17 +59,16 @@ class MachineConfig:
     wb_capacity_bits: int = 16_020_000  # block-RAM budget of the target part
 
     def __post_init__(self):
-        if min(self.wb_read_bits_per_cycle, self.im_bits_per_cycle,
-               self.lut_size) < 1:
-            raise ValueError("machine parameters must be positive")
-        if self.mac_lanes < 4:
-            raise ValueError(f"mac_lanes = {self.mac_lanes}; the four gate "
-                             "products run at once, a lane each at least")
+        for key in ("mac_lanes", "wb_read_bits_per_cycle",
+                    "im_bits_per_cycle", "wb_capacity_bits"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} = {getattr(self, key)}; at least 1")
+        if self.lut_size < 2 or self.lut_size & (self.lut_size - 1):
+            raise ValueError(f"lut_size = {self.lut_size}; a power of two, "
+                             "at least 2")
         if not self.clock_hz >= 1.0:
             raise ValueError(f"clock_hz = {self.clock_hz}; the clock runs at "
                              "1 Hz or faster")
-        if self.lut_size & (self.lut_size - 1):
-            raise ValueError("lut_size must be a power of two")
         if self.activation_format.total_bits > fxp.DIRECT_LUT_MAX_BITS:
             raise ValueError(f"activation_format {self.activation_format} is "
                              f"wider than {fxp.DIRECT_LUT_MAX_BITS} bits, the "
@@ -79,11 +79,6 @@ class MachineConfig:
             raise ValueError(f"lut_size = {self.lut_size} cuts cells finer "
                              f"than one {self.activation_format} code; at "
                              f"most {finest}")
-
-    @property
-    def lanes_per_gate(self) -> int:
-        # the MAC lanes are split across the four concurrent gate products
-        return self.mac_lanes // 4
 
 
 @dataclass
@@ -194,43 +189,20 @@ def _positions(length: int, width: int) -> int:
     return length - width + 1
 
 
-def conv_layer_cycles(length: int, width: int, filters: int,
-                      lanes: int, depth: int = 1) -> int:
-    """(L - m + 1) * f * ceil(m*d / lanes) cycles for one convolution layer."""
-    return _positions(length, width) * filters * ceil(width * depth / lanes)
-
-
-def relu_overhead_cycles(length: int, width: int, filters: int,
-                         lanes: int) -> int:
-    return _positions(length, width) * ceil(filters / lanes)
-
-
-def _conv_visit_cycles(net: NetworkConfig, mc: MachineConfig, depth: int,
-                       filters: int, width: int) -> int:
-    """One state-1 visit: a conv layer and its ReLU."""
-    return (conv_layer_cycles(net.window_len, width, filters, mc.mac_lanes,
-                              depth)
-            + relu_overhead_cycles(net.window_len, width, filters,
-                                   mc.mac_lanes))
+def _passes(products: int, lanes: int) -> int:
+    """Lane-wide passes over `products`: an integer ceiling, so that any
+    lane count, past float range too, still takes one pass."""
+    return -(-products // lanes)
 
 
 def state_cycle_cost(state: int, net: NetworkConfig, mc: MachineConfig) -> int:
-    """Cycle cost of `state` in one window (state 8: the final-window visit)."""
-    if state == 1:
-        return sum(_conv_visit_cycles(net, mc, *shape)
-                   for shape in net.conv_shapes())
-    if state == 2:
-        if not net.use_cnn:
-            return 0
-        return ceil(net.fc_input_len * net.input_len / mc.mac_lanes)
-    if state == 3:
-        return (net.n_hidden + net.input_len) * ceil(net.n_hidden
-                                                     / mc.lanes_per_gate)
-    if state in (4, 5, 6, 7):
-        return net.n_hidden
-    if state == 8:
-        return net.n_hidden * net.n_classes
-    raise ValueError(f"no state {state}")
+    """Cycles of `state` in the final window, summed over its visits (state 8:
+    the classify visit)."""
+    if not 1 <= state <= 8:
+        raise ValueError(f"no state {state}")
+    # cycles do not depend on the weight width
+    return sum(v.cycles for v in _window_visits(net, mc, 0, final=True)
+               if v.state == state)
 
 
 def load_banks(qnet: QuantizedNetwork, mc: MachineConfig) -> MemoryBanks:
@@ -248,29 +220,34 @@ _Visit = namedtuple("_Visit", "state cycles macs wb_reads im_reads im_writes "
 
 def _window_visits(net: NetworkConfig, mc: MachineConfig, weight_bits: int,
                    final: bool) -> list:
-    """The state visits of one window, in order, from closed forms."""
-    act = mc.activation_format.total_bits
-    x, h = net.input_len * act, net.n_hidden * act
-    visits = [_Visit(1, _conv_visit_cycles(net, mc, depth, filters, width),
+    """The state visits of one window, in order: each state's closed form."""
+    act, lanes = mc.activation_format.total_bits, mc.mac_lanes
+    n_h = net.n_hidden
+    x, h = net.input_len * act, n_h * act
+    # per output position, each filter's m*d products in lane-wide passes,
+    # then the filters' ReLUs in lane-wide passes
+    visits = [_Visit(1, _positions(net.window_len, width)
+                     * (filters * _passes(width * depth, lanes)
+                        + _passes(filters, lanes)),
                      filters * width * net.window_len * depth,
                      (2 * filters * depth * width,), (),
                      (filters * net.window_len * act,), "MACs+NFs", f"conv{li}")
               for li, (depth, filters, width) in enumerate(net.conv_shapes())]
     if net.use_cnn:  # FC over the last layer's maps, then the residual add
         fc, maps = net.input_len * net.fc_input_len, net.fc_input_len * act
-        visits.append(_Visit(2, state_cycle_cost(2, net, mc), fc,
-                             (fc * weight_bits,), (maps, x), (x,), "MACs",
-                             "fc+residual"))
-    gate = (net.n_hidden + net.input_len) * net.n_hidden
-    out = net.n_hidden * net.n_classes
-    cost = {state: state_cycle_cost(state, net, mc) for state in range(3, 9)}
-    visits += [_Visit(3, cost[3], 4 * gate, (2 * gate,) * 4, (), (), "MACs",
-                      "gates"),
-               _Visit(4, cost[4], 0, (), (), (h,) * 4, "NFs", "sigmoid+tanh"),
-               _Visit(5, cost[5], 0, (), (h,) * 3, (h,), "MACs", "cell-update"),
-               _Visit(6, cost[6], 0, (), (), (h,), "NFs", "tanh"),
-               _Visit(7, cost[7], 0, (), (h, h), (h,), "MACs", "hidden"),
-               _Visit(8, cost[8], out, (out * weight_bits,), (),
+        visits.append(_Visit(2, _passes(fc, lanes), fc, (fc * weight_bits,),
+                             (maps, x), (x,), "MACs", "fc+residual"))
+    # the four gate products share every lane: per row of [h, x], their
+    # 4*n_h columns in lane-wide passes
+    gate = (n_h + net.input_len) * n_h
+    out = n_h * net.n_classes
+    visits += [_Visit(3, (n_h + net.input_len) * _passes(4 * n_h, lanes),
+                      4 * gate, (2 * gate,) * 4, (), (), "MACs", "gates"),
+               _Visit(4, n_h, 0, (), (), (h,) * 4, "NFs", "sigmoid+tanh"),
+               _Visit(5, n_h, 0, (), (h,) * 3, (h,), "MACs", "cell-update"),
+               _Visit(6, n_h, 0, (), (), (h,), "NFs", "tanh"),
+               _Visit(7, n_h, 0, (), (h, h), (h,), "MACs", "hidden"),
+               _Visit(8, out, out, (out * weight_bits,), (),
                       (net.n_classes * act,), "MACs", "classify") if final
                else _Visit(8, 0, 0, (), (), (), "MC", "loop")]
     # the window itself is written to the IM as the window opens

@@ -295,12 +295,25 @@ class TestMachineFile:
         assert rc == 2 and f"{machine}: clock_hz = 1e-300" in err
         assert "latency" not in out
 
-    @pytest.mark.parametrize("lanes", [1, 3])
-    def test_fewer_lanes_than_gates_exits_2(self, tmp_path, capsys, lanes):
-        # the four gate products run at once, a lane each at least
+    @pytest.mark.parametrize("lanes, total", [
+        (1, "2,197,100"), (3, "737,316"), (6, "372,548")], ids=["1", "3", "6"])
+    def test_few_lanes_share_the_gate_products(self, tmp_path, capsys, lanes,
+                                               total):
+        # state 3's four gate products share every lane, so no lane idles,
+        # from one lane up
         machine = _write(tmp_path / "m.txt", {"mac_lanes": lanes})
+        rc, out, _ = self._cycles(capsys, "--machine", machine)
+        assert rc == 0 and f"total cycles        {total}\n" in out
+
+    @pytest.mark.parametrize("key, value", [
+        ("mac_lanes", 0), ("wb_read_bits_per_cycle", 0),
+        ("im_bits_per_cycle", -1), ("lut_size", 0), ("lut_size", 1),
+        ("wb_capacity_bits", 0)])
+    def test_value_out_of_range_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                       key, value):
+        machine = _write(tmp_path / "m.txt", {key: value})
         rc, out, err = self._cycles(capsys, "--machine", machine)
-        assert rc == 2 and f"{machine}: mac_lanes = {lanes}" in err
+        assert rc == 2 and f"{machine}: {key} = {value}" in err
         assert "total cycles" not in out
 
     def test_bus_bits_is_an_unknown_key(self, tmp_path, capsys):
@@ -315,19 +328,19 @@ def test_machine_values_cover_the_file_keys():
 
 
 def _readme_table(heading):
-    """The keys of the README table under the line that starts with
-    `heading`, and the key count that line states."""
+    """The (key, default) rows of the README table under the line that
+    starts with `heading`, and the key count that line states."""
     lines = (ROOT / "README.md").read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith(heading))
     count = int(re.search(r"\((\d+) keys", lines[start]).group(1))
-    keys = []
+    rows = []
     for line in lines[start + 1:]:
-        if keys and not line.startswith("|"):
+        if rows and not line.startswith("|"):
             break
-        match = re.match(r"\| `(\w+)` \|", line)
+        match = re.match(r"\| `(\w+)` \| ([^|]*) \|", line)
         if match:
-            keys.append(match.group(1))
-    return keys, count
+            rows.append(match.groups())
+    return rows, count
 
 
 @pytest.mark.parametrize("heading, records, fixed", [
@@ -336,10 +349,18 @@ def _readme_table(heading):
     ("`simulate --machine`", (fsm.MachineConfig,), {"activation_format"}),
 ])
 def test_readme_table_lists_the_record_fields(heading, records, fixed):
-    keys, count = _readme_table(heading)
+    rows, count = _readme_table(heading)
+    keys = [key for key, _ in rows]
     want = {f.name for record in records for f in fields(record)} - fixed
     assert len(keys) == len(set(keys)) == count
     assert set(keys) == want
+
+
+def test_readme_machine_defaults_are_the_record_defaults():
+    rows, _ = _readme_table("`simulate --machine`")
+    default = fsm.MachineConfig()
+    assert {key: float(value) for key, value in rows} == \
+        {key: float(getattr(default, key)) for key, _ in rows}
 
 
 @pytest.mark.parametrize("key", sorted(MACHINE_VALUES))

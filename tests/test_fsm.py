@@ -4,10 +4,9 @@ import fixed_oracle
 import numpy as np
 import pytest
 
-from qcnnlstm import estimate, fxp, quant
-from qcnnlstm.fsm import (BankCapacityError, MachineConfig, conv_layer_cycles,
-                          latency_report, load_banks, relu_overhead_cycles,
-                          run_inference, state_cycle_cost)
+from qcnnlstm import estimate, fsm, fxp, quant
+from qcnnlstm.fsm import (BankCapacityError, MachineConfig, latency_report,
+                          load_banks, run_inference, state_cycle_cost)
 from qcnnlstm.model import NetworkConfig, network_forward_fixed
 from qcnnlstm.train import init_params
 
@@ -36,11 +35,15 @@ def random_net(rng, use_cnn=None):
 
 class TestCycleFormulas:
     def test_conv_layer_example(self):
-        # (50-5+1) * 10 * ceil(5/32) = 460
-        assert conv_layer_cycles(50, 5, 10, 32) == 460
+        # (50-5+1) * 10 * ceil(5/32) = 460 MAC cycles, then
+        # (50-5+1) * ceil(10/32) = 46 ReLU cycles
+        net = NetworkConfig(50, 2, 4, 2, conv_layers=((10, 5),))
+        assert state_cycle_cost(1, net, MC) == 460 + 46
 
     def test_relu_overhead(self):
-        assert relu_overhead_cycles(50, 5, 10, 32) == 46
+        # 40 filters take two lane-wide ReLU passes per position
+        net = NetworkConfig(50, 2, 4, 2, conv_layers=((40, 5),))
+        assert state_cycle_cost(1, net, MC) == 46 * 40 + 46 * 2
 
     def test_state3_dba(self):
         net = NetworkConfig(5, 30, 250, 8, n_channels=128, use_cnn=False)
@@ -77,15 +80,12 @@ class TestCycleFormulas:
         qnet = quant.QuantizedNetwork.from_params(params, "ternary")
         raw = fxp.to_raw(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="width-5 kernel"):
-            conv_layer_cycles(2, 5, 3, 32)
-        with pytest.raises(ValueError, match="width-5 kernel"):
-            relu_overhead_cycles(2, 5, 3, 32)
-        with pytest.raises(ValueError, match="width-5 kernel"):
             state_cycle_cost(1, net, MC)
         with pytest.raises(ValueError, match="width-5 kernel"):
             run_inference(raw, load_banks(qnet, MC), net, MC)
-        assert conv_layer_cycles(5, 5, 3, 32) == 3
-        assert relu_overhead_cycles(5, 5, 3, 32) == 1
+        # one position: 3 filters * ceil(5/32) MAC cycles, 1 ReLU cycle
+        fits = NetworkConfig(5, 3, 4, 2, conv_layers=((3, 5),))
+        assert state_cycle_cost(1, fits, MC) == 3 + 1
 
 
 class TestGoldenEquivalence:
@@ -268,8 +268,23 @@ def _one_sequence(net, mc, tmp_path):
 
 
 class TestTrafficPins:
-    """Bank traffic of the gesture-dba and ECG200 reference shapes, in bits:
-    literal values, so a transfer added, dropped or merged shows."""
+    """Modelled figures of the gesture-dba and ECG200 reference shapes at the
+    default machine: literal values, so a transfer added, dropped or merged,
+    or a cycle formula changed, shows. The benchmark's cycle gate reads
+    `state_cycle_cost`, which folds the schedule's own table; these
+    literals do not."""
+
+    @pytest.mark.parametrize("net,per_state,total,worst,macs", [
+        (GESTURE, [0, 0, 854_400, 7_500, 7_500, 7_500, 7_500, 2_000],
+         886_400, 31_480, 26_702_000),
+        (ECG200, [2_936, 1_500, 65_120, 1_400, 1_400, 1_400, 1_400, 700],
+         75_856, 19_489, 2_196_700)], ids=["gesture-dba", "ecg200"])
+    def test_per_sequence_cycles(self, net, per_state, total, worst, macs,
+                                 tmp_path):
+        rep, _ = _one_sequence(net, MC, tmp_path)
+        assert rep.cycles_per_state.tolist() == per_state
+        assert (rep.total_cycles, rep.worst_window_cycles,
+                rep.executed_macs) == (total, worst, macs)
 
     @pytest.mark.parametrize("net,wb,im,rows", [
         (GESTURE, 53_424_000, 1_310_496, 180),
@@ -312,6 +327,55 @@ class TestMonotonicity:
     def test_window_growth_never_cheaper(self):
         cycles = [self._cycles(8, w) for w in (4, 6, 8, 12)]
         assert all(a <= b for a, b in zip(cycles, cycles[1:]))
+
+
+class TestLaneSharing:
+    """State 3's four gate products share every MAC lane, from one lane up."""
+
+    LANES = range(1, 65)
+
+    def _nets(self, seed):
+        rng = np.random.default_rng(seed)
+        return [random_net(rng)[:2] for _ in range(12)]
+
+    def test_multiples_of_four_keep_a_quarter_per_gate(self):
+        # restated independently: each gate product on lanes // 4 lanes
+        for cfg, _ in self._nets(30):
+            for lanes in self.LANES[3::4]:
+                mc = MachineConfig(mac_lanes=lanes)
+                quarter = -(-cfg.n_hidden // (lanes // 4))
+                assert state_cycle_cost(3, cfg, mc) == \
+                    (cfg.n_hidden + cfg.input_len) * quarter
+
+    def test_more_lanes_never_cost_more_cycles(self):
+        for cfg, qnet in self._nets(31):
+            bits = qnet.weight_format.total_bits
+            per_state = [fsm._schedule(cfg, MachineConfig(mac_lanes=lanes),
+                                       bits)[0].cycles_per_state
+                         for lanes in self.LANES]
+            for fewer, more in zip(per_state, per_state[1:]):
+                assert (more <= fewer).all() and more.sum() <= fewer.sum()
+
+    def test_lanes_past_the_widest_product_change_nothing(self):
+        # 10**400 lanes is past float range; every product still takes a pass
+        def per_state(lanes):
+            mc = MachineConfig(mac_lanes=lanes)
+            return [state_cycle_cost(s, ECG200, mc) for s in range(1, 9)]
+
+        assert per_state(10**400) == per_state(10**6) == \
+            [734, 1, 370, 350, 350, 350, 350, 700]
+
+    def test_lane_work_fits_the_lanes(self):
+        # conv visits are left out: they charge L - m + 1 positions but
+        # book the MACs of L, up to 1.008 MACs per lane-cycle at the ECG200
+        # reference shape
+        for cfg, qnet in self._nets(32):
+            bits = qnet.weight_format.total_bits
+            for lanes in self.LANES:
+                mc = MachineConfig(mac_lanes=lanes)
+                for v in fsm._window_visits(cfg, mc, bits, final=True):
+                    if v.state in (2, 3, 8):
+                        assert v.macs <= lanes * v.cycles, (cfg, lanes, v)
 
 
 class TestLatency:
