@@ -34,7 +34,7 @@ exact = 1.0 / (1.0 + np.exp(-us))
 print(f"\nworst-case sigmoid LUT error over the domain: "
       f"{np.abs(approx - exact).max():.5f}")
 print(f"(analytic bound: max slope 1/4 x half cell + one entry step = "
-      f"{0.25 * sig.cell_width / 2 + sig.entry_format.step:.5f})")
+      f"{0.25 * sig.cell_width / 2 + fxp.ENTRY_FORMAT.step:.5f})")
 
 print("\ntanh table is odd-symmetric by construction:")
 tanh = fxp.build_lut("tanh", 64)

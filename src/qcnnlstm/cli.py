@@ -284,8 +284,6 @@ def _cmd_eval(args, argv) -> int:
 def _cmd_simulate(args, argv) -> int:
     if args.limit < 0:
         raise _UsageError("--limit must not be negative")
-    if args.trace and not args.out:
-        raise _UsageError("--trace writes trace.csv under --out; give both")
     params, cfg, mode = model.load_network(args.model)
     if mode == "full":
         raise ingest.DataFormatError(
@@ -298,15 +296,11 @@ def _cmd_simulate(args, argv) -> int:
     qnet = quant.QuantizedNetwork.from_params(params, mode,
                                               mc.activation_format)
     banks = fsm.load_banks(qnet, mc)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     n = min(args.limit, len(test_seqs)) if args.limit else len(test_seqs)
     seqs = test_seqs[:n]
     raw = fxp.to_raw(np.stack([seq.windows for seq in seqs]),
                      mc.activation_format)
-    trace = (out / "trace.csv") if args.trace else None
-    preds, report = fsm.run_inference(raw, banks, cfg, mc, trace_path=trace)
+    preds, report = fsm.run_inference(raw, banks, cfg, mc)
     correct = int((preds == np.array([seq.label for seq in seqs])).sum())
     print(f"simulated {n} inferences, accuracy {correct / n:.4f}")
     # the datapath clips every logit to the format, and argmax breaks ties
@@ -318,9 +312,12 @@ def _cmd_simulate(args, argv) -> int:
     print(f"final logits at the {fmt} limits {at_limits} of {logits.size}")
     print(f"predictions tied at the maximum {tied} of {n}")
     print(report.summary())
-    if out is not None:
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "cycle_report.txt").write_text(report.summary() + "\n")
         (out / "cycle_report.csv").write_text(report.csv())
+        (out / "trace.csv").write_text(report.trace_csv)
         _write_manifest(argv, out)
     return 0
 
@@ -383,7 +380,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--machine", default=None)
-    p.add_argument("--trace", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--limit", type=int, default=0)
 

@@ -21,8 +21,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "LogisticParams",
-    "LorenzParams",
     "WindowedSequence",
     "SyntheticDataset",
     "logistic_series",
@@ -42,39 +40,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
-
-@dataclass(frozen=True)
-class LogisticParams:
-    r: float
-    x0: float
-    n_samples: int
-    transient: int = 0
-
-    def __post_init__(self):
-        if not np.all((0.0 < self.x0) & (self.x0 < 1.0)):
-            raise ValueError("x0 must lie in (0, 1)")
-        if not np.all((0.0 < self.r) & (self.r <= 4.0)):
-            raise ValueError("r must lie in (0, 4]")
-        if self.n_samples < 1 or self.transient < 0:
-            raise ValueError("bad sample counts")
-
-
-@dataclass(frozen=True)
-class LorenzParams:
-    sigma: float
-    rho: float = 28.0
-    beta: float = 5.0 / 3.0
-    initial: tuple = (1.0, 1.0, 1.0)
-    dt: float = 0.01
-    n_samples: int = 1000
-    transient: int = 1000
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.transient < 0:
-            raise ValueError("transient must be >= 0")
-
 
 @dataclass
 class WindowedSequence:
@@ -102,15 +67,21 @@ class SyntheticDataset:
         return len(self.class_params)
 
 
-def logistic_series(p: LogisticParams) -> np.ndarray:
+def logistic_series(r, x0, n_samples: int, transient: int = 0) -> np.ndarray:
     """Iterate x <- r*x*(1-x) per element of `r` and `x0`, scalars or arrays
     of one shape; n_samples values after the transient, on the last axis."""
-    x = np.asarray(p.x0, dtype=np.float64)
-    out = np.empty(x.shape + (p.n_samples,))
-    for _ in range(p.transient):
-        x = p.r * x * (1.0 - x)
-    for i in range(p.n_samples):
-        x = p.r * x * (1.0 - x)
+    if not np.all((0.0 < x0) & (x0 < 1.0)):
+        raise ValueError("x0 must lie in (0, 1)")
+    if not np.all((0.0 < r) & (r <= 4.0)):
+        raise ValueError("r must lie in (0, 4]")
+    if n_samples < 1 or transient < 0:
+        raise ValueError("bad sample counts")
+    x = np.asarray(x0, dtype=np.float64)
+    out = np.empty(x.shape + (n_samples,))
+    for _ in range(transient):
+        x = r * x * (1.0 - x)
+    for i in range(n_samples):
+        x = r * x * (1.0 - x)
         out[..., i] = x
     return out
 
@@ -120,7 +91,10 @@ def _lorenz_deriv(state, sigma, rho, beta):
     return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
 
 
-def lorenz_series(p: LorenzParams, scale: float = 40.0) -> np.ndarray:
+def lorenz_series(sigma, rho: float = 28.0, beta: float = 5.0 / 3.0,
+                  initial=(1.0, 1.0, 1.0), dt: float = 0.01,
+                  n_samples: int = 1000, transient: int = 1000,
+                  scale: float = 40.0) -> np.ndarray:
     """RK4-integrate the Lorenz system, one orbit per element of `sigma`
     (shape S) and row of `initial` (*S, 3), or a single one; return
     x(t)/scale after the transient, on the last axis.
@@ -128,19 +102,22 @@ def lorenz_series(p: LorenzParams, scale: float = 40.0) -> np.ndarray:
     The scaled trajectories must stay inside [-1, 1]; a scale that is too
     small or a diverging dt is reported rather than silently clipped.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if transient < 0:
+        raise ValueError("transient must be >= 0")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    state = np.moveaxis(np.asarray(p.initial, dtype=np.float64), -1, 0)
-    n_total = p.transient + p.n_samples
-    xs = np.empty(state.shape[1:] + (p.n_samples,))
-    for i in range(n_total):
-        k1 = _lorenz_deriv(state, p.sigma, p.rho, p.beta)
-        k2 = _lorenz_deriv(state + 0.5 * p.dt * k1, p.sigma, p.rho, p.beta)
-        k3 = _lorenz_deriv(state + 0.5 * p.dt * k2, p.sigma, p.rho, p.beta)
-        k4 = _lorenz_deriv(state + p.dt * k3, p.sigma, p.rho, p.beta)
-        state = state + (p.dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if i >= p.transient:
-            xs[..., i - p.transient] = state[0]
+    state = np.moveaxis(np.asarray(initial, dtype=np.float64), -1, 0)
+    xs = np.empty(state.shape[1:] + (n_samples,))
+    for i in range(transient + n_samples):
+        k1 = _lorenz_deriv(state, sigma, rho, beta)
+        k2 = _lorenz_deriv(state + 0.5 * dt * k1, sigma, rho, beta)
+        k3 = _lorenz_deriv(state + 0.5 * dt * k2, sigma, rho, beta)
+        k4 = _lorenz_deriv(state + dt * k3, sigma, rho, beta)
+        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if i >= transient:
+            xs[..., i - transient] = state[0]
     xs /= scale
     if not np.abs(xs).max() <= 1.0:  # nan when the integration diverged
         raise ValueError(f"scaled trajectory exits [-1, 1] (max |x|/scale = "
@@ -213,8 +190,7 @@ def make_logistic_dataset(n_classes: int = 5, per_class: int = 20,
                           transient: int = 100) -> SyntheticDataset:
     def gen(r, rngs):
         x0 = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
-        return logistic_series(LogisticParams(r, x0, window_len * n_steps,
-                                              transient))
+        return logistic_series(r, x0, window_len * n_steps, transient)
 
     return _dataset("logistic", np.linspace(3.6, 4.0, n_classes), gen,
                     per_class, window_len, n_steps, noise_amplitude, seed)
@@ -227,10 +203,9 @@ def make_lorenz_dataset(n_classes: int = 5, per_class: int = 20,
                         transient: int = 1000) -> SyntheticDataset:
     def gen(sigma, rngs):
         initial = 1.0 + np.array([rng.uniform(-0.5, 0.5, 3) for rng in rngs])
-        return lorenz_series(LorenzParams(sigma, initial=initial, dt=dt,
-                                          n_samples=window_len * n_steps,
-                                          transient=transient),
-                             scale)
+        return lorenz_series(sigma, initial=initial, dt=dt,
+                             n_samples=window_len * n_steps,
+                             transient=transient, scale=scale)
 
     return _dataset("lorenz", np.linspace(8.0, 18.0, n_classes), gen,
                     per_class, window_len, n_steps, noise_amplitude, seed,

@@ -8,7 +8,7 @@ depend only on the network and machine configurations, never on the data:
 the schedule is a per-window table with one row per state visit (cycles,
 MACs, WB reads, IM reads and writes in bits), built once per configuration
 pair. That table holds the machine's one closed form per state; the report,
-the trace file, the bank traffic and `state_cycle_cost` are folds over its
+its trace text, the bank traffic and `state_cycle_cost` are folds over its
 rows. The MAC lanes serve states 1-3 and 8, and state 3's four gate products
 share all of them. States 4-7 run on the elementwise datapath, one hidden
 unit per cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -122,9 +121,11 @@ class MemoryBanks:
 
 @dataclass
 class CycleReport:
-    """Cycles, MACs, the state trace and `*_per_seq` traffic are per sequence;
-    `wb_bits_read`, `im_bits_transferred` and the beat maxima are the banks'
-    cumulative counters over every sequence run on them."""
+    """Cycles, MACs, the state trace, `trace_csv` and `*_per_seq` traffic are
+    per sequence; `wb_bits_read`, `im_bits_transferred` and the beat maxima
+    are the banks' cumulative counters over every sequence run on them.
+    `trace_csv` is the text of `trace.csv`: one row per state visit, at the
+    cycle the visit ends."""
 
     cycles_per_state: np.ndarray
     total_cycles: int
@@ -140,6 +141,7 @@ class CycleReport:
     state_trace: list
     wb_bits_per_seq: int
     im_bits_per_seq: int
+    trace_csv: str
 
     def summary(self) -> str:
         lines = ["per sequence", "state  cycles"]
@@ -147,8 +149,8 @@ class CycleReport:
                   for s, c in enumerate(self.cycles_per_state)]
         lines += [
             f"total cycles        {self.total_cycles:,}",
-            f"latency             {self.latency_seconds * 1e6:.1f} us",
-            f"worst window        {self.worst_window_latency_seconds * 1e6:.1f} us",
+            f"latency             {_us(self.latency_seconds)} us",
+            f"worst window        {_us(self.worst_window_latency_seconds)} us",
             f"executed MACs       {self.executed_macs:,}",
             f"paper-variant MACs  {self.paper_macs:,} per window",
             f"WB bits read        {self.wb_bits_per_seq:,}",
@@ -171,6 +173,13 @@ class CycleReport:
                 f"{self.executed_macs},{self.wb_bits_per_seq},"
                 f"{self.im_bits_per_seq},{self.wb_bits_read},"
                 f"{self.im_bits_transferred}\n")
+
+
+def _us(seconds: float) -> str:
+    """Microseconds to 0.1 us, or to three significant digits where 0.1 us
+    would print a nonzero time as 0.0."""
+    us = seconds * 1e6
+    return f"{us:.3g}" if 0 < us < 0.05 else f"{us:.1f}"
 
 
 @dataclass
@@ -257,8 +266,8 @@ def _window_visits(net: NetworkConfig, mc: MachineConfig, weight_bits: int,
 
 @lru_cache(maxsize=256)
 def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
-    """One sequence's (report, bank traffic, trace text), folded from the
-    per-window table: every window but the last loops back at state 8."""
+    """One sequence's (report, bank traffic), folded from the per-window
+    table: every window but the last loops back at state 8."""
     last = _window_visits(net, mc, weight_bits, final=True)
     visits = (_window_visits(net, mc, weight_bits, final=False)
               * (net.n_steps - 1) + last)
@@ -283,24 +292,28 @@ def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
         worst_window / mc.clock_hz, sum(v.macs for v in visits),
         estimate.mac_count(net, "window", "paper"), banks.wb_bits_read,
         banks.im_bits, banks.max_wb_beat, banks.max_im_beat,
-        [v.state for v in visits], banks.wb_bits_read, banks.im_bits)
-    return report, banks, "\n".join(rows) + "\n"
+        [v.state for v in visits], banks.wb_bits_read, banks.im_bits,
+        "\n".join(rows) + "\n")
+    return report, banks
 
 
 def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
-                  mc: MachineConfig, trace_path=None):
-    """Run raw windows, (n_steps, input_len) or (B, n_steps, input_len).
+                  mc: MachineConfig):
+    """Run raw windows, (n_steps, input_len) or (B, n_steps, input_len), on
+    banks `load_banks` loaded for `mc`; another machine is a `ValueError`.
 
     Returns (prediction, CycleReport): the argmax of the final state-8 logits
     (ties to the lowest index), an int or a (B,) array; the logits also land
-    in `banks.im["logits"]`. Cycles, MACs, the state trace (and trace file)
-    and `*_per_seq` traffic are per sequence; bank totals are the banks'
+    in `banks.im["logits"]`. Cycles, MACs, the state trace and its text and
+    `*_per_seq` traffic are per sequence; bank totals are the banks'
     cumulative counters.
     """
+    # identity first: a caller that keeps one machine pays no comparison
+    if mc is not banks.mc and mc != banks.mc:
+        raise ValueError(f"the banks were loaded for {banks.mc}, not {mc}")
     logits = model.network_forward_fixed(
         windows_raw, banks.qnet, net, mc.activation_format, mc.lut_size)[..., -1, :]
-    one, traffic, trace = _schedule(net, mc,
-                                    banks.qnet.weight_format.total_bits)
+    one, traffic = _schedule(net, mc, banks.qnet.weight_format.total_bits)
     banks.add_traffic(traffic, 1 if logits.ndim == 1 else len(logits))
     banks.im["logits"] = logits
     report = replace(one, cycles_per_state=one.cycles_per_state.copy(),
@@ -309,8 +322,6 @@ def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
                      im_bits_transferred=banks.im_bits,
                      max_wb_beat_bits=banks.max_wb_beat,
                      max_im_beat_bits=banks.max_im_beat)
-    if trace_path is not None:
-        Path(trace_path).write_text(trace)
     preds = np.argmax(logits, axis=-1)
     return (int(preds) if logits.ndim == 1 else preds), report
 

@@ -138,14 +138,8 @@ def _constants(fmt: QFormat, dtype) -> tuple:
 
 
 def saturate(x, fmt: QFormat = ACT_FORMAT) -> np.ndarray:
-    """`x`, integer codes the caller made (int or float array), saturated to
-    the format range.
-
-    An array is clipped in place; a NumPy scalar (from 0-d operands) cannot
-    be written into, so it comes back as a new scalar.
-    """
-    if not isinstance(x, np.ndarray):
-        return np.minimum(np.maximum(x, fmt.raw_min), fmt.raw_max)
+    """`x`, an int or float array of integer codes, saturated to the format
+    range in place."""
     # the method with bounds of x's type: np.clip, or bounds that need a
     # cast, cost about twice as much per call
     lo, hi, _, _ = _constants(fmt, x.dtype)
@@ -328,13 +322,13 @@ _LUT_RANGES = {"sigmoid": (-8.0, 8.0), "tanh": (-4.0, 4.0)}
 
 @dataclass(frozen=True)
 class LutTable:
-    """Nonlinearity table: N quantized samples of f over [u_min, u_max)."""
+    """Nonlinearity table: N samples of f over [u_min, u_max), as
+    `ENTRY_FORMAT` codes."""
 
     kind: str
     u_min: float
     u_max: float
     entries_raw: np.ndarray
-    entry_format: QFormat = ENTRY_FORMAT
 
     def __post_init__(self):
         if self.kind not in _LUT_FUNCS:
@@ -355,7 +349,7 @@ class LutTable:
         return (self.u_max - self.u_min) / self.n_entries
 
     def entry_values(self) -> np.ndarray:
-        return from_raw(self.entries_raw, self.entry_format)
+        return from_raw(self.entries_raw, ENTRY_FORMAT)
 
 
 def build_lut(kind: str, n_entries: int = LUT_SIZE) -> LutTable:

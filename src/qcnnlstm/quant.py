@@ -80,15 +80,14 @@ def quantize_ternary(r, out=None):
 
 
 def quantize_weights(r, mode: str, out=None):
-    """The `mode` codes of `r`: binary and ternary codes go to `out` when
-    given, else keep a float32 `r`'s type; full precision is `r` as float64."""
-    if mode == "full":
-        return np.asarray(r, dtype=np.float64)
+    """The `mode` codes of `r`, written to `out` when given, else in `r`'s
+    type: float32 for float32 input, float64 for any other."""
     if mode == "binary":
         return quantize_binary(r, out)
     if mode == "ternary":
         return quantize_ternary(r, out)
-    raise ValueError(f"unknown quantization mode {mode!r}")
+    raise ValueError(f"quantization mode {mode!r}; codes are binary or "
+                     "ternary")
 
 
 def ste_backward(g_q, r):

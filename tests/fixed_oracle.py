@@ -53,7 +53,7 @@ def lut_index(u: Fixed, table: LutTable) -> int:
 
 def lut_eval(u: Fixed, table: LutTable) -> Fixed:
     """Table lookup; returns the stored entry in the entry format."""
-    return Fixed(int(table.entries_raw[lut_index(u, table)]), table.entry_format)
+    return Fixed(int(table.entries_raw[lut_index(u, table)]), ENTRY_FORMAT)
 
 
 _FUNCS = {"sigmoid": (lambda u: 1.0 / (1.0 + math.exp(-u)), -8.0, 8.0),

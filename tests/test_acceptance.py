@@ -307,7 +307,7 @@ class TestCriterion11PropertySuites:
         assert np.all(np.diff(sig.entries_raw) >= 0)
         assert np.all(np.diff(tanh.entries_raw) >= 0)
         sums = tanh.entry_values() + tanh.entry_values()[::-1]
-        assert np.abs(sums).max() <= tanh.entry_format.step
+        assert np.abs(sums).max() <= fxp.ENTRY_FORMAT.step
 
         # saturation monotonicity of the quantizer
         xs = np.sort(rng.uniform(-20, 20, 4000))

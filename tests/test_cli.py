@@ -1,4 +1,6 @@
 import filecmp
+import re
+import shlex
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -58,12 +60,6 @@ class TestDispatch:
         assert run("simulate", "--model", str(tmp_path), "--data", str(ECG_DIR),
                    "--limit", "-1") == 1
 
-    def test_simulate_trace_without_out_is_usage_error(self, capsys):
-        assert run("simulate", "--model", str(ECG_MODEL), "--data",
-                   str(ECG_DIR), "--limit", "1", "--trace") == 1
-        err = capsys.readouterr().err
-        assert "--trace" in err and "--out" in err
-
     def test_unknown_test_label_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ucr"
         data.mkdir()
@@ -80,6 +76,20 @@ class TestDispatch:
         assert run("train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 2
         assert "does not occur in the train split" in capsys.readouterr().err
+
+    def test_class_absent_from_the_test_file_is_data_error(self, tmp_path,
+                                                           capsys):
+        data = tmp_path / "ucr"
+        data.mkdir()
+        (data / "X_TRAIN.tsv").write_text(
+            (ECG_DIR / "ECG200_TRAIN.tsv").read_text())
+        # the test file keeps the class-1 rows only
+        rows = (ECG_DIR / "ECG200_TEST.tsv").read_text().splitlines(True)
+        (data / "X_TEST.tsv").write_text("".join(
+            row for row in rows if float(row.split("\t", 1)[0]) > 0))
+        assert run("eval", "--model", str(ECG_MODEL), "--data", str(data)) == 2
+        assert "a class is absent from the test split" in \
+            capsys.readouterr().err
 
     def test_one_class_data_is_data_error(self, tmp_path, capsys):
         data = _one_class_ucr_pair(tmp_path)
@@ -376,7 +386,7 @@ class TestTrainEvalQuantizeSimulate:
                    "--out", str(qdir)) == 0
         simout = tmp_path / "sim"
         assert run("simulate", "--model", str(qdir), "--data", str(ds),
-                   "--limit", "2", "--trace", "--out", str(simout)) == 0
+                   "--limit", "2", "--out", str(simout)) == 0
         out = capsys.readouterr().out
         assert "total cycles" in out
         assert (simout / "cycle_report.csv").exists()
@@ -809,6 +819,13 @@ def _shape_not_integers(mdir):
     return "params.manifest:5: fc.weights has shape '20,6x0'"
 
 
+def _manifest_line_without_four_fields(mdir):
+    path = mdir / "params.manifest"
+    path.write_text(path.read_text().replace("\t20,600\t", " 20,600\t"))
+    return ("params.manifest:5: expected name, dtype, shape and file "
+            "separated by tabs")
+
+
 def _config_disagrees_with_files(mdir):
     # the files hold n_hidden = 350: the first tensor whose shape depends
     # on it is the forget gate, (20 + 350, 350) where 300 needs (320, 300)
@@ -863,6 +880,7 @@ class TestModelDirectoryBoundary:
                                         _drop_manifest_line, _zero_binary_code,
                                         _invalid_field, _unknown_mode,
                                         _shape_not_integers,
+                                        _manifest_line_without_four_fields,
                                         _config_disagrees_with_files,
                                         _narrow_gate_file, _file_name_empty,
                                         _config_drops_the_cnn,
@@ -938,3 +956,17 @@ class TestSimulateReportsLogitLimits:
         out = capsys.readouterr().out.splitlines()
         assert out[1:3] == ["final logits at the Q4.8 limits 0 of 14",
                             "predictions tied at the maximum 7 of 7"]
+
+
+def test_readme_commands_parse():
+    """Every `qcnnlstm ...` line of README's bash blocks, continuations
+    joined, parses: a flag the parser no longer takes fails here."""
+    text = (ROOT / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in re.findall(r"^```bash\n(.*?)^```", text,
+                                        re.M | re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("qcnnlstm ")]
+    assert {argv[0] for argv in commands} == set(cli._HANDLERS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -7,36 +7,36 @@ import numpy as np
 import pytest
 
 from qcnnlstm import cli, datagen
-from qcnnlstm.datagen import (LogisticParams, LorenzParams, logistic_series,
-                              lorenz_series, make_windows, sine_bank_series)
+from qcnnlstm.datagen import (logistic_series, lorenz_series, make_windows,
+                              sine_bank_series)
 
 
 class TestLogistic:
     def test_r4_half_collapses(self):
-        xs = logistic_series(LogisticParams(4.0, 0.5, 4))
+        xs = logistic_series(4.0, 0.5, 4)
         assert np.allclose(xs, [1.0, 0.0, 0.0, 0.0])
 
     def test_fixed_point_at_r2(self):
-        xs = logistic_series(LogisticParams(2.0, 0.5, 10))
+        xs = logistic_series(2.0, 0.5, 10)
         assert np.allclose(xs, 0.5)
 
     def test_chaotic_orbit_stays_bounded(self):
-        xs = logistic_series(LogisticParams(3.9, 0.3, 1000))
+        xs = logistic_series(3.9, 0.3, 1000)
         assert xs.min() >= 0.0 and xs.max() <= 1.0
 
     def test_transient_discarded(self):
-        a = logistic_series(LogisticParams(3.9, 0.3, 5, transient=3))
-        b = logistic_series(LogisticParams(3.9, 0.3, 8))
+        a = logistic_series(3.9, 0.3, 5, transient=3)
+        b = logistic_series(3.9, 0.3, 8)
         assert np.allclose(a, b[3:])
 
     @pytest.mark.parametrize("x0", [0.0, 1.0, -0.1, 1.3])
     def test_rejects_bad_x0(self, x0):
         with pytest.raises(ValueError):
-            LogisticParams(3.9, x0, 10)
+            logistic_series(3.9, x0, 10)
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
-            LogisticParams(4.5, 0.5, 10)
+            logistic_series(4.5, 0.5, 10)
 
 
 class TestLorenz:
@@ -44,25 +44,23 @@ class TestLorenz:
         # x = y = sqrt(beta*(rho-1)), z = rho-1 zeroes every derivative
         rho, beta = 28.0, 5.0 / 3.0
         eq = (np.sqrt(beta * (rho - 1)),) * 2 + (rho - 1,)
-        xs = lorenz_series(LorenzParams(8.0, rho, beta, initial=eq,
-                                        n_samples=50, transient=0), scale=40.0)
+        xs = lorenz_series(8.0, rho, beta, initial=eq, n_samples=50,
+                           transient=0, scale=40.0)
         assert np.allclose(xs, eq[0] / 40.0, atol=1e-9)
 
     def test_chaotic_sensitivity_to_sigma(self):
         kw = dict(initial=(1.0, 1.0, 1.0), n_samples=1000, transient=500)
-        a = lorenz_series(LorenzParams(8.0, **kw), scale=40.0)
-        b = lorenz_series(LorenzParams(18.0, **kw), scale=40.0)
+        a = lorenz_series(8.0, **kw, scale=40.0)
+        b = lorenz_series(18.0, **kw, scale=40.0)
         assert np.abs(a - b).max() > 0.1
 
     def test_scale_40_bounds_trajectory(self):
-        xs = lorenz_series(LorenzParams(8.0, n_samples=5000, transient=1000),
-                           scale=40.0)
+        xs = lorenz_series(8.0, n_samples=5000, transient=1000, scale=40.0)
         assert np.abs(xs).max() <= 1.0
 
     def test_small_scale_reports_failure(self):
         with pytest.raises(ValueError, match="scale"):
-            lorenz_series(LorenzParams(8.0, n_samples=2000, transient=1000),
-                          scale=1.0)
+            lorenz_series(8.0, n_samples=2000, transient=1000, scale=1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -79,14 +77,27 @@ class TestLorenz:
         runs = {}
         for k in range(3):
             dt = 0.01 / 2 ** k
-            xs = lorenz_series(LorenzParams(dt=dt, n_samples=100 * 2 ** k,
-                                            **base), scale=40.0)
+            xs = lorenz_series(dt=dt, n_samples=100 * 2 ** k, **base,
+                               scale=40.0)
             runs[k] = xs[2 ** k - 1::2 ** k]  # samples on the coarse grid
         e1 = np.abs(runs[0] - runs[1]).max()
         e2 = np.abs(runs[1] - runs[2]).max()
         assert e1 < 1e-4
         assert e1 / e2 > 16 / 10
         assert e1 / e2 < 16 * 10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: logistic_series(3.9, 0.3, 0), "bad sample counts"),
+    (lambda: logistic_series(3.9, 0.3, 5, transient=-1), "bad sample counts"),
+    (lambda: lorenz_series(8.0, dt=0.0), "dt must be positive"),
+    (lambda: lorenz_series(8.0, transient=-1), "transient must be >= 0"),
+    (lambda: lorenz_series(8.0, scale=0.0), "scale must be positive")],
+    ids=["logistic-n_samples", "logistic-transient", "lorenz-dt",
+         "lorenz-transient", "lorenz-scale"])
+def test_series_setting_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSineBank:
@@ -153,31 +164,31 @@ class TestBatchedSeries:
     def test_logistic_rows_equal_scalar_orbits(self):
         r = np.array([[3.6, 3.75], [3.9, 4.0]])
         x0 = np.array([[0.2, 0.4], [0.6, 0.8]])
-        got = logistic_series(LogisticParams(r, x0, 30, transient=7))
+        got = logistic_series(r, x0, 30, transient=7)
         assert got.shape == (2, 2, 30)
         for i in np.ndindex(r.shape):
             assert got[i].tobytes() == logistic_series(
-                LogisticParams(float(r[i]), float(x0[i]), 30, 7)).tobytes()
+                float(r[i]), float(x0[i]), 30, 7).tobytes()
 
     def test_lorenz_rows_equal_scalar_orbits(self):
         sigma = np.array([8.0, 13.0, 18.0])
         initial = np.array([[1.0, 1.0, 1.0], [0.6, 1.2, 1.4], [1.5, 0.5, 0.9]])
-        got = lorenz_series(LorenzParams(sigma, initial=initial,
-                                         n_samples=40, transient=60))
+        got = lorenz_series(sigma, initial=initial, n_samples=40,
+                            transient=60)
         assert got.shape == (3, 40)
         for row, s, start in zip(got, sigma, initial):
-            assert row.tobytes() == lorenz_series(LorenzParams(
+            assert row.tobytes() == lorenz_series(
                 float(s), initial=tuple(start), n_samples=40,
-                transient=60)).tobytes()
+                transient=60).tobytes()
 
     def test_one_bad_element_is_rejected(self):
         with pytest.raises(ValueError, match="x0"):
-            LogisticParams(np.array([3.7, 3.8]), np.array([0.5, 1.0]), 10)
+            logistic_series(np.array([3.7, 3.8]), np.array([0.5, 1.0]), 10)
         with pytest.raises(ValueError, match="r must"):
-            LogisticParams(np.array([3.7, 4.5]), np.array([0.5, 0.5]), 10)
+            logistic_series(np.array([3.7, 4.5]), np.array([0.5, 0.5]), 10)
         with pytest.raises(ValueError, match="increase scale"):
-            lorenz_series(LorenzParams(np.array([8.0, 18.0]),
-                                       initial=np.ones((2, 3))), scale=5.0)
+            lorenz_series(np.array([8.0, 18.0]), initial=np.ones((2, 3)),
+                          scale=5.0)
 
 
 class TestDatasets:

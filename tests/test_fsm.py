@@ -199,6 +199,23 @@ class TestAccounting:
         assert rep.executed_macs >= rep.paper_macs
 
 
+class TestSummaryLatency:
+    """Latencies print to 0.1 us, and to three significant digits where
+    that would print a nonzero latency as 0.0."""
+
+    @pytest.mark.parametrize("net,clock_hz,latency,worst", [
+        (ECG200, 1e8, "758.6", "194.9"),
+        (GESTURE, 1e8, "8864.0", "314.8"),
+        (ECG200, 1.8964e12, "0.04", "0.0103"),
+        (ECG200, 1e300, "7.59e-290", "1.95e-290")],
+        ids=["ecg200", "gesture-dba", "0.04us", "1e300Hz"])
+    def test_latency_lines(self, net, clock_hz, latency, worst):
+        rep, _ = _one_sequence(net, MachineConfig(clock_hz=clock_hz))
+        lines = rep.summary().splitlines()
+        assert f"latency             {latency} us" in lines
+        assert f"worst window        {worst} us" in lines
+
+
 class TestStateTrace:
     def test_cnn_trace_regular_expression(self):
         rng = np.random.default_rng(9)
@@ -254,17 +271,34 @@ class TestBandwidth:
         with pytest.raises(BankCapacityError):
             load_banks(qnet, small)
 
+    def test_banks_of_another_machine_are_rejected(self):
+        # running banks on another machine would skip load_banks' capacity
+        # check and book that machine's cycles and beats
+        rng = np.random.default_rng(15)
+        cfg, qnet, raw = random_net(rng)
+        banks = load_banks(qnet, MC)
+        small = MachineConfig(wb_capacity_bits=10, wb_read_bits_per_cycle=1,
+                              im_bits_per_cycle=1)
+        with pytest.raises(BankCapacityError):
+            load_banks(qnet, small)
+        with pytest.raises(ValueError, match=r"loaded for MachineConfig\(.*"
+                           r"wb_capacity_bits=16020000\), not MachineConfig"
+                           r"\(.*wb_capacity_bits=10\)"):
+            run_inference(raw, banks, cfg, small)
+        assert banks.wb_bits_read == banks.im_bits == 0
+        # an equal machine built apart is the same machine
+        _, rep = run_inference(raw, banks, cfg, MachineConfig())
+        assert rep.max_wb_beat_bits <= MC.wb_read_bits_per_cycle
 
-def _one_sequence(net, mc, tmp_path):
+
+def _one_sequence(net, mc):
     """(report, trace rows) of one simulated sequence of `net` on `mc`."""
     params = init_params(net, seed=0, init_scale=1.0)
     qnet = quant.QuantizedNetwork.from_params(params, "ternary")
     raw = fxp.to_raw(np.random.default_rng(0).uniform(
         -1, 1, (net.n_steps, net.input_len)))
-    path = tmp_path / "trace.csv"
-    _, rep = run_inference(raw, load_banks(qnet, mc), net, mc,
-                           trace_path=path)
-    return rep, path.read_text().splitlines()[1:]
+    _, rep = run_inference(raw, load_banks(qnet, mc), net, mc)
+    return rep, rep.trace_csv.splitlines()[1:]
 
 
 class TestTrafficPins:
@@ -279,9 +313,8 @@ class TestTrafficPins:
          886_400, 31_480, 26_702_000),
         (ECG200, [2_936, 1_500, 65_120, 1_400, 1_400, 1_400, 1_400, 700],
          75_856, 19_489, 2_196_700)], ids=["gesture-dba", "ecg200"])
-    def test_per_sequence_cycles(self, net, per_state, total, worst, macs,
-                                 tmp_path):
-        rep, _ = _one_sequence(net, MC, tmp_path)
+    def test_per_sequence_cycles(self, net, per_state, total, worst, macs):
+        rep, _ = _one_sequence(net, MC)
         assert rep.cycles_per_state.tolist() == per_state
         assert (rep.total_cycles, rep.worst_window_cycles,
                 rep.executed_macs) == (total, worst, macs)
@@ -289,8 +322,8 @@ class TestTrafficPins:
     @pytest.mark.parametrize("net,wb,im,rows", [
         (GESTURE, 53_424_000, 1_310_496, 180),
         (ECG200, 4_736_000, 271_704, 36)], ids=["gesture-dba", "ecg200"])
-    def test_per_sequence_traffic(self, net, wb, im, rows, tmp_path):
-        rep, trace = _one_sequence(net, MC, tmp_path)
+    def test_per_sequence_traffic(self, net, wb, im, rows):
+        rep, trace = _one_sequence(net, MC)
         assert (rep.wb_bits_per_seq, rep.im_bits_per_seq) == (wb, im)
         assert (rep.wb_bits_read, rep.im_bits_transferred) == (wb, im)
         assert len(rep.state_trace) == len(trace) == rows
@@ -301,10 +334,10 @@ class TestTrafficPins:
         (GESTURE, 445_000, 7_680), (ECG200, 259_000, 7_200)],
         ids=["gesture-dba", "ecg200"])
     def test_uncapped_beats_are_the_largest_transfers(self, net, wb_beat,
-                                                      im_beat, tmp_path):
+                                                      im_beat):
         wide = MachineConfig(wb_read_bits_per_cycle=10**9,
                              im_bits_per_cycle=10**9)
-        rep, _ = _one_sequence(net, wide, tmp_path)
+        rep, _ = _one_sequence(net, wide)
         assert rep.max_wb_beat_bits == wb_beat
         assert rep.max_im_beat_bits == im_beat
 
@@ -446,12 +479,11 @@ class TestInterfaces:
             run_inference(np.zeros((3, 4), dtype=np.int64),
                           load_banks(qnet, MC), cfg, MC)
 
-    def test_trace_file(self, tmp_path):
+    def test_trace_file(self):
         rng = np.random.default_rng(12)
         cfg, qnet, raw = random_net(rng, use_cnn=True)
-        path = tmp_path / "trace.csv"
-        run_inference(raw, load_banks(qnet, MC), cfg, MC, trace_path=path)
-        lines = path.read_text().splitlines()
+        _, rep = run_inference(raw, load_banks(qnet, MC), cfg, MC)
+        lines = rep.trace_csv.splitlines()
         assert lines[0] == "cycle,state,unit,op"
         assert len(lines) > cfg.n_steps
 

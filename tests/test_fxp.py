@@ -374,7 +374,7 @@ class TestLutEval:
         got = lut_eval(to_fixed(7.999, Q48), sigmoid_lut)
         assert got.raw == sigmoid_lut.entries_raw[63]
         assert 0.999 < got.value < 1.0
-        assert abs(got.value - exact) <= sigmoid_lut.entry_format.step
+        assert abs(got.value - exact) <= fxp.ENTRY_FORMAT.step
 
     def test_monotone_nondecreasing(self, sigmoid_lut, tanh_lut):
         for table in (sigmoid_lut, tanh_lut):
@@ -382,7 +382,7 @@ class TestLutEval:
 
     def test_tanh_odd_symmetry(self, tanh_lut):
         sums = tanh_lut.entry_values() + tanh_lut.entry_values()[::-1]
-        assert np.abs(sums).max() <= tanh_lut.entry_format.step
+        assert np.abs(sums).max() <= fxp.ENTRY_FORMAT.step
 
     def test_worst_case_sigmoid_error_bound(self, sigmoid_lut):
         # dense sweep oracle: |LUT - sigma| <= max-slope * cell/2 + one step

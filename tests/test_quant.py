@@ -97,6 +97,12 @@ class TestTernary:
         assert np.array_equal(qb, quant.quantize_binary(r))
 
 
+@pytest.mark.parametrize("mode", ["full", "int4"])
+def test_codes_are_binary_or_ternary(mode):
+    with pytest.raises(ValueError, match="codes are binary or ternary"):
+        quant.quantize_weights(np.zeros(3), mode)
+
+
 class TestSte:
     def test_pass_through_inside(self):
         assert quant.ste_backward(2.0, 0.5) == 2.0
