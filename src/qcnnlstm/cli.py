@@ -171,9 +171,15 @@ def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
 
 def _cmd_gen(args, argv) -> int:
     out = Path(args.out)
-    # the settings every generator takes, then the ones its system adds
-    extra = {"sine": {"beta": args.beta, "alpha": args.alpha},
-             "lorenz": {"scale": args.scale}}.get(args.system, {})
+    # the settings every generator takes, then the given ones its system
+    # adds; a setting not given keeps the generator's default
+    extra = {flag: getattr(args, flag) for flag in ("beta", "alpha", "scale")
+             if getattr(args, flag) is not None}
+    takes = {"sine": ("beta", "alpha"), "lorenz": ("scale",)}
+    for flag in extra:
+        if flag not in takes.get(args.system, ()):
+            raise _UsageError(f"--{flag} does not apply to "
+                              f"--system {args.system}")
     ds = getattr(datagen, f"make_{args.system}_dataset")(
         n_classes=args.classes, per_class=args.per_class,
         window_len=args.window, n_steps=args.steps,
@@ -326,9 +332,8 @@ def _cmd_estimate(args, argv) -> int:
     kv = _read_config(args.config, model.NetworkConfig)
     net = datagen.read_record(model.NetworkConfig, kv, args.config,
                               n_classes=2)
-    no_cnn = replace(net, use_cnn=False)
-    print(estimate.estimate_table(no_cnn, net if net.use_cnn else no_cnn))
-    paper = estimate.mac_count(no_cnn, "window", "paper")
+    print(estimate.estimate_table(net))
+    paper = estimate.mac_count(net, "window", "paper")
     rt = estimate.response_time(paper, estimate.RATED_GOPS)
     print(f"response time at {estimate.RATED_GOPS} GOPs: {rt * 1e6:.1f} us "
           "per window")
@@ -349,9 +354,9 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=3.0)
-    p.add_argument("--scale", type=float, default=40.0)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--scale", type=float)
 
     p = sub.add_parser("embed", help="Fourier distances + 2-D embedding")
     p.add_argument("--data", required=True)

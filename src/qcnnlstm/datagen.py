@@ -106,6 +106,8 @@ def lorenz_series(sigma, rho: float = 28.0, beta: float = 5.0 / 3.0,
         raise ValueError("dt must be positive")
     if transient < 0:
         raise ValueError("transient must be >= 0")
+    if n_samples < 1:
+        raise ValueError("bad sample counts")
     if scale <= 0:
         raise ValueError("scale must be positive")
     state = np.moveaxis(np.asarray(initial, dtype=np.float64), -1, 0)

@@ -9,7 +9,7 @@ cycle simulator executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import NetworkConfig
 
@@ -110,15 +110,17 @@ def response_time(macs: int, gops: float) -> float:
     return macs / (gops * 1e9)
 
 
-def estimate_table(net_lstm: NetworkConfig, net_cnn: NetworkConfig) -> str:
-    """Four-column summary (FP/T x LSTM/CNN-LSTM): memory Mb and MACs M."""
+def estimate_table(net: NetworkConfig) -> str:
+    """Memory Mb and true MACs M at full (FP) and ternary (T) precision: the
+    network without its CNN, then, if it has one, with it."""
     rows = []
-    for name, net in (("LSTM", net_lstm), ("CNN-LSTM", net_cnn)):
+    for name, n in (("LSTM", replace(net, use_cnn=False)),
+                    ("CNN-LSTM", net))[:1 + net.use_cnn]:
         for label, precision in (("FP", "full32"), ("T", "ternary2")):
-            mem = memory_bits(CostModelInput(net, precision)) / 1e6
-            macs = mac_count(net, "sequence", "true") / 1e6
-            rows.append(f"{label}-{name:<9s} memory {mem:7.2f} Mb   "
+            mem = memory_bits(CostModelInput(n, precision)) / 1e6
+            macs = mac_count(n, "sequence", "true") / 1e6
+            rows.append(f"{f'{label}-{name}':<12s} memory {mem:7.2f} Mb   "
                         f"true MACs {macs:6.2f} M")
-    paper = mac_count(net_lstm, "window", "paper")
+    paper = mac_count(net, "window", "paper")
     rows.append(f"paper-variant MACs per window (LSTM): {paper:,}")
     return "\n".join(rows)

@@ -7,9 +7,10 @@ the final window (otherwise loop back). Cycles, MACs and memory traffic
 depend only on the network and machine configurations, never on the data:
 the schedule is a per-window table with one row per state visit (cycles,
 MACs, WB reads, IM reads and writes in bits), built once per configuration
-pair. That table holds the machine's one closed form per state; the report,
-its trace text, the bank traffic and `state_cycle_cost` are folds over its
-rows. The MAC lanes serve states 1-3 and 8, and state 3's four gate products
+pair. That table holds the machine's one closed form per state; the report
+(its trace text, per-sequence traffic and widest beats) and
+`state_cycle_cost` are folds over its rows, and the banks only total what
+each run books. The MAC lanes serve states 1-3 and 8, and state 3's four gate products
 share all of them. States 4-7 run on the elementwise datapath, one hidden
 unit per cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
 MAC-lane work. The numeric result comes from the fixed-point engine,
@@ -84,48 +85,35 @@ class MachineConfig:
 class MemoryBanks:
     """Weight banks (2-bit codes + fixed-point FC/output) and the IMs.
 
-    The schedule books each transfer by its size in bits; transfers are
-    issued in beats no wider than the per-cycle caps, and the totals and the
-    widest beat are kept for the bandwidth invariants. The totals are
-    cumulative over every sequence run on these banks. `im` holds the
-    logits of the last run.
+    The banks keep the traffic totals of every sequence run on them, in
+    bits; `run_inference` books each run. The schedule's rows, not the
+    banks, give the per-sequence traffic and the widest beats. `im` holds
+    the logits of the last run.
     """
 
-    qnet: QuantizedNetwork | None
+    qnet: QuantizedNetwork
     mc: MachineConfig
     im: dict = field(default_factory=dict)
     wb_bits_read: int = 0
     im_bits: int = 0
-    max_wb_beat: int = 0
-    max_im_beat: int = 0
 
     def wb_read(self, bits: int) -> None:
         self.wb_bits_read += bits
-        self.max_wb_beat = max(self.max_wb_beat,
-                               min(bits, self.mc.wb_read_bits_per_cycle))
 
     def im_read(self, bits: int) -> None:
         self.im_bits += bits
-        self.max_im_beat = max(self.max_im_beat,
-                               min(bits, self.mc.im_bits_per_cycle))
 
     im_write = im_read  # one IM port: a write books like a read
-
-    def add_traffic(self, other: "MemoryBanks", times: int) -> None:
-        """Book `times` repeats of the traffic recorded on `other`."""
-        self.wb_bits_read += times * other.wb_bits_read
-        self.im_bits += times * other.im_bits
-        self.max_wb_beat = max(self.max_wb_beat, other.max_wb_beat)
-        self.max_im_beat = max(self.max_im_beat, other.max_im_beat)
 
 
 @dataclass
 class CycleReport:
-    """Cycles, MACs, the state trace, `trace_csv` and `*_per_seq` traffic are
-    per sequence; `wb_bits_read`, `im_bits_transferred` and the beat maxima
-    are the banks' cumulative counters over every sequence run on them.
-    `trace_csv` is the text of `trace.csv`: one row per state visit, at the
-    cycle the visit ends."""
+    """Cycles, MACs, the state trace, `trace_csv`, the `*_per_seq` traffic
+    and the widest beats are per sequence, read off the schedule's rows; a
+    beat is the largest transfer capped at its port's width. `wb_bits_read`
+    and `im_bits_transferred` are the banks' totals over every sequence run
+    on them. `trace_csv` is the text of `trace.csv`: one row per state
+    visit, at the cycle the visit ends."""
 
     cycles_per_state: np.ndarray
     total_cycles: int
@@ -138,9 +126,10 @@ class CycleReport:
     im_bits_transferred: int
     max_wb_beat_bits: int
     max_im_beat_bits: int
-    state_trace: list
+    state_trace: tuple
     wb_bits_per_seq: int
     im_bits_per_seq: int
+    im_bits_written_per_seq: int  # the share of `im_bits_per_seq` written
     trace_csv: str
 
     def summary(self) -> str:
@@ -266,35 +255,36 @@ def _window_visits(net: NetworkConfig, mc: MachineConfig, weight_bits: int,
 
 @lru_cache(maxsize=256)
 def _schedule(net: NetworkConfig, mc: MachineConfig, weight_bits: int):
-    """One sequence's (report, bank traffic), folded from the per-window
-    table: every window but the last loops back at state 8."""
+    """One sequence's report, folded from the per-window table: every window
+    but the last loops back at state 8. The bank totals are 0 and the arrays
+    read-only, so that every run can share the report."""
     last = _window_visits(net, mc, weight_bits, final=True)
     visits = (_window_visits(net, mc, weight_bits, final=False)
               * (net.n_steps - 1) + last)
-    banks = MemoryBanks(None, mc)
     cycles = np.zeros(8, dtype=np.int64)
     rows, cycle_now = ["cycle,state,unit,op"], 0
     for v in visits:
         cycles[v.state - 1] += v.cycles
         cycle_now += v.cycles
         rows.append(f"{cycle_now},{v.state},{v.unit},{v.op}")
-        for bits in v.wb_reads:
-            banks.wb_read(bits)
-        for bits in v.im_reads:
-            banks.im_read(bits)
-        for bits in v.im_writes:
-            banks.im_write(bits)
+    cycles.flags.writeable = False
     total = int(cycles.sum())
-    # the final window repeats the others and adds state 8's classify cost
+    # the final window repeats the others and adds state 8's classify cost,
+    # so its rows hold every transfer size of the sequence
     worst_window = sum(v.cycles for v in last)
-    report = CycleReport(
+    wb, im_read, im_written = (
+        sum(sum(getattr(v, col)) for v in visits)
+        for col in ("wb_reads", "im_reads", "im_writes"))
+    return CycleReport(
         cycles, total, total / mc.clock_hz, worst_window,
         worst_window / mc.clock_hz, sum(v.macs for v in visits),
-        estimate.mac_count(net, "window", "paper"), banks.wb_bits_read,
-        banks.im_bits, banks.max_wb_beat, banks.max_im_beat,
-        [v.state for v in visits], banks.wb_bits_read, banks.im_bits,
+        estimate.mac_count(net, "window", "paper"), 0, 0,
+        min(mc.wb_read_bits_per_cycle,
+            max(b for v in last for b in v.wb_reads)),
+        min(mc.im_bits_per_cycle,
+            max(b for v in last for b in v.im_reads + v.im_writes)),
+        tuple(v.state for v in visits), wb, im_read + im_written, im_written,
         "\n".join(rows) + "\n")
-    return report, banks
 
 
 def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
@@ -304,24 +294,23 @@ def run_inference(windows_raw, banks: MemoryBanks, net: NetworkConfig,
 
     Returns (prediction, CycleReport): the argmax of the final state-8 logits
     (ties to the lowest index), an int or a (B,) array; the logits also land
-    in `banks.im["logits"]`. Cycles, MACs, the state trace and its text and
-    `*_per_seq` traffic are per sequence; bank totals are the banks'
-    cumulative counters.
+    in `banks.im["logits"]`. The run books n times the per-sequence traffic
+    on the banks; the report is the schedule's, per sequence, with the
+    banks' totals after the run.
     """
     # identity first: a caller that keeps one machine pays no comparison
     if mc is not banks.mc and mc != banks.mc:
         raise ValueError(f"the banks were loaded for {banks.mc}, not {mc}")
     logits = model.network_forward_fixed(
         windows_raw, banks.qnet, net, mc.activation_format, mc.lut_size)[..., -1, :]
-    one, traffic = _schedule(net, mc, banks.qnet.weight_format.total_bits)
-    banks.add_traffic(traffic, 1 if logits.ndim == 1 else len(logits))
+    one = _schedule(net, mc, banks.qnet.weight_format.total_bits)
+    n = 1 if logits.ndim == 1 else len(logits)
+    banks.wb_read(n * one.wb_bits_per_seq)
+    banks.im_read(n * (one.im_bits_per_seq - one.im_bits_written_per_seq))
+    banks.im_write(n * one.im_bits_written_per_seq)
     banks.im["logits"] = logits
-    report = replace(one, cycles_per_state=one.cycles_per_state.copy(),
-                     state_trace=list(one.state_trace),
-                     wb_bits_read=banks.wb_bits_read,
-                     im_bits_transferred=banks.im_bits,
-                     max_wb_beat_bits=banks.max_wb_beat,
-                     max_im_beat_bits=banks.max_im_beat)
+    report = replace(one, wb_bits_read=banks.wb_bits_read,
+                     im_bits_transferred=banks.im_bits)
     preds = np.argmax(logits, axis=-1)
     return (int(preds) if logits.ndim == 1 else preds), report
 

@@ -195,6 +195,18 @@ class TestGen:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("system, flag", [
+        ("logistic", "--beta"), ("logistic", "--scale"), ("sine", "--scale"),
+        ("lorenz", "--alpha")])
+    def test_a_flag_of_another_system_is_usage_error(self, system, flag,
+                                                     tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run("gen", "--system", system, flag, "3",
+                   "--out", str(out)) == 1
+        assert f"{flag} does not apply to --system {system}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("system, flag, value, message", [
         ("sine", "--noise", "-1", "noise_amplitude = -1.0"),
         ("logistic", "--noise", "inf", "noise_amplitude = inf"),
@@ -956,6 +968,28 @@ class TestSimulateReportsLogitLimits:
         out = capsys.readouterr().out.splitlines()
         assert out[1:3] == ["final logits at the Q4.8 limits 0 of 14",
                             "predictions tied at the maximum 7 of 7"]
+
+
+def test_simulate_books_on_the_banks_with_a_warm_schedule(monkeypatch):
+    """The benchmark traces `fsm.MemoryBanks`' booking methods, in a round
+    that runs after the schedule is cached: a second `simulate` must still
+    book its run through each of them."""
+    argv = ["simulate", "--model", str(ECG_MODEL), "--data", str(ECG_DIR),
+            "--limit", "3"]
+    assert run(*argv) == 0
+    calls = Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("wb_read", "im_read", "im_write"):
+        monkeypatch.setattr(fsm.MemoryBanks, name,
+                            counted(getattr(fsm.MemoryBanks, name), name))
+    assert run(*argv) == 0
+    assert calls == {"wb_read": 1, "im_read": 1, "im_write": 1}
 
 
 def test_readme_commands_parse():

@@ -43,8 +43,10 @@ ESTIMATE_CFG = {"window_len": "4", "n_steps": "2", "n_hidden": "3",
                 "use_cnn": "1"}
 GEN_FLAGS = {"--system": "sine", "--classes": "2", "--per-class": "2",
              "--window": "4", "--steps": "2", "--noise": "0.01",
-             "--seed": "0", "--beta": "0.1", "--alpha": "3.0",
-             "--scale": "40.0"}
+             "--seed": "0"}
+#: the flags each system adds; another system's flag is a usage error
+SYSTEM_FLAGS = {"sine": {"--beta": "0.1", "--alpha": "3.0"}, "logistic": {},
+                "lorenz": {"--scale": "40.0"}}
 #: config.txt values beyond VALUES: shapes that disagree with the files
 SHAPES = ["1", "2", "5", "3x3", "2x3;2x3", "full", "ternary", "binary"]
 FLOATS = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 0.0]
@@ -121,7 +123,7 @@ def _spoil_file(tiny, tmp, kind, key, value):
 
 
 def _spoil_gen(tiny, tmp, system, flag, value):
-    flags = {**GEN_FLAGS, "--system": system}
+    flags = {**GEN_FLAGS, "--system": system, **SYSTEM_FLAGS[system]}
     argv = [a for f, v in flags.items() if f != flag for a in (f, v)]
     argv += [flag, flags[flag]] * 2 if value == REPEAT else [flag, value]
     code, err = _dispatch("gen", *argv, "--out", tmp / "ds")
@@ -189,9 +191,10 @@ SPOILS = st.one_of(
     st.tuples(st.just(_spoil_file), st.just("estimate"),
               st.sampled_from(sorted(ESTIMATE_CFG)),
               st.sampled_from(VALUES)),
-    st.tuples(st.just(_spoil_gen), st.sampled_from(["sine", "logistic",
-                                                    "lorenz"]),
-              st.sampled_from(sorted(GEN_FLAGS)), st.sampled_from(VALUES)),
+    st.sampled_from(sorted(SYSTEM_FLAGS)).flatmap(lambda system: st.tuples(
+        st.just(_spoil_gen), st.just(system),
+        st.sampled_from(sorted({**GEN_FLAGS, **SYSTEM_FLAGS[system]})),
+        st.sampled_from(VALUES))),
     st.tuples(st.just(_spoil_model), st.sampled_from(["full", "ternary"]),
               st.just("manifest"), st.integers(0, 20), st.integers(0, 3),
               st.sampled_from(VALUES + ["float32", "int2", "float64"])),

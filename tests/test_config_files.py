@@ -90,9 +90,9 @@ def test_estimate_key_reaches_the_estimate(tmp_path, monkeypatch, key):
     seen = {}
     real_table = estimate.estimate_table
 
-    def table(no_cnn, net):
+    def table(net):
         seen["net"] = net
-        return real_table(no_cnn, net)
+        return real_table(net)
 
     monkeypatch.setattr(estimate, "estimate_table", table)
     base = {"window_len": 20, "n_steps": 4, "n_hidden": 16}

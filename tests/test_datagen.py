@@ -92,9 +92,10 @@ class TestLorenz:
     (lambda: logistic_series(3.9, 0.3, 5, transient=-1), "bad sample counts"),
     (lambda: lorenz_series(8.0, dt=0.0), "dt must be positive"),
     (lambda: lorenz_series(8.0, transient=-1), "transient must be >= 0"),
-    (lambda: lorenz_series(8.0, scale=0.0), "scale must be positive")],
+    (lambda: lorenz_series(8.0, scale=0.0), "scale must be positive"),
+    (lambda: lorenz_series(8.0, n_samples=0), "bad sample counts")],
     ids=["logistic-n_samples", "logistic-transient", "lorenz-dt",
-         "lorenz-transient", "lorenz-scale"])
+         "lorenz-transient", "lorenz-scale", "lorenz-n_samples"])
 def test_series_setting_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

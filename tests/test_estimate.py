@@ -1,8 +1,8 @@
 import pytest
 
 from qcnnlstm.estimate import (CostModelInput, cnn_weight_count,
-                               lstm_weight_count, mac_count, memory_bits,
-                               response_time)
+                               estimate_table, lstm_weight_count, mac_count,
+                               memory_bits, response_time)
 from qcnnlstm.model import NetworkConfig
 
 # benchmark configurations
@@ -127,3 +127,20 @@ class TestMemoryBits:
     def test_rejects_unknown_precision(self):
         with pytest.raises(ValueError):
             CostModelInput(ECG200_LSTM, "int8")
+
+
+class TestEstimateTable:
+    def test_a_network_without_a_cnn_has_only_lstm_rows(self):
+        labels = [row.split()[0] for row in estimate_table(DBA).splitlines()]
+        assert labels == ["FP-LSTM", "T-LSTM", "paper-variant"]
+
+    def test_a_cnn_network_adds_its_rows_after_the_lstm_rows(self):
+        rows = estimate_table(ECG200_CNN).splitlines()
+        assert [row.split()[0] for row in rows] == [
+            "FP-LSTM", "T-LSTM", "FP-CNN-LSTM", "T-CNN-LSTM", "paper-variant"]
+        assert rows[:2] == estimate_table(ECG200_LSTM).splitlines()[:2]
+
+    def test_memory_columns_line_up(self):
+        rows = estimate_table(ECG200_CNN).splitlines()[:4]
+        assert {row.index("memory") for row in rows} == {13}
+        assert len({row.index("Mb") for row in rows}) == 1

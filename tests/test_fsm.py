@@ -291,6 +291,44 @@ class TestBandwidth:
         assert rep.max_wb_beat_bits <= MC.wb_read_bits_per_cycle
 
 
+class TestBankLedger:
+    """The banks keep only totals; every run books n times the schedule's
+    per-sequence sums, and the report's per-sequence figures and widest
+    beats are the schedule's, shared by every run."""
+
+    def test_mixed_batches_book_n_times_the_per_sequence_sums(self):
+        rng = np.random.default_rng(16)
+        cfg, qnet, _ = random_net(rng, use_cnn=True)
+        raws = fxp.to_raw(rng.uniform(-2, 2, (6, cfg.n_steps, cfg.input_len)))
+        banks = load_banks(qnet, MC)
+        reps = [run_inference(raws[0], banks, cfg, MC)[1]]
+        reps += [run_inference(raws[a:b], banks, cfg, MC)[1]
+                 for a, b in ((1, 4), (4, 6))]
+        one = reps[0]
+        assert [(r.wb_bits_read, r.im_bits_transferred) for r in reps] == [
+            (k * one.wb_bits_per_seq, k * one.im_bits_per_seq)
+            for k in (1, 4, 6)]
+        assert (banks.wb_bits_read, banks.im_bits) == \
+            (6 * one.wb_bits_per_seq, 6 * one.im_bits_per_seq)
+        assert {(r.max_wb_beat_bits, r.max_im_beat_bits) for r in reps} == \
+            {(one.max_wb_beat_bits, one.max_im_beat_bits)}
+
+    def test_a_report_a_caller_changes_leaves_the_next_run_alone(self):
+        rng = np.random.default_rng(17)
+        cfg, qnet, raw = random_net(rng)
+        _, rep = run_inference(raw, load_banks(qnet, MC), cfg, MC)
+        want = (rep.cycles_per_state.tolist(), rep.total_cycles,
+                rep.state_trace, rep.wb_bits_read, rep.im_bits_transferred)
+        assert isinstance(rep.state_trace, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.cycles_per_state[0] += 1
+        rep.total_cycles, rep.wb_bits_read, rep.state_trace = 0, 0, ()
+        _, again = run_inference(raw, load_banks(qnet, MC), cfg, MC)
+        assert (again.cycles_per_state.tolist(), again.total_cycles,
+                again.state_trace, again.wb_bits_read,
+                again.im_bits_transferred) == want
+
+
 def _one_sequence(net, mc):
     """(report, trace rows) of one simulated sequence of `net` on `mc`."""
     params = init_params(net, seed=0, init_scale=1.0)
@@ -384,7 +422,7 @@ class TestLaneSharing:
         for cfg, qnet in self._nets(31):
             bits = qnet.weight_format.total_bits
             per_state = [fsm._schedule(cfg, MachineConfig(mac_lanes=lanes),
-                                       bits)[0].cycles_per_state
+                                       bits).cycles_per_state
                          for lanes in self.LANES]
             for fewer, more in zip(per_state, per_state[1:]):
                 assert (more <= fewer).all() and more.sum() <= fewer.sum()
