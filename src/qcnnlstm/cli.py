@@ -335,7 +335,7 @@ def _cmd_estimate(args, argv) -> int:
     print(estimate.estimate_table(net))
     paper = estimate.mac_count(net, "window", "paper")
     rt = estimate.response_time(paper, estimate.RATED_GOPS)
-    print(f"response time at {estimate.RATED_GOPS} GOPs: {rt * 1e6:.1f} us "
+    print(f"response time at {estimate.RATED_GOPS} GOPs: {fsm._us(rt)} us "
           "per window")
     return 0
 

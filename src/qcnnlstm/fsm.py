@@ -1,18 +1,20 @@
 """Cycle-counting simulator of the eight-state shared-bus inference machine.
 
-States per window: (1) conv + ReLU once per CNN layer, (2) FC + residual add,
-(3) the four gate matrix products, (4) sigmoid/tanh lookups, (5) cell-state
-update, (6) tanh of the cell, (7) output-gate product, (8) output layer on
-the final window (otherwise loop back). Cycles, MACs and memory traffic
-depend only on the network and machine configurations, never on the data:
-the schedule is a per-window table with one row per state visit (cycles,
-MACs, WB reads, IM reads and writes in bits), built once per configuration
-pair. That table holds the machine's one closed form per state; the report
-(its trace text, per-sequence traffic and widest beats) and
-`state_cycle_cost` are folds over its rows, and the banks only total what
-each run books. The MAC lanes serve states 1-3 and 8, and state 3's four gate products
-share all of them. States 4-7 run on the elementwise datapath, one hidden
-unit per cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
+States per window: (1) conv + ReLU once per CNN layer, at all L output
+positions, since zero padding keeps the window length (`model.im2col`) at
+any kernel width, (2) FC + residual add, (3) the four gate matrix products,
+(4) sigmoid/tanh lookups, (5) cell-state update, (6) tanh of the cell, (7)
+output-gate product, (8) output layer on the final window (otherwise loop
+back). Cycles, MACs and memory traffic depend only on the network and
+machine configurations, never on the data: the schedule is a per-window
+table with one row per state visit (cycles, MACs, WB reads, IM reads and
+writes in bits), built once per configuration pair. That table holds the
+machine's one closed form per state; the report (its trace text,
+per-sequence traffic and widest beats) and `state_cycle_cost` are folds
+over its rows, and the banks only total what each run books. The MAC lanes
+serve states 1-3 and 8, and state 3's four gate products share all of
+them. States 4-7 run on the elementwise datapath, one hidden unit per
+cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
 MAC-lane work. The numeric result comes from the fixed-point engine,
 `model.network_forward_fixed`, at the machine's activation format and LUT
 size.
@@ -179,14 +181,6 @@ class LatencyVerdict:
     margin: float
 
 
-def _positions(length: int, width: int) -> int:
-    """L - m + 1 output positions of a width-m kernel over length L."""
-    if width > length:
-        raise ValueError(f"a width-{width} kernel does not fit a "
-                         f"length-{length} window")
-    return length - width + 1
-
-
 def _passes(products: int, lanes: int) -> int:
     """Lane-wide passes over `products`: an integer ceiling, so that any
     lane count, past float range too, still takes one pass."""
@@ -222,9 +216,9 @@ def _window_visits(net: NetworkConfig, mc: MachineConfig, weight_bits: int,
     act, lanes = mc.activation_format.total_bits, mc.mac_lanes
     n_h = net.n_hidden
     x, h = net.input_len * act, n_h * act
-    # per output position, each filter's m*d products in lane-wide passes,
-    # then the filters' ReLUs in lane-wide passes
-    visits = [_Visit(1, _positions(net.window_len, width)
+    # at each of the L output positions padding keeps, each filter's m*d
+    # products in lane-wide passes, then the filters' ReLUs in lane-wide passes
+    visits = [_Visit(1, net.window_len
                      * (filters * _passes(width * depth, lanes)
                         + _passes(filters, lanes)),
                      filters * width * net.window_len * depth,

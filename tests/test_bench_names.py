@@ -155,10 +155,10 @@ def test_every_trace_target_is_reached(monkeypatch, tmp_path):
                             if isinstance(raw, classmethod) else
                             counted(raw, name))
         names.append(name)
-    # both cache their work: the table builder and the bank bookings would
-    # not run for a configuration an earlier test already ran
+    # `model._lut` caches the table fold that `fxp.lut_index_raw` feeds, so
+    # the fold would not run for a table an earlier test already built; the
+    # bank bookings run on every call, cached schedule or not
     model._lut.cache_clear()
-    fsm._schedule.cache_clear()
 
     def run(*argv):
         assert cli.dispatch([str(a) for a in argv]) == 0

@@ -429,9 +429,9 @@ class TestTrainEvalQuantizeSimulate:
                 (model_dir / fname).read_bytes()
 
 
-def test_kernel_wider_than_window_is_data_error(tmp_path, capsys):
-    # the float engine pads a width-5 kernel to a 2-sample window, but the
-    # cycle model has no position to charge it at
+def test_kernel_wider_than_window_simulates(tmp_path, capsys):
+    # the engines pad a width-5 kernel to a 2-sample window, and the cycle
+    # model charges the same two positions
     ds, model, qdir = tmp_path / "ds", tmp_path / "m", tmp_path / "q"
     assert run("gen", "--system", "sine", "--classes", "2", "--per-class", "6",
                "--window", "2", "--steps", "3", "--out", str(ds)) == 0
@@ -442,8 +442,9 @@ def test_kernel_wider_than_window_is_data_error(tmp_path, capsys):
                "--precision", "ternary", "--out", str(model)) == 0
     assert run("quantize", "--model", str(model), "--out", str(qdir)) == 0
     capsys.readouterr()
-    assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 2
-    assert "width-5 kernel" in capsys.readouterr().err
+    assert run("simulate", "--model", str(qdir), "--data", str(ds)) == 0
+    assert re.search(r"^simulated \d+ inferences, accuracy \d\.\d{4}$",
+                     capsys.readouterr().out, re.M)
 
 
 def _network_files(model_dir):
@@ -741,6 +742,28 @@ class TestEstimateCommand:
         out = capsys.readouterr().out
         assert "222,500" in out        # (5*128+250)*250 per window
         assert "35.3 us" in out        # at the rated 6.3 GOPs
+
+    def test_sub_nanosecond_response_time_is_not_zero(self, tmp_path, capsys):
+        # (2 + 1) * 1 = 3 paper MACs at 6.3 GOPs: 0.476 ns, which 0.1 us
+        # would print as 0.0
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("window_len = 2\nn_steps = 1\nn_hidden = 1\n"
+                       "use_cnn = 0\n")
+        assert run("estimate", "--config", str(cfg)) == 0
+        assert ("response time at 6.3 GOPs: 0.000476 us per window"
+                in capsys.readouterr().out.splitlines())
+
+    def test_readme_sample_is_the_output(self, tmp_path, capsys):
+        # README's DB-a config and the `text` block it shows for it
+        text = (ROOT / "README.md").read_text()
+        config = re.search(r"^cat > runs/dba\.cfg <<'CFG'\n(.*?)^CFG$", text,
+                           re.M | re.S).group(1)
+        sample = re.search(r"The DB-a config above has no CNN:\n\n```text\n"
+                           r"(.*?)^```", text, re.M | re.S).group(1)
+        cfg = tmp_path / "dba.cfg"
+        cfg.write_text(config)
+        assert run("estimate", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out.splitlines() == sample.splitlines()
 
     def test_missing_config_is_data_error(self, tmp_path):
         assert run("estimate", "--config", str(tmp_path / "nope.cfg")) == 2

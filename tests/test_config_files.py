@@ -272,11 +272,11 @@ class TestMachineFile:
 
     def test_mac_lanes_change_the_cycles(self, tmp_path, capsys):
         rc, default, _ = self._cycles(capsys)
-        assert rc == 0 and "total cycles        75,856" in default
+        assert rc == 0 and "total cycles        76,280" in default
         machine = _write(tmp_path / "m.txt", {"mac_lanes": 16})
         rc, narrow, _ = self._cycles(capsys, "--machine", machine)
         assert rc == 0 and "total cycles" in narrow
-        assert "total cycles        75,856" not in narrow
+        assert "total cycles        76,280" not in narrow
 
     def test_small_weight_bank_exits_2(self, tmp_path, capsys):
         machine = _write(tmp_path / "m.txt", {"wb_capacity_bits": 100})
@@ -296,7 +296,7 @@ class TestMachineFile:
         assert "latency" not in out
 
     @pytest.mark.parametrize("lanes, total", [
-        (1, "2,197,100"), (3, "737,316"), (6, "372,548")], ids=["1", "3", "6"])
+        (1, "2,205,500"), (3, "740,180"), (6, "373,980")], ids=["1", "3", "6"])
     def test_few_lanes_share_the_gate_products(self, tmp_path, capsys, lanes,
                                                total):
         # state 3's four gate products share every lane, so no lane idles,
