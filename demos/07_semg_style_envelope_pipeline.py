@@ -11,6 +11,7 @@ extracts envelopes, and trains a small LSTM on the windowed result.
 import numpy as np
 
 from qcnnlstm import ingest
+from qcnnlstm.datagen import stratified_split
 from qcnnlstm.model import NetworkConfig
 from qcnnlstm.train import TrainConfig, train
 
@@ -39,7 +40,11 @@ env_mean = enveloped.signals.mean()
 print(f"envelope extraction: zero-mean carriers (std {raw_std:.2f}) become "
       f"non-negative amplitude traces (mean {env_mean:.2f})")
 
-train_raw, test_raw = ingest.normalize_and_split(enveloped, 0.7, seed=0)
+# pooled recordings split as the CLI splits a generated dataset
+train_raw, test_raw = (
+    ingest.RawDataset(enveloped.labels[idx], enveloped.signals[idx])
+    for idx in stratified_split(enveloped.labels, 0.7, seed=0))
+train_raw, test_raw = ingest.normalize_and_split(train_raw, test_raw)
 train_seqs = ingest.dataset_to_sequences(train_raw, window_len=30, n_steps=10)
 test_seqs = ingest.dataset_to_sequences(test_raw, window_len=30, n_steps=10)
 

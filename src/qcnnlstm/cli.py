@@ -100,18 +100,20 @@ def load_split_sequences(data_dir, kv: dict):
     """(train_seqs, test_seqs, n_classes, n_channels) by `_load_split`, with
     the `_SplitSettings` in `kv`."""
     split = datagen.read_record(_SplitSettings, kv, "split settings")
-    return _load_split(data_dir, kv, split)[:4]
+    train_seqs, test_seqs, shape, _ = _load_split(data_dir, kv, split)
+    return train_seqs, test_seqs, shape["n_classes"], shape["n_channels"]
 
 
 def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
-    """(train_seqs, test_seqs, n_classes, n_channels, digest).
+    """(train_seqs, test_seqs, shape, digest), `shape` the network keys
+    the data fixes: n_classes, n_channels, window_len and n_steps.
 
     Generated data is split by `seed` and `train_fraction`, and `envelope`
     = 1 on it is a `DataFormatError`; a UCR pair keeps its split, enveloped
-    when `envelope` is 1, and is windowed per `kv`'s `window_len` and
-    `n_steps`, a missing or non-integer one a `DataFormatError`. `digest` is
-    `datagen.rows_digest` of the row files read: a generated dataset's
-    `rows.npy` (its `rows_sha256`) or a UCR pair's _TRAIN and _TEST files.
+    when `envelope` is 1, and is cut per `kv`'s `window_len` and `n_steps`,
+    a missing or non-integer one, or one longer than the series, a
+    `DataFormatError`. `digest` is `datagen.rows_digest` of the row files
+    read: a generated dataset's `rows.npy` or a UCR pair's two files.
     """
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.txt"
@@ -124,45 +126,59 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
         train_idx, test_idx = datagen.stratified_split(
             [seq.label for seq in ds.sequences], split.train_fraction,
             split.seed)
+        shape = {"n_classes": ds.n_classes, "n_channels": ds.n_channels,
+                 "window_len": ds.window_len, "n_steps": ds.n_steps}
         return ([ds.sequences[i] for i in train_idx],
-                [ds.sequences[i] for i in test_idx],
-                ds.n_classes, ds.n_channels, ds.digest)
+                [ds.sequences[i] for i in test_idx], shape, ds.digest)
     train_path, test_path = _find_ucr_pair(data_dir)
     cut = vars(datagen.read_record(_Cut, kv, data_dir))
     # one read per file: the bytes parsed are the bytes hashed
     blobs = [train_path.read_bytes(), test_path.read_bytes()]
     train_raw = ingest.load_ucr(train_path, blobs[0])
     test_raw = ingest.load_ucr(test_path, blobs[1])
+    length = min(train_raw.signals.shape[-1], test_raw.signals.shape[-1])
+    # a cut below one is `make_windows`' to refuse
+    if min(cut.values()) > 0 and length < cut["n_steps"] * cut["window_len"]:
+        raise ingest.DataFormatError(
+            f"{data_dir}: series of {length} samples, fewer than n_steps x "
+            f"window_len = {cut['n_steps']} x {cut['window_len']}")
     if split.envelope:
         train_raw = ingest.envelope_dataset(train_raw)
         test_raw = ingest.envelope_dataset(test_raw)
     train_raw, test_raw = ingest.normalize_and_split(
         train_raw, predefined_test=test_raw)
-    train_seqs = ingest.dataset_to_sequences(train_raw, **cut)
-    test_seqs = ingest.dataset_to_sequences(test_raw, **cut)
-    return (train_seqs, test_seqs, train_raw.n_classes,
-            train_raw.signals.shape[1],
+    shape = {"n_classes": train_raw.n_classes,
+             "n_channels": train_raw.signals.shape[1], **cut}
+    return (ingest.dataset_to_sequences(train_raw, **cut),
+            ingest.dataset_to_sequences(test_raw, **cut), shape,
             datagen.rows_digest((train_path, test_path), blobs))
 
 
-def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
-    """load_split_sequences with the split settings `train` recorded, if any.
+def _check_shape(path, net, data_dir, shape: dict) -> None:
+    """A `DataFormatError` naming `path`, the file that states `net`, at
+    the first key of `shape`, the data's values, where `net` differs."""
+    for key, value in shape.items():
+        if getattr(net, key) != value:
+            raise ingest.DataFormatError(
+                f"{path}: {key} = {getattr(net, key)}, but the data in "
+                f"{data_dir} has {value}")
 
-    When `train` recorded the dataset digest, data with another digest is a
-    `DataFormatError`, and so is data with another class count than `cfg`.
-    """
+
+def _held_out_split(model_dir, data_dir, cfg: model.NetworkConfig):
+    """The test split of `_load_split`, by the split settings `train`
+    recorded, if any. Data of another digest than the one `train` recorded
+    is a `DataFormatError`, and so is data of another shape than `cfg`, the
+    model's `config.txt`."""
     record = Path(model_dir) / "hyperparams.txt"
     kv = datagen.read_kv(record) if record.exists() else {}
-    *split, digest = _load_split(data_dir, vars(cfg), datagen.read_record(
-        _SplitSettings, kv, record))
+    _, test_seqs, shape, digest = _load_split(
+        data_dir, vars(cfg), datagen.read_record(_SplitSettings, kv, record))
     if "data_sha256" in kv and digest != kv["data_sha256"]:
         raise ingest.DataFormatError(
             f"{data_dir}: data sha256 {digest} differs from "
             f"{kv['data_sha256']}, the data {record} was trained on")
-    if split[2] != cfg.n_classes:
-        raise ingest.DataFormatError(
-            f"model has {cfg.n_classes} classes, data has {split[2]}")
-    return split
+    _check_shape(Path(model_dir) / "config.txt", cfg, data_dir, shape)
+    return test_seqs
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +238,10 @@ def _cmd_train(args, argv) -> int:
     # n_classes and n_channels come from the data; 2 classes stand in until
     # it is read, and a value the config states must agree with it
     net_cfg = datagen.read_record(model.NetworkConfig, kv, path, n_classes=2)
-    train_seqs, test_seqs, n_classes, n_channels, digest = \
-        _load_split(args.data, kv, split)
-    # a generated dataset fixes its windows; a UCR pair is cut per the config
-    n_steps, width = train_seqs[0].windows.shape
-    data = {"n_classes": n_classes, "n_channels": n_channels,
-            "window_len": width // n_channels, "n_steps": n_steps}
-    for key, value in data.items():
-        if key in kv and getattr(net_cfg, key) != value:
-            raise ingest.DataFormatError(
-                f"{path}: {key} = {getattr(net_cfg, key)}, but the data in "
-                f"{args.data} has {value}")
-    net_cfg = replace(net_cfg, **data)
+    train_seqs, test_seqs, shape, digest = _load_split(args.data, kv, split)
+    _check_shape(path, net_cfg, args.data,
+                 {k: v for k, v in shape.items() if k in kv})
+    net_cfg = replace(net_cfg, **shape)
     result = train_mod.train(train_seqs, test_seqs, cfg, net_cfg)
     out = Path(args.out)
     # a binary/ternary run writes its codes, as `quantize` would
@@ -266,7 +274,7 @@ def _cmd_quantize(args, argv) -> int:
 
 def _cmd_eval(args, argv) -> int:
     params, cfg, mode = model.load_network(args.model)
-    _, test_seqs, _, _ = _held_out_split(args.model, args.data, cfg)
+    test_seqs = _held_out_split(args.model, args.data, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         probs = train_mod.predict_probs(params, test_seqs, cfg, mode)
     if not np.isfinite(probs).all():
@@ -294,7 +302,7 @@ def _cmd_simulate(args, argv) -> int:
     if mode == "full":
         raise ingest.DataFormatError(
             "simulate needs a quantized model; run `quantize` first")
-    _, test_seqs, _, _ = _held_out_split(args.model, args.data, cfg)
+    test_seqs = _held_out_split(args.model, args.data, cfg)
     # the activation format, a QFormat, is no key
     mc = datagen.read_record(fsm.MachineConfig, _read_config(
         args.machine, fsm.MachineConfig, fixed={"activation_format"}),

@@ -12,9 +12,10 @@ writes in bits), built once per configuration pair. That table holds the
 machine's one closed form per state; the report (its trace text,
 per-sequence traffic and widest beats) and `state_cycle_cost` are folds
 over its rows, and the banks only total what each run books. The MAC lanes
-serve states 1-3 and 8, and state 3's four gate products share all of
-them. States 4-7 run on the elementwise datapath, one hidden unit per
-cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
+serve states 1-3, and state 3's four gate products share all of them.
+State 8 books one cycle per output-layer MAC, n_hidden x n_classes at any
+lane count. States 4-7 run on the elementwise datapath, one hidden unit
+per cycle: n_hidden cycles at any lane count, so states 5 and 7 book no
 MAC-lane work. The numeric result comes from the fixed-point engine,
 `model.network_forward_fixed`, at the machine's activation format and LUT
 size.

@@ -1,8 +1,10 @@
-"""Dataset loading, Hilbert-envelope preprocessing, normalization, splitting.
+"""Dataset loading, Hilbert-envelope preprocessing and normalization.
 
 Reads UCR-style rows (label first, tab or comma separated, one univariate
-series per row) through the checked reader in `datagen`. Normalization
-statistics are always fitted on the training split alone.
+series per row) through the checked reader in `datagen`. A UCR pair comes
+with its split; `normalize_and_split` keeps it and fits the normalization
+statistics on the training split alone. `datagen.stratified_split` is the
+package's one split of pooled data.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (DataFormatError, WindowedSequence, make_windows,
-                      parse_rows, stratified_split)
+from .datagen import DataFormatError, WindowedSequence, make_windows, parse_rows
 
 __all__ = [
     "DataFormatError",
@@ -77,28 +78,17 @@ def envelope_dataset(ds: RawDataset) -> RawDataset:
     return replace(ds, signals=hilbert_envelope(ds.signals))
 
 
-def normalize_and_split(ds: RawDataset, train_fraction: float = 0.7,
-                        seed: int = 0, predefined_test: RawDataset | None = None):
-    """Stratified split + per-channel z-normalization with train-only stats.
-
-    With `predefined_test` the provided splits are used verbatim and only the
-    normalization is applied (statistics still come from `ds`, the train
-    split). Its labels are mapped through the train split's source tokens
-    (`label_names`); a token the train split lacks is a `DataFormatError`.
+def normalize_and_split(train: RawDataset, predefined_test: RawDataset):
+    """Per-channel z-normalization of a given split, its statistics fitted
+    on `train` alone. `predefined_test` is kept verbatim, its labels mapped
+    through the train split's source tokens (`label_names`); a token the
+    train split lacks, or a class absent from the test split, is a
+    `DataFormatError`.
     """
-    if predefined_test is None:
-        train, test = (replace(ds, labels=ds.labels[idx],
-                               signals=ds.signals[idx])
-                       for idx in stratified_split(ds.labels, train_fraction,
-                                                   seed))
-    else:
-        train = ds
-        test = replace(ds, labels=_relabel(predefined_test, ds),
-                       signals=predefined_test.signals,
-                       name=predefined_test.name)
-        if set(train.labels.tolist()) != set(test.labels.tolist()):
-            raise DataFormatError("a class is absent from the test split")
-
+    test = replace(train, labels=_relabel(predefined_test, train),
+                   signals=predefined_test.signals, name=predefined_test.name)
+    if set(train.labels.tolist()) != set(test.labels.tolist()):
+        raise DataFormatError("a class is absent from the test split")
     # (channels, N*T), each channel's samples in recording order: the
     # statistics are summed in this layout, so they keep their last bits
     stacked = np.concatenate(train.signals, axis=1)

@@ -350,6 +350,27 @@ class TestUcrWindowSettings:
         with pytest.raises(ValueError, match=f"{named}.*; a window cut"):
             cli.load_split_sequences(ECG_DIR, kv)
 
+    def test_a_cut_longer_than_the_series_names_the_data_and_keys(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("window_len = 50\nn_steps = 4\nn_hidden = 4\n"
+                       "use_cnn = 0\nepochs = 1\n")
+        out = tmp_path / "model"
+        assert run("train", "--data", str(ECG_DIR), "--config", str(cfg),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ECG_DIR}: series of 96 samples, fewer than "
+            "n_steps x window_len = 4 x 50\n")
+        assert not out.exists()
+        # one sample short of the series is refused too; the full series is cut
+        with pytest.raises(DataFormatError, match="fewer than n_steps x "
+                           "window_len = 1 x 97"):
+            cli.load_split_sequences(ECG_DIR, {"window_len": 97,
+                                               "n_steps": 1})
+        train_seqs, *_ = cli.load_split_sequences(
+            ECG_DIR, {"window_len": 96, "n_steps": 1})
+        assert train_seqs[0].windows.shape == (1, 96)
+
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory):
@@ -581,6 +602,15 @@ class TestHeldOutSplit:
         assert np.array_equal(seen["simulated"], fxp.to_raw(windows))
 
 
+def _refused_by_eval_and_simulate(model_dir, ds, message, capsys):
+    for command in ("eval", "simulate"):
+        assert run(command, "--model", str(model_dir),
+                   "--data", str(ds)) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "accuracy" not in captured.out
+
+
 class TestDatasetProvenance:
     """`train` records the data digest; eval/simulate refuse other data."""
 
@@ -624,12 +654,26 @@ class TestDatasetProvenance:
                    "--per-class", "4", "--window", "4", "--steps", "2",
                    "--out", str(ds)) == 0
         capsys.readouterr()
-        for command in ("eval", "simulate"):
-            assert run(command, "--model", str(model_dir),
-                       "--data", str(ds)) == 2
-            captured = capsys.readouterr()
-            assert "model has 2 classes, data has 3" in captured.err
-            assert "accuracy" not in captured.out
+        _refused_by_eval_and_simulate(
+            model_dir, ds, f"{model_dir / 'config.txt'}: n_classes = 2, but "
+            f"the data in {ds} has 3", capsys)
+
+    def test_other_channel_count_of_the_same_width_is_data_error(
+            self, tmp_path, capsys):
+        # a 1-channel CNN model of 8-sample windows with no hyperparams.txt,
+        # and 2-channel data of 4-sample windows: both read 8 values a step
+        net = model.NetworkConfig(8, 2, 3, 2, conv_layers=((2, 3),))
+        model_dir, ds = tmp_path / "m", tmp_path / "ds"
+        model.save_network(model_dir, train_mod.init_params(net), net,
+                           mode="ternary")
+        rng = np.random.default_rng(0)
+        seqs = [datagen.WindowedSequence(rng.uniform(-1, 1, (2, 8)), k % 2)
+                for k in range(8)]
+        datagen.save_dataset(datagen.SyntheticDataset(
+            seqs, [0.0, 1.0], 0.0, "hand", 4, 2, 2), ds)
+        _refused_by_eval_and_simulate(
+            model_dir, ds, f"{model_dir / 'config.txt'}: n_channels = 1, but "
+            f"the data in {ds} has 2", capsys)
 
     def test_edited_ucr_pair_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ecg"

@@ -119,6 +119,14 @@ class TestSineBank:
         assert d < 0.5
 
 
+class TestStratifiedSplit:
+    def test_bad_fraction_rejected(self):
+        labels = np.arange(100) % 2
+        for fraction in (-0.1, 0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="train_fraction must lie"):
+                datagen.stratified_split(labels, fraction, 0)
+
+
 class TestMakeWindows:
     def test_exact_partition(self):
         sig = np.arange(6.0)

@@ -318,6 +318,20 @@ class TestBankLedger:
         assert {(r.max_wb_beat_bits, r.max_im_beat_bits) for r in reps} == \
             {(one.max_wb_beat_bits, one.max_im_beat_bits)}
 
+    @pytest.mark.parametrize("use_cnn", [False, True])
+    def test_each_stored_weight_is_read_once_per_window(self, use_cnn):
+        # the WB traffic comes from the network's shape, the stored bits from
+        # the banks' arrays: every weight is read in each of the n_steps
+        # windows, except the output layer, read once, in the final window
+        rng = np.random.default_rng(18 + use_cnn)
+        for _ in range(150):
+            cfg, qnet, raw = random_net(rng, use_cnn)
+            _, rep = run_inference(raw, load_banks(qnet, MC), cfg, MC)
+            output = cfg.n_hidden * cfg.n_classes * \
+                qnet.weight_format.total_bits
+            assert rep.wb_bits_per_seq == cfg.n_steps * qnet.weight_bits() - \
+                (cfg.n_steps - 1) * output, cfg
+
     def test_a_report_a_caller_changes_leaves_the_next_run_alone(self):
         rng = np.random.default_rng(17)
         cfg, qnet, raw = random_net(rng)

@@ -118,6 +118,12 @@ class TestHilbertEnvelope:
             assert np.array_equal(hilbert_envelope(sig), got)
 
 
+def _split(ds, train_fraction, seed):
+    """`ds` split by `stratified_split`, as the CLI splits pooled data."""
+    return [RawDataset(ds.labels[idx], ds.signals[idx])
+            for idx in stratified_split(ds.labels, train_fraction, seed)]
+
+
 class TestNormalizeAndSplit:
     def _balanced(self, n=100, length=20):
         rng = np.random.default_rng(5)
@@ -125,13 +131,13 @@ class TestNormalizeAndSplit:
                           rng.normal(loc=3.0, scale=2.0, size=(n, 1, length)))
 
     def test_stratified_70_30(self):
-        train, test = normalize_and_split(self._balanced(), 0.7, seed=1)
+        train, test = normalize_and_split(*_split(self._balanced(), 0.7, 1))
         assert len(train.signals) == 70 and len(test.signals) == 30
         for split, count in ((train, 35), (test, 15)):
             assert np.bincount(split.labels).tolist() == [count, count]
 
     def test_train_stats_are_zero_mean_unit_var(self):
-        train, _ = normalize_and_split(self._balanced(), 0.7, seed=2)
+        train, _ = normalize_and_split(*_split(self._balanced(), 0.7, 2))
         stacked = train.signals
         assert abs(stacked.mean()) < 1e-10
         assert abs(stacked.var() - 1.0) < 1e-10
@@ -143,7 +149,7 @@ class TestNormalizeAndSplit:
         signals = rng.normal(size=(20, 3, 12)) * [[2.0], [0.5], [1.0]] + \
             [[3.0], [-1.0], [0.0]]
         ds = RawDataset(np.arange(20) % 2, signals)
-        train, test = normalize_and_split(ds, 0.5, seed=1)
+        train, test = normalize_and_split(*_split(ds, 0.5, 1))
         train_idx, test_idx = stratified_split(ds.labels, 0.5, 1)
         stacked = np.concatenate([signals[i] for i in train_idx], axis=1)
         mean = stacked.mean(axis=1, keepdims=True)
@@ -154,15 +160,15 @@ class TestNormalizeAndSplit:
                 assert np.array_equal(got, (signals[i] - mean) / std)
 
     def test_deterministic_per_seed(self):
-        a_train, _ = normalize_and_split(self._balanced(), 0.7, seed=3)
-        b_train, _ = normalize_and_split(self._balanced(), 0.7, seed=3)
+        a_train, _ = normalize_and_split(*_split(self._balanced(), 0.7, 3))
+        b_train, _ = normalize_and_split(*_split(self._balanced(), 0.7, 3))
         assert np.array_equal(a_train.labels, b_train.labels)
         assert np.array_equal(a_train.signals, b_train.signals)
 
     def test_test_set_never_influences_stats(self):
         # oracle: fit mean/std on the train recordings alone, apply to test
         ds = self._balanced()
-        train, test = normalize_and_split(ds, 0.7, seed=4)
+        train, test = normalize_and_split(*_split(ds, 0.7, 4))
         # recover the raw train rows by index bookkeeping: renormalizing the
         # normalized train split must be the identity transform
         mean, std = train.signals.mean(), train.signals.std()
@@ -203,10 +209,6 @@ class TestNormalizeAndSplit:
         with pytest.raises(DataFormatError, match="2.0"):
             normalize_and_split(load_ucr(tmp_path / "a.tsv"),
                                 predefined_test=load_ucr(tmp_path / "b.tsv"))
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_and_split(self._balanced(), 1.5)
 
 
 class TestDatasetToSequences:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -480,3 +481,102 @@ class TestEvaluation:
         acc = np.mean(predict_probs(params, [seq], cfg).argmax(axis=1)
                       == [seq.label])
         assert acc in (0.0, 1.0)
+
+
+def _trained_digests(mode: str, use_cnn: bool) -> list:
+    """sha256 of a short `train` run's loss trace, accuracy trace and each
+    trained tensor, in `NetworkConfig.tensor_shapes` order."""
+    train_seqs, test_seqs = tiny_sine_task(per_class=6)
+    net = NetworkConfig(10, 3, 5, 3, conv_layers=((2, 3),), use_cnn=use_cnn)
+    cfg = TrainConfig(learning_rate=0.05 if mode == "full" else 0.1,
+                      epochs=3, batch_size=4, init_scale=0.6, seed=3,
+                      mode=mode)
+    result = train(train_seqs, test_seqs, cfg, net)
+    arrays = [result.loss_trace, result.accuracy_trace,
+              *(result.params[name] for name in net.tensor_shapes())]
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in arrays]
+
+
+class TestTrainerBitPins:
+    """The trainer's bits, pinned: a change to any float sum, draw or update
+    order moves a digest. The reference accuracies (criterion 9) rest on the
+    exact bits, so a moved pin means the trainer changed, or the numpy or
+    BLAS build under it did."""
+
+    # recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (DYNAMIC_ARCH, core
+    # Haswell)
+    PINS = {
+        ('full', False): [
+            "7d5ae724238a16a050c8c67fc031b37df64a2c4adf387cbda28d6fe6a838f416",
+            "62e82074da74a68c24aee69e798c04226e9180c0d84a3f3988b44e4a02be5d19",
+            "12aee2388e5bfc01d3e0d98c4ea96b3e2ce51ff6d188fc4fcbbe2ce9570e9459",
+            "7633b469b9b390115eaa81fea35f464cf7d109dcc95f92f6d75b815f1aaa2681",
+            "3f22ea124a2f79383c9a1c1b6fc4b5037785a2c8a0070149f1e458d63a30dae5",
+            "fe80724fb4828719ec67aaae5e57a76529521a088b61970ed44a07784e146501",
+        ],
+        ('full', True): [
+            "0fe3212eebc18e5b3a24229b96d10c3c8d622b41b979259dd1938edeaae434dc",
+            "62e82074da74a68c24aee69e798c04226e9180c0d84a3f3988b44e4a02be5d19",
+            "6020b2cb2396ebe4f182b0979a2b890acb3fa43e038273a0bfa2cfa3e5f120f1",
+            "42549e518f585ed047799de8cb3a8d29605690c9f97bc7d6813fd246c94c6ac2",
+            "7926b6ea1379453b5d5117ca67858aabee400355a50ca100a2d0fb0da57b2f12",
+            "ff85fbec052311db4a6fa33e785e30b3b429b4da75246b6d8b815a4a397d7b0d",
+            "269f85dd29eee1cc7ccd705f56f0078a204565107244c7c137c5df6e48382c60",
+            "881d9987c32390238985312f367695c61148da83e04ac1ae0cbfcf2a7ebf3c34",
+            "00b44caedfb1f156220472b48514cb05783f7366e1b0f248fd831c6e13f17839",
+        ],
+        ('ternary', False): [
+            "af6d2a54eb87a336a3dcd18ffa0641df379a833a69ba142c06714b766a5ae1b4",
+            "8ef24942d580d419e9c495f4c2068b16b467fa5fd1cd2cd8036e33640a921274",
+            "10e59308fd046399a28a0543ab07466a5c98a81c4feabb12d9080d84dc617711",
+            "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+            "a59d6425c65e1d667f8386256f1404199f59a38e2bf4cca398e7da50847c15ea",
+            "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+        ],
+        ('ternary', True): [
+            "a7df7fa54a55011f5ada8eddd829a35569503d2efcd603202a26619260e1b6f9",
+            "c45b12647189749d6009abd774bc1e3332e8bedaa35307979ae8553eb8456da8",
+            "437c9212b2dcebfb8e28ae6c57aab7ad0e6de5a849c2e96d0272cc7a2c2e57ac",
+            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+            "a90a0719844c94291d7dbd24059ebe09362581d3d18c5673828822ba8cf29edd",
+            "0495c5c25ed04c84c8f3d4fa9fa31ff2e3ee207321c69438dd5c6899a8baaba4",
+            "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+            "53a442ea37c2bdf3223b7b810cdbdc6b2fe663da792383d21712bc3c52ab86cf",
+            "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+        ],
+        ('binary', False): [
+            "8cc1d5adb416e7037a5cbab48c56ecb962d80c412f664b006a29fff43e9876ef",
+            "9e6d4929eb212f87b714d48e8abe3fcbadc4aa356869a4c12c3d8420f7a090a1",
+            "bed3bc2310d64d192b142fe46d1711a49dfe258eb26dc14c7c621817a01daa8a",
+            "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+            "7b66d5326263d826bef77eb64602c8220cece46eb3e91c6ab417a98de77e6a9b",
+            "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+        ],
+        ('binary', True): [
+            "1fb752694bb2cd629213933ec87138eeb07e00d77b0f545d1830ca0e72c35f55",
+            "3b4b05f372a09ac49bcaa055dab78b4ae7a7dee5da1d72607c45ccd3fd451a15",
+            "6ebb2ef2a641a9e766479cd7edc7bb475f311f0b20003d691b68538b256d887f",
+            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+            "c18668ea2684394d033f0d8b48cba2f2c8875751fb786e65096265b97e87a4c9",
+            "2009f1b7440648886a3467885ae06f78b406c1bab441ef061c8d129d470e4c26",
+            "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+            "c8f751696bd129ea5577bdac4fd309fe85bd01790a97103255af82ff1cb1263d",
+            "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["full", "ternary", "binary"])
+    @pytest.mark.parametrize("use_cnn", [False, True])
+    def test_digests(self, mode, use_cnn):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        names = ["loss_trace", "accuracy_trace",
+                 *NetworkConfig(10, 3, 5, 3, conv_layers=((2, 3),),
+                                use_cnn=use_cnn).tensor_shapes()]
+        got = dict(zip(names, _trained_digests(mode, use_cnn)))
+        want = dict(zip(names, self.PINS[mode, use_cnn]))
+        moved = [name for name in names if got[name] != want[name]]
+        assert not moved, (
+            f"{moved} moved under numpy {np.__version__} with BLAS "
+            f"{blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration')})")
