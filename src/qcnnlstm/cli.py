@@ -58,7 +58,7 @@ class _SplitSettings:
     """What fixes the held-out split; `train` records it in hyperparams.txt."""
 
     seed: int = 0  # also seeds the trainer
-    train_fraction: float = 0.7
+    train_fraction: float = 0.7  # generated datasets only
     envelope: bool = False  # UCR pairs only
 
 
@@ -143,8 +143,13 @@ def _load_split(data_dir, kv: dict, split: _SplitSettings) -> tuple:
             f"{data_dir}: series of {length} samples, fewer than n_steps x "
             f"window_len = {cut['n_steps']} x {cut['window_len']}")
     if split.envelope:
-        train_raw = ingest.envelope_dataset(train_raw)
-        test_raw = ingest.envelope_dataset(test_raw)
+        try:
+            train_raw = ingest.envelope_dataset(train_raw)
+            test_raw = ingest.envelope_dataset(test_raw)
+        except ingest.DataFormatError as exc:
+            raise ingest.DataFormatError(
+                f"{data_dir}: envelope = 1 on series of {length} samples: "
+                f"{exc}") from None
     train_raw, test_raw = ingest.normalize_and_split(
         train_raw, predefined_test=test_raw)
     shape = {"n_classes": train_raw.n_classes,
@@ -239,6 +244,11 @@ def _cmd_train(args, argv) -> int:
     # it is read, and a value the config states must agree with it
     net_cfg = datagen.read_record(model.NetworkConfig, kv, path, n_classes=2)
     train_seqs, test_seqs, shape, digest = _load_split(args.data, kv, split)
+    if "train_fraction" in kv and \
+            not (Path(args.data) / "manifest.txt").exists():
+        raise ingest.DataFormatError(
+            f"{path}: train_fraction applies to generated datasets only; the "
+            f"UCR pair in {args.data} keeps its own split")
     _check_shape(path, net_cfg, args.data,
                  {k: v for k, v in shape.items() if k in kv})
     net_cfg = replace(net_cfg, **shape)

@@ -61,7 +61,8 @@ def hilbert_envelope(signal) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1]
     if n < 4:
-        raise DataFormatError("signal too short for an envelope")
+        raise DataFormatError("an envelope needs series of at least 4 "
+                              "samples")
     spec = np.fft.fft(x, axis=-1)
     weights = np.zeros(n)
     weights[0] = 1.0

@@ -12,12 +12,12 @@ arrays, through `_time_major`: one shape check, one time-major copy.
 
 `train()` owns per-call workspaces: the codes, the forward and backward
 buffers (`_Workspace`) and Adagrad's step arrays (`AdagradState`) are
-allocated once per call and reused by every batch and every per-epoch
-evaluation, and the test windows are stacked once. Allocated fresh for every
-batch, arrays of these sizes come back as new pages from the operating
-system, and those page faults took about a fifth of the training time.
-Nothing outlives the call, and no float sum changes its order: the traces
-and the trained tensors are bit-identical to allocating fresh arrays.
+allocated once per call and reused by every batch and by the one evaluation
+of the test split, after the last update. Allocated fresh for every batch,
+arrays of these sizes come back as new pages from the operating system, and
+those page faults took about a fifth of the training time. Nothing outlives
+the call, and no float sum changes its order: the traces and the trained
+tensors are bit-identical to allocating fresh arrays.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class AdagradState:
 @dataclass
 class TrainResult:
     params: dict  # tensor name -> array, as `init_params` builds it
-    loss_trace: np.ndarray
-    accuracy_trace: np.ndarray
+    loss_trace: np.ndarray  # per epoch: the mean loss of its batches
+    accuracy_trace: np.ndarray  # per epoch: NaN, but the last: test accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,9 @@ def adagrad_step(params: dict, grads: dict, state: AdagradState,
 
 def train(train_seqs, test_seqs, cfg: TrainConfig,
           net_cfg: NetworkConfig) -> TrainResult:
-    """Epoch loop over shuffled minibatches; deterministic per seed."""
+    """Epoch loop over shuffled minibatches; deterministic per seed. The
+    test split is checked and stacked before the first epoch, and evaluated
+    once, after the last update."""
     if not train_seqs or not test_seqs:
         raise ValueError("both splits must be non-empty")
     params = init_params(net_cfg, cfg.seed, cfg.init_scale)
@@ -375,10 +377,9 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
                            for seqs in (train_seqs, test_seqs))
     q, n, width = windows.shape
     # the codes are quantized after each update, for the next batch and the
-    # epoch's evaluation alike
+    # final evaluation alike
     eff = network_tensors(params, cfg.mode)
     loss_trace = np.zeros(cfg.epochs)
-    acc_trace = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -399,10 +400,11 @@ def train(train_seqs, test_seqs, cfg: TrainConfig,
             raise ValueError(f"epoch {epoch}: mean loss {loss_trace[epoch]} "
                              "is not finite; lower learning_rate or "
                              "init_scale")
-        # the softmax before the argmax: exp may round two logits to a tie
-        logits, _ = _forward(test_windows, eff, net_cfg, ws)
-        preds = softmax(logits[-1]).argmax(axis=1)
-        acc_trace[epoch] = (preds == test_labels).mean()
+    # the softmax before the argmax: exp may round two logits to a tie
+    logits, _ = _forward(test_windows, eff, net_cfg, ws)
+    preds = softmax(logits[-1]).argmax(axis=1)
+    acc_trace = np.full(cfg.epochs, np.nan)
+    acc_trace[-1] = (preds == test_labels).mean()
     return TrainResult(params, loss_trace, acc_trace)
 
 
@@ -453,7 +455,10 @@ def confusion_matrix(labels, preds, n_classes: int) -> np.ndarray:
 
 
 def write_trace(path, loss_trace, accuracy_trace) -> None:
+    """One row per epoch; `test_accuracy` is empty where the accuracy is
+    NaN, every epoch but the last of a `train` run."""
     lines = ["epoch,loss,test_accuracy"]
     for e, (l, a) in enumerate(zip(loss_trace, accuracy_trace)):
-        lines.append(f"{e},{float(l)!r},{float(a)!r}")
+        acc = "" if math.isnan(a) else repr(float(a))
+        lines.append(f"{e},{float(l)!r},{acc}")
     Path(path).write_text("\n".join(lines) + "\n")

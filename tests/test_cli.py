@@ -398,6 +398,9 @@ class TestTrainEvalQuantizeSimulate:
         trace = (model_dir / "trace.csv").read_text().splitlines()
         assert trace[0] == "epoch,loss,test_accuracy"
         assert len(trace) == 6
+        # the test split is evaluated once, after the last epoch
+        assert all(row.endswith(",") for row in trace[1:-1])
+        assert not trace[-1].endswith(",")
 
     def test_eval_accuracy(self, trained_model, capsys):
         _, ds, _, model_dir = trained_model

@@ -245,6 +245,42 @@ def test_envelope_on_a_generated_dataset_exits_2(tiny, tmp_path, capsys):
         assert want in capsys.readouterr().err
 
 
+def test_train_fraction_on_a_ucr_pair_exits_2(tmp_path, capsys):
+    # a UCR pair keeps its own split: train refuses the key, even at its
+    # default, while eval reads the default that hyperparams.txt records
+    base = {"window_len": 20, "n_steps": 4, "n_hidden": 3, "use_cnn": False,
+            "epochs": 1}
+    for value in (0.5, 0.7):
+        cfg = _write(tmp_path / "c.cfg", {**base, "train_fraction": value})
+        assert run("train", "--data", ECG_DIR, "--config", cfg,
+                   "--out", tmp_path / "m") == 2
+        assert (f"{cfg}: train_fraction applies to generated datasets only; "
+                f"the UCR pair in {ECG_DIR} keeps its own split") in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+    assert run("train", "--data", ECG_DIR, "--config",
+               _write(tmp_path / "c.cfg", base), "--out", tmp_path / "m") == 0
+    assert read_kv(tmp_path / "m" / "hyperparams.txt")["train_fraction"] == \
+        "0.7"
+    assert run("eval", "--model", tmp_path / "m", "--data", ECG_DIR) == 0
+
+
+def test_envelope_on_too_short_series_exits_2(tmp_path, capsys):
+    data = tmp_path / "short"
+    data.mkdir()
+    for part in ("TRAIN", "TEST"):
+        (data / f"X_{part}.tsv").write_text("1\t0.1\t0.5\t0.2\n"
+                                           "2\t0.3\t0.1\t0.4\n")
+    cfg = _write(tmp_path / "c.cfg", {"window_len": 3, "n_steps": 1,
+                                      "n_hidden": 2, "use_cnn": False,
+                                      "epochs": 1, "envelope": True})
+    assert run("train", "--data", data, "--config", cfg,
+               "--out", tmp_path / "m") == 2
+    assert (f"{data}: envelope = 1 on series of 3 samples: an envelope needs "
+            "series of at least 4 samples") in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_and_eval_hash_the_rows_once(tiny, tmp_path, monkeypatch):
     root, ds, _ = tiny
     calls = []

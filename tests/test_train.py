@@ -9,6 +9,7 @@ import scipy.stats
 
 from float_oracle import cross_entropy, loss_gradient, network_forward
 from qcnnlstm import quant
+from qcnnlstm import train as train_mod
 from qcnnlstm.datagen import WindowedSequence, make_sine_dataset
 from qcnnlstm.model import NetworkConfig, softmax
 from qcnnlstm.train import (ADAGRAD_BLOCK, ADAGRAD_EPSILON, AdagradState,
@@ -281,7 +282,8 @@ class TestTrainLoop:
         a = train(train_seqs, test_seqs, tc, cfg)
         b = train(train_seqs, test_seqs, tc, cfg)
         assert np.array_equal(a.loss_trace, b.loss_trace)
-        assert np.array_equal(a.accuracy_trace, b.accuracy_trace)
+        assert np.array_equal(a.accuracy_trace, b.accuracy_trace,
+                              equal_nan=True)
         assert np.array_equal(a.params["lstm.gates"], b.params["lstm.gates"])
 
     def test_no_state_carries_over_between_calls(self):
@@ -297,14 +299,15 @@ class TestTrainLoop:
               NetworkConfig(10, 3, 9, 3, use_cnn=False))
         again = train(train_seqs, test_seqs, a_cfg, a_net)
         assert np.array_equal(first.loss_trace, again.loss_trace)
-        assert np.array_equal(first.accuracy_trace, again.accuracy_trace)
+        assert np.array_equal(first.accuracy_trace, again.accuracy_trace,
+                              equal_nan=True)
         for name, w in first.params.items():
             assert np.array_equal(w, again.params[name]), name
 
     @pytest.mark.parametrize("mode", ["full", "ternary"])
     def test_equals_a_loop_of_public_steps(self, mode, monkeypatch):
         # the codes are quantized once per update: before the first batch,
-        # then after each Adagrad step, for the next batch and the epoch's
+        # then after each Adagrad step, for the next batch and the final
         # evaluation alike
         train_seqs, test_seqs = tiny_sine_task()
         net = NetworkConfig(10, 3, 6, 3, conv_layers=((2, 3), (3, 2)))
@@ -337,11 +340,48 @@ class TestTrainLoop:
                 adagrad_step(params, grads, state, tc)
                 total += loss * len(idx)
             assert result.loss_trace[epoch] == total / len(windows)
-            preds = predict_probs(params, test_seqs, net, mode).argmax(axis=1)
-            assert result.accuracy_trace[epoch] == \
-                np.mean(preds == test_labels)
+        preds = predict_probs(params, test_seqs, net, mode).argmax(axis=1)
+        assert result.accuracy_trace[-1] == np.mean(preds == test_labels)
+        assert np.isnan(result.accuracy_trace[:-1]).all()
         for name, w in params.items():
             assert np.array_equal(result.params[name], w), name
+
+    def test_evaluates_the_test_split_once_after_the_last_update(
+            self, monkeypatch):
+        # training never reads the test split before its last update
+        train_seqs, test_seqs = tiny_sine_task()
+        net = NetworkConfig(10, 3, 6, 3, conv_layers=((2, 3),))
+        tc = TrainConfig(epochs=3, batch_size=7, seed=2)
+        test_x = np.stack([s.windows for s in test_seqs], axis=1)
+        forward, step, events = train_mod._forward, train_mod.adagrad_step, []
+
+        def spying_forward(x, *args):
+            events.append("test" if np.array_equal(x, test_x) else "batch")
+            return forward(x, *args)
+
+        def spying_step(*args):
+            events.append("update")
+            return step(*args)
+
+        monkeypatch.setattr(train_mod, "_forward", spying_forward)
+        monkeypatch.setattr(train_mod, "adagrad_step", spying_step)
+        train(train_seqs, test_seqs, tc, net)
+        n_batches = -(-len(train_seqs) // tc.batch_size)
+        assert events.count("update") == tc.epochs * n_batches
+        assert events.count("test") == 1
+        assert events[-2:] == ["update", "test"]
+
+    def test_misshapen_test_split_raises_before_the_first_epoch(
+            self, monkeypatch):
+        train_seqs, test_seqs = tiny_sine_task()
+        net = NetworkConfig(10, 3, 4, 3, use_cnn=False)
+        short = [WindowedSequence(s.windows[:2], s.label) for s in test_seqs]
+        calls = []
+        monkeypatch.setattr(train_mod, "_forward",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="expected windows"):
+            train(train_seqs, short, TrainConfig(epochs=2), net)
+        assert not calls
 
     def test_saturated_gates_raise_no_warning(self):
         # pre-activations of -4000: exp(4000) overflows to inf, and the
@@ -363,7 +403,7 @@ class TestTrainLoop:
         assert result.loss_trace[-1] < result.loss_trace[0]
 
     def test_last_accuracy_is_the_predicted_accuracy(self):
-        # the per-epoch accuracy runs on the call's workspace; it must read
+        # the final accuracy runs on the call's workspace; it must read
         # what the public evaluation reads for the final parameters
         train_seqs, test_seqs = tiny_sine_task()
         net = NetworkConfig(10, 3, 6, 3, conv_layers=((2, 3),))
@@ -419,12 +459,11 @@ class TestTrainLoop:
         assert sum(f for f, _ in pairs) < sum(t for _, t in pairs)
 
     def test_trace_file_format(self, tmp_path):
+        # an epoch that was not evaluated leaves its accuracy empty
         path = tmp_path / "trace.csv"
-        write_trace(path, np.array([0.5, 0.25]), np.array([0.5, 1.0]))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss,test_accuracy"
-        assert lines[1].startswith("0,0.5,")
-        assert len(lines) == 3
+        write_trace(path, np.array([0.5, 0.25]), np.array([np.nan, 1.0]))
+        assert path.read_text().splitlines() == [
+            "epoch,loss,test_accuracy", "0,0.5,", "1,0.25,1.0"]
 
 
 class TestEvaluation:
@@ -509,7 +548,7 @@ class TestTrainerBitPins:
     PINS = {
         ('full', False): [
             "7d5ae724238a16a050c8c67fc031b37df64a2c4adf387cbda28d6fe6a838f416",
-            "62e82074da74a68c24aee69e798c04226e9180c0d84a3f3988b44e4a02be5d19",
+            "cd8a7b199b2773eaa73d6c71a6bfd4f7a4273a571b43d63f4ae13332cc7b3b47",
             "12aee2388e5bfc01d3e0d98c4ea96b3e2ce51ff6d188fc4fcbbe2ce9570e9459",
             "7633b469b9b390115eaa81fea35f464cf7d109dcc95f92f6d75b815f1aaa2681",
             "3f22ea124a2f79383c9a1c1b6fc4b5037785a2c8a0070149f1e458d63a30dae5",
@@ -517,7 +556,7 @@ class TestTrainerBitPins:
         ],
         ('full', True): [
             "0fe3212eebc18e5b3a24229b96d10c3c8d622b41b979259dd1938edeaae434dc",
-            "62e82074da74a68c24aee69e798c04226e9180c0d84a3f3988b44e4a02be5d19",
+            "cd8a7b199b2773eaa73d6c71a6bfd4f7a4273a571b43d63f4ae13332cc7b3b47",
             "6020b2cb2396ebe4f182b0979a2b890acb3fa43e038273a0bfa2cfa3e5f120f1",
             "42549e518f585ed047799de8cb3a8d29605690c9f97bc7d6813fd246c94c6ac2",
             "7926b6ea1379453b5d5117ca67858aabee400355a50ca100a2d0fb0da57b2f12",
@@ -528,7 +567,7 @@ class TestTrainerBitPins:
         ],
         ('ternary', False): [
             "af6d2a54eb87a336a3dcd18ffa0641df379a833a69ba142c06714b766a5ae1b4",
-            "8ef24942d580d419e9c495f4c2068b16b467fa5fd1cd2cd8036e33640a921274",
+            "cd8a7b199b2773eaa73d6c71a6bfd4f7a4273a571b43d63f4ae13332cc7b3b47",
             "10e59308fd046399a28a0543ab07466a5c98a81c4feabb12d9080d84dc617711",
             "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
             "a59d6425c65e1d667f8386256f1404199f59a38e2bf4cca398e7da50847c15ea",
@@ -536,7 +575,7 @@ class TestTrainerBitPins:
         ],
         ('ternary', True): [
             "a7df7fa54a55011f5ada8eddd829a35569503d2efcd603202a26619260e1b6f9",
-            "c45b12647189749d6009abd774bc1e3332e8bedaa35307979ae8553eb8456da8",
+            "fb158b2d7515f0448eb1004f38f11940518d8b28b20cce533d9015ced22aaaf2",
             "437c9212b2dcebfb8e28ae6c57aab7ad0e6de5a849c2e96d0272cc7a2c2e57ac",
             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
             "a90a0719844c94291d7dbd24059ebe09362581d3d18c5673828822ba8cf29edd",
@@ -547,7 +586,7 @@ class TestTrainerBitPins:
         ],
         ('binary', False): [
             "8cc1d5adb416e7037a5cbab48c56ecb962d80c412f664b006a29fff43e9876ef",
-            "9e6d4929eb212f87b714d48e8abe3fcbadc4aa356869a4c12c3d8420f7a090a1",
+            "fb158b2d7515f0448eb1004f38f11940518d8b28b20cce533d9015ced22aaaf2",
             "bed3bc2310d64d192b142fe46d1711a49dfe258eb26dc14c7c621817a01daa8a",
             "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
             "7b66d5326263d826bef77eb64602c8220cece46eb3e91c6ab417a98de77e6a9b",
@@ -555,7 +594,7 @@ class TestTrainerBitPins:
         ],
         ('binary', True): [
             "1fb752694bb2cd629213933ec87138eeb07e00d77b0f545d1830ca0e72c35f55",
-            "3b4b05f372a09ac49bcaa055dab78b4ae7a7dee5da1d72607c45ccd3fd451a15",
+            "b9666fdbfa65e1f5adb8a32ec97a84ed372ba308783bb504d3064bce70d54d39",
             "6ebb2ef2a641a9e766479cd7edc7bb475f311f0b20003d691b68538b256d887f",
             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
             "c18668ea2684394d033f0d8b48cba2f2c8875751fb786e65096265b97e87a4c9",
